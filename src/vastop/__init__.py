@@ -74,10 +74,12 @@ from .decompose import (
 from .mc import (
     McEstimate,
     McPremiumEstimates,
+    McVerifyEstimates,
     PathBatch,
     mc_boundary_strategy_value,
     mc_maturity_benefit,
     mc_premium_integrals,
+    mc_verify_estimates,
     simulate_paths,
 )
 from .presets import (

@@ -5,7 +5,8 @@ scenario plus run plan from a single JSON document, executes the requested
 tasks in dependency order, and writes CSV artifacts plus a machine-readable
 summary. Exit codes: 0 success, 1 solver failure, 2 config error. Re-running
 with an identical config and seed reproduces byte-identical CSVs. The
-environment variable VASTOP_THREADS caps BLAS worker pools.
+environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
+of Monte Carlo chunk workers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import ConfigError
 
@@ -49,6 +50,10 @@ class RunPlan:
 def _check_range(section: str, key: str, value, lo, hi) -> None:
     if not (lo <= value <= hi):
         raise ConfigError(f"{section}.{key} must lie in [{lo}, {hi}]")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _merge_section(doc: dict, name: str, defaults: dict) -> dict:
@@ -88,6 +93,12 @@ def load_plan(doc: dict, args) -> RunPlan:
         grid["M"] = args.grid_M
     if args.seed is not None:
         mc["seed"] = args.seed
+    if not _is_int(mc["seed"]) or not 0 <= mc["seed"] < 2**128:
+        raise ConfigError("mc.seed must be an integer in [0, 2**128)")
+    if not _is_int(mc["npaths"]):
+        raise ConfigError("mc.npaths must be an integer")
+    if mc["nsteps"] is not None and not _is_int(mc["nsteps"]):
+        raise ConfigError("mc.nsteps must be an integer or null")
     grid["N"] = int(grid["N"])
     grid["M"] = int(grid["M"])
     grid["xmax_mult"] = float(grid["xmax_mult"])
@@ -98,7 +109,7 @@ def load_plan(doc: dict, args) -> RunPlan:
     _check_range("pde", "omega", float(pde["omega"]), 1e-9, 2.0 - 1e-9)
     if mc["nsteps"] is None:
         mc["nsteps"] = grid["N"]
-    _check_range("mc", "npaths", int(mc["npaths"]), 1, 1_000_000_000)
+    _check_range("mc", "npaths", mc["npaths"], 1, 1_000_000_000)
     if mc["scheme"] not in ("exact-lognormal", "euler"):
         raise ConfigError("mc.scheme must be 'exact-lognormal' or 'euler'")
     out_dir = args.out or doc.get("out") or "vastop-out"
@@ -134,7 +145,7 @@ def run_plan(plan: RunPlan) -> dict:
     from .analytic import maturity_benefit_value, never_surrender_check
     from .decompose import decomposition_residuals
     from .lattice import bermudan_value, build_chain
-    from .mc import mc_boundary_strategy_value, mc_maturity_benefit, mc_premium_integrals, simulate_paths
+    from .mc import mc_verify_estimates, simulate_paths
     from .model import L_value, scenario_from_dict, scenario_to_dict
     from .pde import build_pde_grid, solve_variational_inequality
     from .presets import benchmark_scenario
@@ -169,6 +180,10 @@ def run_plan(plan: RunPlan) -> dict:
     boundaries: dict[str, object] = {}
 
     tnodes = time_nodes(scn, N)
+    if "check-L" in tasks or scn.is_time_only:
+        never_surrender = never_surrender_check(
+            scn, tnodes[:-1], np.linspace(scn.contract.F0 / 4, scn.contract.F0 * 4, 41)
+        )
     if "check-L" in tasks:
         rows = []
         pred = classify_sections(scn, tnodes[:-1]) if scn.is_time_only else None
@@ -181,11 +196,8 @@ def run_plan(plan: RunPlan) -> dict:
             for t, L, p in rows:
                 fh.write(f"{csvio.format_number(t)},{csvio.format_number(L)},{p}\n")
         summary["artifacts"].append("check_L.csv")
-        report = never_surrender_check(
-            scn, tnodes[:-1], np.linspace(scn.contract.F0 / 4, scn.contract.F0 * 4, 41)
-        )
-        summary["results"]["never_surrender_holds"] = bool(report.holds)
-        summary["results"]["min_L"] = report.min_L
+        summary["results"]["never_surrender_holds"] = bool(never_surrender.holds)
+        summary["results"]["min_L"] = never_surrender.min_L
 
     if "price-lattice" in tasks:
         grid = build_chain(scn, N, M, mult)
@@ -210,10 +222,7 @@ def run_plan(plan: RunPlan) -> dict:
     if scn.is_time_only:
         h0 = float(maturity_benefit_value(scn, 0.0, scn.contract.F0))
         summary["results"]["maturity_benefit_value_at_inception"] = h0
-        report = never_surrender_check(
-            scn, tnodes[:-1], np.linspace(scn.contract.F0 / 4, scn.contract.F0 * 4, 41)
-        )
-        if report.holds and surfaces:
+        if never_surrender.holds and surfaces:
             gaps = {}
             for name, surf in surfaces.items():
                 hline = np.stack(
@@ -264,16 +273,17 @@ def run_plan(plan: RunPlan) -> dict:
     if "mc-verify" in tasks:
         name = "lattice" if "lattice" in boundaries else "pde"
         batch = simulate_paths(
-            scn, int(plan.mc["seed"]), int(plan.mc["npaths"]), int(plan.mc["nsteps"]),
-            plan.mc["scheme"],
+            scn, plan.mc["seed"], plan.mc["npaths"], plan.mc["nsteps"], plan.mc["scheme"]
+        )
+        res = mc_verify_estimates(
+            batch, scn, boundaries[name], masks[name] if scn.is_time_only else None
         )
         rows = []
-        est = mc_maturity_benefit(batch, scn)
-        rows.append(("maturity_benefit", est.estimate, est.std_error, est.npaths, est.seed))
-        est2 = mc_boundary_strategy_value(batch, scn, boundaries[name])
-        rows.append(("boundary_strategy_value", est2.estimate, est2.std_error, est2.npaths, est2.seed))
-        if scn.is_time_only:
-            prem = mc_premium_integrals(batch, scn, masks[name])
+        for label, est in (("maturity_benefit", res.maturity_benefit),
+                           ("boundary_strategy_value", res.boundary_strategy)):
+            rows.append((label, est.estimate, est.std_error, est.npaths, est.seed))
+        prem = res.premiums
+        if prem is not None:
             rows.append(("surrender_premium", prem.e_estimate, prem.e_std_error, prem.npaths, prem.seed))
             rows.append(("continuation_premium", prem.f_estimate, prem.f_std_error, prem.npaths, prem.seed))
         emit("estimates.csv", csvio.write_estimates_csv, rows)

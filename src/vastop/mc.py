@@ -3,15 +3,21 @@
 Randomness comes from the counter-based Philox generator. Paths are produced
 in fixed-size chunks of 2^14; chunk i draws from Philox(key=seed).jumped(i)
 with a path-major normal matrix, so results are bit-reproducible for a given
-(seed, npaths, nsteps, scheme) no matter how chunks are scheduled, and chunks
-could run on parallel workers without changing a single bit. Per-path payoff
-moments are accumulated with numpy's pairwise summation.
+(seed, npaths, nsteps, scheme). Chunks are generated on a pool of worker
+threads (VASTOP_THREADS of them, else one per available CPU) and consumed in
+chunk order, so every estimate is the same to the last bit for any worker
+count. All estimators can share one pass over the paths
+(``mc_verify_estimates``); per-path payoff moments are accumulated with
+numpy's pairwise summation within a chunk and added chunk by chunk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +29,29 @@ __all__ = [
     "PathBatch",
     "McEstimate",
     "McPremiumEstimates",
+    "McVerifyEstimates",
     "simulate_paths",
     "mc_maturity_benefit",
     "mc_boundary_strategy_value",
     "mc_premium_integrals",
+    "mc_verify_estimates",
 ]
 
 CHUNK_PATHS = 1 << 14
 
 _SCHEMES = ("exact-lognormal", "euler")
+
+
+def _chunk_workers(nchunks: int) -> int:
+    """Chunk generator threads: VASTOP_THREADS, else the usable CPUs, at most nchunks."""
+    cap = os.environ.get("VASTOP_THREADS")
+    if not cap:
+        n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif cap.isdecimal() and int(cap) >= 1:
+        n = int(cap)
+    else:
+        raise ConfigError(f"VASTOP_THREADS must be a positive integer, got {cap!r}")
+    return min(n, nchunks)
 
 
 @dataclass(frozen=True)
@@ -73,36 +93,61 @@ class PathBatch:
         )
         return r * dt - fee_ints - 0.5 * sig * sig * dt
 
-    def iter_chunks(self):
-        """Yield (first_path_index, F) with F of shape (chunk, nsteps + 1)."""
+    def _chunk(self, ci: int, drifts: np.ndarray | None) -> np.ndarray:
+        """Paths of chunk ci, shape (chunk, nsteps + 1). Runs on a pool worker,
+        so it must call no public vastop function (the perfbench tracer's
+        span stack is single-threaded)."""
         tn = self.tnodes
         dt = float(tn[1] - tn[0])
         sig = self.scn.market.sigma
         vol = sig * math.sqrt(dt)
         F0 = self.scn.contract.F0
-        exact = self.scheme == "exact-lognormal"
-        if exact:
-            drifts = self._exact_step_drifts()
+        npc = min(CHUNK_PATHS, self.npaths - ci * CHUNK_PATHS)
+        rng = np.random.Generator(np.random.Philox(key=self.seed).jumped(ci))
+        Z = rng.standard_normal((npc, self.nsteps))
+        F = np.empty((npc, self.nsteps + 1))
+        F[:, 0] = F0
+        if drifts is not None:
+            # exp(log F0 + cumsum(drifts + vol Z)), built in place in Z
+            Z *= vol
+            Z += drifts
+            np.cumsum(Z, axis=1, out=Z)
+            Z += math.log(F0)
+            np.exp(Z, out=F[:, 1:])
+        else:
+            r = self.scn.market.r
+            for n in range(self.nsteps):
+                c = self.scn.fee(
+                    float(tn[n]), F[:, n] if not self.scn.fee.is_time_only else None
+                )
+                F[:, n + 1] = F[:, n] * np.exp(
+                    (r - np.asarray(c) - 0.5 * sig * sig) * dt + vol * Z[:, n]
+                )
+        return F
+
+    def iter_chunks(self):
+        """Yield (first_path_index, F) with F of shape (chunk, nsteps + 1), in
+        chunk order.
+
+        Chunks are built on a thread pool sized by VASTOP_THREADS (read when
+        iteration starts), with at most one chunk per worker pending ahead of
+        the consumer. Closing the generator early cancels what is pending and
+        joins the workers.
+        """
+        drifts = self._exact_step_drifts() if self.scheme == "exact-lognormal" else None
         nchunks = (self.npaths + CHUNK_PATHS - 1) // CHUNK_PATHS
-        for ci in range(nchunks):
-            npc = min(CHUNK_PATHS, self.npaths - ci * CHUNK_PATHS)
-            rng = np.random.Generator(np.random.Philox(key=self.seed).jumped(ci))
-            Z = rng.standard_normal((npc, self.nsteps))
-            F = np.empty((npc, self.nsteps + 1))
-            F[:, 0] = F0
-            if exact:
-                logF = math.log(F0) + np.cumsum(drifts[None, :] + vol * Z, axis=1)
-                F[:, 1:] = np.exp(logF)
-            else:
-                r = self.scn.market.r
-                for n in range(self.nsteps):
-                    c = self.scn.fee(
-                        float(tn[n]), F[:, n] if not self.scn.fee.is_time_only else None
-                    )
-                    F[:, n + 1] = F[:, n] * np.exp(
-                        (r - np.asarray(c) - 0.5 * sig * sig) * dt + vol * Z[:, n]
-                    )
-            yield ci * CHUNK_PATHS, F
+        workers = _chunk_workers(nchunks)
+        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vastop-mc") as pool:
+            pending = deque(pool.submit(self._chunk, ci, drifts) for ci in range(workers))
+            try:
+                for ci in range(nchunks):
+                    F = pending.popleft().result()
+                    if ci + workers < nchunks:
+                        pending.append(pool.submit(self._chunk, ci + workers, drifts))
+                    yield ci * CHUNK_PATHS, F
+            finally:
+                for fut in pending:
+                    fut.cancel()
 
     def terminal_values(self) -> np.ndarray:
         return np.concatenate([F[:, -1] for _, F in self.iter_chunks()])
@@ -135,22 +180,35 @@ def _finalize(total: float, total_sq: float, n: int, seed: int) -> McEstimate:
     return McEstimate(estimate=mean, std_error=math.sqrt(var / n), npaths=n, seed=seed)
 
 
-def mc_maturity_benefit(batch: PathBatch, scn: Scenario) -> McEstimate:
-    """Sample mean and standard error of e^{-rT} max(G, F_T)."""
+def _one_pass(batch: PathBatch, kernels) -> list[McEstimate]:
+    """Run every per-chunk kernel on each chunk of a single pass.
+
+    A kernel maps a chunk F to a tuple of per-path samples; each sample's sum
+    and sum of squares are added chunk by chunk in chunk order, so the result
+    of a kernel does not depend on which other kernels share the pass.
+    """
+    totals: list[list[float]] = []
+    for _, F in batch.iter_chunks():
+        samples = [x for kernel in kernels for x in kernel(F)]
+        if not totals:
+            totals = [[0.0, 0.0] for _ in samples]
+        for acc, x in zip(totals, samples):
+            acc[0] += float(np.sum(x))
+            acc[1] += float(np.sum(x * x))
+    return [_finalize(t, q, batch.npaths, batch.seed) for t, q in totals]
+
+
+def _maturity_kernel(scn: Scenario):
     r, G, T = scn.market.r, scn.contract.G, scn.contract.T
     disc = math.exp(-r * T)
-    total = total_sq = 0.0
-    for _, F in batch.iter_chunks():
-        pay = disc * np.maximum(G, F[:, -1])
-        total += float(np.sum(pay))
-        total_sq += float(np.sum(pay * pay))
-    return _finalize(total, total_sq, batch.npaths, batch.seed)
+
+    def kernel(F: np.ndarray):
+        return (disc * np.maximum(G, F[:, -1]),)
+
+    return kernel
 
 
-def mc_boundary_strategy_value(batch: PathBatch, scn: Scenario, boundary: Boundary) -> McEstimate:
-    """Value of the stopping rule "surrender at the first exercise date with
-    F >= b(t), else collect the maturity benefit": a lower bound on the
-    contract value up to exercise-date discretization."""
+def _boundary_kernel(batch: PathBatch, scn: Scenario, boundary: Boundary):
     tn = batch.tnodes
     if boundary.values.shape[0] != batch.nsteps or not np.allclose(
         boundary.tnodes, tn, rtol=0.0, atol=1e-9
@@ -161,8 +219,8 @@ def mc_boundary_strategy_value(batch: PathBatch, scn: Scenario, boundary: Bounda
     disc = np.exp(-r * tn)
     time_only = scn.charge.is_time_only
     gvals = np.asarray(scn.charge(tn[:-1]), dtype=float) if time_only else None
-    total = total_sq = 0.0
-    for _, F in batch.iter_chunks():
+
+    def kernel(F: np.ndarray):
         hits = F[:, :-1] >= b[None, :]
         hit_any = hits.any(axis=1)
         first = hits.argmax(axis=1)
@@ -175,9 +233,9 @@ def mc_boundary_strategy_value(batch: PathBatch, scn: Scenario, boundary: Bounda
                 scn.charge(tn[n_hit], F_hit), dtype=float
             )
             pay[rows] = disc[n_hit] * g_hit * F_hit
-        total += float(np.sum(pay))
-        total_sq += float(np.sum(pay * pay))
-    return _finalize(total, total_sq, batch.npaths, batch.seed)
+        return (pay,)
+
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -204,15 +262,7 @@ def _slice_thresholds(mask: RegionMask):
     return out
 
 
-def mc_premium_integrals(batch: PathBatch, scn: Scenario, mask: RegionMask) -> McPremiumEstimates:
-    """Path estimators of the surrender and continuation premiums at (0, F0).
-
-    Works on arbitrary (possibly disconnected-in-time) masks: per step the
-    indicator uses the slice threshold when the slice is threshold-shaped, and
-    nearest-node mask membership otherwise. Time integration is per-step
-    trapezoid with the region frozen at the step's left node, matching the
-    decompose module's convention.
-    """
+def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     if not scn.is_time_only:
         raise UnsupportedScenarioError("premium integrals need time-only fee and charge")
     tn = batch.tnodes
@@ -248,25 +298,71 @@ def mc_premium_integrals(batch: PathBatch, scn: Scenario, mask: RegionMask) -> M
             ind[:, n] = mask.in_surrender[n][idx]
         return ind
 
-    e_tot = e_sq = f_tot = f_sq = 0.0
-    for _, F in batch.iter_chunks():
+    def kernel(F: np.ndarray):
         indL = indicators(F[:, :-1])
         indR = indicators(F[:, 1:])  # right endpoint, region frozen at the left node
         e_path = (F[:, :-1] * indL) @ wL + (F[:, 1:] * indR) @ wR
         full_path = F[:, :-1] @ wL + F[:, 1:] @ wR
         put_path = discT * np.maximum(G - F[:, -1], 0.0)
-        f_path = put_path + e_path - full_path
-        e_tot += float(np.sum(e_path))
-        e_sq += float(np.sum(e_path * e_path))
-        f_tot += float(np.sum(f_path))
-        f_sq += float(np.sum(f_path * f_path))
-    ee = _finalize(e_tot, e_sq, batch.npaths, batch.seed)
-    ff = _finalize(f_tot, f_sq, batch.npaths, batch.seed)
+        return e_path, put_path + e_path - full_path
+
+    return kernel
+
+
+def _premiums(ee: McEstimate, ff: McEstimate) -> McPremiumEstimates:
     return McPremiumEstimates(
         e_estimate=ee.estimate,
         e_std_error=ee.std_error,
         f_estimate=ff.estimate,
         f_std_error=ff.std_error,
-        npaths=batch.npaths,
-        seed=batch.seed,
+        npaths=ee.npaths,
+        seed=ee.seed,
+    )
+
+
+@dataclass(frozen=True)
+class McVerifyEstimates:
+    maturity_benefit: McEstimate
+    boundary_strategy: McEstimate
+    premiums: McPremiumEstimates | None
+
+
+def mc_maturity_benefit(batch: PathBatch, scn: Scenario) -> McEstimate:
+    """Sample mean and standard error of e^{-rT} max(G, F_T)."""
+    return _one_pass(batch, [_maturity_kernel(scn)])[0]
+
+
+def mc_boundary_strategy_value(batch: PathBatch, scn: Scenario, boundary: Boundary) -> McEstimate:
+    """Value of the stopping rule "surrender at the first exercise date with
+    F >= b(t), else collect the maturity benefit": a lower bound on the
+    contract value up to exercise-date discretization."""
+    return _one_pass(batch, [_boundary_kernel(batch, scn, boundary)])[0]
+
+
+def mc_premium_integrals(batch: PathBatch, scn: Scenario, mask: RegionMask) -> McPremiumEstimates:
+    """Path estimators of the surrender and continuation premiums at (0, F0).
+
+    Works on arbitrary (possibly disconnected-in-time) masks: per step the
+    indicator uses the slice threshold when the slice is threshold-shaped, and
+    nearest-node mask membership otherwise. Time integration is per-step
+    trapezoid with the region frozen at the step's left node, matching the
+    decompose module's convention.
+    """
+    return _premiums(*_one_pass(batch, [_premium_kernel(batch, scn, mask)]))
+
+
+def mc_verify_estimates(
+    batch: PathBatch, scn: Scenario, boundary: Boundary, mask: RegionMask | None = None
+) -> McVerifyEstimates:
+    """Maturity benefit, boundary-strategy value and, given a mask, the two
+    premiums, from one pass over the paths. Each estimate is bit-identical to
+    the one its single-estimator function returns."""
+    kernels = [_maturity_kernel(scn), _boundary_kernel(batch, scn, boundary)]
+    if mask is not None:
+        kernels.append(_premium_kernel(batch, scn, mask))
+    mb, sv, *prem = _one_pass(batch, kernels)
+    return McVerifyEstimates(
+        maturity_benefit=mb,
+        boundary_strategy=sv,
+        premiums=_premiums(*prem) if prem else None,
     )

@@ -191,8 +191,8 @@ def test_criterion_09_monte_carlo_sandwich(c1_scn, c2_scn, c1_lattice, c2_lattic
         h0 = float(vs.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         i0 = center_index(bundle["disc"].xnodes, scn.contract.F0)
         v0 = float(bundle["disc"].values[0, i0])
-        mb = vs.mc_maturity_benefit(batch, scn)
-        sv = vs.mc_boundary_strategy_value(batch, scn, bundle["boundary"])
+        est = vs.mc_verify_estimates(batch, scn, bundle["boundary"])  # one pass
+        mb, sv = est.maturity_benefit, est.boundary_strategy
         results[label] = {
             "mb_ok": abs(mb.estimate - h0) <= 3.0 * mb.std_error,
             "sandwich_ok": h0 - 3.0 * sv.std_error <= sv.estimate <= v0 + 3.0 * sv.std_error,

@@ -77,6 +77,24 @@ class TestConfigValidation:
         assert "breakpoint" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("mc, argv", [
+        ({}, ["--seed", "-1"]),
+        ({"seed": "abc"}, []),
+        ({"seed": True}, []),
+        ({"seed": 2**128}, []),
+        ({"seed": 1.5}, []),
+        ({"npaths": 2000.5}, []),
+        ({"npaths": "2000"}, []),
+        ({"nsteps": "24"}, []),
+        ({"nsteps": 24.0}, []),
+    ])
+    def test_invalid_mc_inputs_exit_2(self, tmp_path, capsys, mc, argv):
+        doc = _base_config(tasks=["price-lattice", "mc-verify"], mc=mc)
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "mc." in err
+
+
 class TestRunPipeline:
     def test_full_pipeline_artifacts(self, tmp_path):
         doc = _base_config(
@@ -100,6 +118,21 @@ class TestRunPipeline:
         assert summary["config"]["mc"]["npaths"] == 2000
         assert summary["results"]["never_surrender_holds"] is True
         assert summary["results"]["surrender_region_empty_expected"] is True
+
+    def test_never_surrender_check_runs_once(self, tmp_path, monkeypatch):
+        import vastop.analytic as analytic
+
+        calls = []
+        check = analytic.never_surrender_check
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(analytic, "never_surrender_check", counting)
+        doc = _base_config(tasks=["check-L", "price-lattice"])
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
     def test_matched_rates_summary_reports_collapse(self, tmp_path):
         doc = _base_config(

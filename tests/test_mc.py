@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import vastop as vs
+from vastop.mc import CHUNK_PATHS, PathBatch
 from vastop.model import ConfigError, UnsupportedScenarioError
 from vastop.region import Boundary, RegionMask
 
@@ -177,3 +180,101 @@ class TestPremiumIntegrals:
         f_q = vs.continuation_premium(c2_scn, b, 0.0, 100.0)
         assert abs(prem.e_estimate - e_q) <= 3.0 * prem.e_std_error + 0.01 * abs(e_q)
         assert abs(prem.f_estimate - f_q) <= 3.0 * prem.f_std_error + 0.01 * abs(f_q)
+
+
+def _estimates(batch, scn, bundle):
+    return (
+        vs.mc_maturity_benefit(batch, scn),
+        vs.mc_boundary_strategy_value(batch, scn, bundle["boundary"]),
+        vs.mc_premium_integrals(batch, scn, bundle["mask"]),
+    )
+
+
+class TestChunkPool:
+    def test_chunks_match_the_closed_formula(self, c1_scn):
+        seed, nsteps = 5, 12
+        batch = vs.simulate_paths(c1_scn, seed=seed, npaths=CHUNK_PATHS + 300, nsteps=nsteps)
+        tn = np.linspace(0.0, 15.0, nsteps + 1)
+        dt = float(tn[1] - tn[0])
+        r, sig, F0 = 0.03, c1_scn.market.sigma, c1_scn.contract.F0
+        fee_ints = np.array([c1_scn.fee.integral(float(a), float(b)) for a, b in zip(tn[:-1], tn[1:])])
+        drifts = r * dt - fee_ints - 0.5 * sig * sig * dt
+        vol = sig * math.sqrt(dt)
+        starts = []
+        for start, F in batch.iter_chunks():
+            starts.append(start)
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(start // CHUNK_PATHS))
+            Z = rng.standard_normal((F.shape[0], nsteps))
+            logF = math.log(F0) + np.cumsum(drifts[None, :] + vol * Z, axis=1)
+            assert np.all(F[:, 0] == F0)
+            assert np.array_equal(F[:, 1:], np.exp(logF))
+        assert starts == [0, CHUNK_PATHS]
+
+    def test_estimates_bit_identical_for_any_worker_count(self, c1_scn, c1_lattice, monkeypatch):
+        batch = vs.simulate_paths(c1_scn, seed=8, npaths=3 * CHUNK_PATHS + 17, nsteps=360)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VASTOP_THREADS", threads)
+            runs.append(repr(_estimates(batch, c1_scn, c1_lattice)))
+        # one worker per chunk, more than the cores, with frequent thread switches
+        monkeypatch.setenv("VASTOP_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs.append(repr(_estimates(batch, c1_scn, c1_lattice)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_one_pass_driver_equals_the_three_estimators(self, c2_scn, c2_lattice):
+        batch = vs.simulate_paths(c2_scn, seed=9, npaths=2 * CHUNK_PATHS + 5, nsteps=360)
+        mb, sv, prem = _estimates(batch, c2_scn, c2_lattice)
+        est = vs.mc_verify_estimates(batch, c2_scn, c2_lattice["boundary"], c2_lattice["mask"])
+        assert repr((est.maturity_benefit, est.boundary_strategy, est.premiums)) == repr((mb, sv, prem))
+        no_mask = vs.mc_verify_estimates(batch, c2_scn, c2_lattice["boundary"])
+        assert no_mask.premiums is None
+        assert repr((no_mask.maturity_benefit, no_mask.boundary_strategy)) == repr((mb, sv))
+
+    def test_early_break_stops_and_joins_the_workers(self, c1_scn, monkeypatch):
+        monkeypatch.setenv("VASTOP_THREADS", "2")
+        built = []
+        chunk = PathBatch._chunk
+
+        def counting(self, ci, drifts):
+            built.append(ci)
+            return chunk(self, ci, drifts)
+
+        monkeypatch.setattr(PathBatch, "_chunk", counting)
+        before = threading.active_count()
+        batch = vs.simulate_paths(c1_scn, seed=12, npaths=64 * CHUNK_PATHS, nsteps=360)
+        for start, _ in batch.iter_chunks():
+            break
+        assert start == 0
+        # the consumed chunk plus at most one in flight per worker; the rest cancelled
+        assert len(built) <= 3
+        assert threading.active_count() == before
+
+    def test_worker_error_propagates_and_joins_the_workers(self, c1_scn, monkeypatch):
+        monkeypatch.setenv("VASTOP_THREADS", "2")
+        chunk = PathBatch._chunk
+
+        def failing(self, ci, drifts):
+            if ci == 1:
+                raise FloatingPointError("chunk 1")
+            return chunk(self, ci, drifts)
+
+        monkeypatch.setattr(PathBatch, "_chunk", failing)
+        before = threading.active_count()
+        batch = vs.simulate_paths(c1_scn, seed=13, npaths=8 * CHUNK_PATHS, nsteps=12)
+        seen = []
+        with pytest.raises(FloatingPointError):
+            for start, _ in batch.iter_chunks():
+                seen.append(start)
+        assert seen == [0]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_invalid_thread_count_rejected(self, c1_scn, monkeypatch, value):
+        monkeypatch.setenv("VASTOP_THREADS", value)
+        with pytest.raises(ConfigError):
+            vs.simulate_paths(c1_scn, seed=1, npaths=10, nsteps=4).materialize()
