@@ -11,7 +11,7 @@ interval-by-interval (piecewise kinds) or adaptive Simpson at 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -131,23 +131,6 @@ def truncated_account_expectation(scn: Scenario, q: TruncatedMomentQuery):
     sst = sig * math.sqrt(tau)
     d1 = _d1(q.x, q.K, r * tau - fee_int, sst)
     return float(base * ndtr(d1))
-
-
-def _truncated_expectation_vector(scn: Scenario, t: float, s: float, x: np.ndarray, K: float):
-    """Vectorized-in-x version of truncated_account_expectation (module internal)."""
-    tau = s - t
-    if tau == 0.0:
-        return np.where(x >= K, x, 0.0)
-    fee_int = scn.fee.integral(t, s)
-    base = x * math.exp(-fee_int)
-    if K == 0.0:
-        return base
-    if math.isinf(K):
-        return np.zeros_like(base)
-    sig = scn.market.sigma
-    sst = sig * math.sqrt(tau)
-    d1 = _d1(x, K, scn.market.r * tau - fee_int, sst)
-    return base * ndtr(d1)
 
 
 @dataclass(frozen=True)

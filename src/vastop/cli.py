@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from ._threads import thread_count
 from .model import ConfigError
 
 TASKS = (
@@ -178,6 +179,15 @@ def run_plan(plan: RunPlan) -> dict:
     surfaces: dict[str, object] = {}
     masks: dict[str, object] = {}
     boundaries: dict[str, object] = {}
+    chains: dict[tuple, object] = {}
+
+    def chain(s):
+        # paper-fig reuses the chain price-lattice built when its benchmark
+        # scenario equals the run's (exact dataclass equality)
+        key = (s, N, M, mult)
+        if key not in chains:
+            chains[key] = build_chain(s, N, M, mult)
+        return chains[key]
 
     tnodes = time_nodes(scn, N)
     if "check-L" in tasks or scn.is_time_only:
@@ -185,23 +195,15 @@ def run_plan(plan: RunPlan) -> dict:
             scn, tnodes[:-1], np.linspace(scn.contract.F0 / 4, scn.contract.F0 * 4, 41)
         )
     if "check-L" in tasks:
-        rows = []
-        pred = classify_sections(scn, tnodes[:-1]) if scn.is_time_only else None
-        for j, t in enumerate(tnodes[:-1]):
-            L = float(L_value(scn, float(t), scn.contract.F0))
-            rows.append((float(t), L, pred[j] if pred is not None else "n/a"))
-        path = os.path.join(plan.out_dir, "check_L.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,L,predicted_section\n")
-            for t, L, p in rows:
-                fh.write(f"{csvio.format_number(t)},{csvio.format_number(L)},{p}\n")
-        summary["artifacts"].append("check_L.csv")
+        dates = tnodes[:-1]
+        L = [float(L_value(scn, float(t), scn.contract.F0)) for t in dates]
+        pred = classify_sections(scn, dates) if scn.is_time_only else ["n/a"] * dates.size
+        emit("check_L.csv", csvio.write_check_l_csv, dates, L, pred)
         summary["results"]["never_surrender_holds"] = bool(never_surrender.holds)
         summary["results"]["min_L"] = never_surrender.min_L
 
     if "price-lattice" in tasks:
-        grid = build_chain(scn, N, M, mult)
-        surf = bermudan_value(grid, scn, "discontinuous")
+        surf = bermudan_value(chain(scn), scn, "discontinuous")
         surfaces["lattice"] = surf
         i0 = center_index(surf.xnodes, scn.contract.F0)
         summary["results"]["lattice_value_at_inception"] = float(surf.values[0, i0])
@@ -292,7 +294,7 @@ def run_plan(plan: RunPlan) -> dict:
     if "paper-fig" in tasks:
         for label, panel_pair in (("c1", ("a", "b")), ("c2", ("c", "d"))):
             bscn = benchmark_scenario(label)
-            bgrid = build_chain(bscn, N, M, mult)
+            bgrid = chain(bscn)
             for kind, panel in zip(("discontinuous", "continuous"), panel_pair):
                 surf = bermudan_value(bgrid, bscn, kind)
                 mode = "exercise" if kind == "continuous" else "value-gap"
@@ -316,6 +318,11 @@ def main(argv=None) -> int:
     runp.add_argument("--grid-M", type=int, default=None, dest="grid_M", help="state nodes override")
     args = parser.parse_args(argv)
 
+    try:
+        thread_count()
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

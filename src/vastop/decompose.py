@@ -15,8 +15,7 @@ used to cross-check the quadratures without any PDE/lattice input.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr

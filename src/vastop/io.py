@@ -1,4 +1,11 @@
-"""CSV writers with byte-stable, shortest round-trip numeric formatting."""
+"""CSV writers with byte-stable, shortest round-trip numeric formatting.
+
+Every float is written as ``format_number`` writes it: ``repr`` of the Python
+float, the shortest decimal string that reads back to the same float. The grid
+writers format a whole time slice at once (``map(repr, row.tolist())``) and
+write it with one call, so no per-cell Python function call is made and at
+most one slice of strings is held in memory.
+"""
 
 from __future__ import annotations
 
@@ -14,73 +21,96 @@ __all__ = [
     "write_boundary_csv",
     "write_report_csv",
     "write_estimates_csv",
+    "write_check_l_csv",
 ]
 
 
 def format_number(v) -> str:
-    """Shortest decimal string that round-trips to the same float."""
+    """Shortest decimal string that round-trips to the same float.
+
+    This is the format contract of every writer in this module.
+    """
     return repr(float(v))
+
+
+def _numbers(a) -> list[str]:
+    """format_number of every element of a 1-D array, in one call."""
+    return list(map(repr, np.asarray(a, dtype=float).tolist()))
+
+
+def _write_grid(fh, tnodes, xnodes, arrays, flags=None) -> None:
+    """One row t,x,arrays[k][n, i]...[,flags(n)[i]] per (t, x) node.
+
+    A time slice is laid out as one list of cells and separators, filled
+    column by column with extended-slice assignments and written at once.
+    """
+    xs = _numbers(xnodes)
+    M = len(xs)
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    row = 2 * (2 + len(arrays) + (flags is not None))  # cells and their separators
+    buf = [","] * (row * M)
+    buf[row - 1::row] = ["\n"] * M
+    buf[2::row] = xs
+    for n, t in enumerate(_numbers(tnodes)):
+        buf[0::row] = [t] * M
+        for k, a in enumerate(arrays):
+            buf[4 + 2 * k::row] = map(repr, a[n].tolist())
+        if flags is not None:
+            buf[row - 2::row] = flags(n)
+        fh.write("".join(buf))
 
 
 def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = None) -> None:
     """Header t,x,value,reward,in_surrender_region; maturity slice carries 0
     in the region column (regions are defined before maturity only)."""
-    tn, xn = surface.tnodes, surface.xnodes
+    last = surface.tnodes.size - 1
+
+    def flags(n):
+        if mask is None or n >= last:
+            return ["0"] * surface.xnodes.size
+        return map(str, mask.in_surrender[n].astype(int).tolist())
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,value,reward,in_surrender_region\n")
-        for n in range(tn.size):
-            for i in range(xn.size):
-                flag = (
-                    int(mask.in_surrender[n, i])
-                    if mask is not None and n < tn.size - 1
-                    else 0
-                )
-                fh.write(
-                    f"{format_number(tn[n])},{format_number(xn[i])},"
-                    f"{format_number(surface.values[n, i])},"
-                    f"{format_number(surface.obstacle[n, i])},{flag}\n"
-                )
+        _write_grid(fh, surface.tnodes, surface.xnodes, (surface.values, surface.obstacle), flags)
 
 
 def write_boundary_csv(path, boundary: Boundary) -> None:
+    """Header t,b_t,empty_flag; one row per boundary value, +inf marks an empty
+    section and sets the flag."""
+    b = np.asarray(boundary.values, dtype=float)
+    empty = (~np.isfinite(b)).astype(int).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,b_t,empty_flag\n")
-        for n, b in enumerate(boundary.values):
-            empty = not np.isfinite(b)
-            fh.write(
-                f"{format_number(boundary.tnodes[n])},{format_number(b)},{int(empty)}\n"
-            )
+        fh.write("".join(
+            f"{t},{v},{e}\n"
+            for t, v, e in zip(_numbers(boundary.tnodes[: b.size]), _numbers(b), empty)
+        ))
 
 
 def write_report_csv(path, report: DecompositionReport, surface: ValueSurface) -> None:
-    tn, xn = report.tnodes, report.xnodes
+    """Header t,x,v,h,e,f,res_he,res_phif; v comes from the surface."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,v,h,e,f,res_he,res_phif\n")
-        for n in range(tn.size):
-            for i in range(xn.size):
-                fh.write(
-                    ",".join(
-                        format_number(v)
-                        for v in (
-                            tn[n],
-                            xn[i],
-                            surface.values[n, i],
-                            report.h[n, i],
-                            report.e[n, i],
-                            report.f[n, i],
-                            report.res_he[n, i],
-                            report.res_phif[n, i],
-                        )
-                    )
-                    + "\n"
-                )
+        _write_grid(
+            fh, report.tnodes, report.xnodes,
+            (surface.values, report.h, report.e, report.f, report.res_he, report.res_phif),
+        )
 
 
 def write_estimates_csv(path, rows) -> None:
     """rows: iterable of (quantity, estimate, std_error, npaths, seed)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("quantity,estimate,std_error,npaths,seed\n")
-        for name, est, se, npaths, seed in rows:
-            fh.write(
-                f"{name},{format_number(est)},{format_number(se)},{int(npaths)},{int(seed)}\n"
-            )
+        fh.write("".join(
+            f"{name},{format_number(est)},{format_number(se)},{int(npaths)},{int(seed)}\n"
+            for name, est, se, npaths, seed in rows
+        ))
+
+
+def write_check_l_csv(path, tnodes, L, sections) -> None:
+    """Header t,L,predicted_section; one row per date, L the surrender
+    incentive L(t, F0) and sections the predicted section labels."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,L,predicted_section\n")
+        fh.write("".join(f"{t},{v},{p}\n" for t, v, p in zip(_numbers(tnodes), _numbers(L), sections)))

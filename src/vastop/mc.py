@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import thread_count
 from .model import ConfigError, Scenario, UnsupportedScenarioError
 from .region import Boundary, RegionMask
 
@@ -44,13 +45,12 @@ _SCHEMES = ("exact-lognormal", "euler")
 
 def _chunk_workers(nchunks: int) -> int:
     """Chunk generator threads: VASTOP_THREADS, else the usable CPUs, at most nchunks."""
-    cap = os.environ.get("VASTOP_THREADS")
-    if not cap:
+    try:
+        n = thread_count()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if n is None:
         n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    elif cap.isdecimal() and int(cap) >= 1:
-        n = int(cap)
-    else:
-        raise ConfigError(f"VASTOP_THREADS must be a positive integer, got {cap!r}")
     return min(n, nchunks)
 
 

@@ -8,7 +8,7 @@ throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,8 +29,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
 ]
-
-ArrayLike = "float | np.ndarray"
 
 
 class DomainError(ValueError):
@@ -487,18 +485,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
         bad = set(doc[section]) - keys
         if bad:
             raise ConfigError(f"unknown key {section}.{sorted(bad)[0]}")
-    try:
-        market = MarketParams(
-            r=_require_number(doc["market"], "market", "r"),
-            sigma=_require_number(doc["market"], "market", "sigma"),
-        )
-        contract = ContractParams(
-            G=_require_number(doc["contract"], "contract", "G"),
-            T=_require_number(doc["contract"], "contract", "T"),
-            F0=_require_number(doc["contract"], "contract", "F0"),
-        )
-    except ConfigError:
-        raise
+    market = MarketParams(
+        r=_require_number(doc["market"], "market", "r"),
+        sigma=_require_number(doc["market"], "market", "sigma"),
+    )
+    contract = ContractParams(
+        G=_require_number(doc["contract"], "contract", "G"),
+        T=_require_number(doc["contract"], "contract", "T"),
+        F0=_require_number(doc["contract"], "contract", "F0"),
+    )
 
     fee_doc = doc.get("fee")
     if not isinstance(fee_doc, dict) or "kind" not in fee_doc:

@@ -9,7 +9,7 @@ pricing route next to the lattice module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

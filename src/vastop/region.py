@@ -7,7 +7,7 @@ to a tolerance far below economic scale but above solver noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -36,7 +36,6 @@ def time_nodes(scn: Scenario, N: int) -> np.ndarray:
         for b in scn.fee.breakpoints:
             steps = b / dt
             if abs(steps - round(steps)) > 1e-9:
-                need = max(1, round(T / b)) if b else 1
                 raise ConfigError(
                     f"fee breakpoint t={b} does not fall on the time grid (N={N}); "
                     f"choose N a multiple of {_alignment_multiple(T, scn.fee.breakpoints)}"

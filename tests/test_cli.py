@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from vastop.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _write(tmp_path, doc, name="cfg.json"):
@@ -93,6 +96,31 @@ class TestConfigValidation:
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o"), *argv]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "mc." in err
+
+    @pytest.mark.parametrize("tasks", [["price-lattice"], ["price-lattice", "mc-verify"]])
+    @pytest.mark.parametrize("value", ["two", "0", "-1"])
+    def test_invalid_thread_count_exits_2_for_any_task_list(self, tmp_path, capsys, monkeypatch,
+                                                             tasks, value):
+        monkeypatch.setenv("VASTOP_THREADS", value)
+        doc = _base_config(tasks=tasks, mc={"npaths": 100})
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "VASTOP_THREADS" in err
+        assert not out.exists()
+
+    def test_invalid_thread_count_never_fails_the_import(self):
+        env = dict(os.environ, VASTOP_THREADS="two", PYTHONPATH=SRC_DIR)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        code = "import os, vastop; print(os.environ.get('OMP_NUM_THREADS'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "None"
+        env["VASTOP_THREADS"] = "3"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "3"
 
 
 class TestRunPipeline:
@@ -179,6 +207,38 @@ class TestRunPipeline:
         assert summary["config"]["grid"]["N"] == 12
         assert summary["config"]["grid"]["M"] == 31
         assert summary["config"]["mc"]["seed"] == 123
+
+    @pytest.mark.parametrize("fee, builds", [
+        ({"kind": "piecewise", "breakpoints": [5.0, 10.0],
+          "rates": [0.010908, 0.005454, 0.010908]}, 2),
+        ({"kind": "constant", "rate": 0.01}, 3),
+    ])
+    def test_paper_fig_reuses_the_benchmark_chain(self, tmp_path, monkeypatch, fee, builds):
+        import vastop.lattice as lattice
+
+        calls = []
+        build = lattice.build_chain
+
+        def counting(scn, *args):
+            calls.append(scn)
+            return build(scn, *args)
+
+        monkeypatch.setattr(lattice, "build_chain", counting)
+        doc = _base_config(tasks=["price-lattice", "paper-fig"], grid={"N": 30, "M": 41})
+        doc["scenario"]["fee"] = fee
+        if fee["kind"] == "piecewise":
+            doc["scenario"]["charge"]["kappa"] = 0.0055  # the c1 benchmark scenario
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(calls) == builds
+        # panels from a reused chain are byte-identical to a paper-fig-only run
+        alone = tmp_path / "alone"
+        doc["tasks"] = ["paper-fig"]
+        assert main(["run", _write(tmp_path, doc, "alone.json"), "--out", str(alone)]) == 0
+        panels = sorted(n for n in os.listdir(out) if n.startswith("fig_panel_"))
+        assert panels == sorted(n for n in os.listdir(alone) if n.startswith("fig_panel_"))
+        for name in panels:
+            assert (out / name).read_bytes() == (alone / name).read_bytes(), name
 
     def test_paper_fig_task_writes_four_panels(self, tmp_path):
         doc = _base_config(tasks=["paper-fig"], grid={"N": 30, "M": 41, "xmax_mult": 8.0})
