@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ TASKS = (
 )
 
 _GRID_DEFAULTS = {"N": 360, "M": 401, "xmax_mult": 8.0}
-_PDE_DEFAULTS = {"theta": 0.5, "omega": 1.5, "tol": None, "max_iter": 10_000}
+_PDE_DEFAULTS = {"theta": 0.5, "tol": None, "max_iter": 10_000}
 _MC_DEFAULTS = {"npaths": 100_000, "nsteps": None, "seed": 20_240_901, "scheme": "exact-lognormal"}
 _REGION_DEFAULTS = {"tol_abs": None, "tol_rel": 1e-6}
 
@@ -55,6 +56,14 @@ def _check_range(section: str, key: str, value, lo, hi) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A JSON number other than a bool that converts to a finite float."""
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _merge_section(doc: dict, name: str, defaults: dict) -> dict:
@@ -106,8 +115,12 @@ def load_plan(doc: dict, args) -> RunPlan:
     _check_range("grid", "N", grid["N"], 1, 100_000)
     _check_range("grid", "M", grid["M"], 3, 100_000)
     _check_range("grid", "xmax_mult", grid["xmax_mult"], 1.0 + 1e-9, 1e6)
-    _check_range("pde", "theta", float(pde["theta"]), 0.5, 1.0)
-    _check_range("pde", "omega", float(pde["omega"]), 1e-9, 2.0 - 1e-9)
+    if not (_is_real(pde["theta"]) and 0.5 <= pde["theta"] <= 1.0):
+        raise ConfigError("pde.theta must be a number in [0.5, 1]")
+    if pde["tol"] is not None and not (_is_real(pde["tol"]) and pde["tol"] > 0):
+        raise ConfigError("pde.tol must be null or a finite number above 0")
+    if not (_is_int(pde["max_iter"]) and pde["max_iter"] >= 1):
+        raise ConfigError("pde.max_iter must be an integer of at least 1")
     if mc["nsteps"] is None:
         mc["nsteps"] = grid["N"]
     _check_range("mc", "npaths", mc["npaths"], 1, 1_000_000_000)
@@ -212,9 +225,8 @@ def run_plan(plan: RunPlan) -> dict:
         pgrid = build_pde_grid(
             scn, N, M, mult,
             theta=float(plan.pde["theta"]),
-            omega=float(plan.pde["omega"]),
             tol=plan.pde["tol"],
-            max_iter=int(plan.pde["max_iter"]),
+            max_iter=plan.pde["max_iter"],
         )
         surf = solve_variational_inequality(scn, pgrid)
         surfaces["pde"] = surf

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vastop.cli import main
 
@@ -35,6 +40,19 @@ def _base_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _pde_value_ok(key, value):
+    """The documented rules for the pde section, written out independently of cli.py."""
+    if key == "tol" and value is None:
+        return True
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if key == "max_iter":
+        return isinstance(value, int) and value >= 1
+    if not (math.isfinite(value) if isinstance(value, float) else abs(value) < 2**1023):
+        return False
+    return 0.5 <= value <= 1.0 if key == "theta" else value > 0
 
 
 class TestConfigValidation:
@@ -96,6 +114,52 @@ class TestConfigValidation:
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o"), *argv]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "mc." in err
+
+    @pytest.mark.parametrize("pde", [
+        {"max_iter": "x"},
+        {"max_iter": 0},
+        {"max_iter": 2.7},
+        {"tol": "x"},
+        {"tol": float("nan")},
+        {"theta": "abc"},
+        {"theta": True},
+    ])
+    def test_invalid_pde_inputs_exit_2(self, tmp_path, capsys, pde):
+        doc = _base_config(tasks=["price-pde"], pde=pde)
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        key = next(iter(pde))
+        assert f"config error: pde.{key} " in capsys.readouterr().err
+
+    @given(
+        pde=st.fixed_dictionaries({
+            "theta": st.floats(0.5, 1.0),
+            "tol": st.one_of(st.none(), st.floats(1e-14, 1.0)),
+            "max_iter": st.integers(1, 12),
+        }),
+        key=st.sampled_from([None, None, "theta", "tol", "max_iter", "omega"]),
+        junk=st.one_of(
+            st.none(), st.booleans(), st.integers(-2, 2), st.floats(0.4, 1.1), st.floats(),
+            st.just(2**1100), st.text(max_size=2), st.lists(st.integers(), max_size=1),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_pde_section_exit_codes(self, tmp_path_factory, pde, key, junk):
+        if key is not None:
+            pde[key] = junk
+        doc = _base_config(tasks=["price-pde"], grid={"N": 12, "M": 21, "xmax_mult": 8.0}, pde=pde)
+        out = tmp_path_factory.mktemp("pde")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", _write(out, doc), "--out", str(out / "o")])
+        assert code in (0, 1, 2)
+        bad = [k for k in ("theta", "tol", "max_iter") if k in pde and not _pde_value_ok(k, pde[k])]
+        if "omega" in pde:  # the relaxation factor of the removed PSOR solver
+            assert code == 2 and "unknown key pde.omega" in err.getvalue()
+        elif bad:
+            assert code == 2 and "config error: pde." in err.getvalue()
+        else:
+            assert code in (0, 1)
+        assert code == 1 or "solver error" not in err.getvalue()
 
     @pytest.mark.parametrize("tasks", [["price-lattice"], ["price-lattice", "mc-verify"]])
     @pytest.mark.parametrize("value", ["two", "0", "-1"])

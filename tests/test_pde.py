@@ -2,17 +2,61 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import vastop as vs
+from vastop.cli import main
 from vastop.model import ChargeSpec, ConfigError, ContractParams, FeeSpec, MarketParams, Scenario
-from vastop.pde import SolverError
+from vastop.pde import SolverError, _obstacle_solve
 from vastop.surfaces import center_index
 
 from conftest import maturity_benefit_surface
+
+
+def _ref_psor(sub, diag, sup, rhs, obstacle, v0, omega, tol, max_iter):
+    """Projected SOR on a tridiagonal system, red-black sweep order.
+
+    The solver the active-set solve replaced, kept as the reference it is
+    compared with. Solves A v = rhs subject to v >= obstacle with componentwise
+    complementarity; returns (v, iterations).
+    """
+    K = rhs.size
+    v = np.maximum(v0, obstacle)
+    vp = np.zeros(K + 2)
+    vp[1:-1] = v
+    last = math.inf
+    for it in range(1, max_iter + 1):
+        last = 0.0
+        for start in (0, 1):
+            sl = slice(start, K, 2)
+            inner = vp[1:-1]
+            gs = (rhs[sl] - sub[sl] * vp[:-2][sl] - sup[sl] * vp[2:][sl]) / diag[sl]
+            vn = np.maximum(obstacle[sl], inner[sl] + omega * (gs - inner[sl]))
+            d = float(np.max(np.abs(vn - inner[sl]))) if vn.size else 0.0
+            last = max(last, d)
+            inner[sl] = vn
+        if last < tol:
+            return vp[1:-1].copy(), it
+    raise SolverError(f"PSOR did not converge in {max_iter} iterations (last update {last:.3e})", last)
+
+
+def _psor_surface(scn, grid, monkeypatch):
+    """The surface as the PSOR solver (omega 1.5, tolerance grid.tol) computed it."""
+
+    def obstacle_solve(sub, diag, sup, rhs, obstacle, v0, tol, max_iter):
+        v, iters = _ref_psor(sub, diag, sup, rhs, obstacle, v0, 1.5, tol, max_iter)
+        res = diag * v - rhs
+        res[1:] += sub[1:] * v[:-1]
+        res[:-1] += sup[:-1] * v[1:]
+        return v, res, iters
+
+    with monkeypatch.context() as m:
+        m.setattr("vastop.pde._obstacle_solve", obstacle_solve)
+        return vs.solve_variational_inequality(scn, grid)
 
 
 class TestSolveVariationalInequality:
@@ -33,8 +77,8 @@ class TestSolveVariationalInequality:
 
     def test_complementarity(self, c1_pde):
         meta = c1_pde["surface"].metadata
-        # free nodes solve the scheme to PSOR tolerance; active nodes only
-        # overshoot in the feasible direction
+        # free nodes solve the scheme to within the solver tolerance; active
+        # nodes only overshoot in the feasible direction
         assert meta["complementarity_free_max"] <= 100.0 * meta["psor_tol"]
         assert meta["complementarity_active_min"] >= -100.0 * meta["psor_tol"]
 
@@ -49,6 +93,55 @@ class TestSolveVariationalInequality:
         vp = c1_pde["surface"].values
         rel = np.abs(vl - vp) / np.maximum(np.abs(vp), 1.0)
         assert float(rel.max()) <= 2e-3
+
+    @pytest.mark.parametrize("label", ["c1", "c2", "low-charge", "kc"])
+    def test_matches_psor_reference(self, label, monkeypatch):
+        scn, mult = {
+            "c1": (vs.benchmark_scenario("c1"), 8.0),
+            "c2": (vs.benchmark_scenario("c2"), 8.0),
+            "low-charge": (vs.low_charge_scenario(), 8.0),
+            "kc": (vs.matched_exponential_scenario(0.01), 30.0),
+        }[label]
+        G = scn.contract.G
+        grid = vs.build_pde_grid(scn, N=60, M=101, xmax_mult=mult)
+        new = vs.solve_variational_inequality(scn, grid)
+        ref = _psor_surface(scn, grid, monkeypatch)
+        for mode in ("value-gap", "exercise"):
+            a = vs.extract_regions(new, scn, mode=mode).in_surrender
+            b = vs.extract_regions(ref, scn, mode=mode).in_surrender
+            assert np.array_equal(a, b), mode
+        assert float(np.max(np.abs(new.values - ref.values))) <= 1e-6 * G
+        assert new.metadata["complementarity_free_max"] <= 1e-10 * G
+
+    def test_degenerate_nodes_settle(self):
+        # v_star solves each LCP with a zero residual on every row, and some of
+        # its nodes sit on the obstacle as well: there both sides of the
+        # activity test are zero up to rounding
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            K = int(rng.integers(2, 60))
+            a, c = rng.uniform(0.0, 2.0, K), rng.uniform(0.0, 2.0, K)
+            sub, sup, diag = -a, -c, 1.0 + a + c + rng.uniform(0.0, 1.0, K)
+            sub[0] = sup[-1] = 0.0
+            obstacle = 10.0 * rng.normal(size=K)
+            v_star = np.maximum(obstacle, 10.0 * rng.normal(size=K))
+            touch = rng.random(K) < 0.4
+            v_star[touch] = obstacle[touch]
+            rhs = diag * v_star
+            rhs[1:] += sub[1:] * v_star[:-1]
+            rhs[:-1] += sup[:-1] * v_star[1:]
+            v0 = 10.0 * rng.normal(size=K)
+            v, _, _ = _obstacle_solve(sub, diag, sup, rhs, obstacle, v0, 1e-9, 100)
+            assert float(np.max(np.abs(v - v_star))) <= 1e-9
+
+    def test_implicit_small_grid_solves(self, c1_scn):
+        # projected SOR stalled here (no convergence in 10,000 sweeps)
+        pgrid = vs.build_pde_grid(c1_scn, N=12, M=51, xmax_mult=8.0, theta=1.0)
+        surf = vs.solve_variational_inequality(c1_scn, pgrid)
+        disc = vs.bermudan_value(vs.build_chain(c1_scn, 12, 51, 8.0), c1_scn, "discontinuous")
+        i0 = center_index(surf.xnodes, 100.0)
+        vp, vl = surf.values[0, i0], disc.values[0, i0]
+        assert abs(vp - vl) / vl <= 1e-3
 
     def test_psor_failure_raises_with_residual(self, kc_scn):
         grid = vs.build_pde_grid(kc_scn, N=12, M=101, xmax_mult=8.0, max_iter=2)
@@ -69,11 +162,25 @@ class TestSolveVariationalInequality:
         assert surf.metadata["heuristic"] is True
         assert float(np.min(surf.values - surf.obstacle)) >= -1e-10
 
-    def test_grid_validation(self, kc_scn):
+    def test_grid_validation(self, kc_scn, tmp_path, capsys):
         with pytest.raises(ConfigError):
             vs.build_pde_grid(kc_scn, N=12, M=51, theta=0.3)
-        with pytest.raises(ConfigError):
-            vs.build_pde_grid(kc_scn, N=12, M=51, omega=2.5)
+        # the relaxation factor went with the PSOR solver
+        doc = {
+            "scenario": {
+                "market": {"r": 0.03, "sigma": 0.2},
+                "contract": {"G": 100.0, "T": 15.0, "F0": 100.0},
+                "fee": {"kind": "constant", "rate": 0.01},
+                "charge": {"kind": "exponential", "kappa": 0.01},
+            },
+            "tasks": ["price-pde"],
+            "grid": {"N": 12, "M": 51},
+            "pde": {"omega": 1.5},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "pde.omega" in capsys.readouterr().err
 
 
 class TestSmoothFit:
