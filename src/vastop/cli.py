@@ -3,8 +3,11 @@
 ``vastop run <config> [--out DIR] [--seed N] [--grid-N n --grid-M m]`` loads a
 scenario plus run plan from a single JSON document, executes the requested
 tasks in dependency order, and writes CSV artifacts plus a machine-readable
-summary. Exit codes: 0 success, 1 solver failure, 2 config error. Re-running
-with an identical config and seed reproduces byte-identical CSVs. The
+summary. Every key of the grid, pde, mc and region sections, overrides
+included, is checked against one rule table, `_RULES`. Exit codes: 0 success,
+1 solver failure (a NaN or infinite result is one, and no summary.json is then
+written), 2 config error (naming `<section>.<key>` when one key is at fault).
+Re-running with an identical config and seed reproduces byte-identical CSVs. The
 environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
 of Monte Carlo chunk workers.
 """
@@ -13,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 from ._threads import thread_count
-from .model import ConfigError
+from .model import ConfigError, is_finite_number
 
 TASKS = (
     "check-L",
@@ -32,10 +34,32 @@ TASKS = (
     "paper-fig",
 )
 
-_GRID_DEFAULTS = {"N": 360, "M": 401, "xmax_mult": 8.0}
-_PDE_DEFAULTS = {"theta": 0.5, "tol": None, "max_iter": 10_000}
-_MC_DEFAULTS = {"npaths": 100_000, "nsteps": None, "seed": 20_240_901, "scheme": "exact-lognormal"}
-_REGION_DEFAULTS = {"tol_abs": None, "tol_rel": 1e-6}
+# section -> key -> (default, type, allowed). An int key takes a JSON integer, a
+# float key a finite JSON number (stored as a float), neither a bool, and both
+# must lie in the interval `allowed`, "(" or ")" marking an open end. A str key
+# takes one of the `allowed` strings. A key whose default is None also takes null.
+_RULES = {
+    "grid": {
+        "N": (360, int, "[1, 100000]"),
+        "M": (401, int, "[3, 100000]"),
+        "xmax_mult": (8.0, float, "(1, 1e6]"),
+    },
+    "pde": {
+        "theta": (0.5, float, "[0.5, 1]"),
+        "tol": (None, float, "(0, inf)"),
+        "max_iter": (10_000, int, "[1, inf)"),
+    },
+    "mc": {
+        "npaths": (100_000, int, "[1, 1e9]"),
+        "nsteps": (None, int, "[1, 100000]"),
+        "seed": (20_240_901, int, "[0, 2**128)"),
+        "scheme": ("exact-lognormal", str, ("exact-lognormal", "euler")),
+    },
+    "region": {
+        "tol_abs": (None, float, "[0, inf)"),
+        "tol_rel": (1e-6, float, "[0, inf)"),
+    },
+}
 
 
 @dataclass
@@ -49,39 +73,37 @@ class RunPlan:
     out_dir: str
 
 
-def _check_range(section: str, key: str, value, lo, hi) -> None:
-    if not (lo <= value <= hi):
-        raise ConfigError(f"{section}.{key} must lie in [{lo}, {hi}]")
+def _in_interval(value, interval: str) -> bool:
+    """Whether value lies in an interval such as "[1, 100000]", "(0, inf)" or "[0, 2**128)"."""
+    lo, hi = (float(base) ** int(power or 1)
+              for base, _, power in (end.partition("**") for end in interval[1:-1].split(", ")))
+    above = lo < value if interval[0] == "(" else lo <= value
+    return above and (value < hi if interval[-1] == ")" else value <= hi)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A JSON number other than a bool that converts to a finite float."""
-    try:
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _merge_section(doc: dict, name: str, defaults: dict) -> dict:
-    sec = doc.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name} must be an object")
-    unknown = set(sec) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown key {name}.{sorted(unknown)[0]}")
-    merged = dict(defaults)
-    merged.update(sec)
-    return merged
+def _checked(path: str, value, rule: tuple):
+    """value if it obeys rule, as a float for a float key; else ConfigError naming path."""
+    default, kind, allowed = rule
+    if value is None and default is None:
+        return None
+    if kind is str:
+        if value in allowed:
+            return value
+        raise ConfigError(f"{path} must be one of {', '.join(map(repr, allowed))}")
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = is_finite_number(value)
+    if ok and _in_interval(value, allowed):
+        return float(value) if kind is float else value
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{path} must be {'null or ' if default is None else ''}{noun} in {allowed}")
 
 
 def load_plan(doc: dict, args) -> RunPlan:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"scenario", "tasks", "grid", "pde", "mc", "region", "out"}
+    known = {"scenario", "tasks", *_RULES, "out"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in config")
@@ -93,49 +115,26 @@ def load_plan(doc: dict, args) -> RunPlan:
     for t in tasks:
         if t not in TASKS:
             raise ConfigError(f"tasks: unknown task {t!r} (choose from {', '.join(TASKS)})")
-    grid = _merge_section(doc, "grid", _GRID_DEFAULTS)
-    pde = _merge_section(doc, "pde", _PDE_DEFAULTS)
-    mc = _merge_section(doc, "mc", _MC_DEFAULTS)
-    region = _merge_section(doc, "region", _REGION_DEFAULTS)
-    if args.grid_N is not None:
-        grid["N"] = args.grid_N
-    if args.grid_M is not None:
-        grid["M"] = args.grid_M
-    if args.seed is not None:
-        mc["seed"] = args.seed
-    if not _is_int(mc["seed"]) or not 0 <= mc["seed"] < 2**128:
-        raise ConfigError("mc.seed must be an integer in [0, 2**128)")
-    if not _is_int(mc["npaths"]):
-        raise ConfigError("mc.npaths must be an integer")
-    if mc["nsteps"] is not None and not _is_int(mc["nsteps"]):
-        raise ConfigError("mc.nsteps must be an integer or null")
-    grid["N"] = int(grid["N"])
-    grid["M"] = int(grid["M"])
-    grid["xmax_mult"] = float(grid["xmax_mult"])
-    _check_range("grid", "N", grid["N"], 1, 100_000)
-    _check_range("grid", "M", grid["M"], 3, 100_000)
-    _check_range("grid", "xmax_mult", grid["xmax_mult"], 1.0 + 1e-9, 1e6)
-    if not (_is_real(pde["theta"]) and 0.5 <= pde["theta"] <= 1.0):
-        raise ConfigError("pde.theta must be a number in [0.5, 1]")
-    if pde["tol"] is not None and not (_is_real(pde["tol"]) and pde["tol"] > 0):
-        raise ConfigError("pde.tol must be null or a finite number above 0")
-    if not (_is_int(pde["max_iter"]) and pde["max_iter"] >= 1):
-        raise ConfigError("pde.max_iter must be an integer of at least 1")
-    if mc["nsteps"] is None:
-        mc["nsteps"] = grid["N"]
-    _check_range("mc", "npaths", mc["npaths"], 1, 1_000_000_000)
-    if mc["scheme"] not in ("exact-lognormal", "euler"):
-        raise ConfigError("mc.scheme must be 'exact-lognormal' or 'euler'")
+    overrides = {"grid": {"N": args.grid_N, "M": args.grid_M}, "mc": {"seed": args.seed}}
+    sections = {}
+    for name, rules in _RULES.items():
+        given = doc.get(name, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"{name} must be an object")
+        unknown = set(given) - set(rules)
+        if unknown:
+            raise ConfigError(f"unknown key {name}.{sorted(unknown)[0]}")
+        given = {**given, **{k: v for k, v in overrides.get(name, {}).items() if v is not None}}
+        sections[name] = {key: _checked(f"{name}.{key}", given.get(key, rule[0]), rule)
+                          for key, rule in rules.items()}
+    if sections["mc"]["nsteps"] is None:
+        sections["mc"]["nsteps"] = sections["grid"]["N"]
+    if "mc-verify" in tasks and sections["mc"]["nsteps"] != sections["grid"]["N"]:
+        raise ConfigError("mc.nsteps must equal grid.N for mc-verify")
     out_dir = args.out or doc.get("out") or "vastop-out"
-    return RunPlan(
-        scenario_doc=doc["scenario"],
-        tasks=tuple(tasks),
-        grid=grid,
-        pde=pde,
-        mc=mc,
-        region=region,
-        out_dir=str(out_dir),
-    )
+    if not isinstance(out_dir, str):
+        raise ConfigError("out must be a string")
+    return RunPlan(scenario_doc=doc["scenario"], tasks=tuple(tasks), **sections, out_dir=out_dir)
 
 
 def _ordered_tasks(requested: tuple[str, ...]) -> list[str]:
@@ -224,7 +223,7 @@ def run_plan(plan: RunPlan) -> dict:
     if "price-pde" in tasks:
         pgrid = build_pde_grid(
             scn, N, M, mult,
-            theta=float(plan.pde["theta"]),
+            theta=plan.pde["theta"],
             tol=plan.pde["tol"],
             max_iter=plan.pde["max_iter"],
         )
@@ -248,19 +247,14 @@ def run_plan(plan: RunPlan) -> dict:
 
     if "regions" in tasks:
         for name, surf in surfaces.items():
-            mask = extract_regions(
-                surf, scn, tol_abs=plan.region["tol_abs"], tol_rel=float(plan.region["tol_rel"])
-            )
+            mask = extract_regions(surf, scn, **plan.region)
             masks[name] = mask
             emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask)
             empty = [float(t) for t, row in zip(mask.tnodes[:-1], mask.in_surrender) if not row.any()]
             summary["results"][f"empty_slices_{name}"] = len(empty)
             summary["results"][f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
             if scn.is_time_only:
-                ex = extract_regions(
-                    surf, scn, tol_abs=plan.region["tol_abs"],
-                    tol_rel=float(plan.region["tol_rel"]), mode="exercise",
-                )
+                ex = extract_regions(surf, scn, **plan.region, mode="exercise")
                 summary["results"][f"surrender_nodes_exercise_{name}"] = int(ex.in_surrender.sum())
     elif surfaces:
         for name, surf in surfaces.items():
@@ -313,9 +307,12 @@ def run_plan(plan: RunPlan) -> dict:
                 mask = extract_regions(surf, bscn, mode=mode)
                 emit(f"fig_panel_{panel}_{label}_{kind}.csv", csvio.write_surface_csv, surf, mask)
 
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN or an infinity among the results
+        raise FloatingPointError("non-finite result; summary.json not written") from None
     with open(os.path.join(plan.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return summary
 
 

@@ -185,7 +185,7 @@ def decomposition_residuals(
         e[n], f[n] = quad.premiums(n, x)
         # payout branch of the representation is the surrender value x g(t, x)
         # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly
-        g = np.asarray(scn.charge(t, x if not scn.charge.is_time_only else None))
+        g = np.asarray(scn.charge(t, x))
         phi[n] = np.broadcast_to(g, x.shape) * x
     res_he = surface.values - h - e
     res_phif = surface.values - phi - f

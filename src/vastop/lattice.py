@@ -112,10 +112,7 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0) -> ChainG
     matrices: dict[bytes, np.ndarray] = {}
     for n in range(N):
         t_n = float(tnodes[n])
-        c = np.broadcast_to(
-            np.asarray(scn.fee(t_n, xnodes if not scn.fee.is_time_only else None), dtype=float),
-            xnodes.shape,
-        )
+        c = np.broadcast_to(np.asarray(scn.fee(t_n, xnodes), dtype=float), xnodes.shape)
         key = c.tobytes()
         if key not in matrices:
             mu = (scn.market.r - c) * xnodes
@@ -191,7 +188,7 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
     slope_h = 1.0  # hold-to-maturity slope
     for n in range(N - 1, -1, -1):
         cont = _step(grid, n, V, rho)
-        g = np.asarray(scn.charge(float(tn[n]), x if not scn.charge.is_time_only else None))
+        g = np.asarray(scn.charge(float(tn[n]), x))
         ob = np.broadcast_to(g, x.shape) * x
         if use_floor:
             hold_v = step_decay[n] * slope_v

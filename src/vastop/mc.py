@@ -117,9 +117,7 @@ class PathBatch:
         else:
             r = self.scn.market.r
             for n in range(self.nsteps):
-                c = self.scn.fee(
-                    float(tn[n]), F[:, n] if not self.scn.fee.is_time_only else None
-                )
+                c = self.scn.fee(float(tn[n]), F[:, n])
                 F[:, n + 1] = F[:, n] * np.exp(
                     (r - np.asarray(c) - 0.5 * sig * sig) * dt + vol * Z[:, n]
                 )

@@ -26,6 +26,7 @@ __all__ = [
     "charge_factor",
     "reward",
     "L_value",
+    "is_finite_number",
     "scenario_from_dict",
     "scenario_to_dict",
 ]
@@ -132,6 +133,8 @@ class FeeSpec:
             bps = self.breakpoints
             if len(self.rates) != len(bps) + 1:
                 raise ConfigError("fee.rates must have exactly len(breakpoints) + 1 entries")
+            if not all(math.isfinite(b) for b in bps):
+                raise ConfigError("fee.breakpoints must be finite")
             if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
                 raise ConfigError("fee.breakpoints must be strictly increasing")
             if bps and bps[0] <= 0.0:
@@ -267,10 +270,10 @@ class ChargeSpec:
     def __post_init__(self) -> None:
         if self.kind not in _CHARGE_KINDS:
             raise ConfigError(f"charge.kind must be one of {_CHARGE_KINDS}, got {self.kind!r}")
-        if self.T <= 0.0:
-            raise ConfigError("charge.T must be positive")
-        if self.kind == "exponential" and self.kappa < 0.0:
-            raise ConfigError("charge.kappa must be nonnegative")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ConfigError("charge.T must be a positive real")
+        if self.kind == "exponential" and not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ConfigError("charge.kappa must be a finite nonnegative real")
         if self.kind == "cubic" and not 0.0 < self.k < 1.0:
             raise ConfigError("charge.k must lie in (0, 1) so that g stays in (0, 1]")
         if self.kind in ("general_time", "general_state") and self.fn is None:
@@ -365,7 +368,7 @@ class Scenario:
         gT = self.charge(self.contract.T) if self.charge.is_time_only else self.charge(
             self.contract.T, self.contract.F0
         )
-        if abs(float(np.max(np.abs(_as_float_array(gT) - 1.0)))) > 1e-9:
+        if not float(np.max(np.abs(_as_float_array(gT) - 1.0))) <= 1e-9:  # NaN fails too
             raise ConfigError("charge factor must equal 1 at maturity")
 
     @property
@@ -423,8 +426,8 @@ def L_value(scn: Scenario, t: float, x):
     scn.check_domain(t, x, allow_T=False)
     x = _as_float_array(x)
     r, sig = scn.market.r, scn.market.sigma
-    c = _as_float_array(scn.fee(t, x if not scn.fee.is_time_only else None))
-    g = _as_float_array(scn.charge(t, x if not scn.charge.is_time_only else None))
+    c = _as_float_array(scn.fee(t, x))
+    g = _as_float_array(scn.charge(t, x))
     gt = _as_float_array(scn.charge.dt(t, x))
     if scn.charge.is_time_only:
         out = gt - c * g
@@ -456,13 +459,26 @@ _CHARGE_FIELDS = {
 }
 
 
+def is_finite_number(value) -> bool:
+    """Whether value is a JSON number other than a bool with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _number(value, path: str) -> float:
+    if not is_finite_number(value):
+        raise ConfigError(f"{path} must be a finite number")
+    return float(value)
+
+
 def _require_number(doc: dict, section: str, key: str) -> float:
     if key not in doc:
         raise ConfigError(f"missing field {section}.{key}")
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number")
-    return float(v)
+    return _number(doc[key], f"{section}.{key}")
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -507,15 +523,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if fkind == "constant":
         fee = FeeSpec("constant", rate=_require_number(fee_doc, "fee", "rate"), horizon=contract.T)
     else:
+        arrays = {}
         for key in ("breakpoints", "rates"):
             if key not in fee_doc or not isinstance(fee_doc[key], (list, tuple)):
                 raise ConfigError(f"fee.{key} must be an array")
-        fee = FeeSpec(
-            "piecewise",
-            breakpoints=tuple(float(b) for b in fee_doc["breakpoints"]),
-            rates=tuple(float(r) for r in fee_doc["rates"]),
-            horizon=contract.T,
-        )
+            arrays[key] = tuple(_number(v, f"fee.{key}[{i}]") for i, v in enumerate(fee_doc[key]))
+        fee = FeeSpec("piecewise", **arrays, horizon=contract.T)
 
     charge_doc = doc.get("charge")
     if not isinstance(charge_doc, dict) or "kind" not in charge_doc:

@@ -65,12 +65,13 @@ def build_pde_grid(
     tol: float | None = None,
     max_iter: int = 10_000,
 ) -> PdeGrid:
-    """Grid constructor; max_iter caps active-set iterations per level, tol defaults to 1e-10 G."""
+    """Grid constructor; max_iter caps active-set iterations per level, tol defaults to 1e-10 G
+    (at least the smallest positive float, so that a tiny G cannot make it 0)."""
     return PdeGrid(
         xnodes=log_space_nodes(scn.contract.F0, xmax_mult, M),
         tnodes=time_nodes(scn, N),
         theta=theta,
-        tol=1e-10 * scn.contract.G if tol is None else tol,
+        tol=max(1e-10 * scn.contract.G, math.ulp(0.0)) if tol is None else tol,
         max_iter=max_iter,
     )
 
@@ -107,11 +108,7 @@ def _obstacle_solve(sub, diag, sup, rhs, obstacle, v0, tol, max_iter):
     )
 
 
-def solve_variational_inequality(
-    scn: Scenario,
-    grid: PdeGrid,
-    check_complementarity: bool = True,
-) -> ValueSurface:
+def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     """Backward time-stepping of max{A_t v + v_t - r v, payout - v} = 0.
 
     Terminal condition max(G, x); obstacle g(t, x) x enforced by the active-set
@@ -143,12 +140,9 @@ def solve_variational_inequality(
     s2 = 0.5 * sig * sig
     for n in range(N - 1, -1, -1):
         t_left = float(tn[n])
-        g = np.asarray(scn.charge(t_left, x if not scn.charge.is_time_only else None))
+        g = np.asarray(scn.charge(t_left, x))
         phi = np.broadcast_to(g, x.shape) * x
-        c = np.broadcast_to(
-            np.asarray(scn.fee(t_left, x if not scn.fee.is_time_only else None), dtype=float),
-            x.shape,
-        )
+        c = np.broadcast_to(np.asarray(scn.fee(t_left, x), dtype=float), x.shape)
         adv = r - c - s2
         a = s2 / dy**2 - adv / (2.0 * dy)
         bq = np.full(x.size, -2.0 * s2 / dy**2 - r)
@@ -184,12 +178,11 @@ def solve_variational_inequality(
                 sub, diag, sup, rhs, phi[1:-1], v[1:-1], grid.tol, grid.max_iter
             )
             iters_max = max(iters_max, iters)
-            if check_complementarity:
-                free = v_int > phi[1:-1] + 10.0 * grid.tol
-                if np.any(free):
-                    comp_free_max = max(comp_free_max, float(np.max(np.abs(res[free]))))
-                if np.any(~free):
-                    comp_active_min = min(comp_active_min, float(np.min(res[~free])))
+            free = v_int > phi[1:-1] + 10.0 * grid.tol
+            if np.any(free):
+                comp_free_max = max(comp_free_max, float(np.max(np.abs(res[free]))))
+            if np.any(~free):
+                comp_active_min = min(comp_active_min, float(np.min(res[~free])))
             top = phi[-1] if clamp_top else (1.0 + rho_x) * v_int[-1] - rho_x * v_int[-2]
             v = np.concatenate(([floor], v_int, [max(top, phi[-1])]))
         values[n] = v

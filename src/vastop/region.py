@@ -94,7 +94,7 @@ def extract_regions(
         x = surface.xnodes
         gate = np.empty_like(mask)
         for n, t in enumerate(surface.tnodes[:-1]):
-            g = np.asarray(scn.charge(float(t), x if not scn.charge.is_time_only else None))
+            g = np.asarray(scn.charge(float(t), x))
             payout = np.broadcast_to(g, x.shape) * x
             h = np.asarray(maturity_benefit_value(scn, float(t), x))
             gate[n] = payout >= h + tol[n]

@@ -84,17 +84,3 @@ class ValueSurface:
             raise ConfigError("obstacle shape does not match values")
         self.values.setflags(write=False)
         self.obstacle.setflags(write=False)
-
-    def value_at(self, t: float, x: float) -> float:
-        n = int(np.argmin(np.abs(self.tnodes - t)))
-        if abs(self.tnodes[n] - t) > 1e-9 * max(1.0, self.tnodes[-1]):
-            raise ConfigError(f"t={t} is not on the time grid")
-        return float(self.values[n, center_index(self.xnodes, x)])
-
-    def same_grid(self, other: "ValueSurface") -> bool:
-        return (
-            self.tnodes.shape == other.tnodes.shape
-            and self.xnodes.shape == other.xnodes.shape
-            and bool(np.all(self.tnodes == other.tnodes))
-            and bool(np.all(self.xnodes == other.xnodes))
-        )

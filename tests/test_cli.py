@@ -42,17 +42,49 @@ def _base_config(**overrides):
     return doc
 
 
-def _pde_value_ok(key, value):
-    """The documented rules for the pde section, written out independently of cli.py."""
-    if key == "tol" and value is None:
-        return True
+_INT_RANGES = {
+    "grid.N": (1, 100_000),
+    "grid.M": (3, 100_000),
+    "pde.max_iter": (1, math.inf),
+    "mc.npaths": (1, 10**9),
+    "mc.nsteps": (1, 100_000),
+    "mc.seed": (0, 2**128 - 1),
+}
+
+_REAL_RULES = {
+    "grid.xmax_mult": lambda v: 1 < v <= 1e6,
+    "pde.theta": lambda v: 0.5 <= v <= 1,
+    "pde.tol": lambda v: v > 0,
+    "region.tol_abs": lambda v: v >= 0,
+    "region.tol_rel": lambda v: v >= 0,
+    "market.r": lambda v: True,
+    "market.sigma": lambda v: v > 0,
+    "contract.G": lambda v: v > 0,
+    "contract.T": lambda v: v > 0,
+    "contract.F0": lambda v: v > 0,
+    "fee.rate": lambda v: 0 <= v <= 1,
+    "charge.kappa": lambda v: v >= 0,
+}
+
+
+def _value_ok(path, value):
+    """The documented rule of each config key, written out independently of the package."""
+    if value is None:
+        return path in ("pde.tol", "mc.nsteps", "region.tol_abs")
+    if path == "mc.scheme":
+        return value in ("exact-lognormal", "euler")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    if key == "max_iter":
-        return isinstance(value, int) and value >= 1
+    if path in _INT_RANGES:
+        lo, hi = _INT_RANGES[path]
+        return isinstance(value, int) and lo <= value <= hi
     if not (math.isfinite(value) if isinstance(value, float) else abs(value) < 2**1023):
         return False
-    return 0.5 <= value <= 1.0 if key == "theta" else value > 0
+    return _REAL_RULES[path](value)
+
+
+def _no_constants(name):
+    raise ValueError(f"summary.json holds {name}")
 
 
 class TestConfigValidation:
@@ -108,12 +140,69 @@ class TestConfigValidation:
         ({"npaths": "2000"}, []),
         ({"nsteps": "24"}, []),
         ({"nsteps": 24.0}, []),
+        ({"nsteps": 0}, []),
+        ({"nsteps": 12}, []),
     ])
     def test_invalid_mc_inputs_exit_2(self, tmp_path, capsys, mc, argv):
         doc = _base_config(tasks=["price-lattice", "mc-verify"], mc=mc)
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o"), *argv]) == 2
+        assert f"config error: mc.{next(iter(mc), 'seed')} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        ("grid.N", "abc"),
+        ("grid.N", True),
+        ("grid.N", 24.0),
+        ("grid.xmax_mult", "8"),
+        ("grid.xmax_mult", 1),
+        ("region.tol_rel", "x"),
+        ("region.tol_rel", "1e-6"),
+        ("region.tol_rel", float("nan")),
+        ("region.tol_rel", -1),
+        ("region.tol_abs", "x"),
+        ("region.tol_abs", float("nan")),
+        ("region.tol_abs", float("inf")),
+        ("charge.kappa", float("nan")),
+        ("charge.kappa", float("inf")),
+        ("contract.G", float("inf")),
+        ("fee.breakpoints", ["5"]),
+        ("fee.rates", ["x", 0.01]),
+    ])
+    def test_invalid_values_exit_2_naming_the_field(self, tmp_path, capsys, path, value):
+        doc = _base_config(region={})
+        doc["scenario"]["fee"] = {"kind": "piecewise", "breakpoints": [5.0], "rates": [0.01, 0.01]}
+        section, key = path.split(".")
+        (doc["scenario"] if section in doc["scenario"] else doc)[section][key] = value
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", [True, {"a": 1}, 5])
+    def test_non_string_out_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", _write(tmp_path, _base_config(out=out))]) == 2
+        assert "config error: out " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv, path", [
+        (["--grid-N", "0"], "grid.N"),
+        (["--grid-M", "2"], "grid.M"),
+    ])
+    def test_invalid_overrides_exit_2(self, tmp_path, capsys, argv, path):
+        doc = _base_config()
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o"), *argv]) == 2
+        assert f"config error: {path} " in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the solvers overflow to NaN here
+    @pytest.mark.parametrize("contract", [{"F0": 1e-300}, {"G": 1e308}])
+    def test_non_finite_result_exits_1_without_summary(self, tmp_path, capsys, contract):
+        doc = _base_config(tasks=["price-lattice", "price-pde", "regions"])
+        doc["scenario"]["contract"].update(contract)
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and "mc." in err
+        assert "solver error: " in err and "non-finite result" in err
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("pde", [
         {"max_iter": "x"},
@@ -131,35 +220,64 @@ class TestConfigValidation:
         assert f"config error: pde.{key} " in capsys.readouterr().err
 
     @given(
+        grid=st.fixed_dictionaries({
+            "N": st.integers(1, 41), "M": st.integers(3, 41), "xmax_mult": st.floats(1.5, 30.0),
+        }),
         pde=st.fixed_dictionaries({
             "theta": st.floats(0.5, 1.0),
             "tol": st.one_of(st.none(), st.floats(1e-14, 1.0)),
             "max_iter": st.integers(1, 12),
         }),
-        key=st.sampled_from([None, None, "theta", "tol", "max_iter", "omega"]),
+        mc=st.fixed_dictionaries({
+            "npaths": st.integers(1, 2000),
+            "seed": st.integers(0, 2**128 - 1),
+            "scheme": st.sampled_from(["exact-lognormal", "euler"]),
+        }),
+        nsteps_set=st.booleans(),
+        region=st.fixed_dictionaries({
+            "tol_abs": st.one_of(st.none(), st.floats(0.0, 1.0)),
+            "tol_rel": st.floats(0.0, 1e-3),
+        }),
+        path=st.sampled_from([None, None, "pde.omega", *_INT_RANGES, *_REAL_RULES, "mc.scheme"]),
         junk=st.one_of(
             st.none(), st.booleans(), st.integers(-2, 2), st.floats(0.4, 1.1), st.floats(),
-            st.just(2**1100), st.text(max_size=2), st.lists(st.integers(), max_size=1),
+            st.just(2**1100), st.just("euler"), st.text(max_size=2),
+            st.lists(st.integers(), max_size=1),
         ),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_mutated_pde_section_exit_codes(self, tmp_path_factory, pde, key, junk):
-        if key is not None:
-            pde[key] = junk
-        doc = _base_config(tasks=["price-pde"], grid={"N": 12, "M": 21, "xmax_mult": 8.0}, pde=pde)
-        out = tmp_path_factory.mktemp("pde")
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_config_exit_codes(self, tmp_path_factory, grid, pde, mc, nsteps_set, region,
+                                       path, junk):
+        if nsteps_set:
+            mc["nsteps"] = grid["N"]
+        doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
+                           grid=grid, pde=pde, mc=mc, region=region)
+        if path is not None:
+            section, key = path.split(".")
+            (doc["scenario"] if section in doc["scenario"] else doc)[section][key] = junk
+        out = tmp_path_factory.mktemp("cfg")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["run", _write(out, doc), "--out", str(out / "o")])
         assert code in (0, 1, 2)
-        bad = [k for k in ("theta", "tol", "max_iter") if k in pde and not _pde_value_ok(k, pde[k])]
-        if "omega" in pde:  # the relaxation factor of the removed PSOR solver
+        if path == "pde.omega":  # the relaxation factor of the removed PSOR solver
             assert code == 2 and "unknown key pde.omega" in err.getvalue()
-        elif bad:
-            assert code == 2 and "config error: pde." in err.getvalue()
+        elif path is not None and not _value_ok(path, junk):
+            assert code == 2 and f"config error: {path}" in err.getvalue()
+        elif doc["mc"].get("nsteps") not in (None, doc["grid"]["N"]):
+            # mc-verify needs the paths on the grid's exercise dates
+            assert code == 2 and "config error: mc.nsteps " in err.getvalue()
+        elif code == 2:
+            # the lattice rejects a state grid too coarse for the scenario as a
+            # config error that names no single key
+            assert "config error: invalid transition matrix" in err.getvalue()
         else:
             assert code in (0, 1)
         assert code == 1 or "solver error" not in err.getvalue()
+        summary = out / "o" / "summary.json"
+        assert summary.exists() == (code == 0)
+        if code == 0:
+            json.loads(summary.read_text(), parse_constant=_no_constants)
 
     @pytest.mark.parametrize("tasks", [["price-lattice"], ["price-lattice", "mc-verify"]])
     @pytest.mark.parametrize("value", ["two", "0", "-1"])
@@ -271,6 +389,17 @@ class TestRunPipeline:
         assert summary["config"]["grid"]["N"] == 12
         assert summary["config"]["grid"]["M"] == 31
         assert summary["config"]["mc"]["seed"] == 123
+
+    def test_real_keys_echo_as_floats(self, tmp_path):
+        doc = _base_config(tasks=["price-lattice"], grid={"N": 12, "M": 31, "xmax_mult": 8},
+                           pde={"theta": 1}, region={"tol_abs": 0})
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        config = json.loads(text)["config"]
+        assert config["grid"] == {"N": 12, "M": 31, "xmax_mult": 8.0}
+        assert '"theta": 1.0' in text and '"tol_abs": 0.0' in text
+        assert config["mc"]["nsteps"] == 12
 
     @pytest.mark.parametrize("fee, builds", [
         ({"kind": "piecewise", "breakpoints": [5.0, 10.0],

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vastop as vs
-from vastop.model import ChargeSpec, ConfigError, ContractParams, DomainError, FeeSpec, MarketParams
+from vastop.model import (
+    ChargeSpec, ConfigError, ContractParams, DomainError, FeeSpec, MarketParams, is_finite_number,
+)
 
 
 def test_market_contract_validation():
@@ -60,6 +62,13 @@ class TestFeeSpec:
         with pytest.raises(ConfigError):
             FeeSpec("piecewise", breakpoints=(5.0,), rates=(0.1, 1.2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_piecewise_breakpoints_must_be_finite(self, bad):
+        with pytest.raises(ConfigError, match="fee.breakpoints"):
+            FeeSpec("piecewise", breakpoints=(bad,), rates=(0.01, 0.01))
+        with pytest.raises(ConfigError, match="fee.breakpoints"):
+            FeeSpec("piecewise", breakpoints=(5.0, bad), rates=(0.01, 0.01, 0.01))
+
     def test_domain_checks(self):
         fee = FeeSpec("constant", rate=0.02, horizon=15.0)
         with pytest.raises(DomainError):
@@ -103,6 +112,13 @@ class TestChargeSpec:
     def test_cubic_k_range(self):
         with pytest.raises(ConfigError):
             ChargeSpec("cubic", T=15.0, k=1.0)
+
+    @pytest.mark.parametrize("field", [{"kappa": math.nan}, {"kappa": math.inf},
+                                       {"kappa": -math.inf}, {"T": math.nan}, {"T": math.inf}])
+    def test_exponential_parameters_must_be_finite(self, field):
+        kwargs = {"T": 15.0, "kappa": 0.0055, **field}
+        with pytest.raises(ConfigError, match=f"charge.{next(iter(field))}"):
+            ChargeSpec("exponential", **kwargs)
 
     @pytest.mark.parametrize("kind,kwargs", [
         ("exponential", {"kappa": 0.0055}),
@@ -260,3 +276,45 @@ class TestScenarioSerialization:
                 fee=FeeSpec("constant", rate=0.01, horizon=15.0),
                 charge=ChargeSpec("general_time", T=15.0, fn=g),
             )
+
+    def test_charge_nan_at_maturity_rejected(self):
+        def g(t):
+            return np.full_like(np.asarray(t, dtype=float), math.nan)
+
+        with pytest.raises(ConfigError, match="maturity"):
+            vs.Scenario(
+                market=MarketParams(r=0.03, sigma=0.2),
+                contract=ContractParams(G=100.0, T=15.0, F0=100.0),
+                fee=FeeSpec("constant", rate=0.01, horizon=15.0),
+                charge=ChargeSpec("general_time", T=15.0, fn=g),
+            )
+
+    @pytest.mark.parametrize("path, value", [
+        ("market.r", math.nan),
+        ("market.sigma", math.inf),
+        ("contract.G", -math.inf),
+        ("contract.F0", "100"),
+        ("charge.kappa", math.nan),
+        ("charge.kappa", math.inf),
+        ("charge.kappa", True),
+        ("fee.breakpoints", [math.nan, 10.0]),
+        ("fee.breakpoints", ["5", 10.0]),
+        ("fee.rates", [0.01, math.inf, 0.01]),
+        ("fee.rates", [0.01, None, 0.01]),
+    ])
+    def test_non_finite_and_non_numbers_rejected(self, path, value):
+        doc = vs.scenario_to_dict(vs.benchmark_scenario("c1"))
+        section, key = path.split(".")
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}"):
+            vs.scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value, ok", [
+    (0, True), (-3, True), (1.5, True), (True, False), (False, False),
+    (math.nan, False), (math.inf, False), (-math.inf, False),
+    pytest.param(2**1000, True, id="int-2**1000"), pytest.param(2**1100, False, id="int-2**1100"),
+    ("1", False), (None, False), ([1.0], False),
+])
+def test_is_finite_number(value, ok):
+    assert is_finite_number(value) is ok

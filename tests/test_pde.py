@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -181,6 +182,12 @@ class TestSolveVariationalInequality:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "pde.omega" in capsys.readouterr().err
+
+    def test_default_tol_stays_positive_for_a_tiny_guarantee(self, kc_scn):
+        # 1e-10 G underflows to 0 for the smallest positive G
+        scn = dataclasses.replace(kc_scn, contract=ContractParams(G=5e-324, T=15.0, F0=100.0))
+        assert vs.build_pde_grid(scn, N=12, M=51).tol > 0.0
+        assert vs.build_pde_grid(kc_scn, N=12, M=51).tol == 1e-10 * kc_scn.contract.G
 
 
 class TestSmoothFit:
