@@ -1,12 +1,13 @@
 """Config-driven batch entry point.
 
 ``vastop run <config> [--out DIR] [--seed N] [--grid-N n --grid-M m]`` loads a
-scenario plus run plan from a single JSON document, executes the requested
-tasks in dependency order, and writes CSV artifacts plus a machine-readable
-summary. Every key of the grid, pde, mc and region sections, overrides
-included, is checked against one rule table, `_RULES`. Exit codes: 0 success,
-1 solver failure (a NaN or infinite result is one, and no summary.json is then
-written), 2 config error (naming `<section>.<key>` when one key is at fault).
+scenario plus run plan from a single JSON document, runs the requested tasks
+and their prerequisites in the order of one task table, `_TABLE`, and writes
+CSV artifacts plus a machine-readable summary. Every key of the grid, pde, mc
+and region sections, overrides included, is checked against one rule table,
+`_RULES`. Exit codes: 0 success, 1 solver failure (a NaN or infinite result is
+one, and no summary.json is then written), 2 config error (naming
+`<section>.<key>` when one key is at fault).
 Re-running with an identical config and seed reproduces byte-identical CSVs. The
 environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
 of Monte Carlo chunk workers.
@@ -15,24 +16,18 @@ of Monte Carlo chunk workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import analytic, decompose, lattice, mc, model, pde, presets, region, surfaces
+from . import io as csvio
 from ._threads import thread_count
 from .model import ConfigError, is_finite_number
-
-TASKS = (
-    "check-L",
-    "price-lattice",
-    "price-pde",
-    "regions",
-    "boundary",
-    "decompose",
-    "mc-verify",
-    "paper-fig",
-)
 
 # section -> key -> (default, type, allowed). An int key takes a JSON integer, a
 # float key a finite JSON number (stored as a float), neither a bool, and both
@@ -51,7 +46,6 @@ _RULES = {
     },
     "mc": {
         "npaths": (100_000, int, "[1, 1e9]"),
-        "nsteps": (None, int, "[1, 100000]"),
         "seed": (20_240_901, int, "[0, 2**128)"),
         "scheme": ("exact-lognormal", str, ("exact-lognormal", "euler")),
     },
@@ -127,193 +121,192 @@ def load_plan(doc: dict, args) -> RunPlan:
         given = {**given, **{k: v for k, v in overrides.get(name, {}).items() if v is not None}}
         sections[name] = {key: _checked(f"{name}.{key}", given.get(key, rule[0]), rule)
                           for key, rule in rules.items()}
-    if sections["mc"]["nsteps"] is None:
-        sections["mc"]["nsteps"] = sections["grid"]["N"]
-    if "mc-verify" in tasks and sections["mc"]["nsteps"] != sections["grid"]["N"]:
-        raise ConfigError("mc.nsteps must equal grid.N for mc-verify")
     out_dir = args.out or doc.get("out") or "vastop-out"
     if not isinstance(out_dir, str):
         raise ConfigError("out must be a string")
     return RunPlan(scenario_doc=doc["scenario"], tasks=tuple(tasks), **sections, out_dir=out_dir)
 
 
-def _ordered_tasks(requested: tuple[str, ...]) -> list[str]:
-    """Fixed dependency order, with prerequisites pulled in implicitly."""
+class _Run:
+    """What the tasks of one run share: the plan, its scenario and time nodes,
+    the summary, the chains built so far and the products of earlier tasks."""
+
+    def __init__(self, plan: RunPlan, tasks: list[str]):
+        self.plan, self.tasks = plan, tasks
+        self.scn = scn = model.scenario_from_dict(plan.scenario_doc)
+        os.makedirs(plan.out_dir, exist_ok=True)
+        self.summary: dict = {
+            "config": {"scenario": model.scenario_to_dict(scn), "tasks": tasks,
+                       **{name: dict(getattr(plan, name)) for name in _RULES}, "out": plan.out_dir},
+            "artifacts": [],
+            "results": {},
+        }
+        self.results = self.summary["results"]
+        self.tnodes = surfaces.time_nodes(scn, plan.grid["N"])
+        if scn.is_time_only:
+            h0 = float(analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
+            self.results["maturity_benefit_value_at_inception"] = h0
+        self.surfaces, self.masks, self.boundaries, self._chains = {}, {}, {}, {}
+
+    def emit(self, name: str, writer, *args) -> None:
+        writer(os.path.join(self.plan.out_dir, name), *args)
+        self.summary["artifacts"].append(name)
+
+    def chain(self, scn):
+        """The chain of scn on the run's grid, built once: paper-fig reuses the one
+        price-lattice built when its benchmark scenario equals the run's."""
+        if scn not in self._chains:
+            grid = self.plan.grid
+            self._chains[scn] = lattice.build_chain(scn, grid["N"], grid["M"], grid["xmax_mult"])
+        return self._chains[scn]
+
+    @functools.cached_property
+    def never_surrender(self):
+        """L >= 0 on the run's dates and 41 states around F0, checked on first use."""
+        scn = self.scn
+        return analytic.never_surrender_check(
+            scn, self.tnodes[:-1], np.linspace(scn.contract.F0 / 4, scn.contract.F0 * 4, 41)
+        )
+
+    def priced(self, name: str, surf) -> None:
+        """Keep a priced surface and report its value at inception. Write it out when
+        no regions task will, and for a time-only scenario where waiting is optimal
+        report its largest gap to the maturity benefit."""
+        scn = self.scn
+        self.surfaces[name] = surf
+        i0 = surfaces.center_index(surf.xnodes, scn.contract.F0)
+        self.results[f"{name}_value_at_inception"] = float(surf.values[0, i0])
+        if "regions" not in self.tasks:
+            self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf)
+        if scn.is_time_only and self.never_surrender.holds:
+            hline = np.stack([np.asarray(analytic.maturity_benefit_value(scn, float(t), surf.xnodes))
+                              for t in surf.tnodes])
+            gap = float(np.max(np.abs(surf.values - hline) / np.maximum(hline, 1e-12)))
+            self.results.setdefault("max_rel_gap_vs_maturity_benefit", {})[name] = gap
+            self.results["surrender_region_empty_expected"] = True
+
+    @property
+    def checked(self) -> str:
+        """The surface decompose and mc-verify check: the lattice's when it was priced."""
+        return "lattice" if "lattice" in self.boundaries else "pde"
+
+
+def _check_l(run: _Run) -> None:
+    scn, dates, check = run.scn, run.tnodes[:-1], run.never_surrender
+    L = [float(model.L_value(scn, float(t), scn.contract.F0)) for t in dates]
+    pred = region.classify_sections(scn, dates) if scn.is_time_only else ["n/a"] * dates.size
+    run.emit("check_L.csv", csvio.write_check_l_csv, dates, L, pred)
+    run.results["never_surrender_holds"] = bool(check.holds)
+    run.results["min_L"] = check.min_L
+
+
+def _price_lattice(run: _Run) -> None:
+    run.priced("lattice", lattice.bermudan_value(run.chain(run.scn), run.scn, "discontinuous"))
+
+
+def _price_pde(run: _Run) -> None:
+    grid = pde.build_pde_grid(run.scn, **run.plan.grid, **run.plan.pde)
+    run.priced("pde", pde.solve_variational_inequality(run.scn, grid))
+
+
+def _regions(run: _Run) -> None:
+    for name, surf in run.surfaces.items():
+        mask = region.extract_regions(surf, run.scn, **run.plan.region)
+        run.masks[name] = mask
+        run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask)
+        run.results[f"empty_slices_{name}"] = int((~mask.in_surrender.any(axis=1)).sum())
+        run.results[f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
+        if run.scn.is_time_only:
+            ex = region.extract_regions(surf, run.scn, **run.plan.region, mode="exercise")
+            run.results[f"surrender_nodes_exercise_{name}"] = int(ex.in_surrender.sum())
+
+
+def _boundary(run: _Run) -> None:
+    for name, mask in run.masks.items():
+        run.boundaries[name] = region.extract_boundary(mask, run.surfaces[name])
+        run.emit(f"boundary_{name}.csv", csvio.write_boundary_csv, run.boundaries[name])
+
+
+def _decompose(run: _Run) -> None:
+    name = run.checked
+    report = decompose.decomposition_residuals(run.surfaces[name], run.scn, run.boundaries[name])
+    run.emit("decompose.csv", csvio.write_report_csv, report, run.surfaces[name])
+    run.results["decompose"] = {
+        "surface": name,
+        **{key: getattr(report, key) for key in (
+            "mean_abs_res_he", "mean_abs_res_phif", "max_abs_res_he", "max_abs_res_phif")},
+    }
+
+
+def _mc_verify(run: _Run) -> None:
+    name, opts = run.checked, run.plan.mc
+    batch = mc.simulate_paths(run.scn, opts["seed"], opts["npaths"], run.plan.grid["N"],
+                              opts["scheme"])
+    res = mc.mc_verify_estimates(
+        batch, run.scn, run.boundaries[name], run.masks[name] if run.scn.is_time_only else None
+    )
+    rows = [(label, est.estimate, est.std_error, est.npaths, est.seed)
+            for label, est in (("maturity_benefit", res.maturity_benefit),
+                               ("boundary_strategy_value", res.boundary_strategy))]
+    prem = res.premiums
+    if prem is not None:
+        rows.append(("surrender_premium", prem.e_estimate, prem.e_std_error, prem.npaths, prem.seed))
+        rows.append(("continuation_premium", prem.f_estimate, prem.f_std_error, prem.npaths, prem.seed))
+    run.emit("estimates.csv", csvio.write_estimates_csv, rows)
+    run.results["mc"] = {label: {"estimate": e, "std_error": s} for label, e, s, _, _ in rows}
+
+
+def _paper_fig(run: _Run) -> None:
+    for label, panel_pair in (("c1", ("a", "b")), ("c2", ("c", "d"))):
+        bscn = presets.benchmark_scenario(label)
+        bgrid = run.chain(bscn)
+        for kind, panel in zip(("discontinuous", "continuous"), panel_pair):
+            surf = lattice.bermudan_value(bgrid, bscn, kind)
+            mode = "exercise" if kind == "continuous" else "value-gap"
+            mask = region.extract_regions(surf, bscn, mode=mode)
+            run.emit(f"fig_panel_{panel}_{label}_{kind}.csv", csvio.write_surface_csv, surf, mask)
+
+
+# task -> (function, prerequisites); the key order is the run order, so every
+# prerequisite comes before its task. "a|b" needs one of a and b and pulls in a
+# when the requested tasks name neither.
+_TABLE = {
+    "check-L": (_check_l, ()),
+    "price-lattice": (_price_lattice, ()),
+    "price-pde": (_price_pde, ()),
+    "regions": (_regions, ("price-lattice|price-pde",)),
+    "boundary": (_boundary, ("regions",)),
+    "decompose": (_decompose, ("boundary",)),
+    "mc-verify": (_mc_verify, ("boundary",)),
+    "paper-fig": (_paper_fig, ()),
+}
+TASKS = tuple(_TABLE)
+
+
+def _closed(requested) -> list[str]:
+    """requested plus the prerequisites of every task in it, in run order."""
     need = set(requested)
-    if "mc-verify" in need or "decompose" in need:
-        need.add("boundary")
-    if "boundary" in need:
-        need.add("regions")
-    if "regions" in need and not ({"price-lattice", "price-pde"} & need):
-        need.add("price-lattice")
-    return [t for t in TASKS if t in need]
+    for task in reversed(_TABLE):
+        if task in need:
+            for options in (pre.split("|") for pre in _TABLE[task][1]):
+                if need.isdisjoint(options):
+                    need.add(options[0])
+    return [task for task in _TABLE if task in need]
 
 
 def run_plan(plan: RunPlan) -> dict:
-    """Execute the plan; returns the summary document."""
-    # heavyweight imports deferred so `vastop run --help` stays snappy
-    import numpy as np
-
-    from . import io as csvio
-    from .analytic import maturity_benefit_value, never_surrender_check
-    from .decompose import decomposition_residuals
-    from .lattice import bermudan_value, build_chain
-    from .mc import mc_verify_estimates, simulate_paths
-    from .model import L_value, scenario_from_dict, scenario_to_dict
-    from .pde import build_pde_grid, solve_variational_inequality
-    from .presets import benchmark_scenario
-    from .region import classify_sections, extract_boundary, extract_regions
-    from .surfaces import center_index, time_nodes
-
-    scn = scenario_from_dict(plan.scenario_doc)
-    os.makedirs(plan.out_dir, exist_ok=True)
-    tasks = _ordered_tasks(plan.tasks)
-    N, M, mult = plan.grid["N"], plan.grid["M"], plan.grid["xmax_mult"]
-    summary: dict = {
-        "config": {
-            "scenario": scenario_to_dict(scn),
-            "tasks": list(tasks),
-            "grid": plan.grid,
-            "pde": dict(plan.pde),
-            "mc": dict(plan.mc),
-            "region": dict(plan.region),
-            "out": plan.out_dir,
-        },
-        "artifacts": [],
-        "results": {},
-    }
-
-    def emit(name: str, writer, *args) -> None:
-        path = os.path.join(plan.out_dir, name)
-        writer(path, *args)
-        summary["artifacts"].append(name)
-
-    surfaces: dict[str, object] = {}
-    masks: dict[str, object] = {}
-    boundaries: dict[str, object] = {}
-    chains: dict[tuple, object] = {}
-
-    def chain(s):
-        # paper-fig reuses the chain price-lattice built when its benchmark
-        # scenario equals the run's (exact dataclass equality)
-        key = (s, N, M, mult)
-        if key not in chains:
-            chains[key] = build_chain(s, N, M, mult)
-        return chains[key]
-
-    tnodes = time_nodes(scn, N)
-    if "check-L" in tasks or scn.is_time_only:
-        never_surrender = never_surrender_check(
-            scn, tnodes[:-1], np.linspace(scn.contract.F0 / 4, scn.contract.F0 * 4, 41)
-        )
-    if "check-L" in tasks:
-        dates = tnodes[:-1]
-        L = [float(L_value(scn, float(t), scn.contract.F0)) for t in dates]
-        pred = classify_sections(scn, dates) if scn.is_time_only else ["n/a"] * dates.size
-        emit("check_L.csv", csvio.write_check_l_csv, dates, L, pred)
-        summary["results"]["never_surrender_holds"] = bool(never_surrender.holds)
-        summary["results"]["min_L"] = never_surrender.min_L
-
-    if "price-lattice" in tasks:
-        surf = bermudan_value(chain(scn), scn, "discontinuous")
-        surfaces["lattice"] = surf
-        i0 = center_index(surf.xnodes, scn.contract.F0)
-        summary["results"]["lattice_value_at_inception"] = float(surf.values[0, i0])
-
-    if "price-pde" in tasks:
-        pgrid = build_pde_grid(
-            scn, N, M, mult,
-            theta=plan.pde["theta"],
-            tol=plan.pde["tol"],
-            max_iter=plan.pde["max_iter"],
-        )
-        surf = solve_variational_inequality(scn, pgrid)
-        surfaces["pde"] = surf
-        i0 = center_index(surf.xnodes, scn.contract.F0)
-        summary["results"]["pde_value_at_inception"] = float(surf.values[0, i0])
-
-    if scn.is_time_only:
-        h0 = float(maturity_benefit_value(scn, 0.0, scn.contract.F0))
-        summary["results"]["maturity_benefit_value_at_inception"] = h0
-        if never_surrender.holds and surfaces:
-            gaps = {}
-            for name, surf in surfaces.items():
-                hline = np.stack(
-                    [np.asarray(maturity_benefit_value(scn, float(t), surf.xnodes)) for t in surf.tnodes]
-                )
-                gaps[name] = float(np.max(np.abs(surf.values - hline) / np.maximum(hline, 1e-12)))
-            summary["results"]["max_rel_gap_vs_maturity_benefit"] = gaps
-            summary["results"]["surrender_region_empty_expected"] = True
-
-    if "regions" in tasks:
-        for name, surf in surfaces.items():
-            mask = extract_regions(surf, scn, **plan.region)
-            masks[name] = mask
-            emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask)
-            empty = [float(t) for t, row in zip(mask.tnodes[:-1], mask.in_surrender) if not row.any()]
-            summary["results"][f"empty_slices_{name}"] = len(empty)
-            summary["results"][f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
-            if scn.is_time_only:
-                ex = extract_regions(surf, scn, **plan.region, mode="exercise")
-                summary["results"][f"surrender_nodes_exercise_{name}"] = int(ex.in_surrender.sum())
-    elif surfaces:
-        for name, surf in surfaces.items():
-            emit(f"surface_{name}.csv", csvio.write_surface_csv, surf)
-
-    if "boundary" in tasks:
-        for name, mask in masks.items():
-            boundary = extract_boundary(mask, surfaces[name])
-            boundaries[name] = boundary
-            emit(f"boundary_{name}.csv", csvio.write_boundary_csv, boundary)
-
-    if "decompose" in tasks:
-        name = "lattice" if "lattice" in boundaries else "pde"
-        report = decomposition_residuals(surfaces[name], scn, boundaries[name])
-        emit("decompose.csv", csvio.write_report_csv, report, surfaces[name])
-        summary["results"]["decompose"] = {
-            "surface": name,
-            "mean_abs_res_he": report.mean_abs_res_he,
-            "mean_abs_res_phif": report.mean_abs_res_phif,
-            "max_abs_res_he": report.max_abs_res_he,
-            "max_abs_res_phif": report.max_abs_res_phif,
-        }
-
-    if "mc-verify" in tasks:
-        name = "lattice" if "lattice" in boundaries else "pde"
-        batch = simulate_paths(
-            scn, plan.mc["seed"], plan.mc["npaths"], plan.mc["nsteps"], plan.mc["scheme"]
-        )
-        res = mc_verify_estimates(
-            batch, scn, boundaries[name], masks[name] if scn.is_time_only else None
-        )
-        rows = []
-        for label, est in (("maturity_benefit", res.maturity_benefit),
-                           ("boundary_strategy_value", res.boundary_strategy)):
-            rows.append((label, est.estimate, est.std_error, est.npaths, est.seed))
-        prem = res.premiums
-        if prem is not None:
-            rows.append(("surrender_premium", prem.e_estimate, prem.e_std_error, prem.npaths, prem.seed))
-            rows.append(("continuation_premium", prem.f_estimate, prem.f_std_error, prem.npaths, prem.seed))
-        emit("estimates.csv", csvio.write_estimates_csv, rows)
-        summary["results"]["mc"] = {name: {"estimate": e, "std_error": s} for name, e, s, _, _ in rows}
-
-    if "paper-fig" in tasks:
-        for label, panel_pair in (("c1", ("a", "b")), ("c2", ("c", "d"))):
-            bscn = benchmark_scenario(label)
-            bgrid = chain(bscn)
-            for kind, panel in zip(("discontinuous", "continuous"), panel_pair):
-                surf = bermudan_value(bgrid, bscn, kind)
-                mode = "exercise" if kind == "continuous" else "value-gap"
-                mask = extract_regions(surf, bscn, mode=mode)
-                emit(f"fig_panel_{panel}_{label}_{kind}.csv", csvio.write_surface_csv, surf, mask)
-
+    """Run the plan's tasks and their prerequisites in table order, write
+    summary.json and return it."""
+    run = _Run(plan, _closed(plan.tasks))
+    for task in run.tasks:
+        _TABLE[task][0](run)
     try:
-        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(run.summary, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # NaN or an infinity among the results
         raise FloatingPointError("non-finite result; summary.json not written") from None
     with open(os.path.join(plan.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    return summary
+    return run.summary
 
 
 def main(argv=None) -> int:

@@ -198,10 +198,9 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
             "N": N,
             "M": M,
             "theta": grid.theta,
-            # names kept from the PSOR solver: the update tolerance, also the
-            # diagnostics' obstacle slack, and the most iterations any level took
-            "psor_tol": grid.tol,
+            # the most iterations any level took, under the PSOR solver's name
             "psor_max_iterations": iters_max,
+            # the update tolerance, also the diagnostics' obstacle slack
             "solver_tol": grid.tol,
             "heuristic": not scn.fee.is_time_only,
             "complementarity_free_max": comp_free_max,

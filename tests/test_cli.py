@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from vastop.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -47,7 +49,6 @@ _INT_RANGES = {
     "grid.M": (3, 100_000),
     "pde.max_iter": (1, math.inf),
     "mc.npaths": (1, 10**9),
-    "mc.nsteps": (1, 100_000),
     "mc.seed": (0, 2**128 - 1),
 }
 
@@ -70,7 +71,7 @@ _REAL_RULES = {
 def _value_ok(path, value):
     """The documented rule of each config key, written out independently of the package."""
     if value is None:
-        return path in ("pde.tol", "mc.nsteps", "region.tol_abs")
+        return path in ("pde.tol", "region.tol_abs")
     if path == "mc.scheme":
         return value in ("exact-lognormal", "euler")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -138,15 +139,14 @@ class TestConfigValidation:
         ({"seed": 1.5}, []),
         ({"npaths": 2000.5}, []),
         ({"npaths": "2000"}, []),
-        ({"nsteps": "24"}, []),
-        ({"nsteps": 24.0}, []),
-        ({"nsteps": 0}, []),
-        ({"nsteps": 12}, []),
+        ({"nsteps": 24}, []),  # the path count is grid.N, not a key
     ])
     def test_invalid_mc_inputs_exit_2(self, tmp_path, capsys, mc, argv):
         doc = _base_config(tasks=["price-lattice", "mc-verify"], mc=mc)
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o"), *argv]) == 2
-        assert f"config error: mc.{next(iter(mc), 'seed')} " in capsys.readouterr().err
+        key = next(iter(mc), "seed")
+        expected = f"unknown key mc.{key}" if key == "nsteps" else f"mc.{key} "
+        assert f"config error: {expected}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, value", [
         ("grid.N", "abc"),
@@ -233,12 +233,12 @@ class TestConfigValidation:
             "seed": st.integers(0, 2**128 - 1),
             "scheme": st.sampled_from(["exact-lognormal", "euler"]),
         }),
-        nsteps_set=st.booleans(),
         region=st.fixed_dictionaries({
             "tol_abs": st.one_of(st.none(), st.floats(0.0, 1.0)),
             "tol_rel": st.floats(0.0, 1e-3),
         }),
-        path=st.sampled_from([None, None, "pde.omega", *_INT_RANGES, *_REAL_RULES, "mc.scheme"]),
+        path=st.sampled_from([None, None, "pde.omega", "mc.nsteps", *_INT_RANGES, *_REAL_RULES,
+                              "mc.scheme"]),
         junk=st.one_of(
             st.none(), st.booleans(), st.integers(-2, 2), st.floats(0.4, 1.1), st.floats(),
             st.just(2**1100), st.just("euler"), st.text(max_size=2),
@@ -246,10 +246,7 @@ class TestConfigValidation:
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_mutated_config_exit_codes(self, tmp_path_factory, grid, pde, mc, nsteps_set, region,
-                                       path, junk):
-        if nsteps_set:
-            mc["nsteps"] = grid["N"]
+    def test_mutated_config_exit_codes(self, tmp_path_factory, grid, pde, mc, region, path, junk):
         doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
                            grid=grid, pde=pde, mc=mc, region=region)
         if path is not None:
@@ -260,13 +257,10 @@ class TestConfigValidation:
         with contextlib.redirect_stderr(err):
             code = main(["run", _write(out, doc), "--out", str(out / "o")])
         assert code in (0, 1, 2)
-        if path == "pde.omega":  # the relaxation factor of the removed PSOR solver
-            assert code == 2 and "unknown key pde.omega" in err.getvalue()
+        if path in ("pde.omega", "mc.nsteps"):  # removed: PSOR's relaxation factor, the path count
+            assert code == 2 and f"unknown key {path}" in err.getvalue()
         elif path is not None and not _value_ok(path, junk):
             assert code == 2 and f"config error: {path}" in err.getvalue()
-        elif doc["mc"].get("nsteps") not in (None, doc["grid"]["N"]):
-            # mc-verify needs the paths on the grid's exercise dates
-            assert code == 2 and "config error: mc.nsteps " in err.getvalue()
         elif code == 2:
             # the lattice rejects a state grid too coarse for the scenario as a
             # config error that names no single key
@@ -399,7 +393,6 @@ class TestRunPipeline:
         config = json.loads(text)["config"]
         assert config["grid"] == {"N": 12, "M": 31, "xmax_mult": 8.0}
         assert '"theta": 1.0' in text and '"tol_abs": 0.0' in text
-        assert config["mc"]["nsteps"] == 12
 
     @pytest.mark.parametrize("fee, builds", [
         ({"kind": "piecewise", "breakpoints": [5.0, 10.0],
@@ -455,3 +448,52 @@ class TestRunPipeline:
                 flagged.add(float(t))
         assert not any(5.0 + 1e-9 < t <= 10.0 + 1e-9 for t in flagged)
         assert any(t <= 5.0 for t in flagged) and any(t > 10.0 for t in flagged)
+
+
+class TestTaskTable:
+    def test_full_pipeline_demo_matches_golden(self, tmp_path):
+        """Every CSV of the demo config hashes to the recorded sha256, and the
+        summary lists the same artifacts, tasks and results."""
+        with open(os.path.join(GOLDEN_DIR, "full_pipeline_demo.json"), encoding="utf-8") as fh:
+            golden = json.load(fh)
+        out = tmp_path / "out"
+        assert main(["run", os.path.join(CONFIG_DIR, "full_pipeline_demo.json"),
+                     "--out", str(out)]) == 0
+        csvs = sorted(n for n in os.listdir(out) if n.endswith(".csv"))
+        assert csvs == sorted(golden["sha256"])
+        for name in csvs:
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == golden["sha256"][name], name
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["artifacts"] == golden["artifacts"]
+        assert summary["config"]["tasks"] == golden["tasks"]
+        assert summary["results"] == golden["results"]
+
+    @pytest.mark.parametrize("requested, tasks, artifacts", [
+        (["decompose"], ["price-lattice", "regions", "boundary", "decompose"],
+         ["region_lattice.csv", "boundary_lattice.csv", "decompose.csv"]),
+        (["price-pde", "decompose"], ["price-pde", "regions", "boundary", "decompose"],
+         ["region_pde.csv", "boundary_pde.csv", "decompose.csv"]),
+        (["price-pde", "mc-verify"], ["price-pde", "regions", "boundary", "mc-verify"],
+         ["region_pde.csv", "boundary_pde.csv", "estimates.csv"]),
+        (["mc-verify", "check-L"], ["check-L", "price-lattice", "regions", "boundary", "mc-verify"],
+         ["check_L.csv", "region_lattice.csv", "boundary_lattice.csv", "estimates.csv"]),
+        (["price-lattice", "price-pde"], ["price-lattice", "price-pde"],
+         ["surface_lattice.csv", "surface_pde.csv"]),
+        (["paper-fig"], ["paper-fig"],
+         ["fig_panel_a_c1_discontinuous.csv", "fig_panel_b_c1_continuous.csv",
+          "fig_panel_c_c2_discontinuous.csv", "fig_panel_d_c2_continuous.csv"]),
+    ])
+    def test_prerequisites_are_closed_in_table_order(self, tmp_path, requested, tasks, artifacts):
+        doc = _base_config(tasks=requested, mc={"npaths": 300, "seed": 3})
+        doc["scenario"]["fee"] = {"kind": "piecewise", "breakpoints": [5.0, 10.0],
+                                  "rates": [0.010908, 0.005454, 0.010908]}
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["tasks"] == tasks
+        assert summary["artifacts"] == artifacts
+        assert sorted(os.listdir(out)) == sorted([*artifacts, "summary.json"])
+        if "decompose" in tasks:  # the lattice surface when it was priced
+            surface = "lattice" if "price-lattice" in tasks else "pde"
+            assert summary["results"]["decompose"]["surface"] == surface

@@ -80,8 +80,8 @@ class TestSolveVariationalInequality:
         meta = c1_pde["surface"].metadata
         # free nodes solve the scheme to within the solver tolerance; active
         # nodes only overshoot in the feasible direction
-        assert meta["complementarity_free_max"] <= 100.0 * meta["psor_tol"]
-        assert meta["complementarity_active_min"] >= -100.0 * meta["psor_tol"]
+        assert meta["complementarity_free_max"] <= 100.0 * meta["solver_tol"]
+        assert meta["complementarity_active_min"] >= -100.0 * meta["solver_tol"]
 
     def test_cross_solver_agreement(self, c1_lattice, c1_pde):
         i0 = center_index(c1_pde["surface"].xnodes, 100.0)
