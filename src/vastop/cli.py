@@ -6,11 +6,13 @@ and their prerequisites in the order of one task table, `_TABLE`, and writes
 CSV artifacts plus a machine-readable summary. Every key of the grid, pde, mc
 and region sections, overrides included, is checked against one rule table,
 `_RULES`. Exit codes: 0 success, 1 solver failure (a NaN or infinite result is
-one, and no summary.json is then written), 2 config error (naming
+one, and no summary.json is then written) or internal error (any other
+exception, printed with its traceback), 2 config error (naming
 `<section>.<key>` when one key is at fault).
 Re-running with an identical config and seed reproduces byte-identical CSVs. The
 environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
-of Monte Carlo chunk workers.
+of workers that build Monte Carlo chunks and evaluate decomposition time slices;
+estimates and premiums are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,8 +344,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # solver or runtime failure
+    except (pde.SolverError, FloatingPointError) as exc:  # no convergence, a non-finite result
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
     return 0
 

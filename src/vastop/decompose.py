@@ -11,6 +11,13 @@ Two exact identities are evaluated by quadrature against a threshold boundary:
 Subtracting the two gives the solver-free identity
 surrender premium - continuation premium = payout - maturity benefit,
 used to cross-check the quadratures without any PDE/lattice input.
+
+``decomposition_residuals`` evaluates the time slices on the package's one
+thread pool, ``_threads.ordered_map``: with W workers (VASTOP_THREADS, else
+one per available CPU) worker k takes the slices n = k mod W, and the calling
+thread is worker 0. Each slice is computed alone, so the report is the same to
+the last bit for any W. scipy's ``ndtr`` holds the GIL (scipy 1.17), so its
+calls, about half of a slice, do not overlap; the rest of the numpy work does.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from ._threads import ordered_map, worker_count
 from .analytic import guarantee_put_value, maturity_benefit_value
 from .model import ConfigError, Scenario, UnsupportedScenarioError
 from .region import Boundary
@@ -34,7 +42,8 @@ __all__ = [
 
 
 class _StepQuadrature:
-    """Per-step Simpson nodes and integrand factors shared by all queries.
+    """Per-step Simpson nodes and integrand factors for the states x, shared by
+    the premiums of every date.
 
     Composite Simpson on the exercise-date grid, one panel per step, with the
     boundary frozen at the step's left node and the fee evaluated one-sidedly
@@ -42,7 +51,7 @@ class _StepQuadrature:
     empty/nonempty transitions (both live on grid times).
     """
 
-    def __init__(self, scn: Scenario, boundary: Boundary):
+    def __init__(self, scn: Scenario, boundary: Boundary, x: np.ndarray):
         if not scn.is_time_only:
             raise UnsupportedScenarioError("premium quadratures need time-only fee and charge")
         tn = np.asarray(boundary.tnodes, dtype=float)
@@ -68,12 +77,18 @@ class _StepQuadrature:
         self.fee_int = np.stack([I_grid[:-1], I_mid, I_grid[1:]], axis=1).reshape(-1)
         self.K = np.repeat(np.asarray(boundary.values, dtype=float), 3)
         self.scn = scn
+        self.x = x = np.asarray(x, dtype=float)
+        # log(x / K) at every Simpson node with a finite boundary, shared by all dates
+        finite = np.isfinite(self.K)[:, None]
+        self.log_xK = np.zeros((self.K.size, x.size))
+        np.divide(x[None, :], self.K[:, None], out=self.log_xK, where=finite)
+        np.log(self.log_xK, out=self.log_xK, where=finite)
 
-    def premiums(self, n0: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def premiums(self, n0: int) -> tuple[np.ndarray, np.ndarray]:
         """Surrender and continuation premiums at (tnodes[n0], x)."""
         scn = self.scn
         t = float(self.tnodes[n0])
-        x = np.asarray(x, dtype=float)
+        x = self.x
         put = np.asarray(guarantee_put_value(scn, t, x), dtype=float)
         lo = 3 * n0
         if lo >= self.s_nodes.size:
@@ -86,21 +101,25 @@ class _StepQuadrature:
         e0 = x[None, :] * np.exp(-fee_int)[:, None]  # E[e^{-r tau} F_s], full
         sig = scn.market.sigma
         r = scn.market.r
+        # E[e^{-r tau} F_s 1{F_s >= K}]: e0 Phi(d1) where the boundary is finite
         eK = np.zeros_like(e0)
         finite = np.isfinite(K)
         pos = tau > 0.0
-        rows = finite & pos
-        if np.any(rows):
-            sst = sig * np.sqrt(tau[rows])
-            d1 = (
-                np.log(x[None, :] / K[rows, None])
-                + (r * tau[rows] - fee_int[rows])[:, None]
-                + 0.5 * (sst**2)[:, None]
-            ) / sst[:, None]
-            eK[rows] = e0[rows] * ndtr(d1)
         start = finite & ~pos
         if np.any(start):  # s == t: indicator is deterministic
             eK[start] = np.where(x[None, :] >= K[start, None], x[None, :], 0.0)
+        # d1 is built in place in eK, one run of finite-boundary rows with s > t at
+        # a time: the same operations in the same order as one d1 expression
+        rows = finite & pos
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], rows.view(np.int8), [0]))))
+        for a, b in zip(edges[::2], edges[1::2]):
+            sst = sig * np.sqrt(tau[a:b])
+            d1 = eK[a:b]
+            np.add(self.log_xK[lo + a:lo + b], (r * tau[a:b] - fee_int[a:b])[:, None], out=d1)
+            d1 += 0.5 * (sst**2)[:, None]
+            d1 /= sst[:, None]
+            ndtr(d1, out=d1)
+            d1 *= e0[a:b]
         e = w @ eK
         quad_full = w @ e0
         f = put + e - quad_full
@@ -119,8 +138,8 @@ def surrender_premium(scn: Scenario, boundary: Boundary, t: float, x):
     """Value of the surrender right: integral of (c g - g') against the
     discounted account expectation above the boundary; empty sections
     contribute nothing."""
-    quad = _StepQuadrature(scn, boundary)
-    e, _ = quad.premiums(_boundary_index(boundary, t), np.atleast_1d(np.asarray(x, dtype=float)))
+    quad = _StepQuadrature(scn, boundary, np.atleast_1d(np.asarray(x, dtype=float)))
+    e, _ = quad.premiums(_boundary_index(boundary, t))
     return float(e[0]) if np.ndim(x) == 0 else e
 
 
@@ -128,8 +147,8 @@ def continuation_premium(scn: Scenario, boundary: Boundary, t: float, x):
     """Value of holding on: guarantee put plus the complementary integral of
     (g' - c g) against the expectation below the boundary; empty sections use
     the full expectation. Returns (G - x)_+ at maturity."""
-    quad = _StepQuadrature(scn, boundary)
-    _, f = quad.premiums(_boundary_index(boundary, t), np.atleast_1d(np.asarray(x, dtype=float)))
+    quad = _StepQuadrature(scn, boundary, np.atleast_1d(np.asarray(x, dtype=float)))
+    _, f = quad.premiums(_boundary_index(boundary, t))
     return float(f[0]) if np.ndim(x) == 0 else f
 
 
@@ -165,28 +184,38 @@ def decomposition_residuals(
     Residual statistics are taken over the interior nodes (skipping
     ``interior_margin`` state nodes at each edge, where truncation boundary
     conditions rather than the identities dominate); nodes whose residual
-    exceeds ``tolerance`` (default 5e-3 G) are flagged.
+    exceeds ``tolerance`` (default 5e-3 G) are flagged. The time slices run
+    on VASTOP_THREADS workers (see the module docstring); an invalid value
+    raises ConfigError.
     """
     if not np.array_equal(surface.tnodes, boundary.tnodes):
         raise ConfigError("surface and boundary live on different time grids")
     if tolerance is None:
         tolerance = 5e-3 * scn.contract.G
-    quad = _StepQuadrature(scn, boundary)
     tn = surface.tnodes
     x = surface.xnodes
+    quad = _StepQuadrature(scn, boundary, x)
     Np1 = tn.size
     h = np.empty((Np1, x.size))
     e = np.empty_like(h)
     f = np.empty_like(h)
     phi = np.empty_like(h)
-    for n in range(Np1):
-        t = float(tn[n])
-        h[n] = maturity_benefit_value(scn, t, x)
-        e[n], f[n] = quad.premiums(n, x)
-        # payout branch of the representation is the surrender value x g(t, x)
-        # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly
-        g = np.asarray(scn.charge(t, x))
-        phi[n] = np.broadcast_to(g, x.shape) * x
+    workers = worker_count(Np1)
+
+    def fill(k: int) -> None:
+        """Rows n = k, k + workers, ...: a share that shrinks with n like every other."""
+        for n in range(k, Np1, workers):
+            t = float(tn[n])
+            h[n] = maturity_benefit_value(scn, t, x)
+            e[n], f[n] = quad.premiums(n)
+            # payout branch of the representation is the surrender value x g(t, x)
+            # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly
+            g = np.asarray(scn.charge(t, x))
+            phi[n] = np.broadcast_to(g, x.shape) * x
+
+    # each slice is computed alone, so the rows are the same for any worker count
+    for _ in ordered_map(fill, workers, caller_first=True):
+        pass
     res_he = surface.values - h - e
     res_phif = surface.values - phi - f
     sl = slice(interior_margin, x.size - interior_margin)

@@ -31,7 +31,8 @@ __all__ = [
 
 
 class GridResolutionError(ConfigError):
-    """The state grid is too coarse to produce a valid transition matrix."""
+    """The chain's grid and scenario give no valid transition matrix; the message
+    names the cause: a time step or a scenario too stiff, or a state grid too coarse."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,38 @@ def _generator(xnodes: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarra
     return Q
 
 
+_STEP_BUDGET = 1e-12 / np.finfo(float).eps  # largest exit rate x dt expm rounds within 1e-12
+_MAX_STEPS = 100_000  # the largest grid.N of a run config
+
+
+def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int, M: int):
+    """GridResolutionError naming the likelier cause of an invalid transition matrix.
+
+    The rounding error of expm(Q dt) grows with the stiffness of Q dt (its
+    largest exit rate times dt), which a finer state grid raises and more time
+    steps lower. A step stiffer than the rounding budget is the time grid's
+    fault when enough steps cure it, else the scenario's: the key whose rates
+    dominate is named.
+    """
+    exit_rates = -np.diag(_generator(xnodes, mu, var))
+    stiffness = float(exit_rates.max()) * dt
+    if stiffness <= _STEP_BUDGET:
+        return GridResolutionError(f"{head}; try M >= {2 * M}")
+    steps = math.ceil(N * stiffness / _STEP_BUDGET)
+    if steps <= _MAX_STEPS:
+        return GridResolutionError(
+            f"{head}: the generator is too stiff for dt = {dt:.3g}"
+            f" (largest exit rate x dt = {stiffness:.2e}); try N >= {steps}"
+        )
+    diffusion = float((-np.diag(_generator(xnodes, np.zeros_like(mu), var))).max()) * dt
+    key = (f"market.sigma = {scn.market.sigma:g}" if 2.0 * diffusion >= stiffness
+           else "market.r with the fee")
+    return GridResolutionError(
+        f"{head}: {key} makes the generator too stiff for any time step"
+        f" (largest exit rate x dt = {stiffness:.2e} at dt = {dt:.3g})"
+    )
+
+
 def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0) -> ChainGrid:
     """Build the state chain: log-uniform nodes, one transition matrix per step.
 
@@ -120,9 +153,9 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0) -> ChainG
             rs_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
             pmin = float(P.min())
             if rs_err > 1e-12 or pmin < -1e-12:
-                raise GridResolutionError(
-                    f"invalid transition matrix (row-sum err {rs_err:.2e}, min prob {pmin:.2e});"
-                    f" try M >= {2 * M}"
+                raise _invalid_matrix(
+                    f"invalid transition matrix (row-sum err {rs_err:.2e}, min prob {pmin:.2e})",
+                    scn, xnodes, mu, var, dt, N, M,
                 )
             np.maximum(P, 0.0, out=P)
             P.setflags(write=False)

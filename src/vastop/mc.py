@@ -3,25 +3,22 @@
 Randomness comes from the counter-based Philox generator. Paths are produced
 in fixed-size chunks of 2^14; chunk i draws from Philox(key=seed).jumped(i)
 with a path-major normal matrix, so results are bit-reproducible for a given
-(seed, npaths, nsteps, scheme). Chunks are generated on a pool of worker
-threads (VASTOP_THREADS of them, else one per available CPU) and consumed in
-chunk order, so every estimate is the same to the last bit for any worker
-count. All estimators can share one pass over the paths
-(``mc_verify_estimates``); per-path payoff moments are accumulated with
-numpy's pairwise summation within a chunk and added chunk by chunk.
+(seed, npaths, nsteps, scheme). Chunks are generated on the package's one
+thread pool, ``_threads.ordered_map`` (VASTOP_THREADS workers, else one per
+available CPU), and consumed in chunk order, so every estimate is the same to
+the last bit for any worker count. All estimators can share one pass over
+the paths (``mc_verify_estimates``); per-path payoff moments are accumulated
+with numpy's pairwise summation within a chunk and added chunk by chunk.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import thread_count
+from ._threads import ordered_map
 from .model import ConfigError, Scenario, UnsupportedScenarioError
 from .region import Boundary, RegionMask
 
@@ -41,17 +38,6 @@ __all__ = [
 CHUNK_PATHS = 1 << 14
 
 _SCHEMES = ("exact-lognormal", "euler")
-
-
-def _chunk_workers(nchunks: int) -> int:
-    """Chunk generator threads: VASTOP_THREADS, else the usable CPUs, at most nchunks."""
-    try:
-        n = thread_count()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if n is None:
-        n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(n, nchunks)
 
 
 @dataclass(frozen=True)
@@ -127,25 +113,14 @@ class PathBatch:
         """Yield (first_path_index, F) with F of shape (chunk, nsteps + 1), in
         chunk order.
 
-        Chunks are built on a thread pool sized by VASTOP_THREADS (read when
-        iteration starts), with at most one chunk per worker pending ahead of
-        the consumer. Closing the generator early cancels what is pending and
-        joins the workers.
+        Chunks are built by ``_threads.ordered_map`` on a pool sized by
+        VASTOP_THREADS (read when iteration starts), with at most one chunk per
+        worker pending ahead of the consumer. Closing the generator early
+        cancels what is pending and joins the workers.
         """
         drifts = self._exact_step_drifts() if self.scheme == "exact-lognormal" else None
         nchunks = (self.npaths + CHUNK_PATHS - 1) // CHUNK_PATHS
-        workers = _chunk_workers(nchunks)
-        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vastop-mc") as pool:
-            pending = deque(pool.submit(self._chunk, ci, drifts) for ci in range(workers))
-            try:
-                for ci in range(nchunks):
-                    F = pending.popleft().result()
-                    if ci + workers < nchunks:
-                        pending.append(pool.submit(self._chunk, ci + workers, drifts))
-                    yield ci * CHUNK_PATHS, F
-            finally:
-                for fut in pending:
-                    fut.cancel()
+        yield from ordered_map(lambda ci: (ci * CHUNK_PATHS, self._chunk(ci, drifts)), nchunks)
 
     def terminal_values(self) -> np.ndarray:
         return np.concatenate([F[:, -1] for _, F in self.iter_chunks()])
@@ -266,7 +241,6 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     tn = batch.tnodes
     if mask.tnodes.size != tn.size or not np.allclose(mask.tnodes, tn, rtol=0.0, atol=1e-9):
         raise ConfigError("mask is not defined on the batch's exercise dates")
-    N = batch.nsteps
     dt = float(tn[1] - tn[0])
     r = scn.market.r
     g = np.asarray(scn.charge(tn), dtype=float)
@@ -285,21 +259,19 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     G, T = scn.contract.G, scn.contract.T
     discT = math.exp(-r * T)
 
-    def indicators(F: np.ndarray) -> np.ndarray:
-        ind = np.empty((F.shape[0], N), dtype=bool)
-        cols = np.nonzero(simple)[0]
-        ind[:, cols] = F[:, cols] >= K[cols][None, :]
+    def above(F: np.ndarray) -> np.ndarray:
+        """F where it lies in the surrender region of its slice, else 0."""
+        out = np.where(F >= K, F, 0.0)  # a NaN threshold leaves the column to the loop
         for n in np.nonzero(~simple)[0]:
             idx = np.clip(
                 np.rint((np.log(F[:, n]) - log_x0) / dy).astype(int), 0, mask.xnodes.size - 1
             )
-            ind[:, n] = mask.in_surrender[n][idx]
-        return ind
+            out[:, n] = np.where(mask.in_surrender[n][idx], F[:, n], 0.0)
+        return out
 
     def kernel(F: np.ndarray):
-        indL = indicators(F[:, :-1])
-        indR = indicators(F[:, 1:])  # right endpoint, region frozen at the left node
-        e_path = (F[:, :-1] * indL) @ wL + (F[:, 1:] * indR) @ wR
+        # right endpoint with the region frozen at the left node
+        e_path = above(F[:, :-1]) @ wL + above(F[:, 1:]) @ wR
         full_path = F[:, :-1] @ wL + F[:, 1:] @ wR
         put_path = discT * np.maximum(G - F[:, -1], 0.0)
         return e_path, put_path + e_path - full_path

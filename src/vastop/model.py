@@ -8,6 +8,7 @@ throughout the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -481,12 +482,17 @@ def _require_number(doc: dict, section: str, key: str) -> float:
     return _number(doc[key], f"{section}.{key}")
 
 
+_MAX_RATE = 1.0  # |market.r| of a scenario document: a continuously compounded 100% a year
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated Scenario from its document form.
 
     Only the serializable fee kinds (constant, piecewise) and charge kinds
     (exponential, cubic) are accepted; unknown keys anywhere are rejected with
-    the offending field path in the message.
+    the offending field path in the message. A document is held to tighter
+    domain rules than the dataclasses: |market.r| <= 1, and contract.G, T and
+    F0 must be normal floats.
     """
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be an object")
@@ -505,11 +511,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
         r=_require_number(doc["market"], "market", "r"),
         sigma=_require_number(doc["market"], "market", "sigma"),
     )
+    if abs(market.r) > _MAX_RATE:
+        raise ConfigError(f"market.r must be a real in [-{_MAX_RATE:g}, {_MAX_RATE:g}]")
     contract = ContractParams(
         G=_require_number(doc["contract"], "contract", "G"),
         T=_require_number(doc["contract"], "contract", "T"),
         F0=_require_number(doc["contract"], "contract", "F0"),
     )
+    for key in ("G", "T", "F0"):
+        # a subnormal value loses its digits under the solvers' scalings (F0 / 4 == 0)
+        if getattr(contract, key) < sys.float_info.min:
+            raise ConfigError(f"contract.{key} must be a positive normal float"
+                              f" (at least {sys.float_info.min:g})")
 
     fee_doc = doc.get("fee")
     if not isinstance(fee_doc, dict) or "kind" not in fee_doc:

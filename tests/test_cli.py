@@ -58,11 +58,11 @@ _REAL_RULES = {
     "pde.tol": lambda v: v > 0,
     "region.tol_abs": lambda v: v >= 0,
     "region.tol_rel": lambda v: v >= 0,
-    "market.r": lambda v: True,
+    "market.r": lambda v: abs(v) <= 1,
     "market.sigma": lambda v: v > 0,
-    "contract.G": lambda v: v > 0,
-    "contract.T": lambda v: v > 0,
-    "contract.F0": lambda v: v > 0,
+    "contract.G": lambda v: v >= 2.0**-1022,  # a normal float
+    "contract.T": lambda v: v >= 2.0**-1022,
+    "contract.F0": lambda v: v >= 2.0**-1022,
     "fee.rate": lambda v: 0 <= v <= 1,
     "charge.kappa": lambda v: v >= 0,
 }
@@ -119,6 +119,61 @@ class TestConfigValidation:
         doc = _base_config(tasks=["price-pde"], pde={"max_iter": 1})
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
         assert "solver error" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        import vastop.lattice as lattice
+
+        def broken(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(lattice, "bermudan_value", broken)
+        doc = _base_config(tasks=["price-lattice"])
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "internal error: KeyError: 'boom'" in err
+        assert "Traceback (most recent call last)" in err and "in broken" in err
+        assert "solver error" not in err
+
+    @pytest.mark.parametrize("path, value", [
+        ("market.r", -1e300),
+        ("market.r", 1.5),
+        ("contract.F0", 5e-324),
+        ("contract.G", 5e-324),
+        ("contract.T", 5e-324),
+    ])
+    def test_out_of_domain_scenario_values_exit_2(self, tmp_path, capsys, path, value):
+        doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
+                           grid={"N": 12, "M": 21}, mc={"npaths": 200})
+        section, key = path.split(".")
+        doc["scenario"][section][key] = value
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path} " in err and "internal error" not in err
+        assert not out.exists()
+
+    def test_too_stiff_scenario_names_the_key(self, tmp_path, capsys):
+        # no grid cures sigma = 1e10: the message names the key and advises no grid
+        doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
+                           grid={"N": 1, "M": 3, "xmax_mult": 1.5}, mc={"npaths": 200})
+        doc["scenario"]["market"]["sigma"] = 1e10
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: invalid transition matrix" in err
+        assert "market.sigma = 1e+10" in err and "try" not in err
+
+    def test_too_long_time_step_advises_more_steps(self, tmp_path, capsys):
+        # sigma = 50 is a valid scenario: one 15-year step is too stiff for it, and a
+        # finer state grid would be stiffer still, so the advice is on N, not M
+        doc = _base_config(tasks=["price-lattice", "regions", "mc-verify"],
+                           grid={"N": 1, "M": 3, "xmax_mult": 1.5}, mc={"npaths": 200})
+        doc["scenario"]["market"]["sigma"] = 50.0
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: invalid transition matrix" in err and "try N >= 50" in err
+        assert "market.sigma" not in err and "try M" not in err
+        doc["grid"]["N"] = 50
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
 
     def test_misaligned_breakpoints_exit_2(self, tmp_path, capsys):
         doc = _base_config()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -118,3 +119,53 @@ class TestDecompositionResiduals:
     def test_off_grid_time_rejected(self, c1_scn, c1_lattice):
         with pytest.raises(ConfigError):
             vs.surrender_premium(c1_scn, c1_lattice["boundary"], 0.017, 100.0)
+
+
+class TestParallelSlices:
+    @pytest.fixture(scope="class")
+    def c1_small(self, c1_scn):
+        chain = vs.build_chain(c1_scn, 120, 201, 8.0)
+        surf = vs.bermudan_value(chain, c1_scn, "discontinuous")
+        boundary = vs.extract_boundary(vs.extract_regions(surf, c1_scn), surf)
+        assert np.isinf(boundary.values).any() and np.isfinite(boundary.values).any()
+        return surf, boundary
+
+    def test_report_bytes_identical_for_any_worker_count(self, c1_scn, c1_small, monkeypatch):
+        surf, boundary = c1_small
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VASTOP_THREADS", threads)
+            reports.append(vs.decomposition_residuals(surf, c1_scn, boundary))
+        # more workers than cores, with frequent thread switches
+        monkeypatch.setenv("VASTOP_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reports.append(vs.decomposition_residuals(surf, c1_scn, boundary))
+        finally:
+            sys.setswitchinterval(interval)
+        first = reports[0]
+        for rep in reports[1:]:
+            for key in ("tnodes", "xnodes", "h", "e", "f", "res_he", "res_phif"):
+                assert getattr(rep, key).tobytes() == getattr(first, key).tobytes(), key
+            for key in ("max_abs_res_he", "mean_abs_res_he", "max_abs_res_phif",
+                        "mean_abs_res_phif", "min_e", "min_f", "flagged"):
+                assert repr(getattr(rep, key)) == repr(getattr(first, key)), key
+
+    def test_slices_equal_the_single_date_premiums(self, c1_scn, c1_small, monkeypatch):
+        monkeypatch.setenv("VASTOP_THREADS", "2")
+        surf, boundary = c1_small
+        rep = vs.decomposition_residuals(surf, c1_scn, boundary)
+        for n in (0, 1, 57, surf.tnodes.size - 2, surf.tnodes.size - 1):
+            t = float(surf.tnodes[n])
+            e = vs.surrender_premium(c1_scn, boundary, t, surf.xnodes)
+            f = vs.continuation_premium(c1_scn, boundary, t, surf.xnodes)
+            assert e.tobytes() == rep.e[n].tobytes()
+            assert f.tobytes() == rep.f[n].tobytes()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_invalid_thread_count_rejected(self, c1_scn, c1_small, monkeypatch, value):
+        monkeypatch.setenv("VASTOP_THREADS", value)
+        surf, boundary = c1_small
+        with pytest.raises(ConfigError, match="VASTOP_THREADS"):
+            vs.decomposition_residuals(surf, c1_scn, boundary)

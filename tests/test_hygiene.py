@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses, and
+only one module holds a thread pool."""
 
 from __future__ import annotations
 
@@ -40,3 +41,29 @@ def test_checker_flags_an_unused_name():
     src = "from __future__ import annotations\nimport os\nfrom dataclasses import dataclass, field\n" \
           "@dataclass\nclass A:\n    x: int = 0\n"
     assert unused_imports(src) == ["os (line 2)", "field (line 3)"]
+
+
+def pool_imports(source: str) -> list[str]:
+    """Imports of concurrent.futures, or of a name from it, that a module makes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("concurrent")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent"):
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return found
+
+
+def test_thread_pool_lives_in_one_module():
+    # the pool logic exists once: every other module maps over _threads.ordered_map
+    users = {p.name for p in PACKAGE.glob("*.py")
+             if pool_imports(p.read_text(encoding="utf-8"))
+             or "ThreadPoolExecutor" in p.read_text(encoding="utf-8")}
+    assert users == {"_threads.py"}
+
+
+def test_pool_checker_flags_every_import_form():
+    src = "import concurrent.futures\nfrom concurrent.futures import ThreadPoolExecutor as P\n" \
+          "from concurrent import futures\n"
+    assert pool_imports(src) == ["concurrent.futures", "concurrent.futures.ThreadPoolExecutor",
+                                 "concurrent.futures"]

@@ -129,3 +129,20 @@ class TestAmericanExtrapolate:
     def test_needs_three_levels(self, kc_scn):
         with pytest.raises(ConfigError):
             vs.american_extrapolate(kc_scn, [90, 180], M=51)
+
+
+class TestGridResolutionError:
+    def _scn(self, sigma):
+        return vs.Scenario(
+            market=vs.MarketParams(r=0.03, sigma=sigma),
+            contract=vs.ContractParams(G=100.0, T=15.0, F0=100.0),
+            fee=vs.FeeSpec("constant", rate=0.01, horizon=15.0),
+            charge=vs.ChargeSpec("exponential", T=15.0, kappa=0.01),
+        )
+
+    def test_finer_state_grid_does_not_cure_a_long_step(self):
+        # the rounding error of expm grows with M and shrinks with N
+        for M in (3, 6, 12):
+            with pytest.raises(vs.GridResolutionError, match="try N >= "):
+                vs.build_chain(self._scn(50.0), 1, M, 1.5)
+        vs.build_chain(self._scn(50.0), 50, 3, 1.5)

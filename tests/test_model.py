@@ -301,6 +301,12 @@ class TestScenarioSerialization:
         ("fee.breakpoints", ["5", 10.0]),
         ("fee.rates", [0.01, math.inf, 0.01]),
         ("fee.rates", [0.01, None, 0.01]),
+        # the document's domain rules: |r| <= 1, normal floats for G, T and F0
+        ("market.r", -1e300),
+        ("market.r", 1.0000001),
+        ("contract.G", 5e-324),
+        ("contract.T", 1e-310),
+        ("contract.F0", 5e-324),
     ])
     def test_non_finite_and_non_numbers_rejected(self, path, value):
         doc = vs.scenario_to_dict(vs.benchmark_scenario("c1"))
@@ -308,6 +314,15 @@ class TestScenarioSerialization:
         doc[section][key] = value
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}"):
             vs.scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("path, value", [
+        ("market.r", -1.0), ("market.r", 1.0), ("contract.F0", 2.0**-1022),
+    ])
+    def test_document_domain_edges_accepted(self, path, value):
+        doc = vs.scenario_to_dict(vs.benchmark_scenario("c1"))
+        section, key = path.split(".")
+        doc[section][key] = value
+        assert getattr(getattr(vs.scenario_from_dict(doc), section), key) == value
 
 
 @pytest.mark.parametrize("value, ok", [
