@@ -3,12 +3,13 @@
 ``vastop run <config> [--out DIR] [--seed N] [--grid-N n --grid-M m]`` loads a
 scenario plus run plan from a single JSON document, runs the requested tasks
 and their prerequisites in the order of one task table, `_TABLE`, and writes
-CSV artifacts plus a machine-readable summary. Every key of the grid, pde, mc
-and region sections, overrides included, is checked against one rule table,
-`_RULES`. Exit codes: 0 success, 1 solver failure (a NaN or infinite result is
-one, and no summary.json is then written) or internal error (any other
-exception, printed with its traceback), 2 config error (naming
-`<section>.<key>` when one key is at fault).
+CSV artifacts plus a machine-readable summary. One checker,
+`model.checked_section`, checks every key of the document against a table in
+one rule format: the grid, pde, mc and region sections, overrides included,
+against `_RULES`, the scenario against `model._SCENARIO_RULES`. Exit codes: 0
+success, 1 solver failure (a NaN or infinite result is one, and no summary.json
+is then written) or internal error (any other exception, printed with its
+traceback), 2 config error (naming `<section>.<key>` when one key is at fault).
 Re-running with an identical config and seed reproduces byte-identical CSVs. The
 environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
 of workers that build Monte Carlo chunks and evaluate decomposition time slices;
@@ -30,12 +31,10 @@ import numpy as np
 from . import analytic, decompose, lattice, mc, model, pde, presets, region, surfaces
 from . import io as csvio
 from ._threads import thread_count
-from .model import ConfigError, is_finite_number
+from .model import ConfigError
 
-# section -> key -> (default, type, allowed). An int key takes a JSON integer, a
-# float key a finite JSON number (stored as a float), neither a bool, and both
-# must lie in the interval `allowed`, "(" or ")" marking an open end. A str key
-# takes one of the `allowed` strings. A key whose default is None also takes null.
+# section -> key -> (default, type, allowed), the rule format of the scenario
+# table `model._SCENARIO_RULES`
 _RULES = {
     "grid": {
         "N": (360, int, "[1, 100000]"),
@@ -70,33 +69,6 @@ class RunPlan:
     out_dir: str
 
 
-def _in_interval(value, interval: str) -> bool:
-    """Whether value lies in an interval such as "[1, 100000]", "(0, inf)" or "[0, 2**128)"."""
-    lo, hi = (float(base) ** int(power or 1)
-              for base, _, power in (end.partition("**") for end in interval[1:-1].split(", ")))
-    above = lo < value if interval[0] == "(" else lo <= value
-    return above and (value < hi if interval[-1] == ")" else value <= hi)
-
-
-def _checked(path: str, value, rule: tuple):
-    """value if it obeys rule, as a float for a float key; else ConfigError naming path."""
-    default, kind, allowed = rule
-    if value is None and default is None:
-        return None
-    if kind is str:
-        if value in allowed:
-            return value
-        raise ConfigError(f"{path} must be one of {', '.join(map(repr, allowed))}")
-    if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = is_finite_number(value)
-    if ok and _in_interval(value, allowed):
-        return float(value) if kind is float else value
-    noun = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{path} must be {'null or ' if default is None else ''}{noun} in {allowed}")
-
-
 def load_plan(doc: dict, args) -> RunPlan:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -116,14 +88,9 @@ def load_plan(doc: dict, args) -> RunPlan:
     sections = {}
     for name, rules in _RULES.items():
         given = doc.get(name, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"{name} must be an object")
-        unknown = set(given) - set(rules)
-        if unknown:
-            raise ConfigError(f"unknown key {name}.{sorted(unknown)[0]}")
-        given = {**given, **{k: v for k, v in overrides.get(name, {}).items() if v is not None}}
-        sections[name] = {key: _checked(f"{name}.{key}", given.get(key, rule[0]), rule)
-                          for key, rule in rules.items()}
+        if isinstance(given, dict):
+            given = {**given, **{k: v for k, v in overrides.get(name, {}).items() if v is not None}}
+        sections[name] = model.checked_section(name, given, rules)
     out_dir = args.out or doc.get("out") or "vastop-out"
     if not isinstance(out_dir, str):
         raise ConfigError("out must be a string")

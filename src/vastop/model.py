@@ -2,13 +2,13 @@
 
 Everything here is pure and immutable after construction: evaluators can be
 shared freely across threads. Rates are per year and time is measured in years
-throughout the package.
+throughout the package. The module also holds the one checker of run-document
+keys, `checked_section`, and the scenario's rules in that checker's format.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +28,7 @@ __all__ = [
     "reward",
     "L_value",
     "is_finite_number",
+    "checked_section",
     "scenario_from_dict",
     "scenario_to_dict",
 ]
@@ -38,7 +39,7 @@ class DomainError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid construction parameters or an invalid scenario document."""
+    """Invalid construction parameters or an invalid run document."""
 
 
 class UnsupportedScenarioError(ValueError):
@@ -441,22 +442,36 @@ def L_value(scn: Scenario, t: float, x):
 
 
 # ---------------------------------------------------------------------------
-# Scenario (de)serialization: flat JSON document, unknown keys rejected
+# Document rules: one checker for every key of a run document
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "market": {"r", "sigma"},
-    "contract": {"G", "T", "F0"},
-}
+REQUIRED = object()  # the default of a key that a document must give
 
-_FEE_FIELDS = {
-    "constant": {"kind", "rate"},
-    "piecewise": {"kind", "breakpoints", "rates"},
-}
-
-_CHARGE_FIELDS = {
-    "exponential": {"kind", "kappa"},
-    "cubic": {"kind", "k"},
+# section -> key -> (default, type, allowed). An int key takes a JSON integer, a
+# float key a finite JSON number (stored as a float), neither a bool, and both
+# must lie in the interval `allowed`, "(" or ")" marking an open end. A list key
+# takes an array of such float values (stored as a tuple). A str key takes one of
+# the `allowed` strings. A key whose default is None also takes null, and one
+# whose default is REQUIRED must be given. The "kind" of fee and charge maps each
+# kind to the rules of the other keys of its section.
+_SCENARIO_RULES = {
+    "market": {"r": (REQUIRED, float, "[-1, 1]"), "sigma": (REQUIRED, float, "(0, inf)")},
+    "contract": {
+        # normal floats: a subnormal value loses its digits under the solvers'
+        # scalings (F0 / 4 == 0); T <= 100 keeps exp(|r| T) far from overflow
+        "G": (REQUIRED, float, "[2**-1022, inf)"),
+        "T": (REQUIRED, float, "[2**-1022, 100]"),
+        "F0": (REQUIRED, float, "[2**-1022, inf)"),
+    },
+    "fee": {"kind": {
+        "constant": {"rate": (REQUIRED, float, "[0, 1]")},
+        "piecewise": {"breakpoints": (REQUIRED, list, "(0, inf)"),
+                      "rates": (REQUIRED, list, "[0, 1]")},
+    }},
+    "charge": {"kind": {
+        "exponential": {"kappa": (REQUIRED, float, "[0, inf)")},
+        "cubic": {"k": (REQUIRED, float, "(0, 1)")},
+    }},
 }
 
 
@@ -470,117 +485,89 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def _number(value, path: str) -> float:
-    if not is_finite_number(value):
-        raise ConfigError(f"{path} must be a finite number")
-    return float(value)
+def _in_interval(value, interval: str) -> bool:
+    """Whether value lies in an interval such as "[1, 100000]", "(0, inf)" or "[0, 2**128)"."""
+    lo, hi = (float(base) ** int(power or 1)
+              for base, _, power in (end.partition("**") for end in interval[1:-1].split(", ")))
+    above = lo < value if interval[0] == "(" else lo <= value
+    return above and (value < hi if interval[-1] == ")" else value <= hi)
 
 
-def _require_number(doc: dict, section: str, key: str) -> float:
-    if key not in doc:
-        raise ConfigError(f"missing field {section}.{key}")
-    return _number(doc[key], f"{section}.{key}")
+def _checked(path: str, value, rule: tuple):
+    """value if it obeys rule, as a float for a float key and a tuple of floats for
+    a list key; else ConfigError naming path."""
+    default, kind, allowed = rule
+    if value is REQUIRED:
+        raise ConfigError(f"missing field {path}")
+    if value is None and default is None:
+        return None
+    if kind is str:
+        if value in allowed:
+            return value
+        raise ConfigError(f"{path} must be one of {', '.join(map(repr, allowed))}")
+    if kind is list:
+        if isinstance(value, (list, tuple)):
+            return tuple(_checked(f"{path}[{i}]", v, (REQUIRED, float, allowed))
+                         for i, v in enumerate(value))
+        raise ConfigError(f"{path} must be an array of numbers in {allowed}")
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = is_finite_number(value)
+    if ok and _in_interval(value, allowed):
+        return float(value) if kind is float else value
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{path} must be {'null or ' if default is None else ''}{noun} in {allowed}")
 
 
-_MAX_RATE = 1.0  # |market.r| of a scenario document: a continuously compounded 100% a year
+def _kind_rules(path: str, kind, kinds: dict) -> dict:
+    """The rules of a section whose keys depend on its kind: kind, then the keys of that kind."""
+    kind = _checked(f"{path}.kind", kind, (REQUIRED, str, tuple(kinds)))
+    return {"kind": (REQUIRED, str, (kind,)), **kinds[kind]}
+
+
+def checked_section(path: str, given, rules: dict) -> dict:
+    """Every key of rules checked, defaults filled in; ConfigError naming the key at
+    fault when given is not an object or holds an unknown or a bad key."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path} must be an object")
+    if isinstance(rules.get("kind"), dict):
+        rules = _kind_rules(path, given.get("kind", REQUIRED), rules["kind"])
+    unknown = set(given) - set(rules)
+    if unknown:
+        raise ConfigError(f"unknown key {path}.{sorted(unknown)[0]}")
+    return {key: _checked(f"{path}.{key}", given.get(key, rule[0]), rule)
+            for key, rule in rules.items()}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated Scenario from its document form.
 
-    Only the serializable fee kinds (constant, piecewise) and charge kinds
-    (exponential, cubic) are accepted; unknown keys anywhere are rejected with
-    the offending field path in the message. A document is held to tighter
-    domain rules than the dataclasses: |market.r| <= 1, and contract.G, T and
-    F0 must be normal floats.
+    `checked_section` checks every key against `_SCENARIO_RULES`, which are tighter
+    than the dataclasses (|market.r| <= 1, contract.T <= 100, normal floats for G,
+    T and F0) and admit only the serializable kinds; the dataclasses then check
+    the rules that relate one key to another.
     """
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be an object")
-    unknown = set(doc) - {"market", "contract", "fee", "charge"}
+    unknown = set(doc) - set(_SCENARIO_RULES)
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in scenario document")
-    for section, keys in _SCHEMA.items():
-        if section not in doc:
-            raise ConfigError(f"missing section {section!r}")
-        if not isinstance(doc[section], dict):
-            raise ConfigError(f"{section} must be an object")
-        bad = set(doc[section]) - keys
-        if bad:
-            raise ConfigError(f"unknown key {section}.{sorted(bad)[0]}")
-    market = MarketParams(
-        r=_require_number(doc["market"], "market", "r"),
-        sigma=_require_number(doc["market"], "market", "sigma"),
-    )
-    if abs(market.r) > _MAX_RATE:
-        raise ConfigError(f"market.r must be a real in [-{_MAX_RATE:g}, {_MAX_RATE:g}]")
-    contract = ContractParams(
-        G=_require_number(doc["contract"], "contract", "G"),
-        T=_require_number(doc["contract"], "contract", "T"),
-        F0=_require_number(doc["contract"], "contract", "F0"),
-    )
-    for key in ("G", "T", "F0"):
-        # a subnormal value loses its digits under the solvers' scalings (F0 / 4 == 0)
-        if getattr(contract, key) < sys.float_info.min:
-            raise ConfigError(f"contract.{key} must be a positive normal float"
-                              f" (at least {sys.float_info.min:g})")
-
-    fee_doc = doc.get("fee")
-    if not isinstance(fee_doc, dict) or "kind" not in fee_doc:
-        raise ConfigError("missing field fee.kind")
-    fkind = fee_doc["kind"]
-    if fkind not in _FEE_FIELDS:
-        raise ConfigError(f"fee.kind {fkind!r} is not serializable (use constant or piecewise)")
-    bad = set(fee_doc) - _FEE_FIELDS[fkind]
-    if bad:
-        raise ConfigError(f"unknown key fee.{sorted(bad)[0]}")
-    if fkind == "constant":
-        fee = FeeSpec("constant", rate=_require_number(fee_doc, "fee", "rate"), horizon=contract.T)
-    else:
-        arrays = {}
-        for key in ("breakpoints", "rates"):
-            if key not in fee_doc or not isinstance(fee_doc[key], (list, tuple)):
-                raise ConfigError(f"fee.{key} must be an array")
-            arrays[key] = tuple(_number(v, f"fee.{key}[{i}]") for i, v in enumerate(fee_doc[key]))
-        fee = FeeSpec("piecewise", **arrays, horizon=contract.T)
-
-    charge_doc = doc.get("charge")
-    if not isinstance(charge_doc, dict) or "kind" not in charge_doc:
-        raise ConfigError("missing field charge.kind")
-    ckind = charge_doc["kind"]
-    if ckind not in _CHARGE_FIELDS:
-        raise ConfigError(f"charge.kind {ckind!r} is not serializable (use exponential or cubic)")
-    bad = set(charge_doc) - _CHARGE_FIELDS[ckind]
-    if bad:
-        raise ConfigError(f"unknown key charge.{sorted(bad)[0]}")
-    if ckind == "exponential":
-        charge = ChargeSpec("exponential", T=contract.T, kappa=_require_number(charge_doc, "charge", "kappa"))
-    else:
-        charge = ChargeSpec("cubic", T=contract.T, k=_require_number(charge_doc, "charge", "k"))
-
-    return Scenario(market=market, contract=contract, fee=fee, charge=charge)
+    part = {name: checked_section(name, doc.get(name, {}), rules)
+            for name, rules in _SCENARIO_RULES.items()}
+    T = part["contract"]["T"]
+    return Scenario(market=MarketParams(**part["market"]),
+                    contract=ContractParams(**part["contract"]),
+                    fee=FeeSpec(**part["fee"], horizon=T), charge=ChargeSpec(**part["charge"], T=T))
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
     """Inverse of scenario_from_dict for the serializable kinds."""
-    if scn.fee.kind == "constant":
-        fee_doc = {"kind": "constant", "rate": scn.fee.rate}
-    elif scn.fee.kind == "piecewise":
-        fee_doc = {
-            "kind": "piecewise",
-            "breakpoints": list(scn.fee.breakpoints),
-            "rates": list(scn.fee.rates),
-        }
-    else:
-        raise ConfigError(f"fee.kind {scn.fee.kind!r} is not serializable")
-    if scn.charge.kind == "exponential":
-        charge_doc = {"kind": "exponential", "kappa": scn.charge.kappa}
-    elif scn.charge.kind == "cubic":
-        charge_doc = {"kind": "cubic", "k": scn.charge.k}
-    else:
-        raise ConfigError(f"charge.kind {scn.charge.kind!r} is not serializable")
-    return {
-        "market": {"r": scn.market.r, "sigma": scn.market.sigma},
-        "contract": {"G": scn.contract.G, "T": scn.contract.T, "F0": scn.contract.F0},
-        "fee": fee_doc,
-        "charge": charge_doc,
-    }
+    doc = {}
+    for name, rules in _SCENARIO_RULES.items():
+        part = getattr(scn, name)
+        if "kind" in rules:
+            rules = _kind_rules(name, part.kind, rules["kind"])
+        values = {key: getattr(part, key) for key in rules}
+        doc[name] = {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+    return doc

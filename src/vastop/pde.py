@@ -48,6 +48,8 @@ class PdeGrid:
     rannacher_intervals: int = 2
 
     def __post_init__(self) -> None:
+        if self.xnodes.size < 4:  # the top node is extrapolated from two interior nodes
+            raise ConfigError("grid.M must be at least 4 for the PDE solver")
         if not 0.5 <= self.theta <= 1.0:
             raise ConfigError("theta must lie in [0.5, 1]")
         if not self.tol > 0.0:

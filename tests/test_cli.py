@@ -61,10 +61,17 @@ _REAL_RULES = {
     "market.r": lambda v: abs(v) <= 1,
     "market.sigma": lambda v: v > 0,
     "contract.G": lambda v: v >= 2.0**-1022,  # a normal float
-    "contract.T": lambda v: v >= 2.0**-1022,
+    "contract.T": lambda v: 2.0**-1022 <= v <= 100,
     "contract.F0": lambda v: v >= 2.0**-1022,
     "fee.rate": lambda v: 0 <= v <= 1,
     "charge.kappa": lambda v: v >= 0,
+}
+
+
+_STR_RULES = {
+    "mc.scheme": ("exact-lognormal", "euler"),
+    "fee.kind": ("constant", "piecewise"),
+    "charge.kind": ("exponential", "cubic"),
 }
 
 
@@ -72,8 +79,8 @@ def _value_ok(path, value):
     """The documented rule of each config key, written out independently of the package."""
     if value is None:
         return path in ("pde.tol", "region.tol_abs")
-    if path == "mc.scheme":
-        return value in ("exact-lognormal", "euler")
+    if path in _STR_RULES:
+        return value in _STR_RULES[path]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     if path in _INT_RANGES:
@@ -140,6 +147,8 @@ class TestConfigValidation:
         ("contract.F0", 5e-324),
         ("contract.G", 5e-324),
         ("contract.T", 5e-324),
+        ("fee.kind", [1]),  # an unhashable kind
+        ("charge.kind", [1]),
     ])
     def test_out_of_domain_scenario_values_exit_2(self, tmp_path, capsys, path, value):
         doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
@@ -151,6 +160,28 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"config error: {path} " in err and "internal error" not in err
         assert not out.exists()
+
+    def test_long_contract_at_negative_rate_exits_2(self, tmp_path, capsys):
+        # exp(-r T) would overflow at r = -1, T = 1000: the maturity is bounded by 100 years
+        doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
+                           grid={"N": 12, "M": 21}, mc={"npaths": 200})
+        doc["scenario"]["market"]["r"] = -1
+        doc["scenario"]["contract"]["T"] = 1000
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: contract.T " in err and "internal error" not in err
+        assert not out.exists()
+
+    def test_pde_needs_four_state_nodes(self, tmp_path, capsys):
+        # the PDE extrapolates its top node from two interior nodes; the lattice runs on 3
+        doc = _base_config(tasks=["price-pde"], grid={"N": 12, "M": 3})
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: grid.M must be at least 4 for the PDE solver" in err
+        assert "internal error" not in err
+        doc["tasks"] = ["price-lattice", "regions"]
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
 
     def test_too_stiff_scenario_names_the_key(self, tmp_path, capsys):
         # no grid cures sigma = 1e10: the message names the key and advises no grid
@@ -293,7 +324,7 @@ class TestConfigValidation:
             "tol_rel": st.floats(0.0, 1e-3),
         }),
         path=st.sampled_from([None, None, "pde.omega", "mc.nsteps", *_INT_RANGES, *_REAL_RULES,
-                              "mc.scheme"]),
+                              *_STR_RULES]),
         junk=st.one_of(
             st.none(), st.booleans(), st.integers(-2, 2), st.floats(0.4, 1.1), st.floats(),
             st.just(2**1100), st.just("euler"), st.text(max_size=2),
@@ -316,6 +347,11 @@ class TestConfigValidation:
             assert code == 2 and f"unknown key {path}" in err.getvalue()
         elif path is not None and not _value_ok(path, junk):
             assert code == 2 and f"config error: {path}" in err.getvalue()
+        elif grid["M"] == 3:
+            # the PDE solver needs 4 state nodes; the lattice, which runs first, may
+            # reject the grid before it
+            assert code == 2 and ("config error: grid.M must be at least 4" in err.getvalue()
+                                  or "config error: invalid transition matrix" in err.getvalue())
         elif code == 2:
             # the lattice rejects a state grid too coarse for the scenario as a
             # config error that names no single key
@@ -323,6 +359,7 @@ class TestConfigValidation:
         else:
             assert code in (0, 1)
         assert code == 1 or "solver error" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
         summary = out / "o" / "summary.json"
         assert summary.exists() == (code == 0)
         if code == 0:

@@ -1,5 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-only one module holds a thread pool."""
+"""Source hygiene: no module of the package imports a name it never uses, only one
+module holds a thread pool, and only one holds the rule checker of document keys."""
 
 from __future__ import annotations
 
@@ -67,3 +67,30 @@ def test_pool_checker_flags_every_import_form():
           "from concurrent import futures\n"
     assert pool_imports(src) == ["concurrent.futures", "concurrent.futures.ThreadPoolExecutor",
                                  "concurrent.futures"]
+
+
+def rule_checker_parts(source: str) -> list[str]:
+    """Interval parsers a module defines and calls of is_finite_number it makes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and "interval" in node.name:
+            found.append(f"def {node.name}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "is_finite_number":
+                found.append("is_finite_number()")
+    return found
+
+
+def test_rule_checker_lives_in_one_module():
+    # every document key is checked by model.checked_section: no module keeps a checker of its own
+    users = {p.name for p in PACKAGE.glob("*.py") if rule_checker_parts(p.read_text(encoding="utf-8"))}
+    assert users == {"model.py"}
+
+
+def test_rule_checker_guard_flags_every_form():
+    src = "from vastop import model\ndef _in_interval(v, s):\n    return model.is_finite_number(v)\n" \
+          "def parse_interval(s):\n    return is_finite_number(s)\n"
+    assert sorted(rule_checker_parts(src)) == ["def _in_interval", "def parse_interval",
+                                               "is_finite_number()", "is_finite_number()"]

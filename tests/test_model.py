@@ -307,6 +307,9 @@ class TestScenarioSerialization:
         ("contract.G", 5e-324),
         ("contract.T", 1e-310),
         ("contract.F0", 5e-324),
+        ("contract.T", 1000.0),  # T <= 100
+        ("fee.kind", [1]),  # an unhashable kind
+        ("charge.kind", [1]),
     ])
     def test_non_finite_and_non_numbers_rejected(self, path, value):
         doc = vs.scenario_to_dict(vs.benchmark_scenario("c1"))
