@@ -5,11 +5,14 @@ scenario plus run plan from a single JSON document, runs the requested tasks
 and their prerequisites in the order of one task table, `_TABLE`, and writes
 CSV artifacts plus a machine-readable summary. One checker,
 `model.checked_section`, checks every key of the document against a table in
-one rule format: the grid, pde, mc and region sections, overrides included,
-against `_RULES`, the scenario against `model._SCENARIO_RULES`. Exit codes: 0
-success, 1 solver failure (a NaN or infinite result is one, and no summary.json
-is then written) or internal error (any other exception, printed with its
-traceback), 2 config error (naming `<section>.<key>` when one key is at fault).
+one rule format: the grid and mc sections, overrides included, against
+`_RULES`, the scenario against `model._SCENARIO_RULES`. Solver settings are not
+keys: the PDE is Crank-Nicolson with `pde.build_pde_grid`'s default tolerance
+and iteration cap, regions use `region.extract_regions`' fixed tolerances, and
+paths take exact lognormal steps. Exit codes: 0 success, 1 solver failure (a
+NaN or infinite result is one, and no summary.json is then written) or
+internal error (any other exception, printed with its traceback), 2 config
+error (naming `<section>.<key>` when one key is at fault).
 Re-running with an identical config and seed reproduces byte-identical CSVs. The
 environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
 of workers that build Monte Carlo chunks and evaluate decomposition time slices;
@@ -41,19 +44,9 @@ _RULES = {
         "M": (401, int, "[3, 100000]"),
         "xmax_mult": (8.0, float, "(1, 1e6]"),
     },
-    "pde": {
-        "theta": (0.5, float, "[0.5, 1]"),
-        "tol": (None, float, "(0, inf)"),
-        "max_iter": (10_000, int, "[1, inf)"),
-    },
     "mc": {
         "npaths": (100_000, int, "[1, 1e9]"),
         "seed": (20_240_901, int, "[0, 2**128)"),
-        "scheme": ("exact-lognormal", str, ("exact-lognormal", "euler")),
-    },
-    "region": {
-        "tol_abs": (None, float, "[0, inf)"),
-        "tol_rel": (1e-6, float, "[0, inf)"),
     },
 }
 
@@ -63,9 +56,7 @@ class RunPlan:
     scenario_doc: dict
     tasks: tuple[str, ...]
     grid: dict
-    pde: dict
     mc: dict
-    region: dict
     out_dir: str
 
 
@@ -175,19 +166,19 @@ def _price_lattice(run: _Run) -> None:
 
 
 def _price_pde(run: _Run) -> None:
-    grid = pde.build_pde_grid(run.scn, **run.plan.grid, **run.plan.pde)
+    grid = pde.build_pde_grid(run.scn, **run.plan.grid)
     run.priced("pde", pde.solve_variational_inequality(run.scn, grid))
 
 
 def _regions(run: _Run) -> None:
     for name, surf in run.surfaces.items():
-        mask = region.extract_regions(surf, run.scn, **run.plan.region)
+        mask = region.extract_regions(surf, run.scn)
         run.masks[name] = mask
         run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask)
         run.results[f"empty_slices_{name}"] = int((~mask.in_surrender.any(axis=1)).sum())
         run.results[f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
         if run.scn.is_time_only:
-            ex = region.extract_regions(surf, run.scn, **run.plan.region, mode="exercise")
+            ex = region.extract_regions(surf, run.scn, mode="exercise")
             run.results[f"surrender_nodes_exercise_{name}"] = int(ex.in_surrender.sum())
 
 
@@ -210,8 +201,7 @@ def _decompose(run: _Run) -> None:
 
 def _mc_verify(run: _Run) -> None:
     name, opts = run.checked, run.plan.mc
-    batch = mc.simulate_paths(run.scn, opts["seed"], opts["npaths"], run.plan.grid["N"],
-                              opts["scheme"])
+    batch = mc.simulate_paths(run.scn, opts["seed"], opts["npaths"], run.plan.grid["N"])
     res = mc.mc_verify_estimates(
         batch, run.scn, run.boundaries[name], run.masks[name] if run.scn.is_time_only else None
     )

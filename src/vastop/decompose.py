@@ -172,26 +172,18 @@ class DecompositionReport:
     flagged: tuple[tuple[int, int], ...]
 
 
-def decomposition_residuals(
-    surface: ValueSurface,
-    scn: Scenario,
-    boundary: Boundary,
-    tolerance: float | None = None,
-    interior_margin: int = 2,
-) -> DecompositionReport:
+def decomposition_residuals(surface: ValueSurface, scn: Scenario,
+                            boundary: Boundary) -> DecompositionReport:
     """Evaluate both premium representations on the surface grid.
 
-    Residual statistics are taken over the interior nodes (skipping
-    ``interior_margin`` state nodes at each edge, where truncation boundary
-    conditions rather than the identities dominate); nodes whose residual
-    exceeds ``tolerance`` (default 5e-3 G) are flagged. The time slices run
-    on VASTOP_THREADS workers (see the module docstring); an invalid value
-    raises ConfigError.
+    Residual statistics are taken over the interior nodes (skipping 2 state
+    nodes at each edge, where truncation boundary conditions rather than the
+    identities dominate); nodes whose residual exceeds 5e-3 G are flagged. The
+    time slices run on VASTOP_THREADS workers (see the module docstring); an
+    invalid value raises ConfigError.
     """
     if not np.array_equal(surface.tnodes, boundary.tnodes):
         raise ConfigError("surface and boundary live on different time grids")
-    if tolerance is None:
-        tolerance = 5e-3 * scn.contract.G
     tn = surface.tnodes
     x = surface.xnodes
     quad = _StepQuadrature(scn, boundary, x)
@@ -218,10 +210,10 @@ def decomposition_residuals(
         pass
     res_he = surface.values - h - e
     res_phif = surface.values - phi - f
-    sl = slice(interior_margin, x.size - interior_margin)
+    sl = slice(2, x.size - 2)
     flagged = tuple(
         (int(n), int(i))
-        for n, i in zip(*np.nonzero(np.abs(res_he[:, sl]) > tolerance))
+        for n, i in zip(*np.nonzero(np.abs(res_he[:, sl]) > 5e-3 * scn.contract.G))
     )
     return DecompositionReport(
         tnodes=tn,

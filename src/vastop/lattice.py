@@ -103,14 +103,16 @@ _STEP_BUDGET = 1e-12 / np.finfo(float).eps  # largest exit rate x dt expm rounds
 _MAX_STEPS = 100_000  # the largest grid.N of a run config
 
 
-def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int, M: int):
+def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int, M: int,
+                    xmax_mult: float):
     """GridResolutionError naming the likelier cause of an invalid transition matrix.
 
     The rounding error of expm(Q dt) grows with the stiffness of Q dt (its
     largest exit rate times dt), which a finer state grid raises and more time
     steps lower. A step stiffer than the rounding budget is the time grid's
-    fault when enough steps cure it, else the scenario's: the key whose rates
-    dominate is named.
+    fault when enough steps cure it, else the keys whose rates dominate are
+    named. The diffusion rates scale as sigma^2 / dy^2: market.sigma and the
+    log spacing dy of the state nodes, which grid.M and grid.xmax_mult set.
     """
     exit_rates = -np.diag(_generator(xnodes, mu, var))
     stiffness = float(exit_rates.max()) * dt
@@ -123,8 +125,10 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int
             f" (largest exit rate x dt = {stiffness:.2e}); try N >= {steps}"
         )
     diffusion = float((-np.diag(_generator(xnodes, np.zeros_like(mu), var))).max()) * dt
-    key = (f"market.sigma = {scn.market.sigma:g}" if 2.0 * diffusion >= stiffness
-           else "market.r with the fee")
+    dy = math.log(xnodes[1] / xnodes[0])
+    key = (f"market.sigma = {scn.market.sigma:g} with the state spacing dy = {dy:.3g}"
+           f" of grid.M = {M} and grid.xmax_mult = {xmax_mult!r}"
+           if 2.0 * diffusion >= stiffness else "market.r with the fee")
     return GridResolutionError(
         f"{head}: {key} makes the generator too stiff for any time step"
         f" (largest exit rate x dt = {stiffness:.2e} at dt = {dt:.3g})"
@@ -155,7 +159,7 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0) -> ChainG
             if rs_err > 1e-12 or pmin < -1e-12:
                 raise _invalid_matrix(
                     f"invalid transition matrix (row-sum err {rs_err:.2e}, min prob {pmin:.2e})",
-                    scn, xnodes, mu, var, dt, N, M,
+                    scn, xnodes, mu, var, dt, N, M, xmax_mult,
                 )
             np.maximum(P, 0.0, out=P)
             P.setflags(write=False)

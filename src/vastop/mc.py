@@ -20,7 +20,7 @@ import numpy as np
 
 from ._threads import ordered_map
 from .model import ConfigError, Scenario, UnsupportedScenarioError
-from .region import Boundary, RegionMask
+from .region import Boundary, RegionMask, extract_boundary
 
 __all__ = [
     "CHUNK_PATHS",
@@ -221,20 +221,6 @@ class McPremiumEstimates:
     seed: int
 
 
-def _slice_thresholds(mask: RegionMask):
-    """Per-slice surrender threshold when the slice is suffix-shaped, else None."""
-    out = []
-    for row in mask.in_surrender:
-        hits = np.flatnonzero(row)
-        if hits.size == 0:
-            out.append(np.inf)
-        elif bool(row[hits[0]:].all()):
-            out.append(float(mask.xnodes[hits[0]]))
-        else:
-            out.append(None)
-    return out
-
-
 def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     if not scn.is_time_only:
         raise UnsupportedScenarioError("premium integrals need time-only fee and charge")
@@ -251,9 +237,11 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     # per-step endpoint weights of the premium integrand (c g - g') e^{-r s}
     wL = 0.5 * dt * (cL * g[:-1] - gt[:-1]) * disc[:-1]
     wR = 0.5 * dt * (cR * g[1:] - gt[1:]) * disc[1:]
-    thresholds = _slice_thresholds(mask)
-    simple = np.array([th is not None for th in thresholds])
-    K = np.array([th if th is not None else np.nan for th in thresholds])
+    # the slice threshold, NaN where the slice is not threshold-shaped
+    boundary = extract_boundary(mask)
+    K = boundary.values.copy()
+    K[[n for n, _ in boundary.violations]] = np.nan
+    loose = np.flatnonzero(np.isnan(K))
     log_x0 = math.log(mask.xnodes[0])
     dy = math.log(mask.xnodes[1] / mask.xnodes[0])
     G, T = scn.contract.G, scn.contract.T
@@ -262,7 +250,7 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     def above(F: np.ndarray) -> np.ndarray:
         """F where it lies in the surrender region of its slice, else 0."""
         out = np.where(F >= K, F, 0.0)  # a NaN threshold leaves the column to the loop
-        for n in np.nonzero(~simple)[0]:
+        for n in loose:
             idx = np.clip(
                 np.rint((np.log(F[:, n]) - log_x0) / dy).astype(int), 0, mask.xnodes.size - 1
             )

@@ -451,9 +451,8 @@ REQUIRED = object()  # the default of a key that a document must give
 # float key a finite JSON number (stored as a float), neither a bool, and both
 # must lie in the interval `allowed`, "(" or ")" marking an open end. A list key
 # takes an array of such float values (stored as a tuple). A str key takes one of
-# the `allowed` strings. A key whose default is None also takes null, and one
-# whose default is REQUIRED must be given. The "kind" of fee and charge maps each
-# kind to the rules of the other keys of its section.
+# the `allowed` strings. A key whose default is REQUIRED must be given. The "kind"
+# of fee and charge maps each kind to the rules of the other keys of its section.
 _SCENARIO_RULES = {
     "market": {"r": (REQUIRED, float, "[-1, 1]"), "sigma": (REQUIRED, float, "(0, inf)")},
     "contract": {
@@ -496,11 +495,9 @@ def _in_interval(value, interval: str) -> bool:
 def _checked(path: str, value, rule: tuple):
     """value if it obeys rule, as a float for a float key and a tuple of floats for
     a list key; else ConfigError naming path."""
-    default, kind, allowed = rule
+    _, kind, allowed = rule
     if value is REQUIRED:
         raise ConfigError(f"missing field {path}")
-    if value is None and default is None:
-        return None
     if kind is str:
         if value in allowed:
             return value
@@ -517,7 +514,7 @@ def _checked(path: str, value, rule: tuple):
     if ok and _in_interval(value, allowed):
         return float(value) if kind is float else value
     noun = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{path} must be {'null or ' if default is None else ''}{noun} in {allowed}")
+    raise ConfigError(f"{path} must be {noun} in {allowed}")
 
 
 def _kind_rules(path: str, kind, kinds: dict) -> dict:

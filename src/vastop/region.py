@@ -59,31 +59,25 @@ class Boundary:
         return self.tnodes[:-1][np.isfinite(self.values)]
 
 
-def extract_regions(
-    surface: ValueSurface,
-    scn: Scenario,
-    tol_abs: float | None = None,
-    tol_rel: float = 1e-6,
-    mode: str = "value-gap",
-) -> RegionMask:
+def extract_regions(surface: ValueSurface, scn: Scenario, mode: str = "value-gap") -> RegionMask:
     """Classify grid nodes as surrender (value on the obstacle) or continuation.
 
     mode "value-gap" is the raw rule: value - obstacle <= tol_abs + tol_rel *
-    obstacle. mode "exercise" (time-only scenarios) additionally requires the
-    surrender payout to strictly dominate the hold-to-maturity value,
-    g(t) x >= h(t, x) + tol with h from the closed form. The raw rule cannot
-    distinguish genuine exercises from nodes where the remaining optionality is
-    merely worth less than the tolerance (near maturity at x >> G the guarantee
-    put vanishes faster than any tolerance, and deep in the guarantee region
-    the surrender premium can underflow float resolution), so use "exercise"
-    for emptiness checks and for comparisons across reward conventions; on the
-    surrender set proper the payout dominates h, so the gate never removes a
-    resolved exercise node.
+    obstacle, with tol_abs = 1e-8 G and tol_rel = 1e-6 (both kept on the mask).
+    mode "exercise" (time-only scenarios) additionally requires the surrender
+    payout to strictly dominate the hold-to-maturity value, g(t) x >= h(t, x) +
+    tol with h from the closed form. The raw rule cannot distinguish genuine
+    exercises from nodes where the remaining optionality is merely worth less
+    than the tolerance (near maturity at x >> G the guarantee put vanishes
+    faster than any tolerance, and deep in the guarantee region the surrender
+    premium can underflow float resolution), so use "exercise" for emptiness
+    checks and for comparisons across reward conventions; on the surrender set
+    proper the payout dominates h, so the gate never removes a resolved
+    exercise node.
     """
     if mode not in ("value-gap", "exercise"):
         raise ConfigError("mode must be 'value-gap' or 'exercise'")
-    if tol_abs is None:
-        tol_abs = 1e-8 * scn.contract.G
+    tol_abs, tol_rel = 1e-8 * scn.contract.G, 1e-6
     v = surface.values[:-1]
     ob = surface.obstacle[:-1]
     tol = tol_abs + tol_rel * ob

@@ -47,17 +47,12 @@ def _base_config(**overrides):
 _INT_RANGES = {
     "grid.N": (1, 100_000),
     "grid.M": (3, 100_000),
-    "pde.max_iter": (1, math.inf),
     "mc.npaths": (1, 10**9),
     "mc.seed": (0, 2**128 - 1),
 }
 
 _REAL_RULES = {
     "grid.xmax_mult": lambda v: 1 < v <= 1e6,
-    "pde.theta": lambda v: 0.5 <= v <= 1,
-    "pde.tol": lambda v: v > 0,
-    "region.tol_abs": lambda v: v >= 0,
-    "region.tol_rel": lambda v: v >= 0,
     "market.r": lambda v: abs(v) <= 1,
     "market.sigma": lambda v: v > 0,
     "contract.G": lambda v: v >= 2.0**-1022,  # a normal float
@@ -69,16 +64,22 @@ _REAL_RULES = {
 
 
 _STR_RULES = {
-    "mc.scheme": ("exact-lognormal", "euler"),
     "fee.kind": ("constant", "piecewise"),
     "charge.kind": ("exponential", "cubic"),
 }
 
 
+# removed keys and their messages: PSOR's relaxation factor (with the whole pde
+# section), the path count, the path scheme
+_REMOVED = {
+    "pde.omega": "unknown key 'pde' in config",
+    "mc.nsteps": "unknown key mc.nsteps",
+    "mc.scheme": "unknown key mc.scheme",
+}
+
+
 def _value_ok(path, value):
     """The documented rule of each config key, written out independently of the package."""
-    if value is None:
-        return path in ("pde.tol", "region.tol_abs")
     if path in _STR_RULES:
         return value in _STR_RULES[path]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -122,8 +123,12 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
-    def test_solver_failure_exits_1(self, tmp_path, capsys):
-        doc = _base_config(tasks=["price-pde"], pde={"max_iter": 1})
+    def test_solver_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        import vastop.pde as pde
+
+        build = pde.build_pde_grid
+        monkeypatch.setattr(pde, "build_pde_grid", lambda *a, **kw: build(*a, **kw, max_iter=1))
+        doc = _base_config(tasks=["price-pde"])
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
         assert "solver error" in capsys.readouterr().err
 
@@ -193,6 +198,19 @@ class TestConfigValidation:
         assert "config error: invalid transition matrix" in err
         assert "market.sigma = 1e+10" in err and "try" not in err
 
+    def test_too_narrow_state_grid_names_the_spacing(self, tmp_path, capsys):
+        # sigma = 0.2 is the benchmark volatility: the 1e-8 log spacing of the
+        # nodes makes the diffusion rates sigma^2 / dy^2 too stiff
+        doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
+                           grid={"N": 12, "M": 21, "xmax_mult": 1.0000001}, mc={"npaths": 200})
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: invalid transition matrix" in err
+        assert "market.sigma = 0.2" in err and "state spacing dy = 1e-08" in err
+        assert "grid.M = 21" in err and "grid.xmax_mult = 1.0000001 " in err
+        assert "internal error" not in err and not (out / "summary.json").exists()
+
     def test_too_long_time_step_advises_more_steps(self, tmp_path, capsys):
         # sigma = 50 is a valid scenario: one 15-year step is too stiff for it, and a
         # finer state grid would be stiffer still, so the advice is on N, not M
@@ -240,13 +258,6 @@ class TestConfigValidation:
         ("grid.N", 24.0),
         ("grid.xmax_mult", "8"),
         ("grid.xmax_mult", 1),
-        ("region.tol_rel", "x"),
-        ("region.tol_rel", "1e-6"),
-        ("region.tol_rel", float("nan")),
-        ("region.tol_rel", -1),
-        ("region.tol_abs", "x"),
-        ("region.tol_abs", float("nan")),
-        ("region.tol_abs", float("inf")),
         ("charge.kappa", float("nan")),
         ("charge.kappa", float("inf")),
         ("contract.G", float("inf")),
@@ -254,7 +265,7 @@ class TestConfigValidation:
         ("fee.rates", ["x", 0.01]),
     ])
     def test_invalid_values_exit_2_naming_the_field(self, tmp_path, capsys, path, value):
-        doc = _base_config(region={})
+        doc = _base_config()
         doc["scenario"]["fee"] = {"kind": "piecewise", "breakpoints": [5.0], "rates": [0.01, 0.01]}
         section, key = path.split(".")
         (doc["scenario"] if section in doc["scenario"] else doc)[section][key] = value
@@ -290,41 +301,28 @@ class TestConfigValidation:
         assert "solver error: " in err and "non-finite result" in err
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("pde", [
-        {"max_iter": "x"},
-        {"max_iter": 0},
-        {"max_iter": 2.7},
-        {"tol": "x"},
-        {"tol": float("nan")},
-        {"theta": "abc"},
-        {"theta": True},
-    ])
-    def test_invalid_pde_inputs_exit_2(self, tmp_path, capsys, pde):
-        doc = _base_config(tasks=["price-pde"], pde=pde)
-        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
-        key = next(iter(pde))
-        assert f"config error: pde.{key} " in capsys.readouterr().err
+    @pytest.mark.parametrize("section, given, message", [
+        ("pde", {"theta": 0.5}, "unknown key 'pde' in config"),
+        ("region", {"tol_rel": 1e-6}, "unknown key 'region' in config"),
+        ("mc", {"scheme": "exact-lognormal"}, "unknown key mc.scheme"),
+    ], ids=["pde", "region", "mc.scheme"])
+    def test_removed_solver_keys_exit_2(self, tmp_path, capsys, section, given, message):
+        # a removed key is rejected even at its former default
+        doc = _base_config(tasks=["price-pde", "regions", "mc-verify"], **{section: given})
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @given(
         grid=st.fixed_dictionaries({
             "N": st.integers(1, 41), "M": st.integers(3, 41), "xmax_mult": st.floats(1.5, 30.0),
         }),
-        pde=st.fixed_dictionaries({
-            "theta": st.floats(0.5, 1.0),
-            "tol": st.one_of(st.none(), st.floats(1e-14, 1.0)),
-            "max_iter": st.integers(1, 12),
-        }),
         mc=st.fixed_dictionaries({
             "npaths": st.integers(1, 2000),
             "seed": st.integers(0, 2**128 - 1),
-            "scheme": st.sampled_from(["exact-lognormal", "euler"]),
         }),
-        region=st.fixed_dictionaries({
-            "tol_abs": st.one_of(st.none(), st.floats(0.0, 1.0)),
-            "tol_rel": st.floats(0.0, 1e-3),
-        }),
-        path=st.sampled_from([None, None, "pde.omega", "mc.nsteps", *_INT_RANGES, *_REAL_RULES,
-                              *_STR_RULES]),
+        path=st.sampled_from([None, None, *_REMOVED, *_INT_RANGES, *_REAL_RULES, *_STR_RULES]),
         junk=st.one_of(
             st.none(), st.booleans(), st.integers(-2, 2), st.floats(0.4, 1.1), st.floats(),
             st.just(2**1100), st.just("euler"), st.text(max_size=2),
@@ -332,19 +330,20 @@ class TestConfigValidation:
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_mutated_config_exit_codes(self, tmp_path_factory, grid, pde, mc, region, path, junk):
+    def test_mutated_config_exit_codes(self, tmp_path_factory, grid, mc, path, junk):
         doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
-                           grid=grid, pde=pde, mc=mc, region=region)
+                           grid=grid, mc=mc)
         if path is not None:
             section, key = path.split(".")
-            (doc["scenario"] if section in doc["scenario"] else doc)[section][key] = junk
+            parent = doc["scenario"] if section in doc["scenario"] else doc
+            parent.setdefault(section, {})[key] = junk  # a removed section is added
         out = tmp_path_factory.mktemp("cfg")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["run", _write(out, doc), "--out", str(out / "o")])
         assert code in (0, 1, 2)
-        if path in ("pde.omega", "mc.nsteps"):  # removed: PSOR's relaxation factor, the path count
-            assert code == 2 and f"unknown key {path}" in err.getvalue()
+        if path in _REMOVED:
+            assert code == 2 and f"config error: {_REMOVED[path]}" in err.getvalue()
         elif path is not None and not _value_ok(path, junk):
             assert code == 2 and f"config error: {path}" in err.getvalue()
         elif grid["M"] == 3:
@@ -408,10 +407,10 @@ class TestRunPipeline:
         for name in expected:
             assert (out / name).exists(), name
         summary = json.loads((out / "summary.json").read_text())
-        # all defaults materialized in the echo
+        # all defaults materialized in the echo, which holds the settable keys only
+        assert sorted(summary["config"]) == ["grid", "mc", "out", "scenario", "tasks"]
         assert summary["config"]["grid"] == {"N": 24, "M": 41, "xmax_mult": 8.0}
-        assert summary["config"]["pde"]["theta"] == 0.5
-        assert summary["config"]["mc"]["npaths"] == 2000
+        assert summary["config"]["mc"] == {"npaths": 2000, "seed": 9}
         assert summary["results"]["never_surrender_holds"] is True
         assert summary["results"]["surrender_region_empty_expected"] is True
 
@@ -477,14 +476,13 @@ class TestRunPipeline:
         assert summary["config"]["mc"]["seed"] == 123
 
     def test_real_keys_echo_as_floats(self, tmp_path):
-        doc = _base_config(tasks=["price-lattice"], grid={"N": 12, "M": 31, "xmax_mult": 8},
-                           pde={"theta": 1}, region={"tol_abs": 0})
+        doc = _base_config(tasks=["price-lattice"], grid={"N": 12, "M": 31, "xmax_mult": 8})
         out = tmp_path / "out"
         assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
         text = (out / "summary.json").read_text()
         config = json.loads(text)["config"]
         assert config["grid"] == {"N": 12, "M": 31, "xmax_mult": 8.0}
-        assert '"theta": 1.0' in text and '"tol_abs": 0.0' in text
+        assert '"xmax_mult": 8.0' in text
 
     @pytest.mark.parametrize("fee, builds", [
         ({"kind": "piecewise", "breakpoints": [5.0, 10.0],

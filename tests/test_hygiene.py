@@ -1,14 +1,19 @@
 """Source hygiene: no module of the package imports a name it never uses, only one
-module holds a thread pool, and only one holds the rule checker of document keys."""
+module holds a thread pool, only one holds the rule checker of document keys, and
+the README documents exactly the keys that checker knows."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "vastop"
+from vastop import cli, model
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "vastop"
 # __init__.py only re-exports (and imports _threads for its side effect)
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -94,3 +99,45 @@ def test_rule_checker_guard_flags_every_form():
           "def parse_interval(s):\n    return is_finite_number(s)\n"
     assert sorted(rule_checker_parts(src)) == ["def _in_interval", "def parse_interval",
                                                "is_finite_number()", "is_finite_number()"]
+
+
+KEY_TABLE_HEADER = "| key | default | type and range | null | meaning |"
+
+
+def documented_keys(readme: str) -> list[str]:
+    """The keys named in the first cell of each row of the README's key table, a
+    leading-dot name such as `.F0` taking the section of the name before it."""
+    lines = readme.splitlines()
+    keys = []
+    for line in lines[lines.index(KEY_TABLE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        section = ""
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            name = section + name if name.startswith(".") else name
+            section = name.partition(".")[0]
+            keys.append(name)
+    return keys
+
+
+def rule_keys() -> list[str]:
+    """Every key of the run document: the rule tables' keys, per-kind keys included."""
+    keys = ["tasks", "out"]
+    for rules in (cli._RULES, model._SCENARIO_RULES):
+        for section, section_rules in rules.items():
+            kinds = section_rules.get("kind")
+            names = {"kind"}.union(*kinds.values()) if isinstance(kinds, dict) else section_rules
+            keys += [f"{section}.{name}" for name in names]
+    return keys
+
+
+def test_readme_documents_every_key_once():
+    # a key that leaves the rule tables leaves the README, and a new one enters both
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert sorted(documented_keys(readme)) == sorted(rule_keys())
+
+
+def test_key_table_reader_expands_and_stops():
+    readme = f"{KEY_TABLE_HEADER}\n| --- |\n| `contract.G`, `.F0` | required |\n" \
+             "| `tasks` | required |\n\n| `grid.N` | 360 |\n"
+    assert documented_keys(readme) == ["contract.G", "contract.F0", "tasks"]

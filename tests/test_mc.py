@@ -182,6 +182,62 @@ class TestPremiumIntegrals:
         assert abs(prem.f_estimate - f_q) <= 3.0 * prem.f_std_error + 0.01 * abs(f_q)
 
 
+    def test_band_and_holed_slices_match_a_per_path_reference(self, c1_scn):
+        # slices cycle through band, holed, threshold, empty and full shapes
+        N = 12
+        rows = np.zeros((N, 41), dtype=bool)
+        for n in range(N):
+            shape = n % 5
+            if shape == 0:
+                rows[n, 18:25] = True
+            elif shape == 1:
+                rows[n, 20:] = True
+                rows[n, 28:30] = False
+            elif shape == 2:
+                rows[n, 22:] = True
+            elif shape == 4:
+                rows[n] = True
+        mask = self._mask(c1_scn, N, rows)
+        batch = vs.simulate_paths(c1_scn, seed=53, npaths=CHUNK_PATHS + 500, nsteps=N)
+        prem = vs.mc_premium_integrals(batch, c1_scn, mask)
+
+        # the documented rule: on slice n, F >= the first surrender node when the
+        # slice is threshold-shaped, else the flag of the nearest node in log x
+        F = batch.materialize()
+        x, tn = mask.xnodes, batch.tnodes
+        dy = math.log(x[1] / x[0])
+
+        def inside(n, v):
+            hits = np.flatnonzero(rows[n])
+            if hits.size and rows[n, hits[0]:].all():
+                return v >= x[hits[0]]
+            if not hits.size:
+                return np.zeros(v.shape, dtype=bool)
+            i = np.clip(np.rint((np.log(v) - math.log(x[0])) / dy).astype(int), 0, x.size - 1)
+            return rows[n][i]
+
+        r, G, dt = c1_scn.market.r, c1_scn.contract.G, float(tn[1] - tn[0])
+
+        def rate(t, c):  # integrand weight (c g - g') e^{-r t} at date t with fee rate c
+            return (c * float(c1_scn.charge(t)) - float(c1_scn.charge.dt(t))) * math.exp(-r * t)
+
+        e_path = np.zeros(F.shape[0])
+        full_path = np.zeros(F.shape[0])
+        for n in range(N):
+            t0, t1 = float(tn[n]), float(tn[n + 1])
+            w0 = 0.5 * dt * rate(t0, c1_scn.fee.rate_right(t0))
+            w1 = 0.5 * dt * rate(t1, float(c1_scn.fee(t1)))
+            # both endpoints are classified against the region of the left node
+            e_path += w0 * F[:, n] * inside(n, F[:, n]) + w1 * F[:, n + 1] * inside(n, F[:, n + 1])
+            full_path += w0 * F[:, n] + w1 * F[:, n + 1]
+        f_path = math.exp(-r * 15.0) * np.maximum(G - F[:, -1], 0.0) + e_path - full_path
+        assert 0.0 < prem.e_estimate
+        assert prem.e_estimate == pytest.approx(e_path.mean(), rel=1e-12)
+        assert prem.f_estimate == pytest.approx(f_path.mean(), rel=1e-12)
+        assert prem.e_std_error == pytest.approx(e_path.std() / math.sqrt(e_path.size), rel=1e-8)
+        assert prem.f_std_error == pytest.approx(f_path.std() / math.sqrt(f_path.size), rel=1e-8)
+
+
 def _estimates(batch, scn, bundle):
     return (
         vs.mc_maturity_benefit(batch, scn),
