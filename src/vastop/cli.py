@@ -90,7 +90,9 @@ def load_plan(doc: dict, args) -> RunPlan:
 
 class _Run:
     """What the tasks of one run share: the plan, its scenario and time nodes,
-    the summary, the chains built so far and the products of earlier tasks."""
+    the summary, the products of earlier tasks and the run's memos: the chains
+    and lattice surfaces built so far, the transition matrices of those chains
+    and the CSV rows formatted so far. Each run starts with empty memos."""
 
     def __init__(self, plan: RunPlan, tasks: list[str]):
         self.plan, self.tasks = plan, tasks
@@ -107,19 +109,29 @@ class _Run:
         if scn.is_time_only:
             h0 = float(analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
             self.results["maturity_benefit_value_at_inception"] = h0
-        self.surfaces, self.masks, self.boundaries, self._chains = {}, {}, {}, {}
+        self.surfaces, self.masks, self.boundaries = {}, {}, {}
+        self._chains, self._matrices, self._values, self.rows = {}, {}, {}, {}
 
-    def emit(self, name: str, writer, *args) -> None:
-        writer(os.path.join(self.plan.out_dir, name), *args)
+    def emit(self, name: str, writer, *args, **kwargs) -> None:
+        writer(os.path.join(self.plan.out_dir, name), *args, **kwargs)
         self.summary["artifacts"].append(name)
 
     def chain(self, scn):
         """The chain of scn on the run's grid, built once: paper-fig reuses the one
-        price-lattice built when its benchmark scenario equals the run's."""
+        price-lattice built when its benchmark scenario equals the run's. Chains
+        share the transition matrices of steps with the same coefficients."""
         if scn not in self._chains:
             grid = self.plan.grid
-            self._chains[scn] = lattice.build_chain(scn, grid["N"], grid["M"], grid["xmax_mult"])
+            self._chains[scn] = lattice.build_chain(scn, grid["N"], grid["M"], grid["xmax_mult"],
+                                                    self._matrices)
         return self._chains[scn]
+
+    def value(self, scn, kind: str):
+        """The lattice surface of scn for reward kind on the run's chain, priced once:
+        paper-fig's panel a is price-lattice's surface when the run's scenario is c1."""
+        if (scn, kind) not in self._values:
+            self._values[scn, kind] = lattice.bermudan_value(self.chain(scn), scn, kind)
+        return self._values[scn, kind]
 
     @functools.cached_property
     def never_surrender(self):
@@ -138,7 +150,7 @@ class _Run:
         i0 = surfaces.center_index(surf.xnodes, scn.contract.F0)
         self.results[f"{name}_value_at_inception"] = float(surf.values[0, i0])
         if "regions" not in self.tasks:
-            self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf)
+            self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf, rows=self.rows)
         if scn.is_time_only and self.never_surrender.holds:
             hline = np.stack([np.asarray(analytic.maturity_benefit_value(scn, float(t), surf.xnodes))
                               for t in surf.tnodes])
@@ -162,7 +174,7 @@ def _check_l(run: _Run) -> None:
 
 
 def _price_lattice(run: _Run) -> None:
-    run.priced("lattice", lattice.bermudan_value(run.chain(run.scn), run.scn, "discontinuous"))
+    run.priced("lattice", run.value(run.scn, "discontinuous"))
 
 
 def _price_pde(run: _Run) -> None:
@@ -174,7 +186,7 @@ def _regions(run: _Run) -> None:
     for name, surf in run.surfaces.items():
         mask = region.extract_regions(surf, run.scn)
         run.masks[name] = mask
-        run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask)
+        run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask, rows=run.rows)
         run.results[f"empty_slices_{name}"] = int((~mask.in_surrender.any(axis=1)).sum())
         run.results[f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
         if run.scn.is_time_only:
@@ -191,7 +203,7 @@ def _boundary(run: _Run) -> None:
 def _decompose(run: _Run) -> None:
     name = run.checked
     report = decompose.decomposition_residuals(run.surfaces[name], run.scn, run.boundaries[name])
-    run.emit("decompose.csv", csvio.write_report_csv, report, run.surfaces[name])
+    run.emit("decompose.csv", csvio.write_report_csv, report, run.surfaces[name], rows=run.rows)
     run.results["decompose"] = {
         "surface": name,
         **{key: getattr(report, key) for key in (
@@ -219,12 +231,12 @@ def _mc_verify(run: _Run) -> None:
 def _paper_fig(run: _Run) -> None:
     for label, panel_pair in (("c1", ("a", "b")), ("c2", ("c", "d"))):
         bscn = presets.benchmark_scenario(label)
-        bgrid = run.chain(bscn)
         for kind, panel in zip(("discontinuous", "continuous"), panel_pair):
-            surf = lattice.bermudan_value(bgrid, bscn, kind)
+            surf = run.value(bscn, kind)
             mode = "exercise" if kind == "continuous" else "value-gap"
             mask = region.extract_regions(surf, bscn, mode=mode)
-            run.emit(f"fig_panel_{panel}_{label}_{kind}.csv", csvio.write_surface_csv, surf, mask)
+            run.emit(f"fig_panel_{panel}_{label}_{kind}.csv", csvio.write_surface_csv, surf, mask,
+                     rows=run.rows)
 
 
 # task -> (function, prerequisites); the key order is the run order, so every

@@ -3,8 +3,14 @@
 Every float is written as ``format_number`` writes it: ``repr`` of the Python
 float, the shortest decimal string that reads back to the same float. The grid
 writers format a whole time slice at once (``map(repr, row.tolist())``) and
-write it with one call, so no per-cell Python function call is made and at
-most one slice of strings is held in memory.
+write it with one call, so no per-cell Python function call is made.
+
+The grid writers take an optional ``rows`` memo, a dict the caller keeps for
+one run: it maps the bytes of a float64 row to the row's cells joined by
+commas, so a row that repeats one written earlier (the same obstacle in two
+surfaces, the same surface in two files) is split, not formatted again. The
+memo holds one string per distinct row it was given; without it a writer holds
+one slice of strings at a time.
 """
 
 from __future__ import annotations
@@ -38,11 +44,28 @@ def _numbers(a) -> list[str]:
     return list(map(repr, np.asarray(a, dtype=float).tolist()))
 
 
-def _write_grid(fh, tnodes, xnodes, arrays, flags=None) -> None:
+def _cells(row: np.ndarray, rows: dict | None, keep: bool):
+    """repr of every element of a float64 row, looked up in the rows memo first
+    and, when keep is set, added to it."""
+    if rows is None:
+        return map(repr, row.tolist())
+    key = row.tobytes()
+    line = rows.get(key)
+    if line is not None:
+        return line.split(",")
+    cells = list(map(repr, row.tolist()))
+    if keep:
+        rows[key] = ",".join(cells)
+    return cells
+
+
+def _write_grid(fh, tnodes, xnodes, arrays, flags=None, rows=None, keep=True) -> None:
     """One row t,x,arrays[k][n, i]...[,flags(n)[i]] per (t, x) node.
 
     A time slice is laid out as one list of cells and separators, filled
     column by column with extended-slice assignments and written at once.
+    Each slice of an array is formatted through the rows memo (see the module
+    docstring); keep=False reads the memo without adding to it.
     """
     xs = _numbers(xnodes)
     M = len(xs)
@@ -54,15 +77,17 @@ def _write_grid(fh, tnodes, xnodes, arrays, flags=None) -> None:
     for n, t in enumerate(_numbers(tnodes)):
         buf[0::row] = [t] * M
         for k, a in enumerate(arrays):
-            buf[4 + 2 * k::row] = map(repr, a[n].tolist())
+            buf[4 + 2 * k::row] = _cells(a[n], rows, keep)
         if flags is not None:
             buf[row - 2::row] = flags(n)
         fh.write("".join(buf))
 
 
-def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = None) -> None:
+def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = None,
+                      rows: dict | None = None) -> None:
     """Header t,x,value,reward,in_surrender_region; maturity slice carries 0
-    in the region column (regions are defined before maturity only)."""
+    in the region column (regions are defined before maturity only). The value
+    and reward rows are formatted through, and added to, the rows memo."""
     last = surface.tnodes.size - 1
 
     def flags(n):
@@ -72,7 +97,8 @@ def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = Non
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,value,reward,in_surrender_region\n")
-        _write_grid(fh, surface.tnodes, surface.xnodes, (surface.values, surface.obstacle), flags)
+        _write_grid(fh, surface.tnodes, surface.xnodes, (surface.values, surface.obstacle), flags,
+                    rows=rows)
 
 
 def write_boundary_csv(path, boundary: Boundary) -> None:
@@ -88,13 +114,17 @@ def write_boundary_csv(path, boundary: Boundary) -> None:
         ))
 
 
-def write_report_csv(path, report: DecompositionReport, surface: ValueSurface) -> None:
-    """Header t,x,v,h,e,f,res_he,res_phif; v comes from the surface."""
+def write_report_csv(path, report: DecompositionReport, surface: ValueSurface,
+                     rows: dict | None = None) -> None:
+    """Header t,x,v,h,e,f,res_he,res_phif; v comes from the surface. Rows are
+    looked up in the rows memo but not added: the report's own columns never
+    repeat, and keeping them would only hold their strings."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,v,h,e,f,res_he,res_phif\n")
         _write_grid(
             fh, report.tnodes, report.xnodes,
             (surface.values, report.h, report.e, report.f, report.res_he, report.res_phif),
+            rows=rows, keep=False,
         )
 
 

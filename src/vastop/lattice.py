@@ -40,7 +40,9 @@ class ChainGrid:
     """State chain for one scenario: nodes, exercise dates and per-step transitions.
 
     Transition matrices are shared between steps with identical coefficients
-    (piecewise fees produce only a handful of distinct matrices).
+    (piecewise fees produce only a handful of distinct matrices), and between
+    chains built with one ``matrices`` memo (see ``build_chain``). They are
+    read-only.
     """
 
     xnodes: np.ndarray
@@ -135,41 +137,51 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int
     )
 
 
-def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0) -> ChainGrid:
+def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
+                matrices: dict | None = None) -> ChainGrid:
     """Build the state chain: log-uniform nodes, one transition matrix per step.
 
     Piecewise-fee breakpoints must land on time nodes (ConfigError otherwise);
-    coefficients are frozen at each step's left endpoint.
+    coefficients are frozen at each step's left endpoint. ``matrices``, when
+    given, is a memo the caller keeps across chains: it maps everything the
+    generator reads (state nodes, dt, r, sigma and the fee row) to the checked
+    transition matrix, so chains that share a step's coefficients share its
+    matrix and exponentiate it once.
     """
+    r, sigma = scn.market.r, scn.market.sigma
     xnodes = log_space_nodes(scn.contract.F0, xmax_mult, M)
     tnodes = time_nodes(scn, N)
     dt = float(tnodes[1] - tnodes[0])
-    var = (scn.market.sigma * xnodes) ** 2
+    var = (sigma * xnodes) ** 2
+    memo = {} if matrices is None else matrices
     step_keys: list[bytes] = []
-    matrices: dict[bytes, np.ndarray] = {}
+    chain: dict[bytes, np.ndarray] = {}
     for n in range(N):
         t_n = float(tnodes[n])
         c = np.broadcast_to(np.asarray(scn.fee(t_n, xnodes), dtype=float), xnodes.shape)
         key = c.tobytes()
-        if key not in matrices:
-            mu = (scn.market.r - c) * xnodes
-            P = expm(_generator(xnodes, mu, var) * dt)
-            rs_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-            pmin = float(P.min())
-            if rs_err > 1e-12 or pmin < -1e-12:
-                raise _invalid_matrix(
-                    f"invalid transition matrix (row-sum err {rs_err:.2e}, min prob {pmin:.2e})",
-                    scn, xnodes, mu, var, dt, N, M, xmax_mult,
-                )
-            np.maximum(P, 0.0, out=P)
-            P.setflags(write=False)
-            matrices[key] = P
+        if key not in chain:
+            memo_key = (xnodes.tobytes(), dt, r, sigma, key)
+            if memo_key not in memo:
+                mu = (r - c) * xnodes
+                P = expm(_generator(xnodes, mu, var) * dt)
+                rs_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
+                pmin = float(P.min())
+                if rs_err > 1e-12 or pmin < -1e-12:
+                    raise _invalid_matrix(
+                        f"invalid transition matrix (row-sum err {rs_err:.2e}, min prob {pmin:.2e})",
+                        scn, xnodes, mu, var, dt, N, M, xmax_mult,
+                    )
+                np.maximum(P, 0.0, out=P)
+                P.setflags(write=False)
+                memo[memo_key] = P
+            chain[key] = memo[memo_key]
         step_keys.append(key)
     return ChainGrid(
         xnodes=xnodes,
         tnodes=tnodes,
         step_keys=tuple(step_keys),
-        matrices=matrices,
+        matrices=chain,
         discount=math.exp(-scn.market.r * dt),
         xmax_mult=xmax_mult,
     )

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vastop.cli import main
+from vastop.cli import TASKS, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -492,21 +492,31 @@ class TestRunPipeline:
     def test_paper_fig_reuses_the_benchmark_chain(self, tmp_path, monkeypatch, fee, builds):
         import vastop.lattice as lattice
 
-        calls = []
-        build = lattice.build_chain
+        calls = {}
 
-        def counting(scn, *args):
-            calls.append(scn)
-            return build(scn, *args)
+        def counted(name):
+            fn, calls[name] = getattr(lattice, name), []
 
-        monkeypatch.setattr(lattice, "build_chain", counting)
+            def counting(*args, **kwargs):
+                calls[name].append(args[0])
+                return fn(*args, **kwargs)
+
+            return counting
+
+        for name in ("build_chain", "expm", "bermudan_value"):
+            monkeypatch.setattr(lattice, name, counted(name))
         doc = _base_config(tasks=["price-lattice", "paper-fig"], grid={"N": 30, "M": 41})
         doc["scenario"]["fee"] = fee
-        if fee["kind"] == "piecewise":
+        c1 = fee["kind"] == "piecewise"
+        if c1:
             doc["scenario"]["charge"]["kappa"] = 0.0055  # the c1 benchmark scenario
         out = tmp_path / "out"
         assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
-        assert len(calls) == builds
+        assert len(calls["build_chain"]) == builds
+        # c1 and c2 share their two fee rates, so only a constant fee adds a matrix
+        assert len(calls["expm"]) == (2 if c1 else 3)
+        # a c1 run's discontinuous surface is panel a
+        assert len(calls["bermudan_value"]) == (4 if c1 else 5)
         # panels from a reused chain are byte-identical to a paper-fig-only run
         alone = tmp_path / "alone"
         doc["tasks"] = ["paper-fig"]
@@ -515,6 +525,32 @@ class TestRunPipeline:
         assert panels == sorted(n for n in os.listdir(alone) if n.startswith("fig_panel_"))
         for name in panels:
             assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
+        """A c1 run, then a matched-rate run (fee rate = charge kappa) on another
+        grid in the same process write the bytes a fresh process writes: no memo
+        outlives its run. Both runs price the c1 and c2 panels."""
+        c1 = _base_config(tasks=list(TASKS), grid={"N": 30, "M": 41},
+                          mc={"npaths": 500, "seed": 3})
+        c1["scenario"]["fee"] = {"kind": "piecewise", "breakpoints": [5.0, 10.0],
+                                 "rates": [0.010908, 0.005454, 0.010908]}
+        c1["scenario"]["charge"]["kappa"] = 0.0055
+        matched = {**c1, "scenario": _base_config()["scenario"], "grid": {"N": 24, "M": 31}}
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        for name, doc in (("c1", c1), ("matched", matched)):
+            cfg = _write(tmp_path, doc, f"{name}.json")
+            here, fresh = tmp_path / f"{name}_here", tmp_path / f"{name}_fresh"
+            assert main(["run", cfg, "--out", str(here)]) == 0
+            subprocess.run([sys.executable, "-m", "vastop.cli", "run", cfg, "--out", str(fresh)],
+                           env=env, check=True, capture_output=True)
+            csvs = sorted(n for n in os.listdir(here) if n.endswith(".csv"))
+            assert len(csvs) == 11 and csvs == sorted(
+                n for n in os.listdir(fresh) if n.endswith(".csv"))
+            for csv in csvs:
+                assert (here / csv).read_bytes() == (fresh / csv).read_bytes(), (name, csv)
+        # panel a of the c1 run is the run's own surface and region
+        assert ((tmp_path / "c1_here" / "fig_panel_a_c1_discontinuous.csv").read_bytes()
+                == (tmp_path / "c1_here" / "region_lattice.csv").read_bytes())
 
     def test_paper_fig_task_writes_four_panels(self, tmp_path):
         doc = _base_config(tasks=["paper-fig"], grid={"N": 30, "M": 41, "xmax_mult": 8.0})

@@ -3,10 +3,13 @@
 The ``_ref_*`` functions are the per-cell writers the package used before the
 writers formatted whole time slices; every writer must reproduce their bytes,
 both on the outputs of a real small-grid run and on arrays holding the float
-values whose shortest round-trip spelling is easiest to get wrong.
+values whose shortest round-trip spelling is easiest to get wrong, with and
+without one rows memo shared across writer calls.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -228,3 +231,67 @@ class TestEdgeValues:
                          (surf.tnodes[0], surf.xnodes[0], surf.values[0, 0], surf.obstacle[0, 0])] + ["0"]
         assert [csvio.format_number(v) for v in (-0.0, 5e-324, 1e-5, 1e16, 123.0)] == [
             "-0.0", "5e-324", "1e-05", "1e+16", "123.0"]
+
+
+# --- one rows memo shared across writer calls -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def repeats():
+    """A surface whose rows repeat within a column (0 and 3), across its two
+    columns (1) and the edge surface's first row (0); signed zeros sit in
+    neighbouring rows, and whole rows are NaN, +inf or -inf."""
+    e = np.array(EDGE)
+    zero, nzero = np.zeros(e.size), np.full(e.size, -0.0)
+    tn = np.arange(6) / 2
+    vals = np.array([e, zero, nzero, e, np.full(e.size, np.nan), np.full(e.size, np.inf)])
+    obst = np.array([nzero, zero, e, np.full(e.size, -np.inf), e, nzero]).astype(np.float32)
+    surf = ValueSurface(tn, e, vals, obst, "lattice", "discontinuous")
+    mask = RegionMask(tn, e, np.random.default_rng(4).random((tn.size - 1, e.size)) > 0.5,
+                      0.0, 1e-6, "discontinuous", "value-gap")
+    report = DecompositionReport(tn, e, obst, vals[::-1], nzero + vals, vals, obst[:, ::-1],
+                                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ())
+    return {"surf": surf, "mask": mask, "report": report}
+
+
+def _row_keys(*surfs):
+    return {np.asarray(a, dtype=float)[n].tobytes()
+            for s in surfs for a in (s.values, s.obstacle) for n in range(s.tnodes.size)}
+
+
+class TestSharedRowsMemo:
+    def test_surfaces_match_reference_and_fill_the_memo(self, tmp_path, edge, repeats):
+        rows: dict = {}
+        write = functools.partial(csvio.write_surface_csv, rows=rows)
+        for name, args in (("edge", (edge["surf"], edge["mask"])),
+                           ("repeats", (repeats["surf"], repeats["mask"])),
+                           ("again", (repeats["surf"],)),
+                           ("edge_plain", (edge["surf"],))):
+            _same_bytes(tmp_path, name, write, _ref_write_surface_csv, *args)
+        # one entry per distinct float64 row: -0.0 and 0.0 rows are two entries
+        assert set(rows) == _row_keys(edge["surf"], repeats["surf"])
+        # the edge surface's 4 value and 4 float32 obstacle rows, then the
+        # 0.0, -0.0, NaN, +inf and -inf rows; every other row is a repeat
+        assert len(rows) == 4 + 4 + 5
+        assert rows[np.full(len(EDGE), -0.0).tobytes()] == ",".join(["-0.0"] * len(EDGE))
+
+    def test_report_reads_the_memo_without_adding_to_it(self, tmp_path, edge, repeats):
+        rows: dict = {}
+        csvio.write_surface_csv(str(tmp_path / "seed.csv"), repeats["surf"], rows=rows)
+        before = dict(rows)
+        write = functools.partial(csvio.write_report_csv, rows=rows)
+        for name, (report, surf) in (("own", (repeats["report"], repeats["surf"])),
+                                     ("edge", (edge["report"], edge["surf"]))):
+            _same_bytes(tmp_path, name, write, _ref_write_report_csv, report, surf)
+        assert rows == before
+
+    def test_real_run_shares_rows_across_files(self, tmp_path, c1_small):
+        rows: dict = {}
+        write = functools.partial(csvio.write_surface_csv, rows=rows)
+        for key, mask in (("disc", "mask"), ("cont", "mask_cont"), ("pde", "mask_pde"),
+                          ("disc", None)):
+            args = (c1_small[key],) + ((c1_small[mask],) if mask else ())
+            _same_bytes(tmp_path, key, write, _ref_write_surface_csv, *args)
+        _same_bytes(tmp_path, "report", functools.partial(csvio.write_report_csv, rows=rows),
+                    _ref_write_report_csv, c1_small["report"], c1_small["disc"])
+        assert set(rows) == _row_keys(c1_small["disc"], c1_small["cont"], c1_small["pde"])
