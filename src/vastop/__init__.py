@@ -21,23 +21,18 @@ from .model import (
     MarketParams,
     Scenario,
     UnsupportedScenarioError,
-    charge_factor,
-    fee_rate,
     reward,
     scenario_from_dict,
     scenario_to_dict,
 )
 from .analytic import (
     NeverSurrenderReport,
-    TruncatedMomentQuery,
-    account_value_upper_bound,
     cubic_charge_fee_bound,
     fee_from_cubic_charge_bound,
     guarantee_put_value,
     matching_exponential_rate,
     maturity_benefit_value,
     never_surrender_check,
-    truncated_account_expectation,
 )
 from .surfaces import ValueSurface, log_space_nodes, time_nodes
 from .lattice import (

@@ -1,11 +1,10 @@
 """Closed forms available when fee and charge depend only on time.
 
-Maturity-benefit value, guarantee put, truncated discounted account
-expectations, the never-surrender condition checker, and the two standard
-fee/charge matching constructions. These serve as oracles for the numerical
-solvers, so everything here is evaluated to near machine precision: the normal
-CDF comes from scipy.special.ndtr and fee integrals are exact
-interval-by-interval (piecewise kinds) or adaptive Simpson at 1e-12.
+Maturity-benefit value, guarantee put, the never-surrender condition checker,
+and the two standard fee/charge matching constructions. These serve as oracles
+for the numerical solvers, so everything here is evaluated to near machine
+precision: the normal CDF comes from scipy.special.ndtr and fee integrals are
+exact interval-by-interval (piecewise kinds) or adaptive Simpson at 1e-12.
 """
 
 from __future__ import annotations
@@ -25,16 +24,13 @@ from .model import (
 )
 
 __all__ = [
-    "TruncatedMomentQuery",
     "NeverSurrenderReport",
     "maturity_benefit_value",
     "guarantee_put_value",
-    "truncated_account_expectation",
     "never_surrender_check",
     "cubic_charge_fee_bound",
     "fee_from_cubic_charge_bound",
     "matching_exponential_rate",
-    "account_value_upper_bound",
 ]
 
 
@@ -92,57 +88,12 @@ def guarantee_put_value(scn: Scenario, t: float, x):
 
 
 @dataclass(frozen=True)
-class TruncatedMomentQuery:
-    """Query for E[e^{-r(s-t)} F_s 1{F_s >= K}] started from F_t = x."""
-
-    t: float
-    s: float
-    x: float
-    K: float
-
-    def __post_init__(self) -> None:
-        if self.K < 0.0:
-            raise DomainError("truncation level K must be nonnegative")
-        if self.s < self.t:
-            raise DomainError("need t <= s")
-        if self.x <= 0.0:
-            raise DomainError("account value must be positive")
-
-
-def truncated_account_expectation(scn: Scenario, q: TruncatedMomentQuery):
-    """Discounted expectation of the account above a truncation level.
-
-    K = 0 gives the full discounted account mean x e^{-int c}; K = +inf gives 0.
-    """
-    if not scn.fee.is_time_only:
-        raise UnsupportedScenarioError("truncated expectation needs a time-only fee")
-    if q.K < 0.0:
-        raise DomainError("truncation level K must be nonnegative")
-    tau = q.s - q.t
-    if tau == 0.0:
-        return float(q.x if q.x >= q.K else 0.0)
-    fee_int = scn.fee.integral(q.t, q.s)
-    base = q.x * math.exp(-fee_int)
-    if q.K == 0.0:
-        return base
-    if math.isinf(q.K):
-        return 0.0
-    r, sig = scn.market.r, scn.market.sigma
-    sst = sig * math.sqrt(tau)
-    d1 = _d1(q.x, q.K, r * tau - fee_int, sst)
-    return float(base * ndtr(d1))
-
-
-@dataclass(frozen=True)
 class NeverSurrenderReport:
     """Outcome of the never-surrender condition check on a grid."""
 
     holds: bool
     violations: tuple[tuple[float, float], ...]
     min_L: float
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.holds
 
 
 def never_surrender_check(scn: Scenario, tgrid, xgrid) -> NeverSurrenderReport:
@@ -206,17 +157,3 @@ def matching_exponential_rate(c: float) -> float:
         raise DomainError("fee rate must be nonnegative")
     return float(c)
 
-
-def account_value_upper_bound(scn: Scenario, t: float, x):
-    """Optional diagnostic: sharper upper bound for the contract value when the
-    fee has a positive lower bound k on [t, T]; None otherwise."""
-    k = scn.fee.min_rate(t, scn.contract.T) if scn.fee.is_time_only else None
-    if k is None or k <= 0.0:
-        return None
-    sig = scn.market.sigma
-    tau = scn.contract.T - t
-    x = np.asarray(x, dtype=float)
-    ratio = sig * sig / (2.0 * k)
-    decay = math.exp(-((sig * sig + 2.0 * k) ** 2) / (2.0 * sig * sig) * tau - 1.0)
-    out = scn.contract.G + x * (1.0 + ratio - ratio * decay)
-    return out if out.ndim else float(out)

@@ -97,7 +97,10 @@ class _Run:
     def __init__(self, plan: RunPlan, tasks: list[str]):
         self.plan, self.tasks = plan, tasks
         self.scn = scn = model.scenario_from_dict(plan.scenario_doc)
-        os.makedirs(plan.out_dir, exist_ok=True)
+        try:
+            os.makedirs(plan.out_dir, exist_ok=True)
+        except OSError as exc:  # a file where the directory or one of its parents goes
+            raise ConfigError(f"out: cannot create directory {plan.out_dir!r}: {exc.strerror}") from None
         self.summary: dict = {
             "config": {"scenario": model.scenario_to_dict(scn), "tasks": tasks,
                        **{name: dict(getattr(plan, name)) for name in _RULES}, "out": plan.out_dir},
@@ -106,9 +109,8 @@ class _Run:
         }
         self.results = self.summary["results"]
         self.tnodes = surfaces.time_nodes(scn, plan.grid["N"])
-        if scn.is_time_only:
-            h0 = float(analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
-            self.results["maturity_benefit_value_at_inception"] = h0
+        self.results["maturity_benefit_value_at_inception"] = float(
+            analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         self.surfaces, self.masks, self.boundaries = {}, {}, {}
         self._chains, self._matrices, self._values, self.rows = {}, {}, {}, {}
 
@@ -143,15 +145,15 @@ class _Run:
 
     def priced(self, name: str, surf) -> None:
         """Keep a priced surface and report its value at inception. Write it out when
-        no regions task will, and for a time-only scenario where waiting is optimal
-        report its largest gap to the maturity benefit."""
+        no regions task will, and where waiting is optimal report its largest gap
+        to the maturity benefit."""
         scn = self.scn
         self.surfaces[name] = surf
         i0 = surfaces.center_index(surf.xnodes, scn.contract.F0)
         self.results[f"{name}_value_at_inception"] = float(surf.values[0, i0])
         if "regions" not in self.tasks:
             self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf, rows=self.rows)
-        if scn.is_time_only and self.never_surrender.holds:
+        if self.never_surrender.holds:
             hline = np.stack([np.asarray(analytic.maturity_benefit_value(scn, float(t), surf.xnodes))
                               for t in surf.tnodes])
             gap = float(np.max(np.abs(surf.values - hline) / np.maximum(hline, 1e-12)))
@@ -167,8 +169,7 @@ class _Run:
 def _check_l(run: _Run) -> None:
     scn, dates, check = run.scn, run.tnodes[:-1], run.never_surrender
     L = [float(model.L_value(scn, float(t), scn.contract.F0)) for t in dates]
-    pred = region.classify_sections(scn, dates) if scn.is_time_only else ["n/a"] * dates.size
-    run.emit("check_L.csv", csvio.write_check_l_csv, dates, L, pred)
+    run.emit("check_L.csv", csvio.write_check_l_csv, dates, L, region.classify_sections(scn, dates))
     run.results["never_surrender_holds"] = bool(check.holds)
     run.results["min_L"] = check.min_L
 
@@ -189,9 +190,8 @@ def _regions(run: _Run) -> None:
         run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask, rows=run.rows)
         run.results[f"empty_slices_{name}"] = int((~mask.in_surrender.any(axis=1)).sum())
         run.results[f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
-        if run.scn.is_time_only:
-            ex = region.extract_regions(surf, run.scn, mode="exercise")
-            run.results[f"surrender_nodes_exercise_{name}"] = int(ex.in_surrender.sum())
+        ex = region.extract_regions(surf, run.scn, mode="exercise")
+        run.results[f"surrender_nodes_exercise_{name}"] = int(ex.in_surrender.sum())
 
 
 def _boundary(run: _Run) -> None:
@@ -214,16 +214,12 @@ def _decompose(run: _Run) -> None:
 def _mc_verify(run: _Run) -> None:
     name, opts = run.checked, run.plan.mc
     batch = mc.simulate_paths(run.scn, opts["seed"], opts["npaths"], run.plan.grid["N"])
-    res = mc.mc_verify_estimates(
-        batch, run.scn, run.boundaries[name], run.masks[name] if run.scn.is_time_only else None
-    )
-    rows = [(label, est.estimate, est.std_error, est.npaths, est.seed)
-            for label, est in (("maturity_benefit", res.maturity_benefit),
-                               ("boundary_strategy_value", res.boundary_strategy))]
-    prem = res.premiums
-    if prem is not None:
-        rows.append(("surrender_premium", prem.e_estimate, prem.e_std_error, prem.npaths, prem.seed))
-        rows.append(("continuation_premium", prem.f_estimate, prem.f_std_error, prem.npaths, prem.seed))
+    res = mc.mc_verify_estimates(batch, run.scn, run.boundaries[name], run.masks[name])
+    mb, sv, prem = res.maturity_benefit, res.boundary_strategy, res.premiums
+    rows = [("maturity_benefit", mb.estimate, mb.std_error, mb.npaths, mb.seed),
+            ("boundary_strategy_value", sv.estimate, sv.std_error, sv.npaths, sv.seed),
+            ("surrender_premium", prem.e_estimate, prem.e_std_error, prem.npaths, prem.seed),
+            ("continuation_premium", prem.f_estimate, prem.f_std_error, prem.npaths, prem.seed)]
     run.emit("estimates.csv", csvio.write_estimates_csv, rows)
     run.results["mc"] = {label: {"estimate": e, "std_error": s} for label, e, s, _, _ in rows}
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .model import ConfigError, Scenario
-from .surfaces import ValueSurface, center_index, log_space_nodes, time_nodes
+from .surfaces import MAX_STEPS, ValueSurface, center_index, log_space_nodes, time_nodes
 
 __all__ = [
     "GridResolutionError",
@@ -63,10 +63,6 @@ class ChainGrid:
     def transition(self, n: int) -> np.ndarray:
         return self.matrices[self.step_keys[n]]
 
-    def conditional_account_mean(self, n: int) -> np.ndarray:
-        """One-step conditional mean of the account from each node."""
-        return self.transition(n) @ self.xnodes
-
 
 def _generator(xnodes: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     M = xnodes.size
@@ -102,7 +98,6 @@ def _generator(xnodes: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarra
 
 
 _STEP_BUDGET = 1e-12 / np.finfo(float).eps  # largest exit rate x dt expm rounds within 1e-12
-_MAX_STEPS = 100_000  # the largest grid.N of a run config
 
 
 def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int, M: int,
@@ -121,7 +116,7 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int
     if stiffness <= _STEP_BUDGET:
         return GridResolutionError(f"{head}; try M >= {2 * M}")
     steps = math.ceil(N * stiffness / _STEP_BUDGET)
-    if steps <= _MAX_STEPS:
+    if steps <= MAX_STEPS:
         return GridResolutionError(
             f"{head}: the generator is too stiff for dt = {dt:.3g}"
             f" (largest exit rate x dt = {stiffness:.2e}); try N >= {steps}"

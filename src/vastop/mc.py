@@ -122,9 +122,6 @@ class PathBatch:
         nchunks = (self.npaths + CHUNK_PATHS - 1) // CHUNK_PATHS
         yield from ordered_map(lambda ci: (ci * CHUNK_PATHS, self._chunk(ci, drifts)), nchunks)
 
-    def terminal_values(self) -> np.ndarray:
-        return np.concatenate([F[:, -1] for _, F in self.iter_chunks()])
-
     def materialize(self) -> np.ndarray:
         """Full (npaths, nsteps + 1) path array; refuse absurd sizes."""
         if self.npaths * (self.nsteps + 1) > 1 << 26:

@@ -23,8 +23,6 @@ __all__ = [
     "FeeSpec",
     "ChargeSpec",
     "Scenario",
-    "fee_rate",
-    "charge_factor",
     "reward",
     "L_value",
     "is_finite_number",
@@ -109,11 +107,10 @@ class FeeSpec:
         may supply the exact integral of the rate, otherwise adaptive Simpson
         quadrature (abs tol 1e-12) is used.
     state
-        Rate ``rate_fn(t, x)`` depending on the account value; ``lipschitz``
-        bounds the x-Lipschitz constant of the drift (r - C(t, x)) x.
+        Rate ``rate_fn(t, x)`` depending on the account value.
 
-    The horizon T is carried when known so that domain checks and integrals
-    can be validated against the contract.
+    The horizon T is carried when known so that the breakpoints and the
+    scenario's maturity can be validated against it.
     """
 
     kind: str
@@ -122,7 +119,6 @@ class FeeSpec:
     rates: tuple[float, ...] = ()
     rate_fn: Callable | None = None
     integral_fn: Callable[[float, float], float] | None = None
-    lipschitz: float | None = None
     horizon: float | None = None
 
     def __post_init__(self) -> None:
@@ -197,17 +193,6 @@ class FeeSpec:
         if self.integral_fn is not None:
             return float(self.integral_fn(t, s))
         return _adaptive_simpson(self.rate_fn, t, s, 1e-12)
-
-    def min_rate(self, t: float, s: float) -> float | None:
-        """Lower bound of the rate on [t, s]; None when no bound is available."""
-        if self.kind == "constant":
-            return self.rate
-        if self.kind == "piecewise":
-            edges = [t, *[b for b in self.breakpoints if t < b < s], s]
-            return min(self.rate_right(a) for a in edges[:-1])
-        if self.kind == "smooth":
-            return float(np.min(self(np.linspace(t, s, 513))))
-        return None
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
@@ -385,26 +370,6 @@ class Scenario:
             raise DomainError("time outside contract domain")
         if np.any(x <= 0.0):
             raise DomainError("account value must be positive")
-
-
-def fee_rate(fee: FeeSpec, t, x=None):
-    """Fee rate C(t, x); domain-checked against the fee horizon if known."""
-    tt = _as_float_array(t)
-    if np.any(tt < 0.0) or (fee.horizon is not None and np.any(tt > fee.horizon * (1 + 1e-12))):
-        raise DomainError("time outside fee domain")
-    if x is not None and np.any(_as_float_array(x) <= 0.0):
-        raise DomainError("account value must be positive")
-    return fee(t, x)
-
-
-def charge_factor(charge: ChargeSpec, t, x=None):
-    """Charge factor g(t, x) in (0, 1], exactly 1 at maturity."""
-    tt = _as_float_array(t)
-    if np.any(tt < 0.0) or np.any(tt > charge.T * (1 + 1e-12)):
-        raise DomainError("time outside charge domain")
-    if x is not None and np.any(_as_float_array(x) <= 0.0):
-        raise DomainError("account value must be positive")
-    return charge(t, x)
 
 
 def reward(scn: Scenario, t: float, x):

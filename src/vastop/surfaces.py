@@ -10,6 +10,8 @@ from .model import ConfigError, Scenario
 
 __all__ = ["ValueSurface", "log_space_nodes", "time_nodes", "center_index"]
 
+MAX_STEPS = 100_000  # the largest grid.N of a run config
+
 
 def log_space_nodes(F0: float, xmax_mult: float, M: int) -> np.ndarray:
     """M log-uniform state levels on [F0/xmax_mult, F0*xmax_mult].
@@ -36,18 +38,21 @@ def time_nodes(scn: Scenario, N: int) -> np.ndarray:
         for b in scn.fee.breakpoints:
             steps = b / dt
             if abs(steps - round(steps)) > 1e-9:
+                multiple = _alignment_multiple(T, scn.fee.breakpoints)
+                advice = (f"choose N a multiple of {multiple}" if multiple else
+                          f"no N up to {MAX_STEPS} puts fee.breakpoints on it")
                 raise ConfigError(
-                    f"fee breakpoint t={b} does not fall on the time grid (N={N}); "
-                    f"choose N a multiple of {_alignment_multiple(T, scn.fee.breakpoints)}"
-                )
+                    f"fee breakpoint t={b} does not fall on the time grid (N={N}); {advice}")
     return tnodes
 
 
-def _alignment_multiple(T: float, breakpoints: tuple[float, ...]) -> int:
-    for n in range(1, 10001):
-        if all(abs(b * n / T - round(b * n / T)) < 1e-9 for b in breakpoints):
-            return n
-    return 1
+def _alignment_multiple(T: float, breakpoints: tuple[float, ...]) -> int | None:
+    """The least N <= MAX_STEPS that puts every breakpoint on a date, None if none does."""
+    n = np.arange(1, MAX_STEPS + 1)
+    for b in breakpoints:
+        steps = b / (T / n)
+        n = n[np.abs(steps - np.rint(steps)) <= 1e-9]
+    return int(n[0]) if n.size else None
 
 
 def center_index(xnodes: np.ndarray, x: float) -> int:

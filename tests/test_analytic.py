@@ -65,54 +65,11 @@ class TestMaturityBenefitValue:
         scn = Scenario(
             market=MarketParams(r=0.03, sigma=0.2),
             contract=ContractParams(G=100.0, T=15.0, F0=100.0),
-            fee=FeeSpec("state", rate_fn=lambda t, x: 0.01 * x / (x + 100.0), lipschitz=1.0),
+            fee=FeeSpec("state", rate_fn=lambda t, x: 0.01 * x / (x + 100.0)),
             charge=ChargeSpec("exponential", T=15.0, kappa=0.0055),
         )
         with pytest.raises(UnsupportedScenarioError):
             vs.maturity_benefit_value(scn, 0.0, 100.0)
-
-
-class TestTruncatedAccountExpectation:
-    def test_zero_truncation_is_discounted_account(self):
-        scn = vs.matched_exponential_scenario(0.0)
-        q = vs.TruncatedMomentQuery(t=0.0, s=5.0, x=100.0, K=0.0)
-        assert vs.truncated_account_expectation(scn, q) == pytest.approx(100.0, rel=1e-14)
-
-    def test_infinite_truncation_removes_everything(self, kc_scn):
-        q = vs.TruncatedMomentQuery(t=0.0, s=5.0, x=100.0, K=float("inf"))
-        assert vs.truncated_account_expectation(kc_scn, q) == 0.0
-        big = vs.TruncatedMomentQuery(t=0.0, s=5.0, x=100.0, K=1e12)
-        assert vs.truncated_account_expectation(kc_scn, big) == pytest.approx(0.0, abs=1e-12)
-
-    def test_against_monte_carlo(self):
-        scn = vs.matched_exponential_scenario(0.02)
-        q = vs.TruncatedMomentQuery(t=0.0, s=5.0, x=100.0, K=100.0)
-        closed = vs.truncated_account_expectation(scn, q)
-        rng = np.random.default_rng(99)
-        r, sig = 0.03, 0.2
-        drift = (r - 0.02) * 5.0 - 0.5 * sig * sig * 5.0
-        F5 = 100.0 * np.exp(drift + sig * math.sqrt(5.0) * rng.standard_normal(10**6))
-        draws = math.exp(-r * 5.0) * F5 * (F5 >= 100.0)
-        se = draws.std() / 1000.0
-        assert abs(closed - draws.mean()) <= 3.0 * se
-
-    def test_complement_additivity(self, c1_scn):
-        from scipy.special import ndtr
-
-        t, s, x = 1.0, 9.0, 140.0
-        K = 120.0
-        full = vs.truncated_account_expectation(c1_scn, vs.TruncatedMomentQuery(t, s, x, 0.0))
-        above = vs.truncated_account_expectation(c1_scn, vs.TruncatedMomentQuery(t, s, x, K))
-        fee_int = c1_scn.fee.integral(t, s)
-        sig = 0.2
-        sst = sig * math.sqrt(s - t)
-        d1 = (math.log(x / K) + 0.03 * (s - t) - fee_int + 0.5 * sst * sst) / sst
-        below = x * math.exp(-fee_int) * ndtr(-d1)
-        assert full - above - below == pytest.approx(0.0, abs=1e-12 * full)
-
-    def test_negative_truncation_rejected(self):
-        with pytest.raises(DomainError):
-            vs.TruncatedMomentQuery(t=0.0, s=5.0, x=100.0, K=-1.0)
 
 
 class TestNeverSurrenderCheck:
@@ -199,14 +156,3 @@ class TestFeeChargeMatching:
         report = vs.never_surrender_check(scn, np.linspace(0.0, 14.9, 25), [20.0, 100.0, 500.0])
         assert report.holds
 
-
-class TestUpperBoundDiagnostic:
-    def test_none_without_positive_fee_floor(self):
-        scn = vs.matched_exponential_scenario(0.0)
-        assert vs.account_value_upper_bound(scn, 0.0, 100.0) is None
-
-    def test_dominates_maturity_benefit(self, kc_scn):
-        x = np.geomspace(10.0, 500.0, 30)
-        bound = np.asarray(vs.account_value_upper_bound(kc_scn, 0.0, x))
-        h = np.asarray(vs.maturity_benefit_value(kc_scn, 0.0, x))
-        assert np.all(bound >= h)

@@ -234,6 +234,29 @@ class TestConfigValidation:
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         assert "breakpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("breakpoint, advice", [
+        (3.14159265, "no N up to 100000 puts fee.breakpoints on it"),
+        (15.0 * 7 / 20011, "choose N a multiple of 20011"),  # the least N is past 10000
+    ])
+    def test_misaligned_breakpoint_advice_names_an_aligning_n_or_none(self, tmp_path, capsys,
+                                                                      breakpoint, advice):
+        doc = _base_config()
+        doc["scenario"]["fee"] = {"kind": "piecewise", "breakpoints": [breakpoint],
+                                  "rates": [0.01, 0.02]}
+        doc["grid"]["N"] = 12
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: fee breakpoint") and err.rstrip().endswith(advice)
+
+    @pytest.mark.parametrize("out", ["blocker", "blocker/sub"])
+    def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "blocker").write_text("")
+        out = str(tmp_path / out)
+        assert main(["run", _write(tmp_path, _base_config()), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: cannot create directory {out!r}")
+        assert "Traceback" not in err
+
 
     @pytest.mark.parametrize("mc, argv", [
         ({}, ["--seed", "-1"]),

@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses, only one
-module holds a thread pool, only one holds the rule checker of document keys, and
-the README documents exactly the keys that checker knows."""
+"""Source hygiene: no module of the package imports a name it never uses, every
+function the package exports has a consumer, only one module holds a thread pool,
+only one holds the rule checker of document keys, and the README documents exactly
+the keys that checker knows."""
 
 from __future__ import annotations
 
@@ -46,6 +47,56 @@ def test_checker_flags_an_unused_name():
     src = "from __future__ import annotations\nimport os\nfrom dataclasses import dataclass, field\n" \
           "@dataclass\nclass A:\n    x: int = 0\n"
     assert unused_imports(src) == ["os (line 2)", "field (line 3)"]
+
+
+# what reaches the package from outside: the demos, the benchmark workloads and
+# the acceptance suite (with its fixtures)
+CONSUMERS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"),
+                    ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"])
+
+
+def names_used(source: str) -> set[str]:
+    """Every name a module mentions, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def unreached_functions(init: str, modules: dict[str, str], consumers: list[str]) -> list[str]:
+    """`module.name` of each function that init re-exports and that neither a consumer
+    nor a package module other than its own names; classes and constants are exempt."""
+    used = {name: names_used(source) for name, source in modules.items()}
+    reached = set().union(*map(names_used, consumers))
+    found = []
+    for node in ast.parse(init).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules):
+            continue
+        functions = {d.name for d in ast.parse(modules[node.module]).body
+                     if isinstance(d, ast.FunctionDef)}
+        elsewhere = reached.union(*(u for name, u in used.items() if name != node.module))
+        found += [f"{node.module}.{a.name}" for a in node.names
+                  if a.name in functions and a.name not in elsewhere]
+    return found
+
+
+def test_every_exported_function_has_a_consumer():
+    # a helper that only its own unit tests reach is not part of the package
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    consumers = [p.read_text(encoding="utf-8") for p in CONSUMERS]
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unreached_functions(init, modules, consumers) == []
+
+
+def test_reachability_checker_flags_an_unconsumed_function():
+    init = "from . import _threads\nfrom .m import C, K, f, g, h\nfrom .n import k\n"
+    modules = {
+        "m": "K = 1\nclass C:\n    pass\ndef f():\n    pass\ndef g():\n    pass\n"
+             "def h():\n    return h\n",
+        "n": "from . import m\ndef k():\n    return m.g()\n",
+    }
+    consumers = ["import vastop as vs\nvs.f()\n", "from vastop.n import k\nk()\n"]
+    # f has a consumer, g another module, k a consumer; h only its own module
+    assert unreached_functions(init, modules, consumers) == ["m.h"]
 
 
 def pool_imports(source: str) -> list[str]:

@@ -32,7 +32,7 @@ class TestBuildChain:
     def test_one_step_conditional_mean_matches_drift(self, c1_scn):
         grid = vs.build_chain(c1_scn, N=36, M=201, xmax_mult=8.0)
         x = grid.xnodes
-        mean = grid.conditional_account_mean(0)
+        mean = grid.transition(0) @ x
         c = 0.010908
         target = x * math.exp((0.03 - c) * grid.dt)
         # moment matching is exact on interior rows up to truncation leakage

@@ -29,7 +29,7 @@ def test_market_contract_validation():
 class TestFeeSpec:
     def test_constant(self):
         fee = FeeSpec("constant", rate=0.02, horizon=15.0)
-        assert vs.fee_rate(fee, 3.0, 50.0) == 0.02
+        assert fee(3.0, 50.0) == 0.02
         assert fee.integral(1.0, 4.0) == pytest.approx(0.06, abs=1e-15)
 
     def test_constant_out_of_bounds(self):
@@ -39,11 +39,11 @@ class TestFeeSpec:
     def test_piecewise_breakpoint_convention(self, c1_scn):
         # a breakpoint belongs to the interval it ends: 1_{a < t <= b}
         fee = c1_scn.fee
-        assert vs.fee_rate(fee, 0.0, 100.0) == 0.010908
-        assert vs.fee_rate(fee, 5.0, 100.0) == 0.010908
-        assert vs.fee_rate(fee, 7.0, 100.0) == 0.005454
-        assert vs.fee_rate(fee, 10.0, 100.0) == 0.005454
-        assert vs.fee_rate(fee, 10.25, 100.0) == 0.010908
+        assert fee(0.0, 100.0) == 0.010908
+        assert fee(5.0, 100.0) == 0.010908
+        assert fee(7.0, 100.0) == 0.005454
+        assert fee(10.0, 100.0) == 0.005454
+        assert fee(10.25, 100.0) == 0.010908
         assert fee.rate_right(5.0) == 0.005454
         assert fee.rate_right(10.0) == 0.010908
 
@@ -69,15 +69,6 @@ class TestFeeSpec:
         with pytest.raises(ConfigError, match="fee.breakpoints"):
             FeeSpec("piecewise", breakpoints=(5.0, bad), rates=(0.01, 0.01, 0.01))
 
-    def test_domain_checks(self):
-        fee = FeeSpec("constant", rate=0.02, horizon=15.0)
-        with pytest.raises(DomainError):
-            vs.fee_rate(fee, -0.1, 100.0)
-        with pytest.raises(DomainError):
-            vs.fee_rate(fee, 16.0, 100.0)
-        with pytest.raises(DomainError):
-            vs.fee_rate(fee, 1.0, -5.0)
-
     def test_smooth_fee_integral_matches_quadrature(self):
         fee = vs.fee_from_cubic_charge_bound(15.0, 0.1)
         plain = FeeSpec("smooth", rate_fn=fee.rate_fn)  # no closed-form integral
@@ -101,13 +92,13 @@ class TestFeeSpec:
 class TestChargeSpec:
     def test_exponential_values(self):
         charge = ChargeSpec("exponential", T=15.0, kappa=0.0055)
-        assert vs.charge_factor(charge, 15.0, 50.0) == 1.0
-        assert vs.charge_factor(charge, 0.0, 50.0) == pytest.approx(math.exp(-0.0825), rel=1e-12)
+        assert charge(15.0, 50.0) == 1.0
+        assert charge(0.0, 50.0) == pytest.approx(math.exp(-0.0825), rel=1e-12)
 
     def test_cubic_values(self):
         charge = ChargeSpec("cubic", T=15.0, k=0.1)
-        assert vs.charge_factor(charge, 0.0, 1.0) == pytest.approx(0.9, abs=1e-15)
-        assert vs.charge_factor(charge, 15.0, 1.0) == 1.0
+        assert charge(0.0, 1.0) == pytest.approx(0.9, abs=1e-15)
+        assert charge(15.0, 1.0) == 1.0
 
     def test_cubic_k_range(self):
         with pytest.raises(ConfigError):
@@ -162,7 +153,7 @@ class TestChargeSpec:
     @settings(max_examples=100, deadline=None)
     def test_factor_in_unit_interval(self, t, x):
         charge = ChargeSpec("exponential", T=15.0, kappa=0.0055)
-        g = vs.charge_factor(charge, t, x)
+        g = charge(t, x)
         assert 0.0 < g <= 1.0
 
 

@@ -155,7 +155,7 @@ class TestSolveVariationalInequality:
         scn = Scenario(
             market=MarketParams(r=0.03, sigma=0.2),
             contract=ContractParams(G=100.0, T=T, F0=100.0),
-            fee=FeeSpec("state", rate_fn=lambda t, x: 0.02 * x / (x + 100.0), lipschitz=1.0),
+            fee=FeeSpec("state", rate_fn=lambda t, x: 0.02 * x / (x + 100.0)),
             charge=ChargeSpec("exponential", T=T, kappa=0.0055),
         )
         grid = vs.build_pde_grid(scn, N=60, M=151, xmax_mult=8.0)

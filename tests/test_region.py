@@ -111,7 +111,7 @@ class TestClassifySections:
         scn = Scenario(
             market=MarketParams(r=0.03, sigma=0.2),
             contract=ContractParams(G=100.0, T=15.0, F0=100.0),
-            fee=FeeSpec("state", rate_fn=lambda t, x: 0.01 * x / (x + 1.0), lipschitz=1.0),
+            fee=FeeSpec("state", rate_fn=lambda t, x: 0.01 * x / (x + 1.0)),
             charge=ChargeSpec("exponential", T=15.0, kappa=0.0055),
         )
         with pytest.raises(UnsupportedScenarioError):
