@@ -12,16 +12,18 @@ and iteration cap, regions use `region.extract_regions`' fixed tolerances, and
 paths take exact lognormal steps. Exit codes: 0 success, 1 solver failure (a
 NaN or infinite result is one, and no summary.json is then written) or
 internal error (any other exception, printed with its traceback), 2 config
-error (naming `<section>.<key>` when one key is at fault).
+error (naming `<section>.<key>` when one key is at fault; an `out` that cannot
+be created or written is one too).
 Re-running with an identical config and seed reproduces byte-identical CSVs. The
 environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
-of workers that build Monte Carlo chunks and evaluate decomposition time slices;
-estimates and premiums are bit-identical for any worker count.
+of workers that build and reduce Monte Carlo chunks and evaluate decomposition
+time slices; estimates and premiums are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -88,6 +90,17 @@ def load_plan(doc: dict, args) -> RunPlan:
     return RunPlan(scenario_doc=doc["scenario"], tasks=tuple(tasks), **sections, out_dir=out_dir)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing path as a config error: the
+    run's out, not the program, is at fault (a directory or a read-only file
+    where an output goes)."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path!r}: {exc.strerror}") from None
+
+
 class _Run:
     """What the tasks of one run share: the plan, its scenario and time nodes,
     the summary, the products of earlier tasks and the run's memos: the chains
@@ -97,10 +110,6 @@ class _Run:
     def __init__(self, plan: RunPlan, tasks: list[str]):
         self.plan, self.tasks = plan, tasks
         self.scn = scn = model.scenario_from_dict(plan.scenario_doc)
-        try:
-            os.makedirs(plan.out_dir, exist_ok=True)
-        except OSError as exc:  # a file where the directory or one of its parents goes
-            raise ConfigError(f"out: cannot create directory {plan.out_dir!r}: {exc.strerror}") from None
         self.summary: dict = {
             "config": {"scenario": model.scenario_to_dict(scn), "tasks": tasks,
                        **{name: dict(getattr(plan, name)) for name in _RULES}, "out": plan.out_dir},
@@ -113,9 +122,15 @@ class _Run:
             analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         self.surfaces, self.masks, self.boundaries = {}, {}, {}
         self._chains, self._matrices, self._values, self.rows = {}, {}, {}, {}
+        # last, so that a run refused by a check above leaves no directory behind
+        try:
+            os.makedirs(plan.out_dir, exist_ok=True)
+        except OSError as exc:  # a file where the directory or one of its parents goes
+            raise ConfigError(f"out: cannot create directory {plan.out_dir!r}: {exc.strerror}") from None
 
     def emit(self, name: str, writer, *args, **kwargs) -> None:
-        writer(os.path.join(self.plan.out_dir, name), *args, **kwargs)
+        with _writing(os.path.join(self.plan.out_dir, name)) as path:
+            writer(path, *args, **kwargs)
         self.summary["artifacts"].append(name)
 
     def chain(self, scn):
@@ -272,7 +287,8 @@ def run_plan(plan: RunPlan) -> dict:
         text = json.dumps(run.summary, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # NaN or an infinity among the results
         raise FloatingPointError("non-finite result; summary.json not written") from None
-    with open(os.path.join(plan.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with _writing(os.path.join(plan.out_dir, "summary.json")) as path, \
+            open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     return run.summary
 

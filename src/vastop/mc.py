@@ -3,12 +3,19 @@
 Randomness comes from the counter-based Philox generator. Paths are produced
 in fixed-size chunks of 2^14; chunk i draws from Philox(key=seed).jumped(i)
 with a path-major normal matrix, so results are bit-reproducible for a given
-(seed, npaths, nsteps, scheme). Chunks are generated on the package's one
-thread pool, ``_threads.ordered_map`` (VASTOP_THREADS workers, else one per
-available CPU), and consumed in chunk order, so every estimate is the same to
-the last bit for any worker count. All estimators can share one pass over
-the paths (``mc_verify_estimates``); per-path payoff moments are accumulated
-with numpy's pairwise summation within a chunk and added chunk by chunk.
+(seed, npaths, nsteps, scheme). A chunk is drawn and built in blocks of
+BLOCK_ROWS paths: consecutive standard_normal calls on the chunk's generator
+stack to the same paths as one call, and a block's normals and paths stay in
+the core's cache across the in-place passes that build them.
+
+Chunks run on the package's one thread pool, ``_threads.ordered_map``
+(VASTOP_THREADS workers, else one per available CPU). In an estimator pass
+(``mc_verify_estimates`` serves all estimators at once) the worker that builds
+a chunk runs every estimator's kernel on each block and reduces the chunk to
+per-estimator sums and sums of squares, taken with numpy's pairwise summation
+over chunk-length sample buffers. The caller adds those sums in chunk order,
+so every estimate is the same to the last bit for any worker count, and a pass
+holds a few blocks per worker, never a whole chunk.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .model import ConfigError, Scenario, UnsupportedScenarioError
 from .region import Boundary, RegionMask, extract_boundary
 
 __all__ = [
+    "BLOCK_ROWS",
     "CHUNK_PATHS",
     "PathBatch",
     "McEstimate",
@@ -36,6 +44,7 @@ __all__ = [
 ]
 
 CHUNK_PATHS = 1 << 14
+BLOCK_ROWS = 256
 
 _SCHEMES = ("exact-lognormal", "euler")
 
@@ -79,10 +88,14 @@ class PathBatch:
         )
         return r * dt - fee_ints - 0.5 * sig * sig * dt
 
-    def _chunk(self, ci: int, drifts: np.ndarray | None) -> np.ndarray:
-        """Paths of chunk ci, shape (chunk, nsteps + 1). Runs on a pool worker,
-        so it must call no public vastop function (the perfbench tracer's
-        span stack is single-threaded)."""
+    def _blocks(self, ci: int, drifts: np.ndarray | None):
+        """Yield the paths of chunk ci as consecutive row blocks of shape
+        (rows, nsteps + 1): BLOCK_ROWS rows with exact steps (drifts given),
+        the whole chunk with Euler steps, whose loop over the steps runs once
+        per block. Every block is built in the same two buffers, so a block is
+        valid until the next one is drawn. Runs on a pool worker, so it must
+        call no public vastop function (the perfbench tracer's span stack is
+        single-threaded)."""
         tn = self.tnodes
         dt = float(tn[1] - tn[0])
         sig = self.scn.market.sigma
@@ -90,37 +103,51 @@ class PathBatch:
         F0 = self.scn.contract.F0
         npc = min(CHUNK_PATHS, self.npaths - ci * CHUNK_PATHS)
         rng = np.random.Generator(np.random.Philox(key=self.seed).jumped(ci))
-        Z = rng.standard_normal((npc, self.nsteps))
-        F = np.empty((npc, self.nsteps + 1))
-        F[:, 0] = F0
-        if drifts is not None:
-            # exp(log F0 + cumsum(drifts + vol Z)), built in place in Z
-            Z *= vol
-            Z += drifts
-            np.cumsum(Z, axis=1, out=Z)
-            Z += math.log(F0)
-            np.exp(Z, out=F[:, 1:])
-        else:
-            r = self.scn.market.r
-            for n in range(self.nsteps):
-                c = self.scn.fee(float(tn[n]), F[:, n])
-                F[:, n + 1] = F[:, n] * np.exp(
-                    (r - np.asarray(c) - 0.5 * sig * sig) * dt + vol * Z[:, n]
-                )
-        return F
+        rows = min(BLOCK_ROWS, npc) if drifts is not None else npc
+        Zbuf = np.empty((rows, self.nsteps))
+        Fbuf = np.empty((rows, self.nsteps + 1))
+        Fbuf[:, 0] = F0
+        for r0 in range(0, npc, rows):
+            Z, F = Zbuf[:npc - r0], Fbuf[:npc - r0]
+            rng.standard_normal(out=Z)
+            if drifts is not None:
+                # exp(log F0 + cumsum(drifts + vol Z)), built in place in Z
+                Z *= vol
+                Z += drifts
+                np.cumsum(Z, axis=1, out=Z)
+                Z += math.log(F0)
+                np.exp(Z, out=F[:, 1:])
+            else:
+                r = self.scn.market.r
+                for n in range(self.nsteps):
+                    c = self.scn.fee(float(tn[n]), F[:, n])
+                    F[:, n + 1] = F[:, n] * np.exp(
+                        (r - np.asarray(c) - 0.5 * sig * sig) * dt + vol * Z[:, n]
+                    )
+            yield F
+
+    def _chunk(self, ci: int, drifts: np.ndarray | None) -> np.ndarray:
+        """Paths of chunk ci, shape (chunk, nsteps + 1), from its blocks."""
+        return np.concatenate([F.copy() for F in self._blocks(ci, drifts)])
+
+    def _map_chunks(self, fn):
+        """ordered_map of fn(ci, drifts) over the chunk indices, with drifts the
+        exact scheme's per-step log drifts (None for Euler steps)."""
+        drifts = self._exact_step_drifts() if self.scheme == "exact-lognormal" else None
+        return ordered_map(lambda ci: fn(ci, drifts), -(-self.npaths // CHUNK_PATHS))
 
     def iter_chunks(self):
         """Yield (first_path_index, F) with F of shape (chunk, nsteps + 1), in
         chunk order.
 
-        Chunks are built by ``_threads.ordered_map`` on a pool sized by
+        Each chunk is built whole by ``_threads.ordered_map`` on a pool sized by
         VASTOP_THREADS (read when iteration starts), with at most one chunk per
         worker pending ahead of the consumer. Closing the generator early
-        cancels what is pending and joins the workers.
+        cancels what is pending and joins the workers. The estimators do not
+        come this way: their pass reduces each chunk on its worker, block by
+        block (see ``_one_pass``).
         """
-        drifts = self._exact_step_drifts() if self.scheme == "exact-lognormal" else None
-        nchunks = (self.npaths + CHUNK_PATHS - 1) // CHUNK_PATHS
-        yield from ordered_map(lambda ci: (ci * CHUNK_PATHS, self._chunk(ci, drifts)), nchunks)
+        yield from self._map_chunks(lambda ci, drifts: (ci * CHUNK_PATHS, self._chunk(ci, drifts)))
 
     def materialize(self) -> np.ndarray:
         """Full (npaths, nsteps + 1) path array; refuse absurd sizes."""
@@ -151,20 +178,34 @@ def _finalize(total: float, total_sq: float, n: int, seed: int) -> McEstimate:
 
 
 def _one_pass(batch: PathBatch, kernels) -> list[McEstimate]:
-    """Run every per-chunk kernel on each chunk of a single pass.
+    """Run every kernel on each block of a single pass over the paths.
 
-    A kernel maps a chunk F to a tuple of per-path samples; each sample's sum
-    and sum of squares are added chunk by chunk in chunk order, so the result
-    of a kernel does not depend on which other kernels share the pass.
+    A kernel maps a block F of paths to a tuple of per-path samples. The worker
+    that builds a chunk writes each sample of its blocks into a chunk-length
+    buffer and returns every buffer's sum and sum of squares; the caller adds
+    those in chunk order. So the result of a kernel depends neither on the
+    worker count nor on which other kernels share the pass.
     """
+
+    def chunk_sums(ci: int, drifts: np.ndarray | None) -> list[tuple[float, float]]:
+        bufs, r0 = [], 0
+        for F in batch._blocks(ci, drifts):
+            samples = [x for kernel in kernels for x in kernel(F)]
+            if not bufs:
+                npc = min(CHUNK_PATHS, batch.npaths - ci * CHUNK_PATHS)
+                bufs = [np.empty(npc) for _ in samples]
+            for buf, x in zip(bufs, samples):
+                buf[r0:r0 + F.shape[0]] = x
+            r0 += F.shape[0]
+        return [(float(np.sum(b)), float(np.sum(b * b))) for b in bufs]
+
     totals: list[list[float]] = []
-    for _, F in batch.iter_chunks():
-        samples = [x for kernel in kernels for x in kernel(F)]
+    for sums in batch._map_chunks(chunk_sums):
         if not totals:
-            totals = [[0.0, 0.0] for _ in samples]
-        for acc, x in zip(totals, samples):
-            acc[0] += float(np.sum(x))
-            acc[1] += float(np.sum(x * x))
+            totals = [[0.0, 0.0] for _ in sums]
+        for acc, (s, q) in zip(totals, sums):
+            acc[0] += s
+            acc[1] += q
     return [_finalize(t, q, batch.npaths, batch.seed) for t, q in totals]
 
 
@@ -246,12 +287,11 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
 
     def above(F: np.ndarray) -> np.ndarray:
         """F where it lies in the surrender region of its slice, else 0."""
-        out = np.where(F >= K, F, 0.0)  # a NaN threshold leaves the column to the loop
-        for n in loose:
-            idx = np.clip(
-                np.rint((np.log(F[:, n]) - log_x0) / dy).astype(int), 0, mask.xnodes.size - 1
-            )
-            out[:, n] = np.where(mask.in_surrender[n][idx], F[:, n], 0.0)
+        out = np.where(F >= K, F, 0.0)  # a NaN threshold leaves the column to the nearest node
+        if loose.size:
+            Fl = F[:, loose]
+            idx = np.clip(np.rint((np.log(Fl) - log_x0) / dy).astype(int), 0, mask.xnodes.size - 1)
+            out[:, loose] = np.where(mask.in_surrender[loose, idx], Fl, 0.0)
         return out
 
     def kernel(F: np.ndarray):

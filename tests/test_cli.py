@@ -247,6 +247,7 @@ class TestConfigValidation:
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: fee breakpoint") and err.rstrip().endswith(advice)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("out", ["blocker", "blocker/sub"])
     def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, out):
@@ -257,6 +258,15 @@ class TestConfigValidation:
         assert err.startswith(f"config error: out: cannot create directory {out!r}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["check_L.csv", "summary.json"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        doc = _base_config(tasks=["check-L"])
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: cannot write {str(out / name)!r}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("mc, argv", [
         ({}, ["--seed", "-1"]),

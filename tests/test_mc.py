@@ -5,18 +5,48 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import vastop as vs
-from vastop.mc import CHUNK_PATHS, PathBatch
+from vastop import mc
+from vastop.mc import BLOCK_ROWS, CHUNK_PATHS, PathBatch
 from vastop.model import ConfigError, UnsupportedScenarioError
 from vastop.region import Boundary, RegionMask
 
 
 def _boundary(T: float, N: int, values) -> Boundary:
     return Boundary(tnodes=np.linspace(0.0, T, N + 1), values=np.asarray(values, dtype=float))
+
+
+def _mask(scn, N, fill):
+    tn = np.linspace(0.0, 15.0, N + 1)
+    x = vs.log_space_nodes(scn.contract.F0, 8.0, 41)
+    in_s = np.full((N, x.size), fill, dtype=bool)
+    return RegionMask(
+        tnodes=tn, xnodes=x, in_surrender=in_s,
+        tol_abs=1e-6, tol_rel=1e-6, reward_kind="discontinuous", mode="value-gap",
+    )
+
+
+def _shaped_rows(N: int) -> np.ndarray:
+    """Mask rows on 41 nodes whose slices cycle through band, holed, threshold,
+    empty and full shapes."""
+    rows = np.zeros((N, 41), dtype=bool)
+    for n in range(N):
+        shape = n % 5
+        if shape == 0:
+            rows[n, 18:25] = True
+        elif shape == 1:
+            rows[n, 20:] = True
+            rows[n, 28:30] = False
+        elif shape == 2:
+            rows[n, 22:] = True
+        elif shape == 4:
+            rows[n] = True
+    return rows
 
 
 class TestSimulatePaths:
@@ -141,18 +171,9 @@ class TestBoundaryStrategy:
 
 
 class TestPremiumIntegrals:
-    def _mask(self, scn, N, fill):
-        tn = np.linspace(0.0, 15.0, N + 1)
-        x = vs.log_space_nodes(scn.contract.F0, 8.0, 41)
-        in_s = np.full((N, x.size), fill, dtype=bool)
-        return RegionMask(
-            tnodes=tn, xnodes=x, in_surrender=in_s,
-            tol_abs=1e-6, tol_rel=1e-6, reward_kind="discontinuous", mode="value-gap",
-        )
-
     def test_empty_mask(self, c1_scn):
         batch = vs.simulate_paths(c1_scn, seed=50, npaths=50000, nsteps=60)
-        prem = vs.mc_premium_integrals(batch, c1_scn, self._mask(c1_scn, 60, False))
+        prem = vs.mc_premium_integrals(batch, c1_scn, _mask(c1_scn, 60, False))
         assert prem.e_estimate == 0.0 and prem.e_std_error == 0.0
         # f = put + full complementary integral; compare with closed forms
         put = vs.guarantee_put_value(c1_scn, 0.0, 100.0)
@@ -166,7 +187,7 @@ class TestPremiumIntegrals:
 
     def test_full_mask_identity(self, c1_scn):
         batch = vs.simulate_paths(c1_scn, seed=51, npaths=50000, nsteps=60)
-        prem = vs.mc_premium_integrals(batch, c1_scn, self._mask(c1_scn, 60, True))
+        prem = vs.mc_premium_integrals(batch, c1_scn, _mask(c1_scn, 60, True))
         gap = prem.e_estimate - prem.f_estimate
         target = vs.reward(c1_scn, 0.0, 100.0) - vs.maturity_benefit_value(c1_scn, 0.0, 100.0)
         se = 3.0 * math.hypot(prem.e_std_error, prem.f_std_error)
@@ -183,21 +204,9 @@ class TestPremiumIntegrals:
 
 
     def test_band_and_holed_slices_match_a_per_path_reference(self, c1_scn):
-        # slices cycle through band, holed, threshold, empty and full shapes
         N = 12
-        rows = np.zeros((N, 41), dtype=bool)
-        for n in range(N):
-            shape = n % 5
-            if shape == 0:
-                rows[n, 18:25] = True
-            elif shape == 1:
-                rows[n, 20:] = True
-                rows[n, 28:30] = False
-            elif shape == 2:
-                rows[n, 22:] = True
-            elif shape == 4:
-                rows[n] = True
-        mask = self._mask(c1_scn, N, rows)
+        rows = _shaped_rows(N)
+        mask = _mask(c1_scn, N, rows)
         batch = vs.simulate_paths(c1_scn, seed=53, npaths=CHUNK_PATHS + 500, nsteps=N)
         prem = vs.mc_premium_integrals(batch, c1_scn, mask)
 
@@ -328,6 +337,55 @@ class TestChunkPool:
                 seen.append(start)
         assert seen == [0]
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("npaths, nsteps",
+                             [(CHUNK_PATHS + 300, 360), (3 * CHUNK_PATHS + 17, 60)])
+    def test_block_pass_equals_the_whole_chunk_reduction(self, c1_scn, monkeypatch, npaths, nsteps):
+        # the band and holed slices take the nearest-node branch of the premium kernel
+        assert npaths % CHUNK_PATHS % BLOCK_ROWS != 0
+        batch = vs.simulate_paths(c1_scn, seed=54, npaths=npaths, nsteps=nsteps)
+        mask = _mask(c1_scn, nsteps, _shaped_rows(nsteps))
+        boundary = _boundary(15.0, nsteps, np.linspace(150.0, 120.0, nsteps))
+        kernels = [mc._maturity_kernel(c1_scn), mc._boundary_kernel(batch, c1_scn, boundary),
+                   mc._premium_kernel(batch, c1_scn, mask)]
+        totals = [[0.0, 0.0] for _ in range(4)]
+        for _, F in batch.iter_chunks():
+            for acc, x in zip(totals, [x for kernel in kernels for x in kernel(F)]):
+                acc[0] += float(np.sum(x))
+                acc[1] += float(np.sum(x * x))
+        mb, sv, ee, ff = (mc._finalize(t, q, npaths, 54) for t, q in totals)
+        expected = repr(mc.McVerifyEstimates(mb, sv, mc._premiums(ee, ff)))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VASTOP_THREADS", threads)
+            assert repr(vs.mc_verify_estimates(batch, c1_scn, boundary, mask)) == expected
+
+    def test_estimator_error_propagates_and_joins_the_workers(self, c1_scn, monkeypatch):
+        monkeypatch.setenv("VASTOP_THREADS", "2")
+        blocks = PathBatch._blocks
+
+        def failing(self, ci, drifts):
+            for k, F in enumerate(blocks(self, ci, drifts)):
+                if ci == 1 and k == 3:
+                    raise FloatingPointError("chunk 1, block 3")
+                yield F
+
+        monkeypatch.setattr(PathBatch, "_blocks", failing)
+        before = threading.active_count()
+        batch = vs.simulate_paths(c1_scn, seed=15, npaths=8 * CHUNK_PATHS, nsteps=12)
+        with pytest.raises(FloatingPointError, match="chunk 1, block 3"):
+            vs.mc_maturity_benefit(batch, c1_scn)
+        assert threading.active_count() == before
+
+    def test_pass_holds_less_than_one_chunk(self, c1_scn, c1_lattice, monkeypatch):
+        monkeypatch.setenv("VASTOP_THREADS", "2")
+        batch = vs.simulate_paths(c1_scn, seed=16, npaths=1 << 16, nsteps=360)
+        tracemalloc.start()
+        try:
+            vs.mc_verify_estimates(batch, c1_scn, c1_lattice["boundary"], c1_lattice["mask"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_PATHS * 361 * 8  # the bytes of one chunk's paths
 
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_invalid_thread_count_rejected(self, c1_scn, monkeypatch, value):
