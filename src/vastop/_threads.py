@@ -1,4 +1,5 @@
-"""VASTOP_THREADS: the BLAS caps, the worker-count rule and the one thread pool.
+"""VASTOP_THREADS: the BLAS caps, the worker-count rule, the one thread pool and
+the one worker process.
 
 Imported first by the package __init__ so that setting VASTOP_THREADS in the
 environment caps the worker pools of whatever BLAS numpy was built against.
@@ -6,7 +7,9 @@ An invalid value is left out of the BLAS variables here (importing never
 fails); ``worker_count`` reports it as a config error when work starts.
 
 ``ordered_map`` is the package's only thread pool: Monte Carlo chunks and
-decomposition time slices both run on it.
+decomposition time slices both run on it. ``OrderedProcess`` runs calls in
+order on one worker process: ``vastop run`` writes its CSVs there while its
+later tasks compute.
 """
 
 import os
@@ -76,6 +79,82 @@ def ordered_map(fn, nitems: int, *, caller_first: bool = False):
         finally:
             for fut in pending:
                 fut.cancel()
+
+
+class OrderedProcess:
+    """Run submitted calls one at a time, in submission order, on one worker
+    process forked at the first submit.
+
+    Each call runs as fn(state, *args, **kwargs), where state is one dict that
+    lives as long as the worker, for its memos. With one worker
+    (worker_count(2) == 1, as under VASTOP_THREADS=1) or on a platform that
+    cannot fork, each call runs inline in submit, on a dict of the helper's own.
+    fn and its arguments are pickled to the worker, so fn must be a module-level
+    function. A forked worker starts with the caller's modules loaded, where a
+    spawned one would import numpy and scipy again (about 0.3 s per run); as
+    the fork copies only the calling thread, fn should call no BLAS and no pool.
+
+    A call that raises stops the calls after it, and submit raises that error
+    once it is known. Leaving the helper as a context manager joins the worker:
+    it waits for every call, ends the process and raises the first call's
+    error. That error wins over one raised in the with block, which every
+    submitted call came before; an exception that is not an Exception
+    (KeyboardInterrupt) cancels the calls not yet started instead.
+    """
+
+    def __init__(self):
+        # function-scope imports: a program that never starts a worker process
+        # does not load multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        self.state: dict = {}
+        self._pool = None
+        self._pending = deque()
+        if worker_count(2) > 1 and "fork" in multiprocessing.get_all_start_methods():
+            self._pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
+                                             initializer=_new_state)
+
+    def submit(self, fn, *args, **kwargs) -> None:
+        if self._pool is None:
+            fn(self.state, *args, **kwargs)
+            return
+        while self._pending and self._pending[0].done():
+            self._pending.popleft().result()
+        self._pending.append(self._pool.submit(_call, fn, args, kwargs))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if self._pool is None:
+            return
+        interrupted = kind is not None and not issubclass(kind, Exception)
+        self._pool.shutdown(cancel_futures=interrupted)
+        if not interrupted:
+            for fut in self._pending:
+                fut.result()
+
+
+# in an OrderedProcess worker: its state and whether one of its calls has raised
+_state: dict = {}
+_failed = False
+
+
+def _new_state() -> None:
+    global _state, _failed
+    _state, _failed = {}, False
+
+
+def _call(fn, args, kwargs):
+    global _failed
+    if _failed:
+        return None
+    try:
+        return fn(_state, *args, **kwargs)
+    except BaseException:
+        _failed = True
+        raise
 
 
 try:

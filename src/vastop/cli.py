@@ -18,6 +18,12 @@ Re-running with an identical config and seed reproduces byte-identical CSVs. The
 environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
 of workers that build and reduce Monte Carlo chunks and evaluate decomposition
 time slices; estimates and premiums are bit-identical for any worker count.
+With more than one worker, a run writes its CSVs from one background process,
+forked at the first write (`_threads.OrderedProcess`), while its later tasks
+compute; VASTOP_THREADS=1 keeps the run in one process. The memo of CSV rows
+formatted so far lives in that process for the run, and the writer's memory
+is not part of the run's own RSS. The run joins the writer before it writes
+summary.json and on every error, so no process outlives it.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 
 from . import analytic, decompose, lattice, mc, model, pde, presets, region, surfaces
 from . import io as csvio
-from ._threads import thread_count
+from ._threads import OrderedProcess, thread_count
 from .model import ConfigError
 
 # section -> key -> (default, type, allowed), the rule format of the scenario
@@ -101,11 +107,19 @@ def _writing(path: str):
         raise ConfigError(f"out: cannot write {path!r}: {exc.strerror}") from None
 
 
+def _write(rows: dict, path: str, writer, *args, memo: bool = False) -> None:
+    """Write one artifact; runs in the run's writer, whose state is the memo of
+    the CSV rows formatted so far, passed on to the CSV writer when memo is set."""
+    with _writing(path):
+        writer(path, *args, **({"rows": rows} if memo else {}))
+
+
 class _Run:
     """What the tasks of one run share: the plan, its scenario and time nodes,
-    the summary, the products of earlier tasks and the run's memos: the chains
-    and lattice surfaces built so far, the transition matrices of those chains
-    and the CSV rows formatted so far. Each run starts with empty memos."""
+    the summary, the products of earlier tasks, the run's memos (the chains
+    and lattice surfaces built so far and the transition matrices of those
+    chains) and its writer, which writes the CSVs in emit order and keeps the
+    rows memo. Each run starts with empty memos and a writer of its own."""
 
     def __init__(self, plan: RunPlan, tasks: list[str]):
         self.plan, self.tasks = plan, tasks
@@ -121,16 +135,17 @@ class _Run:
         self.results["maturity_benefit_value_at_inception"] = float(
             analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         self.surfaces, self.masks, self.boundaries = {}, {}, {}
-        self._chains, self._matrices, self._values, self.rows = {}, {}, {}, {}
+        self._chains, self._matrices, self._values = {}, {}, {}
+        self.writes = OrderedProcess()  # its process starts at the first emit
         # last, so that a run refused by a check above leaves no directory behind
         try:
             os.makedirs(plan.out_dir, exist_ok=True)
         except OSError as exc:  # a file where the directory or one of its parents goes
             raise ConfigError(f"out: cannot create directory {plan.out_dir!r}: {exc.strerror}") from None
 
-    def emit(self, name: str, writer, *args, **kwargs) -> None:
-        with _writing(os.path.join(self.plan.out_dir, name)) as path:
-            writer(path, *args, **kwargs)
+    def emit(self, name: str, writer, *args, memo: bool = False) -> None:
+        """Have the writer write artifact name; memo passes it the rows memo."""
+        self.writes.submit(_write, os.path.join(self.plan.out_dir, name), writer, *args, memo=memo)
         self.summary["artifacts"].append(name)
 
     def chain(self, scn):
@@ -167,7 +182,7 @@ class _Run:
         i0 = surfaces.center_index(surf.xnodes, scn.contract.F0)
         self.results[f"{name}_value_at_inception"] = float(surf.values[0, i0])
         if "regions" not in self.tasks:
-            self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf, rows=self.rows)
+            self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf, memo=True)
         if self.never_surrender.holds:
             hline = np.stack([np.asarray(analytic.maturity_benefit_value(scn, float(t), surf.xnodes))
                               for t in surf.tnodes])
@@ -202,7 +217,7 @@ def _regions(run: _Run) -> None:
     for name, surf in run.surfaces.items():
         mask = region.extract_regions(surf, run.scn)
         run.masks[name] = mask
-        run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask, rows=run.rows)
+        run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask, memo=True)
         run.results[f"empty_slices_{name}"] = int((~mask.in_surrender.any(axis=1)).sum())
         run.results[f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
         ex = region.extract_regions(surf, run.scn, mode="exercise")
@@ -218,7 +233,7 @@ def _boundary(run: _Run) -> None:
 def _decompose(run: _Run) -> None:
     name = run.checked
     report = decompose.decomposition_residuals(run.surfaces[name], run.scn, run.boundaries[name])
-    run.emit("decompose.csv", csvio.write_report_csv, report, run.surfaces[name], rows=run.rows)
+    run.emit("decompose.csv", csvio.write_report_csv, report, run.surfaces[name], memo=True)
     run.results["decompose"] = {
         "surface": name,
         **{key: getattr(report, key) for key in (
@@ -247,7 +262,7 @@ def _paper_fig(run: _Run) -> None:
             mode = "exercise" if kind == "continuous" else "value-gap"
             mask = region.extract_regions(surf, bscn, mode=mode)
             run.emit(f"fig_panel_{panel}_{label}_{kind}.csv", csvio.write_surface_csv, surf, mask,
-                     rows=run.rows)
+                     memo=True)
 
 
 # task -> (function, prerequisites); the key order is the run order, so every
@@ -278,11 +293,12 @@ def _closed(requested) -> list[str]:
 
 
 def run_plan(plan: RunPlan) -> dict:
-    """Run the plan's tasks and their prerequisites in table order, write
-    summary.json and return it."""
+    """Run the plan's tasks and their prerequisites in table order, join the
+    writer, write summary.json and return it."""
     run = _Run(plan, _closed(plan.tasks))
-    for task in run.tasks:
-        _TABLE[task][0](run)
+    with run.writes:
+        for task in run.tasks:
+            _TABLE[task][0](run)
     try:
         text = json.dumps(run.summary, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # NaN or an infinity among the results

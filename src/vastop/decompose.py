@@ -16,8 +16,10 @@ used to cross-check the quadratures without any PDE/lattice input.
 thread pool, ``_threads.ordered_map``: with W workers (VASTOP_THREADS, else
 one per available CPU) worker k takes the slices n = k mod W, and the calling
 thread is worker 0. Each slice is computed alone, so the report is the same to
-the last bit for any W. scipy's ``ndtr`` holds the GIL (scipy 1.17), so its
-calls, about half of a slice, do not overlap; the rest of the numpy work does.
+the last bit for any W. scipy's ``ndtr`` releases the GIL (scipy 1.17.1: a
+Python thread keeps counting at its idle rate through a 20M-element call), so
+the slices overlap whole: on the c1 lattice surface at N=360, M=401 the
+residuals take 1.65 s on 1 worker and 1.10 s on 2 (2 vCPUs).
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ commas, so a row that repeats one written earlier (the same obstacle in two
 surfaces, the same surface in two files) is split, not formatted again. The
 memo holds one string per distinct row it was given; without it a writer holds
 one slice of strings at a time.
+
+A surface's value cell that is bit-equal to the reward cell of the same node
+(-0.0 and 0.0 are not, and NaNs are when their bits are) takes the reward
+cell's string, so only the other value cells are formatted.
 """
 
 from __future__ import annotations
@@ -44,28 +48,37 @@ def _numbers(a) -> list[str]:
     return list(map(repr, np.asarray(a, dtype=float).tolist()))
 
 
-def _cells(row: np.ndarray, rows: dict | None, keep: bool):
+def _cells(row: np.ndarray, rows: dict | None, keep: bool, like=None) -> list[str]:
     """repr of every element of a float64 row, looked up in the rows memo first
-    and, when keep is set, added to it."""
-    if rows is None:
-        return map(repr, row.tolist())
-    key = row.tobytes()
-    line = rows.get(key)
-    if line is not None:
-        return line.split(",")
-    cells = list(map(repr, row.tolist()))
-    if keep:
+    and, when keep is set, added to it. like is None or (other, its cells), a
+    row of the same nodes whose strings the bit-equal elements of row take."""
+    if rows is not None:
+        key = row.tobytes()
+        line = rows.get(key)
+        if line is not None:
+            return line.split(",")
+    if like is None:
+        cells = list(map(repr, row.tolist()))
+    else:
+        other, cells = like[0], like[1].copy()
+        diff = np.flatnonzero(row.view(np.int64) != other.view(np.int64))
+        for i, cell in zip(diff.tolist(), map(repr, row[diff].tolist())):
+            cells[i] = cell
+    if rows is not None and keep:
         rows[key] = ",".join(cells)
     return cells
 
 
-def _write_grid(fh, tnodes, xnodes, arrays, flags=None, rows=None, keep=True) -> None:
+def _write_grid(fh, tnodes, xnodes, arrays, flags=None, rows=None, keep=True,
+                tied=False) -> None:
     """One row t,x,arrays[k][n, i]...[,flags(n)[i]] per (t, x) node.
 
     A time slice is laid out as one list of cells and separators, filled
     column by column with extended-slice assignments and written at once.
     Each slice of an array is formatted through the rows memo (see the module
-    docstring); keep=False reads the memo without adding to it.
+    docstring); keep=False reads the memo without adding to it. With tied,
+    the cells of arrays[0] that are bit-equal to those of arrays[1] take
+    arrays[1]'s strings.
     """
     xs = _numbers(xnodes)
     M = len(xs)
@@ -76,11 +89,17 @@ def _write_grid(fh, tnodes, xnodes, arrays, flags=None, rows=None, keep=True) ->
     buf[2::row] = xs
     for n, t in enumerate(_numbers(tnodes)):
         buf[0::row] = [t] * M
-        for k, a in enumerate(arrays):
-            buf[4 + 2 * k::row] = _cells(a[n], rows, keep)
+        cells = [_cells(a[n], rows, keep) for a in arrays[tied:]]
+        if tied:
+            cells.insert(0, _cells(arrays[0][n], rows, keep, like=(arrays[1][n], cells[0])))
+        for k, c in enumerate(cells):
+            buf[4 + 2 * k::row] = c
         if flags is not None:
             buf[row - 2::row] = flags(n)
         fh.write("".join(buf))
+
+
+_FLAGS = np.array(["0", "1"], dtype=object)  # a region flag's string, indexed by the flag
 
 
 def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = None,
@@ -93,12 +112,12 @@ def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = Non
     def flags(n):
         if mask is None or n >= last:
             return ["0"] * surface.xnodes.size
-        return map(str, mask.in_surrender[n].astype(int).tolist())
+        return _FLAGS[mask.in_surrender[n].astype(np.intp)].tolist()
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,value,reward,in_surrender_region\n")
         _write_grid(fh, surface.tnodes, surface.xnodes, (surface.values, surface.obstacle), flags,
-                    rows=rows)
+                    rows=rows, tied=True)
 
 
 def write_boundary_csv(path, boundary: Boundary) -> None:

@@ -433,7 +433,9 @@ _SCENARIO_RULES = {
                       "rates": (REQUIRED, list, "[0, 1]")},
     }},
     "charge": {"kind": {
-        "exponential": {"kappa": (REQUIRED, float, "[0, inf)")},
+        # a rate per year like the fee's: the Monte Carlo premiums weight g'(T) = kappa
+        # by a whole step, which a steeper charge overflows (kappa = 1e300)
+        "exponential": {"kappa": (REQUIRED, float, "[0, 1]")},
         "cubic": {"k": (REQUIRED, float, "(0, 1)")},
     }},
 }

@@ -1,11 +1,14 @@
-"""Session-scoped solves shared across test modules.
+"""Session-scoped solves shared across test modules, and a leak check.
 
 The benchmark solves at production resolution (N=360, M=401) are reused by the
-module tests and the acceptance suite so the full run stays fast.
+module tests and the acceptance suite so the full run stays fast. Every test
+must end with no child process and no thread of the package's pool alive.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -17,6 +20,16 @@ BENCH_N = 360
 BENCH_M = 401
 BENCH_MULT = 8.0
 WIDE_MULT = 30.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a child process (the CSV writer of `vastop run`)
+    or a thread of the package's pool (named vastop_*) behind."""
+    yield
+    children = multiprocessing.active_children()
+    threads = [t.name for t in threading.enumerate() if t.name.startswith("vastop")]
+    assert not children and not threads, f"left running: {children} {threads}"
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -59,7 +60,7 @@ _REAL_RULES = {
     "contract.T": lambda v: 2.0**-1022 <= v <= 100,
     "contract.F0": lambda v: v >= 2.0**-1022,
     "fee.rate": lambda v: 0 <= v <= 1,
-    "charge.kappa": lambda v: v >= 0,
+    "charge.kappa": lambda v: 0 <= v <= 1,
 }
 
 
@@ -334,6 +335,25 @@ class TestConfigValidation:
         assert "solver error: " in err and "non-finite result" in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("kappa, code", [(1e300, 2), (1.0, 0)])
+    def test_charge_kappa_is_at_most_one(self, tmp_path, capsys, kappa, code):
+        """kappa = 1e300 overflowed the Monte Carlo continuation premium (exit 1,
+        NaN standard error); the rule kappa <= 1 refuses it and the edge finishes."""
+        with open(os.path.join(CONFIG_DIR, "full_pipeline_demo.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["scenario"]["charge"]["kappa"] = kappa
+        doc["tasks"] = ["price-lattice", "regions", "boundary", "mc-verify"]
+        out = tmp_path / "o"
+        argv = ["run", _write(tmp_path, doc), "--out", str(out), "--grid-N", "12", "--grid-M", "21"]
+        assert main(argv) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("config error: charge.kappa ")
+            assert not out.exists()
+        else:
+            summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constants)
+            assert all(math.isfinite(v) for q in summary["results"]["mc"].values()
+                       for v in q.values())
+
     @pytest.mark.parametrize("section, given, message", [
         ("pde", {"theta": 0.5}, "unknown key 'pde' in config"),
         ("region", {"tol_rel": 1e-6}, "unknown key 'region' in config"),
@@ -421,6 +441,67 @@ class TestConfigValidation:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "3"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+class TestWriterExitPaths:
+    """Each way out of a run, with the CSVs written in the run itself (one
+    worker) and in its writer process (two): the exit code and message are the
+    same, no child process is left and only a run that exits 0 writes
+    summary.json."""
+
+    def _run(self, tmp_path, monkeypatch, threads, doc):
+        monkeypatch.setenv("VASTOP_THREADS", threads)
+        out = tmp_path / "o"
+        code = main(["run", _write(tmp_path, doc), "--out", str(out)])
+        assert not multiprocessing.active_children()
+        assert (out / "summary.json").exists() == (code == 0)
+        return code, out
+
+    def test_success(self, tmp_path, monkeypatch, threads):
+        doc = _base_config(tasks=["check-L", "price-lattice", "regions", "boundary"])
+        code, out = self._run(tmp_path, monkeypatch, threads, doc)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(os.listdir(out)) == sorted([*summary["artifacts"], "summary.json"])
+
+    def test_solver_error_after_writes(self, tmp_path, capsys, monkeypatch, threads):
+        import vastop.pde as pde
+
+        build = pde.build_pde_grid
+        monkeypatch.setattr(pde, "build_pde_grid", lambda *a, **kw: build(*a, **kw, max_iter=1))
+        doc = _base_config(tasks=["check-L", "price-lattice", "price-pde"])
+        code, out = self._run(tmp_path, monkeypatch, threads, doc)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("solver error: SolverError: ")
+        # the writes emitted before the failure are finished, as in one process
+        assert sorted(os.listdir(out)) == ["check_L.csv", "surface_lattice.csv"]
+
+    def test_internal_error_in_a_write(self, tmp_path, capsys, monkeypatch, threads):
+        import vastop.io as csvio
+
+        def broken(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(csvio, "_write_grid", broken)
+        code, _ = self._run(tmp_path, monkeypatch, threads,
+                            _base_config(tasks=["check-L", "price-lattice", "regions"]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: KeyError: 'boom'\n")
+        assert "Traceback (most recent call last)" in err and "in broken" in err
+
+    def test_unwritable_output_in_a_write(self, tmp_path, capsys, monkeypatch, threads):
+        blocked = tmp_path / "o" / "region_lattice.csv"
+        blocked.mkdir(parents=True)
+        doc = _base_config(tasks=["price-lattice", "regions", "boundary"])
+        code, out = self._run(tmp_path, monkeypatch, threads, doc)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: cannot write {str(blocked)!r}: ")
+        assert "Traceback" not in err
+        # no write after the failed one
+        assert os.listdir(out) == ["region_lattice.csv"]
 
 
 class TestRunPipeline:

@@ -233,6 +233,56 @@ class TestEdgeValues:
             "-0.0", "5e-324", "1e-05", "1e+16", "123.0"]
 
 
+# --- value cells that share the reward cell's string -----------------------------
+
+
+def _nan(payload: int) -> float:
+    return float(np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(np.float64)[0])
+
+
+@pytest.fixture(scope="module", params=[np.float64, np.float32], ids=["f64", "f32"])
+def ties(request):
+    """A surface whose value cells are bit-equal to the reward cell of their node
+    in some places only: 0.0 against -0.0, NaNs of one and of two payloads, +inf
+    against -inf, whole rows equal and whole rows unequal."""
+    e = np.array(EDGE + [_nan(1), -np.nan])
+    tn = np.arange(6) / 5
+    obst = np.array([np.roll(e, k) for k in range(tn.size)]).astype(request.param)
+    wide = obst.astype(float)
+    vals = wide.copy()
+    vals[0] = -wide[0]  # every sign flipped: no cell is bit-equal, NaNs included
+    vals[1, ::2] = -wide[1, ::2]
+    vals[2] = np.where(np.isnan(wide[2]), _nan(2), wide[2])  # NaNs of another payload
+    vals[3, 1::3] = wide[3, ::-1][1::3]
+    # row 4 equals the reward row; row 5 holds its own values
+    vals[5] = np.linspace(-1.0, 1.0, e.size)
+    surf = ValueSurface(tn, e, vals, obst, "lattice", "discontinuous")
+    mask = RegionMask(tn, e, np.random.default_rng(5).random((tn.size - 1, e.size)) > 0.5,
+                      0.0, 1e-6, "discontinuous", "value-gap")
+    same = vals.view(np.int64) == wide.view(np.int64)
+    assert same.any() and not same.all()
+    return {"surf": surf, "mask": mask}
+
+
+class TestValueCellsTiedToReward:
+    def test_without_memo(self, tmp_path, ties):
+        for name, args in (("masked", (ties["surf"], ties["mask"])), ("plain", (ties["surf"],))):
+            _same_bytes(tmp_path, name, csvio.write_surface_csv, _ref_write_surface_csv, *args)
+
+    def test_with_shared_memo(self, tmp_path, ties, edge):
+        rows: dict = {}
+        write = functools.partial(csvio.write_surface_csv, rows=rows)
+        for name, args in (("first", (ties["surf"], ties["mask"])), ("edge", (edge["surf"],)),
+                           ("again", (ties["surf"],))):
+            _same_bytes(tmp_path, name, write, _ref_write_surface_csv, *args)
+        assert set(rows) == _row_keys(ties["surf"], edge["surf"])
+        for surf in (ties["surf"], edge["surf"]):
+            for a in (surf.values, surf.obstacle):
+                for n in range(surf.tnodes.size):
+                    row = np.asarray(a[n], dtype=float)
+                    assert rows[row.tobytes()] == ",".join(map(repr, row.tolist()))
+
+
 # --- one rows memo shared across writer calls -----------------------------------
 
 

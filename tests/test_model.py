@@ -299,6 +299,8 @@ class TestScenarioSerialization:
         ("contract.T", 1e-310),
         ("contract.F0", 5e-324),
         ("contract.T", 1000.0),  # T <= 100
+        ("charge.kappa", 1.0000001),  # kappa <= 1
+        ("charge.kappa", 1e300),
         ("fee.kind", [1]),  # an unhashable kind
         ("charge.kind", [1]),
     ])
@@ -311,6 +313,7 @@ class TestScenarioSerialization:
 
     @pytest.mark.parametrize("path, value", [
         ("market.r", -1.0), ("market.r", 1.0), ("contract.F0", 2.0**-1022),
+        ("charge.kappa", 0.0), ("charge.kappa", 1.0),
     ])
     def test_document_domain_edges_accepted(self, path, value):
         doc = vs.scenario_to_dict(vs.benchmark_scenario("c1"))
