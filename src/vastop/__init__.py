@@ -1,6 +1,6 @@
 """Optimal-surrender valuation engine for variable annuities with a maturity guarantee.
 
-The sub-account follows a lognormal market net of a time/state-dependent fee;
+The sub-account follows a lognormal market net of a time-dependent fee;
 surrendering pays a charged fraction of the account before maturity and the
 guaranteed maximum at maturity. The package prices the contract as an optimal
 stopping problem by two independent routes (a Markov-chain lattice and a
@@ -20,7 +20,6 @@ from .model import (
     L_value,
     MarketParams,
     Scenario,
-    UnsupportedScenarioError,
     reward,
     scenario_from_dict,
     scenario_to_dict,

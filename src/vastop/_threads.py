@@ -2,8 +2,12 @@
 the one worker process.
 
 Imported first by the package __init__ so that setting VASTOP_THREADS in the
-environment caps the worker pools of whatever BLAS numpy was built against.
-An invalid value is left out of the BLAS variables here (importing never
+environment caps the worker pools of whatever BLAS numpy was built against,
+provided vastop is imported before numpy, as ``vastop run`` always is. A
+caller that imports numpy first has numpy's BLAS already started uncapped,
+while scipy's, loaded later, takes the cap: the two libraries then run with
+different thread counts, and the lattice matrices can differ in their last
+digits from both the capped and the uncapped run. An invalid value is left out of the BLAS variables here (importing never
 fails); ``worker_count`` reports it as a config error when work starts.
 
 ``ordered_map`` is the package's only thread pool: Monte Carlo chunks and

@@ -1,10 +1,10 @@
-"""Closed forms available when fee and charge depend only on time.
+"""Closed forms of the time-dependent fee and charge model.
 
 Maturity-benefit value, guarantee put, the never-surrender condition checker,
 and the two standard fee/charge matching constructions. These serve as oracles
 for the numerical solvers, so everything here is evaluated to near machine
 precision: the normal CDF comes from scipy.special.ndtr and fee integrals are
-exact interval-by-interval (piecewise kinds) or adaptive Simpson at 1e-12.
+exact, interval by interval for the piecewise kind.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .model import (
     DomainError,
     FeeSpec,
     Scenario,
-    UnsupportedScenarioError,
     L_value,
 )
 
@@ -34,13 +33,6 @@ __all__ = [
 ]
 
 
-def _require_time_only(scn: Scenario) -> None:
-    if not scn.is_time_only:
-        raise UnsupportedScenarioError(
-            "closed forms need time-only fee and charge; use the mc or pde modules"
-        )
-
-
 def _d1(x, K, drift: float, sig_sqrt_tau: float):
     return (np.log(x / K) + drift + 0.5 * sig_sqrt_tau**2) / sig_sqrt_tau
 
@@ -51,7 +43,6 @@ def maturity_benefit_value(scn: Scenario, t: float, x):
     Equals x e^{-int c} Phi(d1) + G e^{-r tau} Phi(-d2); handled by an explicit
     branch at t = T (returns max(G, x)) rather than a d1 limit.
     """
-    _require_time_only(scn)
     scn.check_domain(t, x)
     G, T = scn.contract.G, scn.contract.T
     x = np.asarray(x, dtype=float)
@@ -70,7 +61,6 @@ def maturity_benefit_value(scn: Scenario, t: float, x):
 
 def guarantee_put_value(scn: Scenario, t: float, x):
     """Discounted value of (G - F_T)_+ started at (t, x); the financial guarantee."""
-    _require_time_only(scn)
     scn.check_domain(t, x)
     G, T = scn.contract.G, scn.contract.T
     x = np.asarray(x, dtype=float)

@@ -167,11 +167,9 @@ class _Run:
 
     @functools.cached_property
     def never_surrender(self):
-        """L >= 0 on the run's dates and 41 states around F0, checked on first use."""
-        scn = self.scn
-        return analytic.never_surrender_check(
-            scn, self.tnodes[:-1], np.linspace(scn.contract.F0 / 4, scn.contract.F0 * 4, 41)
-        )
+        """L >= 0 on the run's dates, checked on first use at F0 alone: L does not
+        depend on the state."""
+        return analytic.never_surrender_check(self.scn, self.tnodes[:-1], [self.scn.contract.F0])
 
     def priced(self, name: str, surf) -> None:
         """Keep a priced surface and report its value at inception. Write it out when

@@ -31,7 +31,7 @@ from scipy.special import ndtr
 
 from ._threads import ordered_map, worker_count
 from .analytic import guarantee_put_value, maturity_benefit_value
-from .model import ConfigError, Scenario, UnsupportedScenarioError
+from .model import ConfigError, Scenario
 from .region import Boundary
 from .surfaces import ValueSurface
 
@@ -54,8 +54,6 @@ class _StepQuadrature:
     """
 
     def __init__(self, scn: Scenario, boundary: Boundary, x: np.ndarray):
-        if not scn.is_time_only:
-            raise UnsupportedScenarioError("premium quadratures need time-only fee and charge")
         tn = np.asarray(boundary.tnodes, dtype=float)
         self.tnodes = tn
         self.nsteps = tn.size - 1
@@ -202,10 +200,9 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
             t = float(tn[n])
             h[n] = maturity_benefit_value(scn, t, x)
             e[n], f[n] = quad.premiums(n)
-            # payout branch of the representation is the surrender value x g(t, x)
+            # payout branch of the representation is the surrender value x g(t)
             # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly
-            g = np.asarray(scn.charge(t, x))
-            phi[n] = np.broadcast_to(g, x.shape) * x
+            phi[n] = scn.charge(t) * x
 
     # each slice is computed alone, so the rows are the same for any worker count
     for _ in ordered_map(fill, workers, caller_first=True):

@@ -2,7 +2,7 @@
 
 The account diffusion is approximated by a continuous-time Markov chain on a
 log-uniform state grid: tridiagonal generator rows match the local drift
-(r - C(t_n, x)) x and variance sigma^2 x^2 exactly (drift upwinded where needed
+(r - c(t_n)) x and variance sigma^2 x^2 exactly (drift upwinded where needed
 to keep rates nonnegative), and the one-step transition matrix is the exact
 matrix exponential of the generator over a step. Backward induction over the
 exercise dates then values the surrender right for either reward convention.
@@ -152,8 +152,7 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
     step_keys: list[bytes] = []
     chain: dict[bytes, np.ndarray] = {}
     for n in range(N):
-        t_n = float(tnodes[n])
-        c = np.broadcast_to(np.asarray(scn.fee(t_n, xnodes), dtype=float), xnodes.shape)
+        c = np.full(xnodes.shape, scn.fee(float(tnodes[n])))
         key = c.tobytes()
         if key not in chain:
             memo_key = (xnodes.tobytes(), dt, r, sigma, key)
@@ -195,8 +194,8 @@ def _step(grid: ChainGrid, n: int, values: np.ndarray, rho: float) -> np.ndarray
 def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontinuous") -> ValueSurface:
     """Value the Bermudan surrender right by backward induction on the chain.
 
-    reward_kind "discontinuous" uses the surrender payout g(t, x) x as exercise
-    value; "continuous" uses g(t, x) x v h(t, x) with h computed by a
+    reward_kind "discontinuous" uses the surrender payout g(t) x as exercise
+    value; "continuous" uses g(t) x v h(t, x) with h computed by a
     no-exercise backward pass on the same chain, which keeps the two
     representations identical node-for-node up to roundoff.
     """
@@ -209,18 +208,15 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
     rho = (x[-1] - x[-2]) / (x[-2] - x[-3])
     terminal = np.maximum(G, x)
 
-    # Far-field slopes of admissible strategies, for time-only inputs:
-    # holding and surrendering at the best deterministic future date is worth
-    # exactly slope * x (guarantee ignored), a lower bound at every node. The
-    # truncated chain cannot carry the account's outward drift near the upper
-    # edge, so without this floor the top band spuriously exercises whenever
-    # holding through a cheap-fee window is optimal.
-    use_floor = scn.is_time_only
-    if use_floor:
-        # frozen-left fee, mirroring the chain's per-step coefficients
-        dt = grid.dt
-        step_decay = np.exp(-np.asarray(scn.fee(tn[:-1]), dtype=float) * dt)
-        g_grid = np.asarray(scn.charge(tn), dtype=float)
+    # Far-field slopes of admissible strategies: holding and surrendering at the
+    # best deterministic future date is worth exactly slope * x (guarantee
+    # ignored), a lower bound at every node. The truncated chain cannot carry
+    # the account's outward drift near the upper edge, so without this floor the
+    # top band spuriously exercises whenever holding through a cheap-fee window
+    # is optimal. The fee is frozen at the step's left end, mirroring the
+    # chain's per-step coefficients.
+    step_decay = np.exp(-np.asarray(scn.fee(tn[:-1]), dtype=float) * grid.dt)
+    g_grid = np.asarray(scn.charge(tn), dtype=float)
 
     values = np.empty((N + 1, x.size))
     obstacle = np.empty_like(values)
@@ -232,17 +228,14 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
     slope_h = 1.0  # hold-to-maturity slope
     for n in range(N - 1, -1, -1):
         cont = _step(grid, n, V, rho)
-        g = np.asarray(scn.charge(float(tn[n]), x))
-        ob = np.broadcast_to(g, x.shape) * x
-        if use_floor:
-            hold_v = step_decay[n] * slope_v
-            np.maximum(cont, hold_v * x, out=cont)
-            slope_v = max(float(g_grid[n]), hold_v)
-            slope_h = step_decay[n] * slope_h
+        ob = scn.charge(float(tn[n])) * x
+        hold_v = step_decay[n] * slope_v
+        np.maximum(cont, hold_v * x, out=cont)
+        slope_v = max(float(g_grid[n]), hold_v)
+        slope_h = step_decay[n] * slope_h
         if H is not None:
             H = _step(grid, n, H, rho)
-            if use_floor:
-                np.maximum(H, slope_h * x, out=H)
+            np.maximum(H, slope_h * x, out=H)
             ob = np.maximum(ob, H)
         V = np.maximum(ob, cont)
         values[n] = V

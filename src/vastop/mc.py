@@ -3,7 +3,7 @@
 Randomness comes from the counter-based Philox generator. Paths are produced
 in fixed-size chunks of 2^14; chunk i draws from Philox(key=seed).jumped(i)
 with a path-major normal matrix, so results are bit-reproducible for a given
-(seed, npaths, nsteps, scheme). A chunk is drawn and built in blocks of
+(seed, npaths, nsteps). A chunk is drawn and built in blocks of
 BLOCK_ROWS paths: consecutive standard_normal calls on the chunk's generator
 stack to the same paths as one call, and a block's normals and paths stay in
 the core's cache across the in-place passes that build them.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import ordered_map
-from .model import ConfigError, Scenario, UnsupportedScenarioError
+from .model import ConfigError, Scenario
 from .region import Boundary, RegionMask, extract_boundary
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
 CHUNK_PATHS = 1 << 14
 BLOCK_ROWS = 256
 
-_SCHEMES = ("exact-lognormal", "euler")
-
 
 @dataclass(frozen=True)
 class PathBatch:
@@ -55,85 +53,61 @@ class PathBatch:
 
     Paths are not stored; chunks are re-simulated on demand from the seed, so a
     batch of a million paths costs no memory and every consumer sees the exact
-    same paths. "exact-lognormal" draws each step from the exact lognormal
-    transition (time-only fees); "euler" is an Euler-Maruyama step on ln F with
-    the fee frozen at the step's left endpoint (state-dependent fees allowed,
-    paths stay strictly positive).
+    same paths. Each step is drawn from the exact lognormal transition.
     """
 
     scn: Scenario
     seed: int
     npaths: int
     nsteps: int
-    scheme: str = "exact-lognormal"
 
     def __post_init__(self) -> None:
         if self.npaths < 1 or self.nsteps < 1:
             raise ConfigError("npaths and nsteps must be positive")
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"scheme must be one of {_SCHEMES}")
-        if self.scheme == "exact-lognormal" and not self.scn.fee.is_time_only:
-            raise UnsupportedScenarioError("exact-lognormal scheme needs a time-only fee")
 
     @property
     def tnodes(self) -> np.ndarray:
         return np.linspace(0.0, self.scn.contract.T, self.nsteps + 1)
 
-    def _exact_step_drifts(self) -> np.ndarray:
-        tn = self.tnodes
-        r, sig = self.scn.market.r, self.scn.market.sigma
-        dt = float(tn[1] - tn[0])
-        fee_ints = np.array(
-            [self.scn.fee.integral(float(a), float(b)) for a, b in zip(tn[:-1], tn[1:])]
-        )
-        return r * dt - fee_ints - 0.5 * sig * sig * dt
-
-    def _blocks(self, ci: int, drifts: np.ndarray | None):
-        """Yield the paths of chunk ci as consecutive row blocks of shape
-        (rows, nsteps + 1): BLOCK_ROWS rows with exact steps (drifts given),
-        the whole chunk with Euler steps, whose loop over the steps runs once
-        per block. Every block is built in the same two buffers, so a block is
-        valid until the next one is drawn. Runs on a pool worker, so it must
-        call no public vastop function (the perfbench tracer's span stack is
-        single-threaded)."""
-        tn = self.tnodes
-        dt = float(tn[1] - tn[0])
-        sig = self.scn.market.sigma
-        vol = sig * math.sqrt(dt)
+    def _blocks(self, ci: int, drifts: np.ndarray):
+        """Yield the paths of chunk ci as consecutive row blocks of BLOCK_ROWS
+        rows and nsteps + 1 columns, with drifts the per-step log drifts. Every
+        block is built in the same two buffers, so a block is valid until the
+        next one is drawn. Runs on a pool worker, so it must call no public
+        vastop function (the perfbench tracer's span stack is single-threaded)."""
+        vol = self.scn.market.sigma * math.sqrt(float(self.tnodes[1] - self.tnodes[0]))
         F0 = self.scn.contract.F0
         npc = min(CHUNK_PATHS, self.npaths - ci * CHUNK_PATHS)
         rng = np.random.Generator(np.random.Philox(key=self.seed).jumped(ci))
-        rows = min(BLOCK_ROWS, npc) if drifts is not None else npc
+        rows = min(BLOCK_ROWS, npc)
         Zbuf = np.empty((rows, self.nsteps))
         Fbuf = np.empty((rows, self.nsteps + 1))
         Fbuf[:, 0] = F0
         for r0 in range(0, npc, rows):
             Z, F = Zbuf[:npc - r0], Fbuf[:npc - r0]
             rng.standard_normal(out=Z)
-            if drifts is not None:
-                # exp(log F0 + cumsum(drifts + vol Z)), built in place in Z
-                Z *= vol
-                Z += drifts
-                np.cumsum(Z, axis=1, out=Z)
-                Z += math.log(F0)
-                np.exp(Z, out=F[:, 1:])
-            else:
-                r = self.scn.market.r
-                for n in range(self.nsteps):
-                    c = self.scn.fee(float(tn[n]), F[:, n])
-                    F[:, n + 1] = F[:, n] * np.exp(
-                        (r - np.asarray(c) - 0.5 * sig * sig) * dt + vol * Z[:, n]
-                    )
+            # exp(log F0 + cumsum(drifts + vol Z)), built in place in Z
+            Z *= vol
+            Z += drifts
+            np.cumsum(Z, axis=1, out=Z)
+            Z += math.log(F0)
+            np.exp(Z, out=F[:, 1:])
             yield F
 
-    def _chunk(self, ci: int, drifts: np.ndarray | None) -> np.ndarray:
+    def _chunk(self, ci: int, drifts: np.ndarray) -> np.ndarray:
         """Paths of chunk ci, shape (chunk, nsteps + 1), from its blocks."""
         return np.concatenate([F.copy() for F in self._blocks(ci, drifts)])
 
     def _map_chunks(self, fn):
         """ordered_map of fn(ci, drifts) over the chunk indices, with drifts the
-        exact scheme's per-step log drifts (None for Euler steps)."""
-        drifts = self._exact_step_drifts() if self.scheme == "exact-lognormal" else None
+        per-step log drifts of the exact lognormal transition."""
+        tn = self.tnodes
+        r, sig = self.scn.market.r, self.scn.market.sigma
+        dt = float(tn[1] - tn[0])
+        fee_ints = np.array(
+            [self.scn.fee.integral(float(a), float(b)) for a, b in zip(tn[:-1], tn[1:])]
+        )
+        drifts = r * dt - fee_ints - 0.5 * sig * sig * dt
         return ordered_map(lambda ci: fn(ci, drifts), -(-self.npaths // CHUNK_PATHS))
 
     def iter_chunks(self):
@@ -156,11 +130,9 @@ class PathBatch:
         return np.concatenate([F for _, F in self.iter_chunks()], axis=0)
 
 
-def simulate_paths(
-    scn: Scenario, seed: int, npaths: int, nsteps: int, scheme: str = "exact-lognormal"
-) -> PathBatch:
-    """Deterministic path batch; see PathBatch for the scheme semantics."""
-    return PathBatch(scn=scn, seed=seed, npaths=npaths, nsteps=nsteps, scheme=scheme)
+def simulate_paths(scn: Scenario, seed: int, npaths: int, nsteps: int) -> PathBatch:
+    """Deterministic path batch; see PathBatch."""
+    return PathBatch(scn=scn, seed=seed, npaths=npaths, nsteps=nsteps)
 
 
 @dataclass(frozen=True)
@@ -187,7 +159,7 @@ def _one_pass(batch: PathBatch, kernels) -> list[McEstimate]:
     worker count nor on which other kernels share the pass.
     """
 
-    def chunk_sums(ci: int, drifts: np.ndarray | None) -> list[tuple[float, float]]:
+    def chunk_sums(ci: int, drifts: np.ndarray) -> list[tuple[float, float]]:
         bufs, r0 = [], 0
         for F in batch._blocks(ci, drifts):
             samples = [x for kernel in kernels for x in kernel(F)]
@@ -228,8 +200,7 @@ def _boundary_kernel(batch: PathBatch, scn: Scenario, boundary: Boundary):
     r, G = scn.market.r, scn.contract.G
     b = np.asarray(boundary.values, dtype=float)
     disc = np.exp(-r * tn)
-    time_only = scn.charge.is_time_only
-    gvals = np.asarray(scn.charge(tn[:-1]), dtype=float) if time_only else None
+    gvals = np.asarray(scn.charge(tn[:-1]), dtype=float)
 
     def kernel(F: np.ndarray):
         hits = F[:, :-1] >= b[None, :]
@@ -239,11 +210,7 @@ def _boundary_kernel(batch: PathBatch, scn: Scenario, boundary: Boundary):
         if np.any(hit_any):
             rows = np.nonzero(hit_any)[0]
             n_hit = first[rows]
-            F_hit = F[rows, n_hit]
-            g_hit = gvals[n_hit] if time_only else np.asarray(
-                scn.charge(tn[n_hit], F_hit), dtype=float
-            )
-            pay[rows] = disc[n_hit] * g_hit * F_hit
+            pay[rows] = disc[n_hit] * gvals[n_hit] * F[rows, n_hit]
         return (pay,)
 
     return kernel
@@ -260,8 +227,6 @@ class McPremiumEstimates:
 
 
 def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
-    if not scn.is_time_only:
-        raise UnsupportedScenarioError("premium integrals need time-only fee and charge")
     tn = batch.tnodes
     if mask.tnodes.size != tn.size or not np.allclose(mask.tnodes, tn, rtol=0.0, atol=1e-9):
         raise ConfigError("mask is not defined on the batch's exercise dates")

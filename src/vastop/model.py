@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "DomainError",
     "ConfigError",
-    "UnsupportedScenarioError",
     "MarketParams",
     "ContractParams",
     "FeeSpec",
@@ -38,10 +37,6 @@ class DomainError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid construction parameters or an invalid run document."""
-
-
-class UnsupportedScenarioError(ValueError):
-    """The requested operation does not support this fee/charge combination."""
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -86,12 +81,12 @@ class ContractParams:
 # Fee specification
 # ---------------------------------------------------------------------------
 
-_FEE_KINDS = ("constant", "piecewise", "smooth", "state")
+_FEE_KINDS = ("constant", "piecewise", "smooth")
 
 
 @dataclass(frozen=True)
 class FeeSpec:
-    """Fee rate function C(t, x) deducted continuously from the sub-account.
+    """Fee rate function c(t) deducted continuously from the sub-account.
 
     Kinds
     -----
@@ -103,11 +98,8 @@ class FeeSpec:
         last one ends at the horizon), so a breakpoint belongs to the interval
         it ends, matching indicator conventions like 1_{a < t <= b}.
     smooth
-        Time-only rate given by a callable ``rate_fn``; ``integral_fn(t, s)``
-        may supply the exact integral of the rate, otherwise adaptive Simpson
-        quadrature (abs tol 1e-12) is used.
-    state
-        Rate ``rate_fn(t, x)`` depending on the account value.
+        Rate given by a callable ``rate_fn(t)``, with ``integral_fn(t, s)`` its
+        exact integral over [t, s].
 
     The horizon T is carried when known so that the breakpoints and the
     scenario's maturity can be validated against it.
@@ -141,15 +133,11 @@ class FeeSpec:
                 raise ConfigError("fee.breakpoints must lie strictly inside (0, T)")
             if any(not 0.0 <= r <= 1.0 for r in self.rates):
                 raise ConfigError("fee.rates must lie in [0, 1]")
-        elif self.rate_fn is None:
-            raise ConfigError(f"fee.kind={self.kind!r} requires rate_fn")
+        elif self.rate_fn is None or self.integral_fn is None:
+            raise ConfigError("fee.kind='smooth' requires rate_fn and integral_fn")
 
-    @property
-    def is_time_only(self) -> bool:
-        return self.kind != "state"
-
-    def __call__(self, t, x=None):
-        """Vectorized fee rate; `x` is required only for the state kind."""
+    def __call__(self, t):
+        """Vectorized fee rate."""
         t = _as_float_array(t)
         if self.kind == "constant":
             return np.broadcast_to(np.float64(self.rate), t.shape).copy() if t.ndim else float(self.rate)
@@ -157,16 +145,11 @@ class FeeSpec:
             idx = np.searchsorted(np.asarray(self.breakpoints), t, side="left")
             out = np.asarray(self.rates, dtype=float)[idx]
             return out if t.ndim else float(out)
-        if self.kind == "smooth":
-            out = _as_float_array(self.rate_fn(t))
-            return out if t.ndim else float(out)
-        if x is None:
-            raise UnsupportedScenarioError("state-dependent fee needs the account value x")
-        out = _as_float_array(self.rate_fn(t, _as_float_array(x)))
-        return out if out.ndim else float(out)
+        out = _as_float_array(self.rate_fn(t))
+        return out if t.ndim else float(out)
 
     def rate_right(self, t):
-        """Right limit C(t+), differing from C(t) only at piecewise breakpoints."""
+        """Right limit c(t+), differing from c(t) only at piecewise breakpoints."""
         if self.kind != "piecewise":
             return self(t)
         t = _as_float_array(t)
@@ -175,9 +158,7 @@ class FeeSpec:
         return out if t.ndim else float(out)
 
     def integral(self, t: float, s: float) -> float:
-        """Exact integral of the fee rate over [t, s] (time-only kinds)."""
-        if not self.is_time_only:
-            raise UnsupportedScenarioError("fee integral undefined for state-dependent fees")
+        """Exact integral of the fee rate over [t, s]."""
         if s < t:
             raise DomainError("fee integral needs t <= s")
         if s == t:
@@ -190,44 +171,19 @@ class FeeSpec:
             for a, b in zip(edges, edges[1:]):
                 total += self.rate_right(a) * (b - a)
             return total
-        if self.integral_fn is not None:
-            return float(self.integral_fn(t, s))
-        return _adaptive_simpson(self.rate_fn, t, s, 1e-12)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = float(f(lmid))
-        frm = float(f(rmid))
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, flm, fmid, left, eps / 2.0, depth - 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1
-        )
-
-    fa, fm, fb = float(f(a)), float(f(0.5 * (a + b))), float(f(b))
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+        return float(self.integral_fn(t, s))
 
 
 # ---------------------------------------------------------------------------
 # Surrender-charge specification
 # ---------------------------------------------------------------------------
 
-_CHARGE_KINDS = ("exponential", "cubic", "general_time", "general_state")
+_CHARGE_KINDS = ("exponential", "cubic")
 
 
 @dataclass(frozen=True)
 class ChargeSpec:
-    """Surrender-charge factor g(t, x): fraction of the account paid on surrender.
+    """Surrender-charge factor g(t): fraction of the account paid on surrender.
 
     Kinds
     -----
@@ -235,24 +191,14 @@ class ChargeSpec:
         g(t) = exp(-kappa (T - t)).
     cubic
         g(t) = 1 - k (1 - t/T)^3 with 0 < k < 1.
-    general_time
-        Callable ``fn(t)``; optional analytic ``dt_fn``.
-    general_state
-        Callable ``fn(t, x)``; optional analytic ``dt_fn``, ``dx_fn``, ``dxx_fn``.
 
-    Missing derivatives of the general kinds are supplied by central finite
-    differences with step max(1e-6, 1e-6 |t|) (accuracy documented as such);
-    the named kinds use exact formulas.
+    Both give exactly g(T) = 1, and `dt` is the exact derivative g'(t).
     """
 
     kind: str
     T: float
     kappa: float = 0.0
     k: float = 0.0
-    fn: Callable | None = None
-    dt_fn: Callable | None = None
-    dx_fn: Callable | None = None
-    dxx_fn: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _CHARGE_KINDS:
@@ -263,71 +209,22 @@ class ChargeSpec:
             raise ConfigError("charge.kappa must be a finite nonnegative real")
         if self.kind == "cubic" and not 0.0 < self.k < 1.0:
             raise ConfigError("charge.k must lie in (0, 1) so that g stays in (0, 1]")
-        if self.kind in ("general_time", "general_state") and self.fn is None:
-            raise ConfigError(f"charge.kind={self.kind!r} requires fn")
 
-    @property
-    def is_time_only(self) -> bool:
-        return self.kind != "general_state"
-
-    def __call__(self, t, x=None):
+    def __call__(self, t):
         t = _as_float_array(t)
         if self.kind == "exponential":
             out = np.exp(-self.kappa * (self.T - t))
-        elif self.kind == "cubic":
-            out = 1.0 - self.k * (1.0 - t / self.T) ** 3
-        elif self.kind == "general_time":
-            out = _as_float_array(self.fn(t))
         else:
-            if x is None:
-                raise UnsupportedScenarioError("state-dependent charge needs the account value x")
-            out = _as_float_array(self.fn(t, _as_float_array(x)))
+            out = 1.0 - self.k * (1.0 - t / self.T) ** 3
         return out if out.ndim else float(out)
 
-    def dt(self, t, x=None):
+    def dt(self, t):
         t = _as_float_array(t)
         if self.kind == "exponential":
             out = self.kappa * np.exp(-self.kappa * (self.T - t))
-        elif self.kind == "cubic":
-            out = (3.0 * self.k / self.T) * (1.0 - t / self.T) ** 2
-        elif self.dt_fn is not None:
-            out = _as_float_array(self.dt_fn(t) if self.kind == "general_time" else self.dt_fn(t, x))
         else:
-            h = np.maximum(1e-6, 1e-6 * np.abs(t))
-            # shrink the step near the ends so both stencil points stay in [0, T]
-            h = np.minimum(h, np.maximum(np.minimum(t, self.T - t) * 0.5, 1e-12))
-            up = self(t + h) if self.kind == "general_time" else self(t + h, x)
-            dn = self(t - h) if self.kind == "general_time" else self(t - h, x)
-            out = (up - dn) / (2.0 * h)
+            out = (3.0 * self.k / self.T) * (1.0 - t / self.T) ** 2
         return out if out.ndim else float(out)
-
-    def dx(self, t, x):
-        if self.is_time_only:
-            t = _as_float_array(t)
-            x = _as_float_array(x)
-            out = np.zeros(np.broadcast(t, x).shape)
-            return out if out.ndim else 0.0
-        if self.dx_fn is not None:
-            out = _as_float_array(self.dx_fn(t, x))
-            return out if out.ndim else float(out)
-        x = _as_float_array(x)
-        h = np.maximum(1e-6, 1e-6 * np.abs(x))
-        out = (self(t, x + h) - self(t, x - h)) / (2.0 * h)
-        return out if np.ndim(out) else float(out)
-
-    def dxx(self, t, x):
-        if self.is_time_only:
-            t = _as_float_array(t)
-            x = _as_float_array(x)
-            out = np.zeros(np.broadcast(t, x).shape)
-            return out if out.ndim else 0.0
-        if self.dxx_fn is not None:
-            out = _as_float_array(self.dxx_fn(t, x))
-            return out if out.ndim else float(out)
-        x = _as_float_array(x)
-        h = np.maximum(1e-5, 1e-5 * np.abs(x))
-        out = (self(t, x + h) - 2.0 * self(t, x) + self(t, x - h)) / (h * h)
-        return out if np.ndim(out) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +249,6 @@ class Scenario:
         if self.fee.kind == "piecewise" and self.fee.breakpoints:
             if self.fee.breakpoints[-1] >= self.contract.T:
                 raise ConfigError("fee.breakpoints must lie strictly inside (0, T)")
-        gT = self.charge(self.contract.T) if self.charge.is_time_only else self.charge(
-            self.contract.T, self.contract.F0
-        )
-        if not float(np.max(np.abs(_as_float_array(gT) - 1.0))) <= 1e-9:  # NaN fails too
-            raise ConfigError("charge factor must equal 1 at maturity")
-
-    @property
-    def is_time_only(self) -> bool:
-        return self.fee.is_time_only and self.charge.is_time_only
 
     def check_domain(self, t, x, *, allow_T: bool = True) -> None:
         t = _as_float_array(t)
@@ -373,36 +261,28 @@ class Scenario:
 
 
 def reward(scn: Scenario, t: float, x):
-    """Surrender payout: g(t, x) x before maturity, max(G, x) at maturity."""
+    """Surrender payout: g(t) x before maturity, max(G, x) at maturity."""
     scn.check_domain(t, x)
     x = _as_float_array(x)
     if abs(t - scn.contract.T) <= 1e-12 * max(1.0, scn.contract.T):
         out = np.maximum(scn.contract.G, x)
     else:
-        out = _as_float_array(scn.charge(t, x)) * x
+        out = scn.charge(t) * x
     return out if out.ndim else float(out)
 
 
 def L_value(scn: Scenario, t: float, x):
     """Drift rate of the discounted surrender value per unit account.
 
-    L(t, x) = g_t + (r - C + sigma^2) x g_x + (sigma^2 x^2 / 2) g_xx - C g.
-    Nonnegative everywhere means surrender never beats holding; for time-only
-    fee and charge it reduces to g'(t) - c(t) g(t) and is independent of x.
+    L(t) = g'(t) - c(t) g(t), broadcast over x. Nonnegative everywhere means
+    surrender never beats holding.
     """
     scn.check_domain(t, x, allow_T=False)
     x = _as_float_array(x)
-    r, sig = scn.market.r, scn.market.sigma
-    c = _as_float_array(scn.fee(t, x))
-    g = _as_float_array(scn.charge(t, x))
-    gt = _as_float_array(scn.charge.dt(t, x))
-    if scn.charge.is_time_only:
-        out = gt - c * g
-        out = np.broadcast_to(out, x.shape).copy() if x.ndim else out
-    else:
-        gx = _as_float_array(scn.charge.dx(t, x))
-        gxx = _as_float_array(scn.charge.dxx(t, x))
-        out = gt + (r - c + sig * sig) * x * gx + 0.5 * sig * sig * x * x * gxx - c * g
+    c = _as_float_array(scn.fee(t))
+    g = _as_float_array(scn.charge(t))
+    out = _as_float_array(scn.charge.dt(t)) - c * g
+    out = np.broadcast_to(out, x.shape).copy() if x.ndim else out
     return out if np.ndim(out) else float(out)
 
 

@@ -113,11 +113,10 @@ def _obstacle_solve(sub, diag, sup, rhs, obstacle, v0, tol, max_iter):
 def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     """Backward time-stepping of max{A_t v + v_t - r v, payout - v} = 0.
 
-    Terminal condition max(G, x); obstacle g(t, x) x enforced by the active-set
+    Terminal condition max(G, x); obstacle g(t) x enforced by the active-set
     solve at every level. Bottom boundary is the guarantee floor G e^{-r(T-t)}; the
     top node is clamped to the payout when the slice is expected to contain
-    surrender states (L(t, x_max) < 0) and extrapolated linearly in x otherwise.
-    State-dependent fees are accepted but tagged metadata["heuristic"].
+    surrender states (L(t) < 0) and extrapolated linearly in x otherwise.
     """
     x = grid.xnodes
     tn = grid.tnodes
@@ -142,9 +141,8 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     s2 = 0.5 * sig * sig
     for n in range(N - 1, -1, -1):
         t_left = float(tn[n])
-        g = np.asarray(scn.charge(t_left, x))
-        phi = np.broadcast_to(g, x.shape) * x
-        c = np.broadcast_to(np.asarray(scn.fee(t_left, x), dtype=float), x.shape)
+        phi = scn.charge(t_left) * x
+        c = np.full(x.shape, scn.fee(t_left))
         adv = r - c - s2
         a = s2 / dy**2 - adv / (2.0 * dy)
         bq = np.full(x.size, -2.0 * s2 / dy**2 - r)
@@ -204,7 +202,6 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
             "psor_max_iterations": iters_max,
             # the update tolerance, also the diagnostics' obstacle slack
             "solver_tol": grid.tol,
-            "heuristic": not scn.fee.is_time_only,
             "complementarity_free_max": comp_free_max,
             "complementarity_active_min": comp_active_min,
         },

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, L_value, Scenario, UnsupportedScenarioError
+from .model import ConfigError, L_value, Scenario
 from .surfaces import ValueSurface
 
 __all__ = [
@@ -64,9 +64,9 @@ def extract_regions(surface: ValueSurface, scn: Scenario, mode: str = "value-gap
 
     mode "value-gap" is the raw rule: value - obstacle <= tol_abs + tol_rel *
     obstacle, with tol_abs = 1e-8 G and tol_rel = 1e-6 (both kept on the mask).
-    mode "exercise" (time-only scenarios) additionally requires the surrender
-    payout to strictly dominate the hold-to-maturity value, g(t) x >= h(t, x) +
-    tol with h from the closed form. The raw rule cannot distinguish genuine
+    mode "exercise" additionally requires the surrender payout to strictly
+    dominate the hold-to-maturity value, g(t) x >= h(t, x) + tol with h from
+    the closed form. The raw rule cannot distinguish genuine
     exercises from nodes where the remaining optionality is merely worth less
     than the tolerance (near maturity at x >> G the guarantee put vanishes
     faster than any tolerance, and deep in the guarantee region the surrender
@@ -88,8 +88,7 @@ def extract_regions(surface: ValueSurface, scn: Scenario, mode: str = "value-gap
         x = surface.xnodes
         gate = np.empty_like(mask)
         for n, t in enumerate(surface.tnodes[:-1]):
-            g = np.asarray(scn.charge(float(t), x))
-            payout = np.broadcast_to(g, x.shape) * x
+            payout = scn.charge(float(t)) * x
             h = np.asarray(maturity_benefit_value(scn, float(t), x))
             gate[n] = payout >= h + tol[n]
         mask &= gate
@@ -145,8 +144,6 @@ def classify_sections(scn: Scenario, tgrid) -> np.ndarray:
     "nonempty-conjectured": proven when L < 0 throughout, conjectured slice by
     slice otherwise.
     """
-    if not scn.is_time_only:
-        raise UnsupportedScenarioError("section classification needs time-only fee and charge")
     tgrid = np.asarray(tgrid, dtype=float)
     out = np.empty(tgrid.shape, dtype=object)
     for j, t in enumerate(tgrid):

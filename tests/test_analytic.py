@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vastop as vs
-from vastop.model import DomainError, UnsupportedScenarioError
+from vastop.model import DomainError
 
 
 def _terminal_draws(scn, npaths, seed):
@@ -58,19 +58,6 @@ class TestMaturityBenefitValue:
             put = np.asarray(vs.guarantee_put_value(c1_scn, t, x))
             acct = x * math.exp(-c1_scn.fee.integral(t, 15.0))
             assert np.allclose(h, acct + put, rtol=1e-10, atol=1e-10)
-
-    def test_state_fee_unsupported(self):
-        from vastop.model import ChargeSpec, ContractParams, FeeSpec, MarketParams, Scenario
-
-        scn = Scenario(
-            market=MarketParams(r=0.03, sigma=0.2),
-            contract=ContractParams(G=100.0, T=15.0, F0=100.0),
-            fee=FeeSpec("state", rate_fn=lambda t, x: 0.01 * x / (x + 100.0)),
-            charge=ChargeSpec("exponential", T=15.0, kappa=0.0055),
-        )
-        with pytest.raises(UnsupportedScenarioError):
-            vs.maturity_benefit_value(scn, 0.0, 100.0)
-
 
 class TestNeverSurrenderCheck:
     def test_matched_rates_hold(self):

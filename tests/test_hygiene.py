@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses, every
-function the package exports has a consumer, only one module holds a thread pool,
-only one holds the rule checker of document keys, and the README documents exactly
-the keys that checker knows."""
+function the package exports and every fee and charge kind has a consumer, only
+one module holds a thread pool, only one holds the rule checker of document keys,
+and the README documents exactly the keys that checker knows."""
 
 from __future__ import annotations
 
@@ -97,6 +97,35 @@ def test_reachability_checker_flags_an_unconsumed_function():
     consumers = ["import vastop as vs\nvs.f()\n", "from vastop.n import k\nk()\n"]
     # f has a consumer, g another module, k a consumer; h only its own module
     assert unreached_functions(init, modules, consumers) == ["m.h"]
+
+
+def string_literals(source: str) -> set[str]:
+    """Every string constant of a module, docstrings whole."""
+    return {n.value for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def unreached_kinds(kinds, document_kinds, sources: list[str]) -> list[str]:
+    """Each of kinds that a run document cannot give and that no source names as a
+    string literal."""
+    named = set().union(*map(string_literals, sources))
+    return [kind for kind in kinds if kind not in document_kinds and kind not in named]
+
+
+def test_every_scenario_kind_has_a_consumer():
+    # a fee or charge kind that only model.py and its unit tests build is not part of the package
+    sources = [p.read_text(encoding="utf-8") for p in [*MODULES, *CONSUMERS] if p.name != "model.py"]
+    rules = model._SCENARIO_RULES
+    for kinds, section in ((model._FEE_KINDS, "fee"), (model._CHARGE_KINDS, "charge")):
+        assert unreached_kinds(kinds, rules[section]["kind"], sources) == [], section
+
+
+def test_kind_checker_flags_an_unreached_kind():
+    kinds = ("constant", "smooth", "state", "general")
+    sources = ['fee = FeeSpec("smooth", rate_fn=f)\n',
+               '"""The state kind."""\nstate = 1  # "general"\n']
+    # constant is a document kind, smooth a literal; a docstring, a name or a comment is not
+    assert unreached_kinds(kinds, {"constant": {}}, sources) == ["state", "general"]
 
 
 def pool_imports(source: str) -> list[str]:

@@ -13,7 +13,7 @@ import pytest
 import vastop as vs
 from vastop import mc
 from vastop.mc import BLOCK_ROWS, CHUNK_PATHS, PathBatch
-from vastop.model import ConfigError, UnsupportedScenarioError
+from vastop.model import ConfigError
 from vastop.region import Boundary, RegionMask
 
 
@@ -77,34 +77,6 @@ class TestSimulatePaths:
         target = 100.0 * math.exp(-c1_scn.fee.integral(0.0, 15.0))
         se = pay.std() / math.sqrt(pay.size)
         assert abs(pay.mean() - target) <= 3.0 * se
-
-    def test_schemes_agree_for_time_only_fee(self, c1_scn):
-        exact = vs.mc_maturity_benefit(
-            vs.simulate_paths(c1_scn, seed=10, npaths=10**5, nsteps=360), c1_scn
-        )
-        euler = vs.mc_maturity_benefit(
-            vs.simulate_paths(c1_scn, seed=11, npaths=10**5, nsteps=360, scheme="euler"), c1_scn
-        )
-        combined = math.hypot(exact.std_error, euler.std_error)
-        assert abs(exact.estimate - euler.estimate) <= 3.0 * combined
-
-    def test_exact_scheme_needs_time_only_fee(self):
-        from vastop.model import ChargeSpec, ContractParams, FeeSpec, MarketParams, Scenario
-
-        scn = Scenario(
-            market=MarketParams(r=0.03, sigma=0.2),
-            contract=ContractParams(G=100.0, T=15.0, F0=100.0),
-            fee=FeeSpec("state", rate_fn=lambda t, x: 0.01 * x / (x + 100.0)),
-            charge=ChargeSpec("exponential", T=15.0, kappa=0.0055),
-        )
-        with pytest.raises(UnsupportedScenarioError):
-            vs.simulate_paths(scn, seed=1, npaths=10, nsteps=4)
-        vs.simulate_paths(scn, seed=1, npaths=10, nsteps=4, scheme="euler").materialize()
-
-    def test_bad_scheme(self, c1_scn):
-        with pytest.raises(ConfigError):
-            vs.simulate_paths(c1_scn, seed=1, npaths=10, nsteps=4, scheme="sobol")
-
 
 class TestMaturityBenefit:
     def test_matches_closed_form(self, c1_scn):

@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import vastop as vs
 from vastop.model import (
-    ChargeSpec, ConfigError, ContractParams, DomainError, FeeSpec, MarketParams, is_finite_number,
+    _SCENARIO_RULES, ChargeSpec, ConfigError, ContractParams, DomainError, FeeSpec, MarketParams,
+    is_finite_number,
 )
 
 
@@ -29,7 +31,7 @@ def test_market_contract_validation():
 class TestFeeSpec:
     def test_constant(self):
         fee = FeeSpec("constant", rate=0.02, horizon=15.0)
-        assert fee(3.0, 50.0) == 0.02
+        assert fee(3.0) == 0.02
         assert fee.integral(1.0, 4.0) == pytest.approx(0.06, abs=1e-15)
 
     def test_constant_out_of_bounds(self):
@@ -39,11 +41,11 @@ class TestFeeSpec:
     def test_piecewise_breakpoint_convention(self, c1_scn):
         # a breakpoint belongs to the interval it ends: 1_{a < t <= b}
         fee = c1_scn.fee
-        assert fee(0.0, 100.0) == 0.010908
-        assert fee(5.0, 100.0) == 0.010908
-        assert fee(7.0, 100.0) == 0.005454
-        assert fee(10.0, 100.0) == 0.005454
-        assert fee(10.25, 100.0) == 0.010908
+        assert fee(0.0) == 0.010908
+        assert fee(5.0) == 0.010908
+        assert fee(7.0) == 0.005454
+        assert fee(10.0) == 0.005454
+        assert fee(10.25) == 0.010908
         assert fee.rate_right(5.0) == 0.005454
         assert fee.rate_right(10.0) == 0.010908
 
@@ -71,9 +73,13 @@ class TestFeeSpec:
 
     def test_smooth_fee_integral_matches_quadrature(self):
         fee = vs.fee_from_cubic_charge_bound(15.0, 0.1)
-        plain = FeeSpec("smooth", rate_fn=fee.rate_fn)  # no closed-form integral
         for (a, b) in [(0.0, 15.0), (2.0, 7.5), (14.0, 15.0)]:
-            assert fee.integral(a, b) == pytest.approx(plain.integral(a, b), abs=1e-10)
+            quad, _ = integrate.quad(fee.rate_fn, a, b, epsabs=1e-13, epsrel=1e-13)
+            assert fee.integral(a, b) == pytest.approx(quad, abs=1e-10)
+
+    def test_smooth_fee_needs_its_integral(self):
+        with pytest.raises(ConfigError, match="integral_fn"):
+            FeeSpec("smooth", rate_fn=lambda t: 0.01 + 0.0 * t)
 
     @given(
         t=st.floats(0.0, 15.0),
@@ -92,13 +98,13 @@ class TestFeeSpec:
 class TestChargeSpec:
     def test_exponential_values(self):
         charge = ChargeSpec("exponential", T=15.0, kappa=0.0055)
-        assert charge(15.0, 50.0) == 1.0
-        assert charge(0.0, 50.0) == pytest.approx(math.exp(-0.0825), rel=1e-12)
+        assert charge(15.0) == 1.0
+        assert charge(0.0) == pytest.approx(math.exp(-0.0825), rel=1e-12)
 
     def test_cubic_values(self):
         charge = ChargeSpec("cubic", T=15.0, k=0.1)
-        assert charge(0.0, 1.0) == pytest.approx(0.9, abs=1e-15)
-        assert charge(15.0, 1.0) == 1.0
+        assert charge(0.0) == pytest.approx(0.9, abs=1e-15)
+        assert charge(15.0) == 1.0
 
     def test_cubic_k_range(self):
         with pytest.raises(ConfigError):
@@ -123,37 +129,24 @@ class TestChargeSpec:
         fd = (charge(t + h) - charge(t - h)) / (2 * h)
         assert np.allclose(charge.dt(t), fd, rtol=1e-6)
 
-    def test_state_charge_fd_matches_supplied_derivatives(self):
-        # g(t, x) = 1 - k (1 - t/T)^3 * G0 / (G0 + x): in (0,1], equals 1 at T
-        T, k, G0 = 15.0, 0.2, 100.0
+    # the intervals of the run document's rules, ends included
+    @given(T=st.floats(2.0**-1022, 100.0), kappa=st.floats(0.0, 1.0),
+           k=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(T=2.0**-1022, kappa=0.0, k=5e-324)
+    @example(T=100.0, kappa=1.0, k=1.0 - 2.0**-53)
+    @settings(max_examples=200, deadline=None)
+    def test_named_charges_are_exactly_one_at_maturity(self, T, kappa, k):
+        assert _SCENARIO_RULES["contract"]["T"][2] == "[2**-1022, 100]"
+        assert _SCENARIO_RULES["charge"]["kind"]["exponential"]["kappa"][2] == "[0, 1]"
+        assert _SCENARIO_RULES["charge"]["kind"]["cubic"]["k"][2] == "(0, 1)"
+        assert ChargeSpec("exponential", T, kappa)(T) == 1.0
+        assert ChargeSpec("cubic", T, k=k)(T) == 1.0
 
-        def g(t, x):
-            return 1.0 - k * (1.0 - t / T) ** 3 * G0 / (G0 + x)
-
-        def gt(t, x):
-            return (3.0 * k / T) * (1.0 - t / T) ** 2 * G0 / (G0 + x)
-
-        def gx(t, x):
-            return k * (1.0 - t / T) ** 3 * G0 / (G0 + x) ** 2
-
-        def gxx(t, x):
-            return -2.0 * k * (1.0 - t / T) ** 3 * G0 / (G0 + x) ** 3
-
-        numeric = ChargeSpec("general_state", T=T, fn=g)
-        exact = ChargeSpec("general_state", T=T, fn=g, dt_fn=gt, dx_fn=gx, dxx_fn=gxx)
-        rng = np.random.default_rng(7)
-        t = rng.uniform(0.1, 14.9, size=100)
-        x = rng.uniform(5.0, 400.0, size=100)
-        assert np.allclose(numeric.dt(t, x), exact.dt(t, x), rtol=1e-6, atol=1e-10)
-        assert np.allclose(numeric.dx(t, x), exact.dx(t, x), rtol=1e-6, atol=1e-10)
-        # second differences bottom out at the roundoff floor eps/h^2 ~ 1e-10
-        assert np.allclose(numeric.dxx(t, x), exact.dxx(t, x), rtol=1e-2, atol=1e-9)
-
-    @given(t=st.floats(0.0, 15.0), x=st.floats(1e-3, 1e5))
+    @given(t=st.floats(0.0, 15.0))
     @settings(max_examples=100, deadline=None)
-    def test_factor_in_unit_interval(self, t, x):
+    def test_factor_in_unit_interval(self, t):
         charge = ChargeSpec("exponential", T=15.0, kappa=0.0055)
-        g = charge(t, x)
+        g = charge(t)
         assert 0.0 < g <= 1.0
 
 
@@ -204,23 +197,6 @@ class TestLValue:
         L = vs.L_value(c1_scn, 4.0, xs)
         assert np.all(L == L[0])
 
-    def test_state_dependent_charge_runs(self):
-        T = 15.0
-
-        def g(t, x):
-            return 1.0 - 0.2 * (1.0 - t / T) ** 3 * 100.0 / (100.0 + x)
-
-        scn = vs.Scenario(
-            market=MarketParams(r=0.03, sigma=0.2),
-            contract=ContractParams(G=100.0, T=T, F0=100.0),
-            fee=FeeSpec("constant", rate=0.01, horizon=T),
-            charge=ChargeSpec("general_state", T=T, fn=g),
-        )
-        L = vs.L_value(scn, 2.0, np.array([50.0, 100.0, 200.0]))
-        assert np.all(np.isfinite(L))
-        # state dependence shows up in L
-        assert not np.all(L == L[0])
-
     def test_domain_excludes_maturity(self, c1_scn):
         with pytest.raises(DomainError):
             vs.L_value(c1_scn, 15.0, 100.0)
@@ -255,30 +231,6 @@ class TestScenarioSerialization:
         doc["fee"] = {"kind": "smooth"}
         with pytest.raises(ConfigError, match="fee.kind"):
             vs.scenario_from_dict(doc)
-
-    def test_charge_must_be_one_at_maturity(self):
-        def g(t):
-            return np.full_like(np.asarray(t, dtype=float), 0.9)
-
-        with pytest.raises(ConfigError, match="maturity"):
-            vs.Scenario(
-                market=MarketParams(r=0.03, sigma=0.2),
-                contract=ContractParams(G=100.0, T=15.0, F0=100.0),
-                fee=FeeSpec("constant", rate=0.01, horizon=15.0),
-                charge=ChargeSpec("general_time", T=15.0, fn=g),
-            )
-
-    def test_charge_nan_at_maturity_rejected(self):
-        def g(t):
-            return np.full_like(np.asarray(t, dtype=float), math.nan)
-
-        with pytest.raises(ConfigError, match="maturity"):
-            vs.Scenario(
-                market=MarketParams(r=0.03, sigma=0.2),
-                contract=ContractParams(G=100.0, T=15.0, F0=100.0),
-                fee=FeeSpec("constant", rate=0.01, horizon=15.0),
-                charge=ChargeSpec("general_time", T=15.0, fn=g),
-            )
 
     @pytest.mark.parametrize("path, value", [
         ("market.r", math.nan),

@@ -11,7 +11,7 @@ import pytest
 
 import vastop as vs
 from vastop.cli import main
-from vastop.model import ChargeSpec, ConfigError, ContractParams, FeeSpec, MarketParams, Scenario
+from vastop.model import ConfigError, ContractParams
 from vastop.pde import SolverError, _obstacle_solve
 from vastop.surfaces import center_index
 
@@ -149,19 +149,6 @@ class TestSolveVariationalInequality:
         with pytest.raises(SolverError) as err:
             vs.solve_variational_inequality(kc_scn, grid)
         assert err.value.last_delta > 0.0
-
-    def test_state_dependent_fee_marked_heuristic(self):
-        T = 15.0
-        scn = Scenario(
-            market=MarketParams(r=0.03, sigma=0.2),
-            contract=ContractParams(G=100.0, T=T, F0=100.0),
-            fee=FeeSpec("state", rate_fn=lambda t, x: 0.02 * x / (x + 100.0)),
-            charge=ChargeSpec("exponential", T=T, kappa=0.0055),
-        )
-        grid = vs.build_pde_grid(scn, N=60, M=151, xmax_mult=8.0)
-        surf = vs.solve_variational_inequality(scn, grid)
-        assert surf.metadata["heuristic"] is True
-        assert float(np.min(surf.values - surf.obstacle)) >= -1e-10
 
     def test_grid_validation(self, kc_scn, tmp_path, capsys):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import vastop as vs
-from vastop.model import ConfigError, UnsupportedScenarioError
+from vastop.model import ConfigError
 from vastop.region import Boundary, RegionMask
 
 
@@ -104,18 +104,6 @@ class TestClassifySections:
     def test_low_charge_all_nonempty(self, lowch_scn):
         pred = vs.classify_sections(lowch_scn, np.linspace(0.0, 14.9, 20))
         assert all(p == "nonempty-conjectured" for p in pred)
-
-    def test_state_inputs_unsupported(self):
-        from vastop.model import ChargeSpec, ContractParams, FeeSpec, MarketParams, Scenario
-
-        scn = Scenario(
-            market=MarketParams(r=0.03, sigma=0.2),
-            contract=ContractParams(G=100.0, T=15.0, F0=100.0),
-            fee=FeeSpec("state", rate_fn=lambda t, x: 0.01 * x / (x + 1.0)),
-            charge=ChargeSpec("exponential", T=15.0, kappa=0.0055),
-        )
-        with pytest.raises(UnsupportedScenarioError):
-            vs.classify_sections(scn, [0.0, 1.0])
 
 
 class TestCompareRegions:
