@@ -79,32 +79,23 @@ def guarantee_put_value(scn: Scenario, t: float, x):
 
 @dataclass(frozen=True)
 class NeverSurrenderReport:
-    """Outcome of the never-surrender condition check on a grid."""
+    """Outcome of the never-surrender condition check on a set of dates."""
 
     holds: bool
-    violations: tuple[tuple[float, float], ...]
+    violations: tuple[float, ...]  # the dates where L < 0
     min_L: float
 
 
-def never_surrender_check(scn: Scenario, tgrid, xgrid) -> NeverSurrenderReport:
-    """Check L(t, x) >= 0 at every grid node; if it holds everywhere, waiting
-    until maturity is optimal and the surrender region is empty."""
+def never_surrender_check(scn: Scenario, tgrid) -> NeverSurrenderReport:
+    """Check L(t) >= 0 at every date of tgrid, which must lie in [0, T); if it
+    holds everywhere, waiting until maturity is optimal and the surrender region
+    is empty. L does not depend on the account value, so no state grid is needed."""
     tgrid = np.asarray(tgrid, dtype=float)
-    xgrid = np.asarray(xgrid, dtype=float)
-    if tgrid.size == 0 or xgrid.size == 0:
-        raise DomainError("grids must be non-empty")
-    if np.any(tgrid < 0.0) or np.any(tgrid >= scn.contract.T):
-        raise DomainError("tgrid must lie in [0, T)")
-    if np.any(xgrid <= 0.0):
-        raise DomainError("xgrid must be positive")
-    violations: list[tuple[float, float]] = []
-    min_L = math.inf
-    for t in tgrid:
-        L = np.asarray(L_value(scn, float(t), xgrid))
-        min_L = min(min_L, float(np.min(L)))
-        bad = np.where(L < 0.0)[0]
-        violations.extend((float(t), float(xgrid[i])) for i in bad)
-    return NeverSurrenderReport(holds=not violations, violations=tuple(violations), min_L=min_L)
+    if tgrid.size == 0:
+        raise DomainError("tgrid must be non-empty")
+    L = L_value(scn, tgrid)
+    violations = tuple(float(t) for t in tgrid[L < 0.0])
+    return NeverSurrenderReport(holds=not violations, violations=violations, min_L=float(np.min(L)))
 
 
 def cubic_charge_fee_bound(T: float, k: float, t) -> float | np.ndarray:
@@ -137,7 +128,7 @@ def fee_from_cubic_charge_bound(T: float, k: float) -> FeeSpec:
         gs = 1.0 - k * (1.0 - s / T) ** 3
         return math.log(gs / gt)
 
-    return FeeSpec("smooth", rate_fn=rate, integral_fn=integral, horizon=T)
+    return FeeSpec("smooth", rate_fn=rate, integral_fn=integral)
 
 
 def matching_exponential_rate(c: float) -> float:

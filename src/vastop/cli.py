@@ -7,13 +7,14 @@ CSV artifacts plus a machine-readable summary. One checker,
 `model.checked_section`, checks every key of the document against a table in
 one rule format: the grid and mc sections, overrides included, against
 `_RULES`, the scenario against `model._SCENARIO_RULES`. Solver settings are not
-keys: the PDE is Crank-Nicolson with `pde.build_pde_grid`'s default tolerance
-and iteration cap, regions use `region.extract_regions`' fixed tolerances, and
-paths take exact lognormal steps. Exit codes: 0 success, 1 solver failure (a
-NaN or infinite result is one, and no summary.json is then written) or
-internal error (any other exception, printed with its traceback), 2 config
-error (naming `<section>.<key>` when one key is at fault; an `out` that cannot
-be created or written is one too).
+keys: the PDE is Crank-Nicolson with the scheme constants of `pde.PdeGrid` and
+the tolerance `pde.build_pde_grid` derives from G, regions use
+`region.extract_regions`' fixed tolerances, and paths take exact lognormal
+steps. Exit codes: 0 success, 1 solver failure (a NaN or infinite result is
+one, and no summary.json is then written) or internal error (any other
+exception, printed with its traceback), 2 config error (naming
+`<section>.<key>` when one key is at fault; an `out` that cannot be created or
+written is one too).
 Re-running with an identical config and seed reproduces byte-identical CSVs. The
 environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
 of workers that build and reduce Monte Carlo chunks and evaluate decomposition
@@ -167,9 +168,8 @@ class _Run:
 
     @functools.cached_property
     def never_surrender(self):
-        """L >= 0 on the run's dates, checked on first use at F0 alone: L does not
-        depend on the state."""
-        return analytic.never_surrender_check(self.scn, self.tnodes[:-1], [self.scn.contract.F0])
+        """L >= 0 on the run's dates, checked on first use."""
+        return analytic.never_surrender_check(self.scn, self.tnodes[:-1])
 
     def priced(self, name: str, surf) -> None:
         """Keep a priced surface and report its value at inception. Write it out when
@@ -196,7 +196,7 @@ class _Run:
 
 def _check_l(run: _Run) -> None:
     scn, dates, check = run.scn, run.tnodes[:-1], run.never_surrender
-    L = [float(model.L_value(scn, float(t), scn.contract.F0)) for t in dates]
+    L = model.L_value(scn, dates)
     run.emit("check_L.csv", csvio.write_check_l_csv, dates, L, region.classify_sections(scn, dates))
     run.results["never_surrender_holds"] = bool(check.holds)
     run.results["min_L"] = check.min_L

@@ -159,7 +159,7 @@ def write_estimates_csv(path, rows) -> None:
 
 def write_check_l_csv(path, tnodes, L, sections) -> None:
     """Header t,L,predicted_section; one row per date, L the surrender
-    incentive L(t, F0) and sections the predicted section labels."""
+    incentive L(t) and sections the predicted section labels."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,L,predicted_section\n")
         fh.write("".join(f"{t},{v},{p}\n" for t, v, p in zip(_numbers(tnodes), _numbers(L), sections)))

@@ -268,13 +268,7 @@ class ConvergenceStudy:
     surfaces: tuple[ValueSurface, ...]
 
 
-def american_extrapolate(
-    scn: Scenario,
-    Nseq,
-    M: int,
-    xmax_mult: float = 8.0,
-    reward_kind: str = "discontinuous",
-) -> ConvergenceStudy:
+def american_extrapolate(scn: Scenario, Nseq, M: int, xmax_mult: float = 8.0) -> ConvergenceStudy:
     """Refine the exercise dates, report |value(2N) - value(N)| per doubling and
     an Aitken extrapolation of the continuously-exercisable limit.
 
@@ -289,7 +283,7 @@ def american_extrapolate(
     vals = []
     for N in Nseq:
         grid = build_chain(scn, N, M, xmax_mult)
-        surf = bermudan_value(grid, scn, reward_kind)
+        surf = bermudan_value(grid, scn)
         surfaces.append(surf)
         i0 = center_index(surf.xnodes, scn.contract.F0)
         vals.append(float(surf.values[0, i0]))

@@ -95,14 +95,14 @@ class FeeSpec:
     piecewise
         Piecewise constant in time. ``rates[j]`` applies on the interval
         ``(breakpoints[j-1], breakpoints[j]]`` (first interval starts at 0,
-        last one ends at the horizon), so a breakpoint belongs to the interval
+        last one ends at maturity), so a breakpoint belongs to the interval
         it ends, matching indicator conventions like 1_{a < t <= b}.
     smooth
         Rate given by a callable ``rate_fn(t)``, with ``integral_fn(t, s)`` its
         exact integral over [t, s].
 
-    The horizon T is carried when known so that the breakpoints and the
-    scenario's maturity can be validated against it.
+    The spec knows no maturity: `Scenario` checks that the breakpoints lie
+    before it.
     """
 
     kind: str
@@ -111,7 +111,6 @@ class FeeSpec:
     rates: tuple[float, ...] = ()
     rate_fn: Callable | None = None
     integral_fn: Callable[[float, float], float] | None = None
-    horizon: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _FEE_KINDS:
@@ -129,8 +128,6 @@ class FeeSpec:
                 raise ConfigError("fee.breakpoints must be strictly increasing")
             if bps and bps[0] <= 0.0:
                 raise ConfigError("fee.breakpoints must be strictly positive")
-            if self.horizon is not None and bps and bps[-1] >= self.horizon:
-                raise ConfigError("fee.breakpoints must lie strictly inside (0, T)")
             if any(not 0.0 <= r <= 1.0 for r in self.rates):
                 raise ConfigError("fee.rates must lie in [0, 1]")
         elif self.rate_fn is None or self.integral_fn is None:
@@ -244,17 +241,15 @@ class Scenario:
     def __post_init__(self) -> None:
         if abs(self.charge.T - self.contract.T) > 1e-12 * max(1.0, self.contract.T):
             raise ConfigError("charge.T must equal contract.T")
-        if self.fee.horizon is not None and abs(self.fee.horizon - self.contract.T) > 1e-12:
-            raise ConfigError("fee.horizon must equal contract.T when set")
         if self.fee.kind == "piecewise" and self.fee.breakpoints:
             if self.fee.breakpoints[-1] >= self.contract.T:
                 raise ConfigError("fee.breakpoints must lie strictly inside (0, T)")
 
-    def check_domain(self, t, x, *, allow_T: bool = True) -> None:
+    def check_domain(self, t, x) -> None:
         t = _as_float_array(t)
         x = _as_float_array(x)
         hi = self.contract.T * (1.0 + 1e-12)
-        if np.any(t < 0.0) or np.any(t > hi) or (not allow_T and np.any(t >= self.contract.T)):
+        if np.any(t < 0.0) or np.any(t > hi):
             raise DomainError("time outside contract domain")
         if np.any(x <= 0.0):
             raise DomainError("account value must be positive")
@@ -271,19 +266,16 @@ def reward(scn: Scenario, t: float, x):
     return out if out.ndim else float(out)
 
 
-def L_value(scn: Scenario, t: float, x):
-    """Drift rate of the discounted surrender value per unit account.
+def L_value(scn: Scenario, t):
+    """Drift rate of the discounted surrender value per unit account, vectorized over t.
 
-    L(t) = g'(t) - c(t) g(t), broadcast over x. Nonnegative everywhere means
-    surrender never beats holding.
+    L(t) = g'(t) - c(t) g(t) on [0, T): it does not depend on the account value.
+    Nonnegative everywhere means surrender never beats holding.
     """
-    scn.check_domain(t, x, allow_T=False)
-    x = _as_float_array(x)
-    c = _as_float_array(scn.fee(t))
-    g = _as_float_array(scn.charge(t))
-    out = _as_float_array(scn.charge.dt(t)) - c * g
-    out = np.broadcast_to(out, x.shape).copy() if x.ndim else out
-    return out if np.ndim(out) else float(out)
+    tt = _as_float_array(t)
+    if np.any(tt < 0.0) or np.any(tt >= scn.contract.T):
+        raise DomainError("time outside [0, T)")
+    return scn.charge.dt(t) - scn.fee(t) * scn.charge(t)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +293,14 @@ REQUIRED = object()  # the default of a key that a document must give
 _SCENARIO_RULES = {
     "market": {"r": (REQUIRED, float, "[-1, 1]"), "sigma": (REQUIRED, float, "(0, inf)")},
     "contract": {
-        # normal floats: a subnormal value loses its digits under the solvers'
-        # scalings (F0 / 4 == 0); T <= 100 keeps exp(|r| T) far from overflow
-        "G": (REQUIRED, float, "[2**-1022, inf)"),
+        # the value is homogeneous of degree 1 in (G, F0, x), so bounding G and F0
+        # costs nothing: G or F0 = 1e200 overflows the Monte Carlo sums of squares,
+        # F0 = 1e-300 the generator coefficients. T is a normal float (a subnormal
+        # loses its digits under the solvers' scalings) and T <= 100 keeps
+        # exp(|r| T) far from overflow
+        "G": (REQUIRED, float, "[1e-100, 1e100]"),
         "T": (REQUIRED, float, "[2**-1022, 100]"),
-        "F0": (REQUIRED, float, "[2**-1022, inf)"),
+        "F0": (REQUIRED, float, "[1e-100, 1e100]"),
     },
     "fee": {"kind": {
         "constant": {"rate": (REQUIRED, float, "[0, 1]")},
@@ -388,9 +383,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated Scenario from its document form.
 
     `checked_section` checks every key against `_SCENARIO_RULES`, which are tighter
-    than the dataclasses (|market.r| <= 1, contract.T <= 100, normal floats for G,
-    T and F0) and admit only the serializable kinds; the dataclasses then check
-    the rules that relate one key to another.
+    than the dataclasses (|market.r| <= 1, G and F0 in [1e-100, 1e100], T a normal
+    float at most 100) and admit only the serializable kinds; the dataclasses then
+    check the rules that relate one key to another.
     """
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be an object")
@@ -402,7 +397,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     T = part["contract"]["T"]
     return Scenario(market=MarketParams(**part["market"]),
                     contract=ContractParams(**part["contract"]),
-                    fee=FeeSpec(**part["fee"], horizon=T), charge=ChargeSpec(**part["charge"], T=T))
+                    fee=FeeSpec(**part["fee"]), charge=ChargeSpec(**part["charge"], T=T))
 
 
 def scenario_to_dict(scn: Scenario) -> dict:

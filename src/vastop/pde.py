@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -38,43 +39,32 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class PdeGrid:
-    """Log-uniform state nodes, uniform time steps and solver controls."""
+    """Log-uniform state nodes, uniform time steps and the active-set update tolerance.
+
+    The scheme is fixed: Crank-Nicolson (theta) after `rannacher_intervals` fully
+    implicit intervals, each taken in two half steps, with at most `max_iter`
+    active-set iterations per level.
+    """
 
     xnodes: np.ndarray
     tnodes: np.ndarray
-    theta: float = 0.5
-    tol: float = 1e-8
-    max_iter: int = 10_000
-    rannacher_intervals: int = 2
+    tol: float
+    theta: ClassVar[float] = 0.5
+    max_iter: ClassVar[int] = 10_000
+    rannacher_intervals: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         if self.xnodes.size < 4:  # the top node is extrapolated from two interior nodes
             raise ConfigError("grid.M must be at least 4 for the PDE solver")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ConfigError("theta must lie in [0.5, 1]")
-        if not self.tol > 0.0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
 
 
-def build_pde_grid(
-    scn: Scenario,
-    N: int,
-    M: int,
-    xmax_mult: float = 8.0,
-    theta: float = 0.5,
-    tol: float | None = None,
-    max_iter: int = 10_000,
-) -> PdeGrid:
-    """Grid constructor; max_iter caps active-set iterations per level, tol defaults to 1e-10 G
-    (at least the smallest positive float, so that a tiny G cannot make it 0)."""
+def build_pde_grid(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0) -> PdeGrid:
+    """Grid constructor; tol is 1e-10 G (at least the smallest positive float, so
+    that a tiny G cannot make it 0)."""
     return PdeGrid(
         xnodes=log_space_nodes(scn.contract.F0, xmax_mult, M),
         tnodes=time_nodes(scn, N),
-        theta=theta,
-        tol=max(1e-10 * scn.contract.G, math.ulp(0.0)) if tol is None else tol,
-        max_iter=max_iter,
+        tol=max(1e-10 * scn.contract.G, math.ulp(0.0)),
     )
 
 
@@ -139,6 +129,7 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     v = terminal.copy()
 
     s2 = 0.5 * sig * sig
+    clamp = L_value(scn, tn[:-1]) < 0.0
     for n in range(N - 1, -1, -1):
         t_left = float(tn[n])
         phi = scn.charge(t_left) * x
@@ -148,7 +139,7 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
         bq = np.full(x.size, -2.0 * s2 / dy**2 - r)
         cq = s2 / dy**2 + adv / (2.0 * dy)
 
-        clamp_top = float(L_value(scn, t_left, float(x[-1]))) < 0.0
+        clamp_top = clamp[n]
 
         rannacher = (N - 1 - n) < grid.rannacher_intervals
         substeps = 2 if rannacher else 1
@@ -220,7 +211,7 @@ class SmoothFitReport:
     skipped: tuple[str, ...]
 
 
-def smooth_fit_diagnostic(surface: ValueSurface, scn: Scenario, boundary, times=None) -> SmoothFitReport:
+def smooth_fit_diagnostic(surface: ValueSurface, scn: Scenario, boundary, times) -> SmoothFitReport:
     """Measure the slope discontinuity of the value across the boundary.
 
     For each requested time with a finite boundary node b, the right slope is
@@ -231,7 +222,7 @@ def smooth_fit_diagnostic(surface: ValueSurface, scn: Scenario, boundary, times=
     sections are skipped with a marker.
     """
     x = surface.xnodes
-    tq = surface.tnodes[:-1] if times is None else np.asarray(times, dtype=float)
+    tq = np.asarray(times, dtype=float)
     jumps = np.full(tq.size, np.nan)
     lefts = np.full(tq.size, np.nan)
     rights = np.full(tq.size, np.nan)

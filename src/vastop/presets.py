@@ -11,7 +11,7 @@ __all__ = [
     "low_charge_scenario",
 ]
 
-# Two-tier fee schedules over a 15-year horizon against an exponential charge
+# Two-tier fee schedules over a 15-year term against an exponential charge
 # with kappa = 0.0055. "c1" drops the fee below kappa on (5, 10] only, which
 # produces a disconnected surrender region; "c2" drops it on (10, 15], which
 # empties the region near maturity.
@@ -30,7 +30,7 @@ def benchmark_scenario(fee_label: str = "c1") -> Scenario:
     return Scenario(
         market=MarketParams(r=0.03, sigma=0.2),
         contract=ContractParams(G=100.0, T=T, F0=100.0),
-        fee=FeeSpec("piecewise", breakpoints=fee["breakpoints"], rates=fee["rates"], horizon=T),
+        fee=FeeSpec("piecewise", breakpoints=fee["breakpoints"], rates=fee["rates"]),
         charge=ChargeSpec("exponential", T=T, kappa=0.0055),
     )
 
@@ -42,7 +42,7 @@ def matched_exponential_scenario(c: float = 0.01, *, r: float = 0.03, sigma: flo
     return Scenario(
         market=MarketParams(r=r, sigma=sigma),
         contract=ContractParams(G=G, T=T, F0=F0),
-        fee=FeeSpec("constant", rate=c, horizon=T),
+        fee=FeeSpec("constant", rate=c),
         charge=ChargeSpec("exponential", T=T, kappa=c),
     )
 
@@ -54,6 +54,6 @@ def low_charge_scenario(*, kappa: float = 0.0055, c: float = 0.02) -> Scenario:
     return Scenario(
         market=MarketParams(r=0.03, sigma=0.2),
         contract=ContractParams(G=100.0, T=T, F0=100.0),
-        fee=FeeSpec("constant", rate=c, horizon=T),
+        fee=FeeSpec("constant", rate=c),
         charge=ChargeSpec("exponential", T=T, kappa=kappa),
     )

@@ -137,19 +137,14 @@ def extract_boundary(mask: RegionMask, surface: ValueSurface | None = None,
 
 
 def classify_sections(scn: Scenario, tgrid) -> np.ndarray:
-    """Predict per-slice emptiness from the sign of L(t).
+    """Predict per-slice emptiness from the sign of L(t), one label per date of tgrid.
 
     L(t) > 0 means the slice is empty; L(t) = 0 likewise (holding still beats
     surrendering thanks to the maturity guarantee); L(t) < 0 is labeled
     "nonempty-conjectured": proven when L < 0 throughout, conjectured slice by
     slice otherwise.
     """
-    tgrid = np.asarray(tgrid, dtype=float)
-    out = np.empty(tgrid.shape, dtype=object)
-    for j, t in enumerate(tgrid):
-        L = float(L_value(scn, float(t), scn.contract.F0))
-        out[j] = "empty" if L >= 0.0 else "nonempty-conjectured"
-    return out
+    return np.where(L_value(scn, tgrid) >= 0.0, "empty", "nonempty-conjectured").astype(object)
 
 
 @dataclass(frozen=True)

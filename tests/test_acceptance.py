@@ -9,11 +9,9 @@ exceeds their tolerances on narrow grids. Slices that the sign of L only
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
-import pytest
 
 import vastop as vs
 from vastop.surfaces import center_index

@@ -62,32 +62,34 @@ class TestMaturityBenefitValue:
 class TestNeverSurrenderCheck:
     def test_matched_rates_hold(self):
         scn = vs.matched_exponential_scenario(0.02)
-        tg = np.linspace(0.0, 14.9, 30)
-        xg = np.geomspace(10.0, 1000.0, 21)
-        report = vs.never_surrender_check(scn, tg, xg)
+        report = vs.never_surrender_check(scn, np.linspace(0.0, 14.9, 30))
         assert report.holds and not report.violations
 
     def test_charge_above_fee_holds(self):
         scn = vs.low_charge_scenario(kappa=0.03, c=0.02)
-        report = vs.never_surrender_check(scn, np.linspace(0.0, 14.9, 20), [50.0, 100.0, 200.0])
+        report = vs.never_surrender_check(scn, np.linspace(0.0, 14.9, 20))
         assert report.holds
 
     def test_benchmark_violations_exactly_outside_cheap_window(self, c1_scn):
         tg = np.linspace(0.0, 15.0, 361)[:-1]
-        report = vs.never_surrender_check(c1_scn, tg, [100.0])
+        report = vs.never_surrender_check(c1_scn, tg)
         assert not report.holds
-        viol_t = np.array(sorted({t for t, _ in report.violations}))
         expected = tg[(tg <= 5.0 + 1e-12) | (tg > 10.0 + 1e-12)]
-        assert np.allclose(viol_t, expected)
+        assert np.array_equal(report.violations, expected)
 
     def test_unit_charge_zero_fee_holds(self):
         scn = vs.matched_exponential_scenario(0.0)  # g == 1, c == 0, L == 0
-        report = vs.never_surrender_check(scn, [0.0, 5.0, 14.0], [10.0, 100.0])
+        report = vs.never_surrender_check(scn, [0.0, 5.0, 14.0])
         assert report.holds and report.min_L == 0.0
 
     def test_empty_grid_rejected(self, c1_scn):
         with pytest.raises(DomainError):
-            vs.never_surrender_check(c1_scn, [], [100.0])
+            vs.never_surrender_check(c1_scn, [])
+
+    @pytest.mark.parametrize("dates", [[0.0, 15.0], [-1.0, 7.0]])
+    def test_dates_outside_contract_rejected(self, c1_scn, dates):
+        with pytest.raises(DomainError):
+            vs.never_surrender_check(c1_scn, dates)
 
 
 class TestFeeChargeMatching:
@@ -114,7 +116,6 @@ class TestFeeChargeMatching:
             "smooth",
             rate_fn=lambda t: (1.0 - 1e-9) * np.asarray(bound_fee.rate_fn(t)),
             integral_fn=lambda a, b: (1.0 - 1e-9) * bound_fee.integral_fn(a, b),
-            horizon=T,
         )
         scn = Scenario(
             market=MarketParams(r=0.03, sigma=0.2),
@@ -122,7 +123,7 @@ class TestFeeChargeMatching:
             fee=fee,
             charge=ChargeSpec("cubic", T=T, k=k),
         )
-        report = vs.never_surrender_check(scn, np.linspace(0.0, 14.99, 60), [50.0, 100.0, 300.0])
+        report = vs.never_surrender_check(scn, np.linspace(0.0, 14.99, 60))
         assert report.holds
         # the exact saturating fee sits on the boundary of the condition
         exact = Scenario(
@@ -131,7 +132,7 @@ class TestFeeChargeMatching:
             fee=bound_fee,
             charge=ChargeSpec("cubic", T=T, k=k),
         )
-        exact_report = vs.never_surrender_check(exact, np.linspace(0.0, 14.99, 60), [100.0])
+        exact_report = vs.never_surrender_check(exact, np.linspace(0.0, 14.99, 60))
         assert exact_report.min_L >= -1e-12
 
     def test_matching_exponential_rate(self):
@@ -140,6 +141,6 @@ class TestFeeChargeMatching:
         with pytest.raises(DomainError):
             vs.matching_exponential_rate(-0.01)
         scn = vs.matched_exponential_scenario(0.01)  # kappa = matching rate
-        report = vs.never_surrender_check(scn, np.linspace(0.0, 14.9, 25), [20.0, 100.0, 500.0])
+        report = vs.never_surrender_check(scn, np.linspace(0.0, 14.9, 25))
         assert report.holds
 

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,9 +55,9 @@ _REAL_RULES = {
     "grid.xmax_mult": lambda v: 1 < v <= 1e6,
     "market.r": lambda v: abs(v) <= 1,
     "market.sigma": lambda v: v > 0,
-    "contract.G": lambda v: v >= 2.0**-1022,  # a normal float
-    "contract.T": lambda v: 2.0**-1022 <= v <= 100,
-    "contract.F0": lambda v: v >= 2.0**-1022,
+    "contract.G": lambda v: 1e-100 <= v <= 1e100,
+    "contract.T": lambda v: 2.0**-1022 <= v <= 100,  # a normal float
+    "contract.F0": lambda v: 1e-100 <= v <= 1e100,
     "fee.rate": lambda v: 0 <= v <= 1,
     "charge.kappa": lambda v: 0 <= v <= 1,
 }
@@ -127,8 +126,7 @@ class TestConfigValidation:
     def test_solver_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         import vastop.pde as pde
 
-        build = pde.build_pde_grid
-        monkeypatch.setattr(pde, "build_pde_grid", lambda *a, **kw: build(*a, **kw, max_iter=1))
+        monkeypatch.setattr(pde.PdeGrid, "max_iter", 1)
         doc = _base_config(tasks=["price-pde"])
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
         assert "solver error" in capsys.readouterr().err
@@ -324,11 +322,15 @@ class TestConfigValidation:
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o"), *argv]) == 2
         assert f"config error: {path} " in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the solvers overflow to NaN here
-    @pytest.mark.parametrize("contract", [{"F0": 1e-300}, {"G": 1e308}])
-    def test_non_finite_result_exits_1_without_summary(self, tmp_path, capsys, contract):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the gap to the closed form
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_result_exits_1_without_summary(self, tmp_path, capsys, monkeypatch, bad):
+        # F0 = 1e-300 and G = 1e308 gave such results until the contract scale was
+        # bounded; a closed form that returns one stands in for them
+        import vastop.analytic as analytic
+
+        monkeypatch.setattr(analytic, "maturity_benefit_value", lambda scn, t, x: bad * x)
         doc = _base_config(tasks=["price-lattice", "price-pde", "regions"])
-        doc["scenario"]["contract"].update(contract)
         out = tmp_path / "o"
         assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -348,6 +350,33 @@ class TestConfigValidation:
         assert main(argv) == code
         if code == 2:
             assert capsys.readouterr().err.startswith("config error: charge.kappa ")
+            assert not out.exists()
+        else:
+            summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constants)
+            assert all(math.isfinite(v) for q in summary["results"]["mc"].values()
+                       for v in q.values())
+
+    @pytest.mark.parametrize("contract, code", [
+        *[pytest.param({key: v}, 2, id=f"{key}={v:g}")
+          for key, v in (("G", 1e308), ("G", 1e300), ("G", 1e200), ("F0", 1e300), ("F0", 1e200),
+                         ("F0", 1e-300))],
+        *[pytest.param({"G": g, "F0": f0}, 0, id=f"G={g:g},F0={f0:g}")
+          for g in (1e-100, 1e100) for f0 in (1e-100, 1e100)],
+    ])
+    def test_contract_scale_is_bounded(self, tmp_path, capsys, contract, code):
+        """G or F0 = 1e200 overflowed the Monte Carlo sums of squares and F0 = 1e-300
+        the generator coefficients (exit 1, non-finite result); the rule
+        1e-100 <= G, F0 <= 1e100 refuses them and every corner finishes."""
+        with open(os.path.join(CONFIG_DIR, "full_pipeline_demo.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["scenario"]["fee"] = {"kind": "constant", "rate": 0.02}
+        doc["scenario"]["contract"].update(contract)
+        doc["tasks"] = [task for task in TASKS if task != "paper-fig"]
+        out = tmp_path / "o"
+        argv = ["run", _write(tmp_path, doc), "--out", str(out), "--grid-N", "12", "--grid-M", "21"]
+        assert main(argv) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith(f"config error: contract.{next(iter(contract))} ")
             assert not out.exists()
         else:
             summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constants)
@@ -468,8 +497,7 @@ class TestWriterExitPaths:
     def test_solver_error_after_writes(self, tmp_path, capsys, monkeypatch, threads):
         import vastop.pde as pde
 
-        build = pde.build_pde_grid
-        monkeypatch.setattr(pde, "build_pde_grid", lambda *a, **kw: build(*a, **kw, max_iter=1))
+        monkeypatch.setattr(pde.PdeGrid, "max_iter", 1)
         doc = _base_config(tasks=["check-L", "price-lattice", "price-pde"])
         code, out = self._run(tmp_path, monkeypatch, threads, doc)
         assert code == 1

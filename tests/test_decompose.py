@@ -35,7 +35,7 @@ class TestSurrenderPremium:
         scn = Scenario(
             market=MarketParams(r=0.03, sigma=0.2),
             contract=ContractParams(G=100.0, T=T, F0=100.0),
-            fee=FeeSpec("constant", rate=c, horizon=T),
+            fee=FeeSpec("constant", rate=c),
             charge=ChargeSpec("exponential", T=T, kappa=0.0),
         )
         b = _flat_boundary(T, 360, 1e-12)

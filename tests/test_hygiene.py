@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses, every
-function the package exports and every fee and charge kind has a consumer, only
-one module holds a thread pool, only one holds the rule checker of document keys,
-and the README documents exactly the keys that checker knows."""
+"""Source hygiene: no module of the package, test or demo imports a name it never
+uses, every function the package exports and every fee and charge kind has a
+consumer, only one module holds a thread pool, only one holds the rule checker of
+document keys, and the README documents exactly the keys that checker knows."""
 
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"cli", "io", "mc", "model", "lattice", "pde"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, *sorted(ROOT.glob("tests/*.py")),
+                                  *sorted(ROOT.glob("demos/*.py"))], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -167,8 +167,7 @@ class TestRealRun:
     def test_check_l(self, tmp_path, c1_small):
         scn = c1_small["scn"]
         dates = c1_small["disc"].tnodes[:-1]
-        L = [float(vs.L_value(scn, float(t), scn.contract.F0)) for t in dates]
-        _check_l(tmp_path, "check_L", dates, L, vs.classify_sections(scn, dates))
+        _check_l(tmp_path, "check_L", dates, vs.L_value(scn, dates), vs.classify_sections(scn, dates))
 
 
 # --- edge values ---------------------------------------------------------------

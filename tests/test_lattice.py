@@ -11,8 +11,6 @@ import vastop as vs
 from vastop.model import ConfigError
 from vastop.surfaces import center_index
 
-from conftest import maturity_benefit_surface
-
 
 class TestBuildChain:
     def test_rows_are_stochastic(self, c1_scn):
@@ -136,7 +134,7 @@ class TestGridResolutionError:
         return vs.Scenario(
             market=vs.MarketParams(r=0.03, sigma=sigma),
             contract=vs.ContractParams(G=100.0, T=15.0, F0=100.0),
-            fee=vs.FeeSpec("constant", rate=0.01, horizon=15.0),
+            fee=vs.FeeSpec("constant", rate=0.01),
             charge=vs.ChargeSpec("exponential", T=15.0, kappa=0.01),
         )
 

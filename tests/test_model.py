@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from vastop.model import (
     _SCENARIO_RULES, ChargeSpec, ConfigError, ContractParams, DomainError, FeeSpec, MarketParams,
     is_finite_number,
 )
+from vastop.surfaces import time_nodes
 
 
 def test_market_contract_validation():
@@ -30,7 +32,7 @@ def test_market_contract_validation():
 
 class TestFeeSpec:
     def test_constant(self):
-        fee = FeeSpec("constant", rate=0.02, horizon=15.0)
+        fee = FeeSpec("constant", rate=0.02)
         assert fee(3.0) == 0.02
         assert fee.integral(1.0, 4.0) == pytest.approx(0.06, abs=1e-15)
 
@@ -177,29 +179,57 @@ class TestReward:
         assert abs(vs.reward(scn, t, x) - vs.reward(scn, t, y)) <= abs(x - y) * (1 + 1e-12)
 
 
+def _smooth_cubic_scenario():
+    """Demo 03's pair: the fee saturating the cubic charge's never-surrender bound."""
+    return vs.Scenario(market=MarketParams(r=0.03, sigma=0.2),
+                       contract=ContractParams(G=100.0, T=15.0, F0=100.0),
+                       fee=vs.fee_from_cubic_charge_bound(15.0, 0.1),
+                       charge=ChargeSpec("cubic", T=15.0, k=0.1))
+
+
 class TestLValue:
     def test_time_only_formula(self, lowch_scn):
         # exponential charge, constant fee: L = (kappa - c) g(t)
         t = 3.0
         expected = (0.0055 - 0.02) * math.exp(-0.0055 * 12.0)
-        assert vs.L_value(lowch_scn, t, 50.0) == pytest.approx(expected, rel=1e-12)
+        assert vs.L_value(lowch_scn, t) == pytest.approx(expected, rel=1e-12)
 
     def test_sign_tracks_fee_gap(self, c1_scn):
         for t, sign in [(2.0, -1), (7.0, 1), (10.0, 1), (12.0, -1)]:
-            assert np.sign(vs.L_value(c1_scn, t, 100.0)) == sign
+            assert np.sign(vs.L_value(c1_scn, t)) == sign
 
     def test_matched_rates_give_zero(self, kc_scn):
         for t in (0.0, 3.0, 14.9):
-            assert vs.L_value(kc_scn, t, 123.0) == 0.0
+            assert vs.L_value(kc_scn, t) == 0.0
 
     def test_independent_of_state_for_time_only_inputs(self, c1_scn):
-        xs = np.array([1.0, 10.0, 100.0, 1000.0])
-        L = vs.L_value(c1_scn, 4.0, xs)
-        assert np.all(L == L[0])
+        # L takes no account value, and neither the guarantee nor F0 moves it
+        other = dataclasses.replace(c1_scn, contract=ContractParams(G=1.0, T=15.0, F0=1000.0))
+        ts = np.linspace(0.0, 14.9, 50)
+        assert np.array_equal(vs.L_value(other, ts), vs.L_value(c1_scn, ts))
 
     def test_domain_excludes_maturity(self, c1_scn):
         with pytest.raises(DomainError):
-            vs.L_value(c1_scn, 15.0, 100.0)
+            vs.L_value(c1_scn, 15.0)
+        with pytest.raises(DomainError):
+            vs.L_value(c1_scn, np.array([0.0, 7.0, 15.0]))
+        with pytest.raises(DomainError):
+            vs.L_value(c1_scn, np.array([-1e-9, 7.0]))
+
+    @pytest.mark.parametrize("build", [
+        vs.low_charge_scenario, vs.matched_exponential_scenario,
+        lambda: vs.benchmark_scenario("c1"), lambda: vs.benchmark_scenario("c2"),
+        _smooth_cubic_scenario,
+    ], ids=["constant", "matched", "piecewise-c1", "piecewise-c2", "smooth-cubic"])
+    @pytest.mark.parametrize("N", [12, 360, 1440])
+    def test_date_vector_matches_per_date_values_bitwise(self, build, N):
+        scn = build()
+        # the breakpoints themselves, where the piecewise fee switches
+        dates = np.concatenate([time_nodes(scn, N)[:-1], [5.0, 10.0]])
+        vector = np.asarray(vs.L_value(scn, dates))
+        per_date = np.array([vs.L_value(scn, float(t)) for t in dates])
+        assert vector.shape == dates.shape
+        assert np.array_equal(vector.view(np.int64), per_date.view(np.int64))
 
 
 class TestScenarioSerialization:
@@ -244,7 +274,8 @@ class TestScenarioSerialization:
         ("fee.breakpoints", ["5", 10.0]),
         ("fee.rates", [0.01, math.inf, 0.01]),
         ("fee.rates", [0.01, None, 0.01]),
-        # the document's domain rules: |r| <= 1, normal floats for G, T and F0
+        # the document's domain rules: |r| <= 1, G and F0 in [1e-100, 1e100], T a
+        # normal float (more G and F0 cases at the end)
         ("market.r", -1e300),
         ("market.r", 1.0000001),
         ("contract.G", 5e-324),
@@ -255,6 +286,8 @@ class TestScenarioSerialization:
         ("charge.kappa", 1e300),
         ("fee.kind", [1]),  # an unhashable kind
         ("charge.kind", [1]),
+        ("contract.G", 1e200),  # G, F0 in [1e-100, 1e100]
+        ("contract.F0", 1e-300),
     ])
     def test_non_finite_and_non_numbers_rejected(self, path, value):
         doc = vs.scenario_to_dict(vs.benchmark_scenario("c1"))
@@ -264,7 +297,8 @@ class TestScenarioSerialization:
             vs.scenario_from_dict(doc)
 
     @pytest.mark.parametrize("path, value", [
-        ("market.r", -1.0), ("market.r", 1.0), ("contract.F0", 2.0**-1022),
+        ("market.r", -1.0), ("market.r", 1.0), ("contract.F0", 1e-100), ("contract.F0", 1e100),
+        ("contract.G", 1e-100), ("contract.G", 1e100),
         ("charge.kappa", 0.0), ("charge.kappa", 1.0),
     ])
     def test_document_domain_edges_accepted(self, path, value):

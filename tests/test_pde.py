@@ -11,7 +11,7 @@ import pytest
 
 import vastop as vs
 from vastop.cli import main
-from vastop.model import ConfigError, ContractParams
+from vastop.model import ContractParams
 from vastop.pde import SolverError, _obstacle_solve
 from vastop.surfaces import center_index
 
@@ -136,23 +136,22 @@ class TestSolveVariationalInequality:
             assert float(np.max(np.abs(v - v_star))) <= 1e-9
 
     def test_implicit_small_grid_solves(self, c1_scn):
-        # projected SOR stalled here (no convergence in 10,000 sweeps)
-        pgrid = vs.build_pde_grid(c1_scn, N=12, M=51, xmax_mult=8.0, theta=1.0)
+        # projected SOR stalled on this grid (no convergence in 10,000 sweeps)
+        pgrid = vs.build_pde_grid(c1_scn, N=12, M=51, xmax_mult=8.0)
         surf = vs.solve_variational_inequality(c1_scn, pgrid)
         disc = vs.bermudan_value(vs.build_chain(c1_scn, 12, 51, 8.0), c1_scn, "discontinuous")
         i0 = center_index(surf.xnodes, 100.0)
         vp, vl = surf.values[0, i0], disc.values[0, i0]
         assert abs(vp - vl) / vl <= 1e-3
 
-    def test_psor_failure_raises_with_residual(self, kc_scn):
-        grid = vs.build_pde_grid(kc_scn, N=12, M=101, xmax_mult=8.0, max_iter=2)
+    def test_psor_failure_raises_with_residual(self, kc_scn, monkeypatch):
+        monkeypatch.setattr(vs.PdeGrid, "max_iter", 2)
+        grid = vs.build_pde_grid(kc_scn, N=12, M=101, xmax_mult=8.0)
         with pytest.raises(SolverError) as err:
             vs.solve_variational_inequality(kc_scn, grid)
         assert err.value.last_delta > 0.0
 
-    def test_grid_validation(self, kc_scn, tmp_path, capsys):
-        with pytest.raises(ConfigError):
-            vs.build_pde_grid(kc_scn, N=12, M=51, theta=0.3)
+    def test_grid_validation(self, tmp_path, capsys):
         # the relaxation factor went with the PSOR solver, the other solver keys
         # with the whole pde section
         doc = {

@@ -7,7 +7,7 @@ import pytest
 
 import vastop as vs
 from vastop.model import ConfigError
-from vastop.region import Boundary, RegionMask
+from vastop.region import RegionMask
 
 
 class TestExtractRegions:
