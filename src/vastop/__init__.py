@@ -9,7 +9,7 @@ and the optimal boundary, evaluates the premium decompositions of the value,
 and verifies everything against closed forms and Monte Carlo.
 """
 
-from . import _threads  # noqa: F401  (must run before numpy loads)
+from . import _threads
 
 from .model import (
     ChargeSpec,
@@ -84,3 +84,5 @@ from .presets import (
 )
 
 __version__ = "0.1.0"
+
+_threads.pin_blas()  # last: every submodule has loaded numpy's and scipy's BLAS

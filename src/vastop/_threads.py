@@ -1,53 +1,38 @@
-"""VASTOP_THREADS: the BLAS caps, the worker-count rule, the one thread pool and
-the one worker process.
-
-Imported first by the package __init__ so that setting VASTOP_THREADS in the
-environment caps the worker pools of whatever BLAS numpy was built against,
-provided vastop is imported before numpy, as ``vastop run`` always is. A
-caller that imports numpy first has numpy's BLAS already started uncapped,
-while scipy's, loaded later, takes the cap: the two libraries then run with
-different thread counts, and the lattice matrices can differ in their last
-digits from both the capped and the uncapped run. An invalid value is left out of the BLAS variables here (importing never
-fails); ``worker_count`` reports it as a config error when work starts.
+"""VASTOP_THREADS: the worker-count rule, the one thread pool and the one worker
+process; and the one-thread pin of BLAS.
 
 ``ordered_map`` is the package's only thread pool: Monte Carlo chunks and
 decomposition time slices both run on it. ``OrderedProcess`` runs calls in
 order on one worker process: ``vastop run`` writes its CSVs there while its
-later tasks compute.
+later tasks compute. BLAS runs on one thread (``pin_blas``), as OpenBLAS
+rounds differently for each thread count. An invalid VASTOP_THREADS never
+fails the import; ``worker_count`` reports it as a config error.
 """
 
+import ctypes
+import glob
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy
+import scipy
 
-def thread_count() -> int | None:
-    """VASTOP_THREADS as a positive integer, None when unset or empty.
-
-    Raises ValueError for any other value.
-    """
-    raw = os.environ.get("VASTOP_THREADS")
-    if not raw:
-        return None
-    if raw.isdecimal() and int(raw) >= 1:
-        return int(raw)
-    raise ValueError(f"VASTOP_THREADS must be a positive integer, got {raw!r}")
+from .model import ConfigError
 
 
 def worker_count(nitems: int) -> int:
     """Workers for nitems items: VASTOP_THREADS, else the usable CPUs, at most nitems.
 
-    Raises ConfigError for an invalid VASTOP_THREADS.
+    Raises ConfigError for a VASTOP_THREADS that is set and not a positive integer.
     """
-    # function-scope import: model loads numpy, which must come after the BLAS caps
-    from .model import ConfigError
-
-    try:
-        n = thread_count()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if n is None:
+    raw = os.environ.get("VASTOP_THREADS")
+    if not raw:
         n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif raw.isdecimal() and int(raw) >= 1:
+        n = int(raw)
+    else:
+        raise ConfigError(f"VASTOP_THREADS must be a positive integer, got {raw!r}")
     return max(1, min(n, nitems))
 
 
@@ -161,11 +146,18 @@ def _call(fn, args, kwargs):
         raise
 
 
-try:
-    _cap = thread_count()
-except ValueError:
-    _cap = None
-if _cap is not None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, str(_cap))
+def pin_blas() -> None:
+    """Set every OpenBLAS bundled with the numpy and scipy wheels to one thread; a
+    library that cannot be loaded or has no known setter is left as it is."""
+    for pkg in (numpy, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), f"{pkg.__name__}.libs")
+        for path in glob.glob(os.path.join(glob.escape(libs), "libscipy_openblas*.so")):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None  # void f(int)
+                    setter(1)

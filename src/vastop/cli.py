@@ -15,10 +15,10 @@ one, and no summary.json is then written) or internal error (any other
 exception, printed with its traceback), 2 config error (naming
 `<section>.<key>` when one key is at fault; an `out` that cannot be created or
 written is one too).
-Re-running with an identical config and seed reproduces byte-identical CSVs. The
-environment variable VASTOP_THREADS caps BLAS worker pools and sets the number
-of workers that build and reduce Monte Carlo chunks and evaluate decomposition
-time slices; estimates and premiums are bit-identical for any worker count.
+Re-running with an identical config and seed reproduces byte-identical CSVs.
+BLAS runs on one thread (`_threads.pin_blas`); the environment variable
+VASTOP_THREADS sets the workers that build and reduce Monte Carlo chunks and
+evaluate decomposition time slices, bit-identically for any worker count.
 With more than one worker, a run writes its CSVs from one background process,
 forked at the first write (`_threads.OrderedProcess`), while its later tasks
 compute; VASTOP_THREADS=1 keeps the run in one process. The memo of CSV rows
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import analytic, decompose, lattice, mc, model, pde, presets, region, surfaces
 from . import io as csvio
-from ._threads import OrderedProcess, thread_count
+from ._threads import OrderedProcess, worker_count
 from .model import ConfigError
 
 # section -> key -> (default, type, allowed), the rule format of the scenario
@@ -319,8 +319,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        thread_count()
-    except ValueError as exc:
+        worker_count(1)  # an invalid VASTOP_THREADS fails any task list
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -291,7 +291,7 @@ REQUIRED = object()  # the default of a key that a document must give
 # the `allowed` strings. A key whose default is REQUIRED must be given. The "kind"
 # of fee and charge maps each kind to the rules of the other keys of its section.
 _SCENARIO_RULES = {
-    "market": {"r": (REQUIRED, float, "[-1, 1]"), "sigma": (REQUIRED, float, "(0, inf)")},
+    "market": {"r": (REQUIRED, float, "[-1, 1]"), "sigma": (REQUIRED, float, "(0, 10]")},
     "contract": {
         # the value is homogeneous of degree 1 in (G, F0, x), so bounding G and F0
         # costs nothing: G or F0 = 1e200 overflows the Monte Carlo sums of squares,

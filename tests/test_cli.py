@@ -54,7 +54,7 @@ _INT_RANGES = {
 _REAL_RULES = {
     "grid.xmax_mult": lambda v: 1 < v <= 1e6,
     "market.r": lambda v: abs(v) <= 1,
-    "market.sigma": lambda v: v > 0,
+    "market.sigma": lambda v: 0 < v <= 10,
     "contract.G": lambda v: 1e-100 <= v <= 1e100,
     "contract.T": lambda v: 2.0**-1022 <= v <= 100,  # a normal float
     "contract.F0": lambda v: 1e-100 <= v <= 1e100,
@@ -153,6 +153,8 @@ class TestConfigValidation:
         ("contract.T", 5e-324),
         ("fee.kind", [1]),  # an unhashable kind
         ("charge.kind", [1]),
+        ("market.sigma", 1e20),  # no active-set solve settled
+        ("market.sigma", 1e200),  # overflowed in analytic._d1
     ])
     def test_out_of_domain_scenario_values_exit_2(self, tmp_path, capsys, path, value):
         doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
@@ -188,14 +190,15 @@ class TestConfigValidation:
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
 
     def test_too_stiff_scenario_names_the_key(self, tmp_path, capsys):
-        # no grid cures sigma = 1e10: the message names the key and advises no grid
+        # no grid cures sigma = 1e10: its rule names the key before any solver runs
+        # and advises no grid (test_lattice checks build_chain's own message)
         doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
                            grid={"N": 1, "M": 3, "xmax_mult": 1.5}, mc={"npaths": 200})
         doc["scenario"]["market"]["sigma"] = 1e10
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error: invalid transition matrix" in err
-        assert "market.sigma = 1e+10" in err and "try" not in err
+        assert "config error: market.sigma must be a number in (0, 10]" in err
+        assert "try" not in err
 
     def test_too_narrow_state_grid_names_the_spacing(self, tmp_path, capsys):
         # sigma = 0.2 is the benchmark volatility: the 1e-8 log spacing of the
@@ -211,16 +214,16 @@ class TestConfigValidation:
         assert "internal error" not in err and not (out / "summary.json").exists()
 
     def test_too_long_time_step_advises_more_steps(self, tmp_path, capsys):
-        # sigma = 50 is a valid scenario: one 15-year step is too stiff for it, and a
+        # sigma = 10 is a valid scenario: one 15-year step is too stiff for it, and a
         # finer state grid would be stiffer still, so the advice is on N, not M
         doc = _base_config(tasks=["price-lattice", "regions", "mc-verify"],
-                           grid={"N": 1, "M": 3, "xmax_mult": 1.5}, mc={"npaths": 200})
-        doc["scenario"]["market"]["sigma"] = 50.0
+                           grid={"N": 1, "M": 21, "xmax_mult": 1.5}, mc={"npaths": 200})
+        doc["scenario"]["market"]["sigma"] = 10.0
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error: invalid transition matrix" in err and "try N >= 50" in err
+        assert "config error: invalid transition matrix" in err and "try N >= 203" in err
         assert "market.sigma" not in err and "try M" not in err
-        doc["grid"]["N"] = 50
+        doc["grid"]["N"] = 203
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
 
     def test_misaligned_breakpoints_exit_2(self, tmp_path, capsys):
@@ -459,17 +462,16 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_invalid_thread_count_never_fails_the_import(self):
-        env = dict(os.environ, VASTOP_THREADS="two", PYTHONPATH=SRC_DIR)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env.pop(var, None)
-        code = "import os, vastop; print(os.environ.get('OMP_NUM_THREADS'))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "None"
-        env["VASTOP_THREADS"] = "3"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "3"
+        # importing vastop leaves the BLAS variables as it found them, set or not
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+        code = f"import os, vastop; print([os.environ.get(v) for v in {blas!r}])"
+        for threads, given in (("two", {}), ("3", {}), ("3", {"OPENBLAS_NUM_THREADS": "2"})):
+            env = {k: v for k, v in os.environ.items() if k not in blas}
+            env.update(given, VASTOP_THREADS=threads, PYTHONPATH=SRC_DIR)
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            assert out.stdout.strip() == repr([given.get(v) for v in blas])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -718,20 +720,45 @@ class TestRunPipeline:
         assert any(t <= 5.0 for t in flagged) and any(t > 10.0 for t in flagged)
 
 
+SHIPPED = sorted(name[:-len(".json")] for name in os.listdir(CONFIG_DIR))
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 class TestTaskTable:
-    def test_full_pipeline_demo_matches_golden(self, tmp_path):
-        """Every CSV of the demo config hashes to the recorded sha256, and the
-        summary lists the same artifacts, tasks and results."""
-        with open(os.path.join(GOLDEN_DIR, "full_pipeline_demo.json"), encoding="utf-8") as fh:
+    @pytest.mark.parametrize("name, threads", [
+        *((name, None) for name in SHIPPED),
+        ("full_pipeline_demo", "1"),
+        ("full_pipeline_demo", "3"),
+        ("full_pipeline_demo", "one-cpu-child"),
+    ])
+    def test_shipped_config_matches_golden(self, tmp_path, monkeypatch, name, threads):
+        """Every CSV of a shipped config hashes to the recorded sha256, and the
+        summary lists the same artifacts, tasks and results. BLAS runs on one
+        thread, so the bytes are the same under any VASTOP_THREADS (conftest
+        imported numpy before vastop) and in a child pinned to one CPU that asks
+        OpenBLAS for two threads."""
+        with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8") as fh:
             golden = json.load(fh)
+        argv = ["run", os.path.join(CONFIG_DIR, f"{name}.json"), "--out", str(tmp_path / "out")]
+        if threads == "one-cpu-child":
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=SRC_DIR)
+            env.pop("VASTOP_THREADS", None)
+            child = subprocess.run([sys.executable, "-m", "vastop.cli", *argv], env=env,
+                                   preexec_fn=_one_cpu, capture_output=True, text=True)
+            assert child.returncode == 0, child.stderr
+        else:
+            if threads is not None:
+                monkeypatch.setenv("VASTOP_THREADS", threads)
+            assert main(argv) == 0
         out = tmp_path / "out"
-        assert main(["run", os.path.join(CONFIG_DIR, "full_pipeline_demo.json"),
-                     "--out", str(out)]) == 0
         csvs = sorted(n for n in os.listdir(out) if n.endswith(".csv"))
         assert csvs == sorted(golden["sha256"])
-        for name in csvs:
-            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-            assert digest == golden["sha256"][name], name
+        for csv in csvs:
+            digest = hashlib.sha256((out / csv).read_bytes()).hexdigest()
+            assert digest == golden["sha256"][csv], csv
         summary = json.loads((out / "summary.json").read_text())
         assert summary["artifacts"] == golden["artifacts"]
         assert summary["config"]["tasks"] == golden["tasks"]

@@ -15,7 +15,7 @@ from vastop import cli, model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "vastop"
-# __init__.py only re-exports (and imports _threads for its side effect)
+# __init__.py only re-exports, then calls _threads.pin_blas
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -89,7 +89,8 @@ def test_every_exported_function_has_a_consumer():
 
 
 def test_reachability_checker_flags_an_unconsumed_function():
-    init = "from . import _threads\nfrom .m import C, K, f, g, h\nfrom .n import k\n"
+    init = ("from .m import C, K, f, g, h\nfrom .n import k\nfrom . import _threads\n"
+            "_threads.pin_blas()\n")
     modules = {
         "m": "K = 1\nclass C:\n    pass\ndef f():\n    pass\ndef g():\n    pass\n"
              "def h():\n    return h\n",

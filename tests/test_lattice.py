@@ -144,3 +144,9 @@ class TestGridResolutionError:
             with pytest.raises(vs.GridResolutionError, match="try N >= "):
                 vs.build_chain(self._scn(50.0), 1, M, 1.5)
         vs.build_chain(self._scn(50.0), 50, 3, 1.5)
+
+    def test_too_stiff_sigma_names_the_key(self):
+        # no grid cures sigma = 1e10 (past the document rule, open to the library)
+        with pytest.raises(vs.GridResolutionError, match=r"market.sigma = 1e\+10") as exc:
+            vs.build_chain(self._scn(1e10), 1, 3, 1.5)
+        assert "try" not in str(exc.value)

@@ -288,6 +288,7 @@ class TestScenarioSerialization:
         ("charge.kind", [1]),
         ("contract.G", 1e200),  # G, F0 in [1e-100, 1e100]
         ("contract.F0", 1e-300),
+        ("market.sigma", 10.0000001),  # sigma <= 10
     ])
     def test_non_finite_and_non_numbers_rejected(self, path, value):
         doc = vs.scenario_to_dict(vs.benchmark_scenario("c1"))
@@ -299,7 +300,7 @@ class TestScenarioSerialization:
     @pytest.mark.parametrize("path, value", [
         ("market.r", -1.0), ("market.r", 1.0), ("contract.F0", 1e-100), ("contract.F0", 1e100),
         ("contract.G", 1e-100), ("contract.G", 1e100),
-        ("charge.kappa", 0.0), ("charge.kappa", 1.0),
+        ("charge.kappa", 0.0), ("charge.kappa", 1.0), ("market.sigma", 10.0),
     ])
     def test_document_domain_edges_accepted(self, path, value):
         doc = vs.scenario_to_dict(vs.benchmark_scenario("c1"))
