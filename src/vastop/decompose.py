@@ -178,14 +178,18 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
 
     Residual statistics are taken over the interior nodes (skipping 2 state
     nodes at each edge, where truncation boundary conditions rather than the
-    identities dominate); nodes whose residual exceeds 5e-3 G are flagged. The
-    time slices run on VASTOP_THREADS workers (see the module docstring); an
-    invalid value raises ConfigError.
+    identities dominate), so the surface needs at least 5 state nodes
+    (ConfigError otherwise); nodes whose residual exceeds 5e-3 G are flagged.
+    The time slices run on VASTOP_THREADS workers (see the module docstring);
+    an invalid value raises ConfigError.
     """
     if not np.array_equal(surface.tnodes, boundary.tnodes):
         raise ConfigError("surface and boundary live on different time grids")
     tn = surface.tnodes
     x = surface.xnodes
+    if x.size < 5:
+        raise ConfigError("grid.M must be at least 5 for decompose: its residuals skip"
+                          " 2 state nodes at each edge")
     quad = _StepQuadrature(scn, boundary, x)
     Np1 = tn.size
     h = np.empty((Np1, x.size))

@@ -71,6 +71,8 @@ class ValueSurface:
     values[n, i] is the value at time tnodes[n], state xnodes[i]; obstacle holds
     the exercise value the solver enforced (g x, or g x v h for the continuous
     reward kind). provenance is "lattice" or "pde". Immutable once returned.
+    A NaN or infinite value or obstacle raises FloatingPointError, so a
+    non-finite surface stops at the solver that made it.
     """
 
     tnodes: np.ndarray
@@ -87,5 +89,7 @@ class ValueSurface:
             raise ConfigError("surface shape does not match its grid")
         if self.obstacle.shape != self.values.shape:
             raise ConfigError("obstacle shape does not match values")
+        if not (np.isfinite(self.values).all() and np.isfinite(self.obstacle).all()):
+            raise FloatingPointError(f"non-finite {self.provenance} surface")
         self.values.setflags(write=False)
         self.obstacle.setflags(write=False)

@@ -1,8 +1,10 @@
 """Session-scoped solves shared across test modules, and a leak check.
 
 The benchmark solves at production resolution (N=360, M=401) are reused by the
-module tests and the acceptance suite so the full run stays fast. Every test
-must end with no child process and no thread of the package's pool alive.
+module tests and the acceptance suite so the full run stays fast; their chains
+share one transition-matrix memo (see ``build_chain``), so the c1 and c2
+scenarios, which differ only in the charge, exponentiate each step once. Every
+test must end with no child process and no thread of the package's pool alive.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ def no_leaked_workers():
 
 
 @pytest.fixture(scope="session")
+def matrices():
+    """The transition-matrix memo of every production-size chain below."""
+    return {}
+
+
+@pytest.fixture(scope="session")
 def c1_scn():
     return vs.benchmark_scenario("c1")
 
@@ -52,9 +60,9 @@ def lowch_scn():
     return vs.low_charge_scenario()
 
 
-def _lattice_bundle(scn):
+def _lattice_bundle(scn, matrices):
     t0 = time.monotonic()
-    grid = vs.build_chain(scn, BENCH_N, BENCH_M, BENCH_MULT)
+    grid = vs.build_chain(scn, BENCH_N, BENCH_M, BENCH_MULT, matrices)
     disc = vs.bermudan_value(grid, scn, "discontinuous")
     mask = vs.extract_regions(disc, scn)
     boundary = vs.extract_boundary(mask, disc)
@@ -84,13 +92,13 @@ def _pde_bundle(scn, mult=BENCH_MULT):
 
 
 @pytest.fixture(scope="session")
-def c1_lattice(c1_scn):
-    return _lattice_bundle(c1_scn)
+def c1_lattice(c1_scn, matrices):
+    return _lattice_bundle(c1_scn, matrices)
 
 
 @pytest.fixture(scope="session")
-def c2_lattice(c2_scn):
-    return _lattice_bundle(c2_scn)
+def c2_lattice(c2_scn, matrices):
+    return _lattice_bundle(c2_scn, matrices)
 
 
 @pytest.fixture(scope="session")
@@ -104,8 +112,8 @@ def c2_pde(c2_scn):
 
 
 @pytest.fixture(scope="session")
-def kc_wide(kc_scn):
-    grid = vs.build_chain(kc_scn, BENCH_N, BENCH_M, WIDE_MULT)
+def kc_wide(kc_scn, matrices):
+    grid = vs.build_chain(kc_scn, BENCH_N, BENCH_M, WIDE_MULT, matrices)
     lattice = vs.bermudan_value(grid, kc_scn, "discontinuous")
     pgrid = vs.build_pde_grid(kc_scn, BENCH_N, BENCH_M, WIDE_MULT)
     pde = vs.solve_variational_inequality(kc_scn, pgrid)
@@ -113,18 +121,21 @@ def kc_wide(kc_scn):
 
 
 @pytest.fixture(scope="session")
-def c1_study(c1_scn):
-    return vs.american_extrapolate(c1_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT)
+def c1_study(c1_scn, matrices):
+    return vs.american_extrapolate(c1_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT,
+                                   matrices=matrices)
 
 
 @pytest.fixture(scope="session")
-def c2_study(c2_scn):
-    return vs.american_extrapolate(c2_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT)
+def c2_study(c2_scn, matrices):
+    return vs.american_extrapolate(c2_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT,
+                                   matrices=matrices)
 
 
 @pytest.fixture(scope="session")
-def lowch_study(lowch_scn):
-    return vs.american_extrapolate(lowch_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT)
+def lowch_study(lowch_scn, matrices):
+    return vs.american_extrapolate(lowch_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT,
+                                   matrices=matrices)
 
 
 @pytest.fixture(scope="session")

@@ -189,6 +189,17 @@ class TestConfigValidation:
         doc["tasks"] = ["price-lattice", "regions"]
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("M", [3, 4])
+    def test_decompose_needs_five_state_nodes(self, tmp_path, capsys, M):
+        # its residual statistics skip 2 state nodes at each edge
+        doc = _base_config(tasks=["decompose"], grid={"N": 12, "M": M})
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: grid.M must be at least 5 for decompose" in err
+        assert "internal error" not in err and not (tmp_path / "o" / "summary.json").exists()
+        doc["grid"]["M"] = 5
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+
     def test_too_stiff_scenario_names_the_key(self, tmp_path, capsys):
         # no grid cures sigma = 1e10: its rule names the key before any solver runs
         # and advises no grid (test_lattice checks build_chain's own message)
@@ -339,6 +350,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "solver error: " in err and "non-finite result" in err
         assert not (out / "summary.json").exists()
+
+    def test_non_finite_surface_stops_at_its_solver(self, tmp_path, capsys, monkeypatch):
+        import vastop.lattice as lattice
+
+        monkeypatch.setattr(lattice, "_step", lambda grid, n, values, rho: values * math.nan)
+        doc = _base_config(tasks=["price-lattice", "regions"])
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "solver error: FloatingPointError: non-finite lattice surface" in err
+        assert not (out / "summary.json").exists() and not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("kappa, code", [(1e300, 2), (1.0, 0)])
     def test_charge_kappa_is_at_most_one(self, tmp_path, capsys, kappa, code):

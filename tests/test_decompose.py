@@ -116,6 +116,13 @@ class TestDecompositionResiduals:
         with pytest.raises(ConfigError):
             vs.decomposition_residuals(c1_lattice["disc"], c1_scn, _empty_boundary(15.0, 180))
 
+    @pytest.mark.parametrize("M", [3, 4])
+    def test_too_few_state_nodes_rejected(self, c1_scn, M):
+        # the residual statistics skip 2 state nodes at each edge
+        surf = vs.bermudan_value(vs.build_chain(c1_scn, 12, M, 8.0), c1_scn)
+        with pytest.raises(ConfigError, match="grid.M must be at least 5 for decompose"):
+            vs.decomposition_residuals(surf, c1_scn, _empty_boundary(15.0, 12))
+
     def test_off_grid_time_rejected(self, c1_scn, c1_lattice):
         with pytest.raises(ConfigError):
             vs.surrender_premium(c1_scn, c1_lattice["boundary"], 0.017, 100.0)

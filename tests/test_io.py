@@ -10,6 +10,7 @@ without one rows memo shared across writer calls.
 from __future__ import annotations
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ import vastop as vs
 from vastop import io as csvio
 from vastop.decompose import DecompositionReport
 from vastop.region import Boundary, RegionMask
-from vastop.surfaces import ValueSurface
 
 # --- reference writers (per-cell formatting) ---------------------------------
 
@@ -175,6 +175,13 @@ class TestRealRun:
 EDGE = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-5, 1e16, 123.0, 0.1, 1 / 3, -2.5e-300]
 
 
+def _any_surface(tnodes, xnodes, values, obstacle):
+    """What the surface writer reads of a ValueSurface, holding any floats:
+    ValueSurface refuses NaN and infinite values, and the writers must still
+    spell them like the reference writers."""
+    return types.SimpleNamespace(tnodes=tnodes, xnodes=xnodes, values=values, obstacle=obstacle)
+
+
 @pytest.fixture(scope="module")
 def edge():
     tn = np.array([0.0, 1e-5, 1 / 3, 5e-324])
@@ -182,7 +189,7 @@ def edge():
     rng = np.random.default_rng(3)
     vals = np.array([np.roll(EDGE, k) for k in range(tn.size)])
     obst = vals[::-1].astype(np.float32)  # float32 cells widen exactly like float()
-    surf = ValueSurface(tn, xn, vals, obst, "lattice", "discontinuous")
+    surf = _any_surface(tn, xn, vals, obst)
     mask = RegionMask(tn, xn, rng.random((tn.size - 1, xn.size)) > 0.5, 0.0, 1e-6,
                       "discontinuous", "value-gap")
     grids = [np.array([np.roll(EDGE, 2 * k + j) for k in range(tn.size)]) for j in range(5)]
@@ -255,7 +262,7 @@ def ties(request):
     vals[3, 1::3] = wide[3, ::-1][1::3]
     # row 4 equals the reward row; row 5 holds its own values
     vals[5] = np.linspace(-1.0, 1.0, e.size)
-    surf = ValueSurface(tn, e, vals, obst, "lattice", "discontinuous")
+    surf = _any_surface(tn, e, vals, obst)
     mask = RegionMask(tn, e, np.random.default_rng(5).random((tn.size - 1, e.size)) > 0.5,
                       0.0, 1e-6, "discontinuous", "value-gap")
     same = vals.view(np.int64) == wide.view(np.int64)
@@ -295,7 +302,7 @@ def repeats():
     tn = np.arange(6) / 2
     vals = np.array([e, zero, nzero, e, np.full(e.size, np.nan), np.full(e.size, np.inf)])
     obst = np.array([nzero, zero, e, np.full(e.size, -np.inf), e, nzero]).astype(np.float32)
-    surf = ValueSurface(tn, e, vals, obst, "lattice", "discontinuous")
+    surf = _any_surface(tn, e, vals, obst)
     mask = RegionMask(tn, e, np.random.default_rng(4).random((tn.size - 1, e.size)) > 0.5,
                       0.0, 1e-6, "discontinuous", "value-gap")
     report = DecompositionReport(tn, e, obst, vals[::-1], nzero + vals, vals, obst[:, ::-1],

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import vastop as vs
+from vastop import lattice
 from vastop.model import ConfigError
 from vastop.surfaces import center_index
+
+
+def _subnormals(P: np.ndarray) -> int:
+    return int(((P != 0.0) & (np.abs(P) < np.finfo(float).tiny)).sum())
 
 
 class TestBuildChain:
@@ -26,6 +33,33 @@ class TestBuildChain:
             assert P.min() >= 0.0
         # piecewise fee with two distinct rates -> two distinct matrices
         assert len(seen) == 2
+
+    def test_production_matrices_hold_no_subnormal(self, c1_lattice):
+        assert [_subnormals(P) for P in c1_lattice["grid"].matrices.values()] == [0, 0]
+
+    @pytest.mark.parametrize("G, F0", [(1e-100, 1e100), (1e100, 1e-100), (1.0, 1.0)])
+    @pytest.mark.parametrize("r, xmax_mult", [(-0.5, 8.0), (0.5, 1000.0)])
+    def test_flushed_subnormals_change_no_bit(self, monkeypatch, G, F0, r, xmax_mult):
+        # sigma = 0.02 on 121 nodes leaves far-tail probabilities below the smallest
+        # normal double in expm's result; the chain holds 0 there, and both sweeps
+        # give the bits of the matrices that keep them (negatives clipped)
+        raw = []
+        monkeypatch.setattr(lattice, "expm", lambda A: raw.append(expm(A)) or raw[-1].copy())
+        scn = vs.Scenario(
+            market=vs.MarketParams(r=r, sigma=0.02),
+            contract=vs.ContractParams(G=G, T=15.0, F0=F0),
+            fee=vs.FeeSpec("piecewise", breakpoints=(5.0, 10.0), rates=(0.03, 0.0, 0.03)),
+            charge=vs.ChargeSpec("exponential", T=15.0, kappa=0.01),
+        )
+        grid = vs.build_chain(scn, 30, 121, xmax_mult)
+        kept = dataclasses.replace(
+            grid, matrices={key: np.maximum(P, 0.0) for key, P in zip(grid.matrices, raw)})
+        assert len(raw) == 2 and all(_subnormals(P) > 0 for P in kept.matrices.values())
+        assert all(_subnormals(P) == 0 for P in grid.matrices.values())
+        for kind in ("discontinuous", "continuous"):
+            flushed, reference = vs.bermudan_value(grid, scn, kind), vs.bermudan_value(kept, scn, kind)
+            assert flushed.values.tobytes() == reference.values.tobytes()
+            assert flushed.obstacle.tobytes() == reference.obstacle.tobytes()
 
     def test_one_step_conditional_mean_matches_drift(self, c1_scn):
         grid = vs.build_chain(c1_scn, N=36, M=201, xmax_mult=8.0)

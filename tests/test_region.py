@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vastop as vs
 from vastop.model import ConfigError
 from vastop.region import RegionMask
+from vastop.surfaces import time_nodes
+
+ORACLE_N, ORACLE_M = 24, 41
 
 
 class TestExtractRegions:
@@ -166,3 +171,44 @@ class TestCompareRegions:
                 il = int(np.searchsorted(ml.xnodes, bl.values[n] * (1 - 1e-12)))
                 ip = int(np.searchsorted(mp.xnodes, bp.values[n] * (1 - 1e-12)))
                 assert abs(il - ip) <= 3
+
+
+@st.composite
+def _never_surrender_scenarios(draw):
+    """An exponential charge kappa over a constant or piecewise fee whose every
+    rate is at most kappa: L(t) = g(t) (kappa - c(t)) >= 0 at every date."""
+    T = draw(st.sampled_from([1.0, 5.0, 15.0, 30.0]))
+    kappa = draw(st.floats(0.0, 0.1))
+    shares = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        fee = vs.FeeSpec("constant", rate=kappa * draw(shares))
+    else:  # breakpoints on dates of the N = 24 grid
+        fee = vs.FeeSpec("piecewise", breakpoints=(T / 4, T / 2),
+                         rates=tuple(kappa * draw(shares) for _ in range(3)))
+    return vs.Scenario(
+        market=vs.MarketParams(r=draw(st.floats(-0.05, 0.1)), sigma=draw(st.floats(0.02, 1.0))),
+        contract=vs.ContractParams(G=100.0, T=T, F0=100.0 * float(np.exp(draw(st.floats(-1.0, 1.0))))),
+        fee=fee,
+        charge=vs.ChargeSpec("exponential", T=T, kappa=kappa),
+    )
+
+
+class TestNeverSurrenderOracle:
+    @given(scn=_never_surrender_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_charge_at_least_every_fee_rate_never_surrenders(self, scn):
+        # the source paper's theorem: L >= 0 at every date makes waiting to maturity
+        # optimal, whatever r, sigma, T and F0 are
+        assert vs.never_surrender_check(scn, time_nodes(scn, ORACLE_N)[:-1]).holds
+        chain = vs.build_chain(scn, ORACLE_N, ORACLE_M)
+        disc = vs.bermudan_value(chain, scn, "discontinuous")
+        cont = vs.bermudan_value(chain, scn, "continuous")
+        pde = vs.solve_variational_inequality(scn, vs.build_pde_grid(scn, ORACLE_N, ORACLE_M))
+        for surf in (disc, cont, pde):
+            assert not vs.extract_regions(surf, scn, mode="exercise").in_surrender.any()
+        # the continuous kind's reward is max(g x, h) with h the chain's own
+        # hold-to-maturity value (the closed form is off a 41-node grid by its
+        # discretization error): the value is h at every node, up to the solver tolerance
+        tol = disc.metadata["solver_tol"]
+        assert np.all(disc.values >= cont.obstacle - tol)
+        assert np.all(disc.values <= cont.obstacle + tol)
