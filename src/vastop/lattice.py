@@ -277,13 +277,11 @@ class ConvergenceStudy:
     surfaces: tuple[ValueSurface, ...]
 
 
-def american_extrapolate(scn: Scenario, Nseq, M: int, xmax_mult: float = 8.0,
-                         matrices: dict | None = None) -> ConvergenceStudy:
+def american_extrapolate(scn: Scenario, Nseq, M: int, xmax_mult: float = 8.0) -> ConvergenceStudy:
     """Refine the exercise dates, report |value(2N) - value(N)| per doubling and
     an Aitken extrapolation of the continuously-exercisable limit.
 
     Non-decreasing deltas emit a convergence warning but still return data.
-    ``matrices`` is passed on to every ``build_chain`` call.
     """
     Nseq = tuple(int(n) for n in Nseq)
     if len(Nseq) < 3:
@@ -293,7 +291,7 @@ def american_extrapolate(scn: Scenario, Nseq, M: int, xmax_mult: float = 8.0,
     surfaces = []
     vals = []
     for N in Nseq:
-        grid = build_chain(scn, N, M, xmax_mult, matrices)
+        grid = build_chain(scn, N, M, xmax_mult)
         surf = bermudan_value(grid, scn)
         surfaces.append(surf)
         i0 = center_index(surf.xnodes, scn.contract.F0)

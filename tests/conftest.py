@@ -121,21 +121,18 @@ def kc_wide(kc_scn, matrices):
 
 
 @pytest.fixture(scope="session")
-def c1_study(c1_scn, matrices):
-    return vs.american_extrapolate(c1_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT,
-                                   matrices=matrices)
+def c1_study(c1_scn):
+    return vs.american_extrapolate(c1_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT)
 
 
 @pytest.fixture(scope="session")
-def c2_study(c2_scn, matrices):
-    return vs.american_extrapolate(c2_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT,
-                                   matrices=matrices)
+def c2_study(c2_scn):
+    return vs.american_extrapolate(c2_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT)
 
 
 @pytest.fixture(scope="session")
-def lowch_study(lowch_scn, matrices):
-    return vs.american_extrapolate(lowch_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT,
-                                   matrices=matrices)
+def lowch_study(lowch_scn):
+    return vs.american_extrapolate(lowch_scn, [180, 360, 720], M=BENCH_M, xmax_mult=WIDE_MULT)
 
 
 @pytest.fixture(scope="session")

@@ -202,9 +202,6 @@ class TestNeverSurrenderOracle:
         chain = vs.build_chain(scn, N, M)
         disc = vs.bermudan_value(chain, scn, "discontinuous")
         cont = vs.bermudan_value(chain, scn, "continuous")
-        pde = vs.solve_variational_inequality(scn, vs.build_pde_grid(scn, N, M))
-        for surf in (disc, cont, pde):
-            assert not vs.extract_regions(surf, scn, mode="exercise").in_surrender.any()
         # the continuous kind's reward is max(g x, h) with h the chain's own
         # hold-to-maturity value (the closed form is off a 41-node grid by its
         # discretization error): the value is h at every node, up to the solver tolerance
