@@ -1,12 +1,13 @@
 """VASTOP_THREADS: the worker-count rule, the one thread pool and the one worker
 process; and the one-thread pin of BLAS.
 
-``ordered_map`` is the package's only thread pool: Monte Carlo chunks and
-decomposition time slices both run on it. ``OrderedProcess`` runs calls in
-order on one worker process: ``vastop run`` writes its CSVs there while its
-later tasks compute. BLAS runs on one thread (``pin_blas``), as OpenBLAS
-rounds differently for each thread count. An invalid VASTOP_THREADS never
-fails the import; ``worker_count`` reports it as a config error.
+``ordered_map`` is the package's only thread pool: the Monte Carlo estimator
+passes map their chunks on it, and the decomposition its time slices.
+``OrderedProcess`` runs calls in order on one worker process: ``vastop run``
+writes its CSVs there while its later tasks compute. BLAS runs on one thread
+(``pin_blas``), as OpenBLAS rounds differently for each thread count. An
+invalid VASTOP_THREADS never fails the import; ``worker_count`` reports it as
+a config error.
 """
 
 import ctypes
@@ -36,38 +37,16 @@ def worker_count(nitems: int) -> int:
     return max(1, min(n, nitems))
 
 
-def ordered_map(fn, nitems: int, *, caller_first: bool = False):
-    """Yield fn(0), fn(1), ..., fn(nitems - 1) in that order.
+def ordered_map(fn, nitems: int) -> list:
+    """[fn(0), fn(1), ..., fn(nitems - 1)], computed on a pool of worker_count(nitems) threads.
 
-    The items run on a pool of worker_count(nitems) threads (read when
-    iteration starts), with at most one item per thread pending ahead of the
-    consumer. With caller_first the calling thread computes item 0 itself
-    while a pool one thread smaller (none for a single worker) starts on the
-    rest; that share then allocates in the caller's malloc arena, not in a
-    new thread's. Closing the generator early cancels the pending items and joins the pool;
-    an exception raised by fn reaches the consumer after the pool is joined.
-    fn runs on pool threads, so it must call no public vastop function (the
-    perfbench tracer's span stack is single-threaded).
+    An exception raised by fn cancels the items not yet started and reaches
+    the caller once the pool is joined. fn runs on pool threads, so it must
+    call no public vastop function (the perfbench tracer's span stack is
+    single-threaded).
     """
-    threads = worker_count(nitems) - caller_first
-    if threads == 0:
-        for i in range(nitems):
-            yield fn(i)
-        return
-    first = int(caller_first)
-    with ThreadPoolExecutor(max_workers=threads, thread_name_prefix="vastop") as pool:
-        pending = deque(pool.submit(fn, i) for i in range(first, min(first + threads, nitems)))
-        try:
-            if caller_first:
-                yield fn(0)
-            for i in range(first, nitems):
-                result = pending.popleft().result()
-                if i + threads < nitems:
-                    pending.append(pool.submit(fn, i + threads))
-                yield result
-        finally:
-            for fut in pending:
-                fut.cancel()
+    with ThreadPoolExecutor(worker_count(nitems), thread_name_prefix="vastop") as pool:
+        return list(pool.map(fn, range(nitems)))
 
 
 class OrderedProcess:

@@ -13,13 +13,12 @@ surrender premium - continuation premium = payout - maturity benefit,
 used to cross-check the quadratures without any PDE/lattice input.
 
 ``decomposition_residuals`` evaluates the time slices on the package's one
-thread pool, ``_threads.ordered_map``: with W workers (VASTOP_THREADS, else
-one per available CPU) worker k takes the slices n = k mod W, and the calling
-thread is worker 0. Each slice is computed alone, so the report is the same to
-the last bit for any W. scipy's ``ndtr`` releases the GIL (scipy 1.17.1: a
-Python thread keeps counting at its idle rate through a 20M-element call), so
-the slices overlap whole: on the c1 lattice surface at N=360, M=401 the
-residuals take 1.65 s on 1 worker and 1.10 s on 2 (2 vCPUs).
+thread pool, ``_threads.ordered_map`` (VASTOP_THREADS workers, else one per
+available CPU), one item per slice. Each slice is computed alone, so the report
+is the same to the last bit for any worker count. scipy's ``ndtr`` releases the
+GIL (scipy 1.17.1: a Python thread keeps counting at its idle rate through a
+20M-element call), so the slices overlap whole: on the c1 lattice surface at
+N=360, M=401 the residuals take 1.65 s on 1 worker and 1.10 s on 2 (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from ._threads import ordered_map, worker_count
+from ._threads import ordered_map
 from .analytic import guarantee_put_value, maturity_benefit_value
 from .model import ConfigError, Scenario
 from .region import Boundary
@@ -179,7 +178,8 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
     Residual statistics are taken over the interior nodes (skipping 2 state
     nodes at each edge, where truncation boundary conditions rather than the
     identities dominate), so the surface needs at least 5 state nodes
-    (ConfigError otherwise); nodes whose residual exceeds 5e-3 G are flagged.
+    (ConfigError otherwise); interior nodes whose residual exceeds 5e-3 G are
+    flagged by their (time, state) indices on the surface.
     The time slices run on VASTOP_THREADS workers (see the module docstring);
     an invalid value raises ConfigError.
     """
@@ -196,26 +196,21 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
     e = np.empty_like(h)
     f = np.empty_like(h)
     phi = np.empty_like(h)
-    workers = worker_count(Np1)
 
-    def fill(k: int) -> None:
-        """Rows n = k, k + workers, ...: a share that shrinks with n like every other."""
-        for n in range(k, Np1, workers):
-            t = float(tn[n])
-            h[n] = maturity_benefit_value(scn, t, x)
-            e[n], f[n] = quad.premiums(n)
-            # payout branch of the representation is the surrender value x g(t)
-            # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly
-            phi[n] = scn.charge(t) * x
+    def fill(n: int) -> None:
+        t = float(tn[n])
+        h[n] = maturity_benefit_value(scn, t, x)
+        e[n], f[n] = quad.premiums(n)
+        # payout branch of the representation is the surrender value x g(t)
+        # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly
+        phi[n] = scn.charge(t) * x
 
-    # each slice is computed alone, so the rows are the same for any worker count
-    for _ in ordered_map(fill, workers, caller_first=True):
-        pass
+    ordered_map(fill, Np1)
     res_he = surface.values - h - e
     res_phif = surface.values - phi - f
     sl = slice(2, x.size - 2)
     flagged = tuple(
-        (int(n), int(i))
+        (int(n), int(i) + 2)
         for n, i in zip(*np.nonzero(np.abs(res_he[:, sl]) > 5e-3 * scn.contract.G))
     )
     return DecompositionReport(

@@ -53,7 +53,7 @@ class ChainGrid:
 
     xnodes: np.ndarray
     tnodes: np.ndarray
-    step_keys: tuple[bytes, ...]
+    step_keys: tuple[float, ...]
     matrices: dict
     discount: float
     xmax_mult: float
@@ -146,7 +146,7 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
     Piecewise-fee breakpoints must land on time nodes (ConfigError otherwise);
     coefficients are frozen at each step's left endpoint. ``matrices``, when
     given, is a memo the caller keeps across chains: it maps everything the
-    generator reads (state nodes, dt, r, sigma and the fee row) to the checked
+    generator reads (state nodes, dt, r, sigma and the fee rate) to the checked
     transition matrix, so chains that share a step's coefficients share its
     matrix and exponentiate it once. The row-sum and minimum-probability
     check runs on the raw ``expm`` result; entries below the smallest normal
@@ -158,13 +158,12 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
     dt = float(tnodes[1] - tnodes[0])
     var = (sigma * xnodes) ** 2
     memo = {} if matrices is None else matrices
-    step_keys: list[bytes] = []
-    chain: dict[bytes, np.ndarray] = {}
+    step_keys: list[float] = []
+    chain: dict[float, np.ndarray] = {}
     for n in range(N):
-        c = np.full(xnodes.shape, scn.fee(float(tnodes[n])))
-        key = c.tobytes()
-        if key not in chain:
-            memo_key = (xnodes.tobytes(), dt, r, sigma, key)
+        c = float(scn.fee(float(tnodes[n])))
+        if c not in chain:
+            memo_key = (xnodes.tobytes(), dt, r, sigma, c)
             if memo_key not in memo:
                 mu = (r - c) * xnodes
                 P = expm(_generator(xnodes, mu, var) * dt)
@@ -178,8 +177,8 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
                 P[P < _TINY] = 0.0  # negatives and subnormals, see ChainGrid
                 P.setflags(write=False)
                 memo[memo_key] = P
-            chain[key] = memo[memo_key]
-        step_keys.append(key)
+            chain[c] = memo[memo_key]
+        step_keys.append(c)
     return ChainGrid(
         xnodes=xnodes,
         tnodes=tnodes,

@@ -8,14 +8,15 @@ BLOCK_ROWS paths: consecutive standard_normal calls on the chunk's generator
 stack to the same paths as one call, and a block's normals and paths stay in
 the core's cache across the in-place passes that build them.
 
-Chunks run on the package's one thread pool, ``_threads.ordered_map``
-(VASTOP_THREADS workers, else one per available CPU). In an estimator pass
-(``mc_verify_estimates`` serves all estimators at once) the worker that builds
-a chunk runs every estimator's kernel on each block and reduces the chunk to
+An estimator pass (``mc_verify_estimates`` serves all estimators at once)
+maps its chunks on the package's one thread pool, ``_threads.ordered_map``
+(VASTOP_THREADS workers, else one per available CPU). The worker that builds a
+chunk runs every estimator's kernel on each block and reduces the chunk to
 per-estimator sums and sums of squares, taken with numpy's pairwise summation
 over chunk-length sample buffers. The caller adds those sums in chunk order,
 so every estimate is the same to the last bit for any worker count, and a pass
-holds a few blocks per worker, never a whole chunk.
+holds a few blocks per worker, never a whole chunk. ``PathBatch.iter_chunks``,
+the whole-chunk accessor, builds its chunks on the calling thread.
 """
 
 from __future__ import annotations
@@ -98,30 +99,25 @@ class PathBatch:
         """Paths of chunk ci, shape (chunk, nsteps + 1), from its blocks."""
         return np.concatenate([F.copy() for F in self._blocks(ci, drifts)])
 
-    def _map_chunks(self, fn):
-        """ordered_map of fn(ci, drifts) over the chunk indices, with drifts the
-        per-step log drifts of the exact lognormal transition."""
+    def _drifts(self) -> np.ndarray:
+        """Per-step log drifts of the exact lognormal transition."""
         tn = self.tnodes
         r, sig = self.scn.market.r, self.scn.market.sigma
         dt = float(tn[1] - tn[0])
         fee_ints = np.array(
             [self.scn.fee.integral(float(a), float(b)) for a, b in zip(tn[:-1], tn[1:])]
         )
-        drifts = r * dt - fee_ints - 0.5 * sig * sig * dt
-        return ordered_map(lambda ci: fn(ci, drifts), -(-self.npaths // CHUNK_PATHS))
+        return r * dt - fee_ints - 0.5 * sig * sig * dt
 
     def iter_chunks(self):
         """Yield (first_path_index, F) with F of shape (chunk, nsteps + 1), in
-        chunk order.
-
-        Each chunk is built whole by ``_threads.ordered_map`` on a pool sized by
-        VASTOP_THREADS (read when iteration starts), with at most one chunk per
-        worker pending ahead of the consumer. Closing the generator early
-        cancels what is pending and joins the workers. The estimators do not
-        come this way: their pass reduces each chunk on its worker, block by
-        block (see ``_one_pass``).
+        chunk order; each chunk is built on the calling thread when it is asked
+        for. The estimators do not come this way: their pass reduces each chunk
+        on a pool worker, block by block (see ``_one_pass``).
         """
-        yield from self._map_chunks(lambda ci, drifts: (ci * CHUNK_PATHS, self._chunk(ci, drifts)))
+        drifts = self._drifts()
+        for ci in range(-(-self.npaths // CHUNK_PATHS)):
+            yield ci * CHUNK_PATHS, self._chunk(ci, drifts)
 
     def materialize(self) -> np.ndarray:
         """Full (npaths, nsteps + 1) path array; refuse absurd sizes."""
@@ -159,7 +155,9 @@ def _one_pass(batch: PathBatch, kernels) -> list[McEstimate]:
     worker count nor on which other kernels share the pass.
     """
 
-    def chunk_sums(ci: int, drifts: np.ndarray) -> list[tuple[float, float]]:
+    drifts = batch._drifts()
+
+    def chunk_sums(ci: int) -> list[tuple[float, float]]:
         bufs, r0 = [], 0
         for F in batch._blocks(ci, drifts):
             samples = [x for kernel in kernels for x in kernel(F)]
@@ -171,10 +169,9 @@ def _one_pass(batch: PathBatch, kernels) -> list[McEstimate]:
             r0 += F.shape[0]
         return [(float(np.sum(b)), float(np.sum(b * b))) for b in bufs]
 
-    totals: list[list[float]] = []
-    for sums in batch._map_chunks(chunk_sums):
-        if not totals:
-            totals = [[0.0, 0.0] for _ in sums]
+    per_chunk = ordered_map(chunk_sums, -(-batch.npaths // CHUNK_PATHS))
+    totals = [[0.0, 0.0] for _ in per_chunk[0]]
+    for sums in per_chunk:
         for acc, (s, q) in zip(totals, sums):
             acc[0] += s
             acc[1] += q
@@ -284,7 +281,7 @@ def _premiums(ee: McEstimate, ff: McEstimate) -> McPremiumEstimates:
 class McVerifyEstimates:
     maturity_benefit: McEstimate
     boundary_strategy: McEstimate
-    premiums: McPremiumEstimates | None
+    premiums: McPremiumEstimates
 
 
 def mc_maturity_benefit(batch: PathBatch, scn: Scenario) -> McEstimate:
@@ -312,17 +309,11 @@ def mc_premium_integrals(batch: PathBatch, scn: Scenario, mask: RegionMask) -> M
 
 
 def mc_verify_estimates(
-    batch: PathBatch, scn: Scenario, boundary: Boundary, mask: RegionMask | None = None
+    batch: PathBatch, scn: Scenario, boundary: Boundary, mask: RegionMask
 ) -> McVerifyEstimates:
-    """Maturity benefit, boundary-strategy value and, given a mask, the two
-    premiums, from one pass over the paths. Each estimate is bit-identical to
-    the one its single-estimator function returns."""
-    kernels = [_maturity_kernel(scn), _boundary_kernel(batch, scn, boundary)]
-    if mask is not None:
-        kernels.append(_premium_kernel(batch, scn, mask))
-    mb, sv, *prem = _one_pass(batch, kernels)
-    return McVerifyEstimates(
-        maturity_benefit=mb,
-        boundary_strategy=sv,
-        premiums=_premiums(*prem) if prem else None,
-    )
+    """Maturity benefit, boundary-strategy value and the two premiums, from one
+    pass over the paths. Each estimate is bit-identical to the one its
+    single-estimator function returns."""
+    mb, sv, ee, ff = _one_pass(batch, [_maturity_kernel(scn), _boundary_kernel(batch, scn, boundary),
+                                       _premium_kernel(batch, scn, mask)])
+    return McVerifyEstimates(maturity_benefit=mb, boundary_strategy=sv, premiums=_premiums(ee, ff))

@@ -104,9 +104,10 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     """Backward time-stepping of max{A_t v + v_t - r v, payout - v} = 0.
 
     Terminal condition max(G, x); obstacle g(t) x enforced by the active-set
-    solve at every level. Bottom boundary is the guarantee floor G e^{-r(T-t)}; the
-    top node is clamped to the payout when the slice is expected to contain
-    surrender states (L(t) < 0) and extrapolated linearly in x otherwise.
+    solve at every level. Bottom boundary is the guarantee floor G e^{-r(T-t)},
+    or the payout g(t) x where that lies higher; the top node is clamped to the
+    payout when the slice is expected to contain surrender states (L(t) < 0)
+    and extrapolated linearly in x otherwise.
     """
     x = grid.xnodes
     tn = grid.tnodes
@@ -148,7 +149,7 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
 
         for k in range(substeps):
             t_level = float(tn[n + 1]) - dt * (k + 1)
-            floor = G * math.exp(-r * (scn.contract.T - t_level))
+            floor = max(G * math.exp(-r * (scn.contract.T - t_level)), phi[0])
             ai, bi, ci = a[1:-1], bq[1:-1], cq[1:-1]
             sub = -theta * dt * ai
             diag = 1.0 - theta * dt * bi

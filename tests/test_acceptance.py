@@ -189,7 +189,7 @@ def test_criterion_09_monte_carlo_sandwich(c1_scn, c2_scn, c1_lattice, c2_lattic
         h0 = float(vs.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         i0 = center_index(bundle["disc"].xnodes, scn.contract.F0)
         v0 = float(bundle["disc"].values[0, i0])
-        est = vs.mc_verify_estimates(batch, scn, bundle["boundary"])  # one pass
+        est = vs.mc_verify_estimates(batch, scn, bundle["boundary"], bundle["mask"])  # one pass
         mb, sv = est.maturity_benefit, est.boundary_strategy
         results[label] = {
             "mb_ok": abs(mb.estimate - h0) <= 3.0 * mb.std_error,

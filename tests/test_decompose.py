@@ -112,6 +112,16 @@ class TestDecompositionResiduals:
         rep = vs.decomposition_residuals(kc_wide["lattice"], kc_scn, b)
         assert rep.max_abs_res_he <= 5e-3 * 100.0
 
+    def test_flagged_nodes_are_surface_indices(self, c1_scn):
+        surf = vs.bermudan_value(vs.build_chain(c1_scn, 90, 151, 8.0), c1_scn, "discontinuous")
+        boundary = vs.extract_boundary(vs.extract_regions(surf, c1_scn), surf)
+        rep = vs.decomposition_residuals(surf, c1_scn, boundary)
+        G, M = c1_scn.contract.G, surf.xnodes.size
+        assert rep.flagged
+        for n, i in rep.flagged:
+            assert 2 <= i < M - 2 and abs(rep.res_he[n, i]) > 5e-3 * G
+        assert len(rep.flagged) == int(np.sum(np.abs(rep.res_he[:, 2:M - 2]) > 5e-3 * G))
+
     def test_grid_mismatch_rejected(self, c1_scn, c1_lattice):
         with pytest.raises(ConfigError):
             vs.decomposition_residuals(c1_lattice["disc"], c1_scn, _empty_boundary(15.0, 180))

@@ -135,6 +135,20 @@ class TestSolveVariationalInequality:
             v, _, _ = _obstacle_solve(sub, diag, sup, rhs, obstacle, v0, 1e-9, 100)
             assert float(np.max(np.abs(v - v_star))) <= 1e-9
 
+    def test_bottom_node_never_below_the_obstacle(self):
+        # here the guarantee floor G e^{-r(T-t)} lies below the payout g(t) x at the
+        # lowest node: taken alone as the bottom value, it left the value 1.9 below
+        # the obstacle there and pulled node 1 into the value-gap surrender region
+        scn = vs.Scenario(
+            market=vs.MarketParams(r=0.092, sigma=0.96),
+            contract=vs.ContractParams(G=100.0, T=30.0, F0=152.6),
+            fee=vs.FeeSpec("constant", rate=0.02),
+            charge=vs.ChargeSpec("exponential", T=30.0, kappa=0.028),
+        )
+        surf = vs.solve_variational_inequality(scn, vs.build_pde_grid(scn, N=24, M=41))
+        assert float(np.min(surf.values - surf.obstacle)) == 0.0
+        assert not vs.extract_regions(surf, scn).in_surrender[:, 1:].any()
+
     def test_implicit_small_grid_solves(self, c1_scn):
         # projected SOR stalled on this grid (no convergence in 10,000 sweeps)
         pgrid = vs.build_pde_grid(c1_scn, N=12, M=51, xmax_mult=8.0)
