@@ -47,7 +47,7 @@ def main() -> None:
 
     # A live surrender incentive: the charge relaxes slower than the fee
     # accrues, so the contract is worth more than the maturity benefit alone.
-    live = vs.low_charge_scenario(kappa=0.0055, c=0.02)
+    live = vs.low_charge_scenario()
     study = vs.american_extrapolate(live, [180, 360, 720], M=401, xmax_mult=30.0)
     h_live = vs.maturity_benefit_value(live, 0.0, F0)
     print(f"\nLive surrender incentive (charge 0.55%, fee 2%):")

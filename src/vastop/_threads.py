@@ -61,6 +61,8 @@ class OrderedProcess:
     function. A forked worker starts with the caller's modules loaded, where a
     spawned one would import numpy and scipy again (about 0.3 s per run); as
     the fork copies only the calling thread, fn should call no BLAS and no pool.
+    Only the worker's own calls write the module state they use (`_state`,
+    `_failed`), so each forked worker starts with that state clean.
 
     A call that raises stops the calls after it, and submit raises that error
     once it is known. Leaving the helper as a context manager joins the worker:
@@ -80,8 +82,7 @@ class OrderedProcess:
         self._pool = None
         self._pending = deque()
         if worker_count(2) > 1 and "fork" in multiprocessing.get_all_start_methods():
-            self._pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
-                                             initializer=_new_state)
+            self._pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
 
     def submit(self, fn, *args, **kwargs) -> None:
         if self._pool is None:
@@ -107,11 +108,6 @@ class OrderedProcess:
 # in an OrderedProcess worker: its state and whether one of its calls has raised
 _state: dict = {}
 _failed = False
-
-
-def _new_state() -> None:
-    global _state, _failed
-    _state, _failed = {}, False
 
 
 def _call(fn, args, kwargs):

@@ -33,8 +33,20 @@ __all__ = [
 ]
 
 
-def _d1(x, K, drift: float, sig_sqrt_tau: float):
-    return (np.log(x / K) + drift + 0.5 * sig_sqrt_tau**2) / sig_sqrt_tau
+def _terms(scn: Scenario, t: float, x):
+    """x as a float array, and the terms both closed forms combine at (t, x):
+    (x e^{-int_t^T c}, G e^{-r tau}, d1, d2) before maturity, None at t = T."""
+    scn.check_domain(t, x)
+    G, T = scn.contract.G, scn.contract.T
+    x = np.asarray(x, dtype=float)
+    tau = T - t
+    if tau <= 1e-12 * max(1.0, T):
+        return x, None
+    r, sig = scn.market.r, scn.market.sigma
+    fee_int = scn.fee.integral(t, T)
+    sst = sig * math.sqrt(tau)
+    d1 = (np.log(x / G) + (r * tau - fee_int) + 0.5 * sst**2) / sst
+    return x, (x * math.exp(-fee_int), G * math.exp(-r * tau), d1, d1 - sst)
 
 
 def maturity_benefit_value(scn: Scenario, t: float, x):
@@ -43,37 +55,23 @@ def maturity_benefit_value(scn: Scenario, t: float, x):
     Equals x e^{-int c} Phi(d1) + G e^{-r tau} Phi(-d2); handled by an explicit
     branch at t = T (returns max(G, x)) rather than a d1 limit.
     """
-    scn.check_domain(t, x)
-    G, T = scn.contract.G, scn.contract.T
-    x = np.asarray(x, dtype=float)
-    tau = T - t
-    if tau <= 1e-12 * max(1.0, T):
-        out = np.maximum(G, x)
-        return out if out.ndim else float(out)
-    r, sig = scn.market.r, scn.market.sigma
-    fee_int = scn.fee.integral(t, T)
-    sst = sig * math.sqrt(tau)
-    d1 = _d1(x, G, r * tau - fee_int, sst)
-    d2 = d1 - sst
-    out = x * math.exp(-fee_int) * ndtr(d1) + G * math.exp(-r * tau) * ndtr(-d2)
+    x, terms = _terms(scn, t, x)
+    if terms is None:
+        out = np.maximum(scn.contract.G, x)
+    else:
+        x_fee, g_disc, d1, d2 = terms
+        out = x_fee * ndtr(d1) + g_disc * ndtr(-d2)
     return out if out.ndim else float(out)
 
 
 def guarantee_put_value(scn: Scenario, t: float, x):
     """Discounted value of (G - F_T)_+ started at (t, x); the financial guarantee."""
-    scn.check_domain(t, x)
-    G, T = scn.contract.G, scn.contract.T
-    x = np.asarray(x, dtype=float)
-    tau = T - t
-    if tau <= 1e-12 * max(1.0, T):
-        out = np.maximum(G - x, 0.0)
-        return out if out.ndim else float(out)
-    r, sig = scn.market.r, scn.market.sigma
-    fee_int = scn.fee.integral(t, T)
-    sst = sig * math.sqrt(tau)
-    d1 = _d1(x, G, r * tau - fee_int, sst)
-    d2 = d1 - sst
-    out = G * math.exp(-r * tau) * ndtr(-d2) - x * math.exp(-fee_int) * ndtr(-d1)
+    x, terms = _terms(scn, t, x)
+    if terms is None:
+        out = np.maximum(scn.contract.G - x, 0.0)
+    else:
+        x_fee, g_disc, d1, d2 = terms
+        out = g_disc * ndtr(-d2) - x_fee * ndtr(-d1)
     return out if out.ndim else float(out)
 
 

@@ -1,9 +1,10 @@
 """Config-driven batch entry point.
 
 ``vastop run <config> [--out DIR] [--seed N] [--grid-N n --grid-M m]`` loads a
-scenario plus run plan from a single JSON document, runs the requested tasks
+scenario plus run settings from a single JSON document, runs the requested tasks
 and their prerequisites in the order of one task table, `_TABLE`, and writes
-CSV artifacts plus a machine-readable summary. One checker,
+CSV artifacts plus a machine-readable summary. `_Run` checks the document and
+holds what its tasks share. One checker,
 `model.checked_section`, checks every key of the document against a table in
 one rule format: the grid and mc sections, overrides included, against
 `_RULES`, the scenario against `model._SCENARIO_RULES`. Solver settings are not
@@ -36,7 +37,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,43 +60,6 @@ _RULES = {
 }
 
 
-@dataclass
-class RunPlan:
-    scenario_doc: dict
-    tasks: tuple[str, ...]
-    grid: dict
-    mc: dict
-    out_dir: str
-
-
-def load_plan(doc: dict, args) -> RunPlan:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {"scenario", "tasks", *_RULES, "out"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in config")
-    if "scenario" not in doc:
-        raise ConfigError("missing section 'scenario'")
-    tasks = doc.get("tasks")
-    if not isinstance(tasks, list) or not tasks:
-        raise ConfigError("tasks must be a non-empty array")
-    for t in tasks:
-        if t not in TASKS:
-            raise ConfigError(f"tasks: unknown task {t!r} (choose from {', '.join(TASKS)})")
-    overrides = {"grid": {"N": args.grid_N, "M": args.grid_M}, "mc": {"seed": args.seed}}
-    sections = {}
-    for name, rules in _RULES.items():
-        given = doc.get(name, {})
-        if isinstance(given, dict):
-            given = {**given, **{k: v for k, v in overrides.get(name, {}).items() if v is not None}}
-        sections[name] = model.checked_section(name, given, rules)
-    out_dir = args.out or doc.get("out") or "vastop-out"
-    if not isinstance(out_dir, str):
-        raise ConfigError("out must be a string")
-    return RunPlan(scenario_doc=doc["scenario"], tasks=tuple(tasks), **sections, out_dir=out_dir)
-
-
 @contextlib.contextmanager
 def _writing(path: str):
     """Report an OSError raised while writing path as a config error: the
@@ -116,23 +79,53 @@ def _write(rows: dict, path: str, writer, *args, memo: bool = False) -> None:
 
 
 class _Run:
-    """What the tasks of one run share: the plan, its scenario and time nodes,
-    the summary, the products of earlier tasks, the run's memos (the chains
-    and lattice surfaces built so far and the transition matrices of those
-    chains) and its writer, which writes the CSVs in emit order and keeps the
-    rows memo. Each run starts with empty memos and a writer of its own."""
+    """What the tasks of one run share: its checked document (scenario, tasks
+    with their prerequisites, grid, mc and out), its time nodes, the summary,
+    the products of earlier tasks, the run's memos (the chains and lattice
+    surfaces built so far and the transition matrices of those chains) and its
+    writer, which writes the CSVs in emit order and keeps the rows memo. Each
+    run starts with empty memos and a writer of its own."""
 
-    def __init__(self, plan: RunPlan, tasks: list[str]):
-        self.plan, self.tasks = plan, tasks
-        self.scn = scn = model.scenario_from_dict(plan.scenario_doc)
+    def __init__(self, doc: dict, args):
+        """Check doc with the command-line overrides of args, then set up the run;
+        ConfigError names the first key at fault, and a refused run creates no out."""
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        known = {"scenario", "tasks", *_RULES, "out"}
+        unknown = set(doc) - known
+        if unknown:
+            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in config")
+        if "scenario" not in doc:
+            raise ConfigError("missing section 'scenario'")
+        tasks = doc.get("tasks")
+        if not isinstance(tasks, list) or not tasks:
+            raise ConfigError("tasks must be a non-empty array")
+        for t in tasks:
+            if t not in TASKS:
+                raise ConfigError(f"tasks: unknown task {t!r} (choose from {', '.join(TASKS)})")
+        overrides = {"grid": {"N": args.grid_N, "M": args.grid_M}, "mc": {"seed": args.seed}}
+        sections = {}
+        for name, rules in _RULES.items():
+            given = doc.get(name, {})
+            if isinstance(given, dict):
+                given = {**given,
+                         **{k: v for k, v in overrides.get(name, {}).items() if v is not None}}
+            sections[name] = model.checked_section(name, given, rules)
+        self.grid, self.mc = sections["grid"], sections["mc"]
+        self.out_dir = args.out or doc.get("out") or "vastop-out"
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out must be a string")
+        self.tasks = _closed(tasks)
+        self.scn = scn = model.scenario_from_dict(doc["scenario"])
         self.summary: dict = {
-            "config": {"scenario": model.scenario_to_dict(scn), "tasks": tasks,
-                       **{name: dict(getattr(plan, name)) for name in _RULES}, "out": plan.out_dir},
+            "config": {"scenario": model.scenario_to_dict(scn), "tasks": self.tasks,
+                       **{name: dict(section) for name, section in sections.items()},
+                       "out": self.out_dir},
             "artifacts": [],
             "results": {},
         }
         self.results = self.summary["results"]
-        self.tnodes = surfaces.time_nodes(scn, plan.grid["N"])
+        self.tnodes = surfaces.time_nodes(scn, self.grid["N"])
         self.results["maturity_benefit_value_at_inception"] = float(
             analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         self.surfaces, self.masks, self.boundaries = {}, {}, {}
@@ -140,13 +133,14 @@ class _Run:
         self.writes = OrderedProcess()  # its process starts at the first emit
         # last, so that a run refused by a check above leaves no directory behind
         try:
-            os.makedirs(plan.out_dir, exist_ok=True)
+            os.makedirs(self.out_dir, exist_ok=True)
         except OSError as exc:  # a file where the directory or one of its parents goes
-            raise ConfigError(f"out: cannot create directory {plan.out_dir!r}: {exc.strerror}") from None
+            raise ConfigError(
+                f"out: cannot create directory {self.out_dir!r}: {exc.strerror}") from None
 
     def emit(self, name: str, writer, *args, memo: bool = False) -> None:
         """Have the writer write artifact name; memo passes it the rows memo."""
-        self.writes.submit(_write, os.path.join(self.plan.out_dir, name), writer, *args, memo=memo)
+        self.writes.submit(_write, os.path.join(self.out_dir, name), writer, *args, memo=memo)
         self.summary["artifacts"].append(name)
 
     def chain(self, scn):
@@ -154,7 +148,7 @@ class _Run:
         price-lattice built when its benchmark scenario equals the run's. Chains
         share the transition matrices of steps with the same coefficients."""
         if scn not in self._chains:
-            grid = self.plan.grid
+            grid = self.grid
             self._chains[scn] = lattice.build_chain(scn, grid["N"], grid["M"], grid["xmax_mult"],
                                                     self._matrices)
         return self._chains[scn]
@@ -184,7 +178,8 @@ class _Run:
         if self.never_surrender.holds:
             hline = np.stack([np.asarray(analytic.maturity_benefit_value(scn, float(t), surf.xnodes))
                               for t in surf.tnodes])
-            gap = float(np.max(np.abs(surf.values - hline) / np.maximum(hline, 1e-12)))
+            # h >= G e^{-r (T - t)} > 0: an absolute floor would make the gap depend on G's scale
+            gap = float(np.max(np.abs(surf.values - hline) / hline))
             self.results.setdefault("max_rel_gap_vs_maturity_benefit", {})[name] = gap
             self.results["surrender_region_empty_expected"] = True
 
@@ -207,7 +202,7 @@ def _price_lattice(run: _Run) -> None:
 
 
 def _price_pde(run: _Run) -> None:
-    grid = pde.build_pde_grid(run.scn, **run.plan.grid)
+    grid = pde.build_pde_grid(run.scn, **run.grid)
     run.priced("pde", pde.solve_variational_inequality(run.scn, grid))
 
 
@@ -240,8 +235,8 @@ def _decompose(run: _Run) -> None:
 
 
 def _mc_verify(run: _Run) -> None:
-    name, opts = run.checked, run.plan.mc
-    batch = mc.simulate_paths(run.scn, opts["seed"], opts["npaths"], run.plan.grid["N"])
+    name, opts = run.checked, run.mc
+    batch = mc.simulate_paths(run.scn, opts["seed"], opts["npaths"], run.grid["N"])
     res = mc.mc_verify_estimates(batch, run.scn, run.boundaries[name], run.masks[name])
     mb, sv, prem = res.maturity_benefit, res.boundary_strategy, res.premiums
     rows = [("maturity_benefit", mb.estimate, mb.std_error, mb.npaths, mb.seed),
@@ -290,10 +285,11 @@ def _closed(requested) -> list[str]:
     return [task for task in _TABLE if task in need]
 
 
-def run_plan(plan: RunPlan) -> dict:
-    """Run the plan's tasks and their prerequisites in table order, join the
-    writer, write summary.json and return it."""
-    run = _Run(plan, _closed(plan.tasks))
+def run_plan(doc: dict, args) -> dict:
+    """Check the run document doc with the overrides of args, run its tasks and
+    their prerequisites in table order, join the writer, write summary.json and
+    return it."""
+    run = _Run(doc, args)
     with run.writes:
         for task in run.tasks:
             _TABLE[task][0](run)
@@ -301,7 +297,7 @@ def run_plan(plan: RunPlan) -> dict:
         text = json.dumps(run.summary, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # NaN or an infinity among the results
         raise FloatingPointError("non-finite result; summary.json not written") from None
-    with _writing(os.path.join(plan.out_dir, "summary.json")) as path, \
+    with _writing(os.path.join(run.out_dir, "summary.json")) as path, \
             open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     return run.summary
@@ -334,8 +330,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        plan = load_plan(doc, args)
-        run_plan(plan)
+        run_plan(doc, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

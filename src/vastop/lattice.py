@@ -39,6 +39,7 @@ class GridResolutionError(ConfigError):
 class ChainGrid:
     """State chain for one scenario: nodes, exercise dates and per-step transitions.
 
+    ``step_keys[n]`` is the fee rate c(t_n) that step n's matrix was built with.
     Transition matrices are shared between steps with identical coefficients
     (piecewise fees produce only a handful of distinct matrices), and between
     chains built with one ``matrices`` memo (see ``build_chain``). They are
@@ -221,9 +222,8 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
     # ignored), a lower bound at every node. The truncated chain cannot carry
     # the account's outward drift near the upper edge, so without this floor the
     # top band spuriously exercises whenever holding through a cheap-fee window
-    # is optimal. The fee is frozen at the step's left end, mirroring the
-    # chain's per-step coefficients.
-    step_decay = np.exp(-np.asarray(scn.fee(tn[:-1]), dtype=float) * grid.dt)
+    # is optimal. Each step decays at the fee its transition matrix was built with.
+    step_decay = np.exp(-np.asarray(grid.step_keys) * grid.dt)
     g_grid = np.asarray(scn.charge(tn), dtype=float)
 
     values = np.empty((N + 1, x.size))
@@ -273,7 +273,6 @@ class ConvergenceStudy:
     deltas: tuple[float, ...]
     extrapolated: float
     deltas_decreasing: bool
-    surfaces: tuple[ValueSurface, ...]
 
 
 def american_extrapolate(scn: Scenario, Nseq, M: int, xmax_mult: float = 8.0) -> ConvergenceStudy:
@@ -287,12 +286,10 @@ def american_extrapolate(scn: Scenario, Nseq, M: int, xmax_mult: float = 8.0) ->
         raise ConfigError("need at least three refinement levels")
     if any(b <= a for a, b in zip(Nseq, Nseq[1:])):
         raise ConfigError("refinement levels must be increasing")
-    surfaces = []
     vals = []
     for N in Nseq:
         grid = build_chain(scn, N, M, xmax_mult)
         surf = bermudan_value(grid, scn)
-        surfaces.append(surf)
         i0 = center_index(surf.xnodes, scn.contract.F0)
         vals.append(float(surf.values[0, i0]))
     deltas = tuple(abs(b - a) for a, b in zip(vals, vals[1:]))
@@ -311,5 +308,4 @@ def american_extrapolate(scn: Scenario, Nseq, M: int, xmax_mult: float = 8.0) ->
         deltas=deltas,
         extrapolated=extrapolated,
         deltas_decreasing=decreasing,
-        surfaces=tuple(surfaces),
     )

@@ -107,7 +107,8 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     solve at every level. Bottom boundary is the guarantee floor G e^{-r(T-t)},
     or the payout g(t) x where that lies higher; the top node is clamped to the
     payout when the slice is expected to contain surrender states (L(t) < 0)
-    and extrapolated linearly in x otherwise.
+    and extrapolated linearly in x otherwise. The fee depends on time only, so
+    the coefficients a, bq and cq of v_{i-1}, v_i and v_{i+1} are scalars per level.
     """
     x = grid.xnodes
     tn = grid.tnodes
@@ -134,10 +135,9 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     for n in range(N - 1, -1, -1):
         t_left = float(tn[n])
         phi = scn.charge(t_left) * x
-        c = np.full(x.shape, scn.fee(t_left))
-        adv = r - c - s2
+        adv = r - scn.fee(t_left) - s2
         a = s2 / dy**2 - adv / (2.0 * dy)
-        bq = np.full(x.size, -2.0 * s2 / dy**2 - r)
+        bq = -2.0 * s2 / dy**2 - r  # not -(a + cq) - r, which rounds differently
         cq = s2 / dy**2 + adv / (2.0 * dy)
 
         clamp_top = clamp[n]
@@ -150,12 +150,11 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
         for k in range(substeps):
             t_level = float(tn[n + 1]) - dt * (k + 1)
             floor = max(G * math.exp(-r * (scn.contract.T - t_level)), phi[0])
-            ai, bi, ci = a[1:-1], bq[1:-1], cq[1:-1]
-            sub = -theta * dt * ai
-            diag = 1.0 - theta * dt * bi
-            sup = -theta * dt * ci
+            sub = np.full(M - 2, -theta * dt * a)
+            diag = np.full(M - 2, 1.0 - theta * dt * bq)
+            sup = np.full(M - 2, -theta * dt * cq)
             # explicit part uses the full previous vector
-            Lv = ai * v[:-2] + bi * v[1:-1] + ci * v[2:]
+            Lv = a * v[:-2] + bq * v[1:-1] + cq * v[2:]
             rhs = v[1:-1] + (1.0 - theta) * dt * Lv
             rhs[0] -= sub[0] * floor
             if clamp_top:

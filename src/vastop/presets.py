@@ -1,4 +1,9 @@
-"""Ready-made scenarios used across tests, demos and the CLI benchmark task."""
+"""Ready-made scenarios used across tests, demos and the CLI benchmark task.
+
+All share one market and contract; only the fee label of `benchmark_scenario` and
+the fee rate of `matched_exponential_scenario` are settable. A test that needs
+another scenario derives it with `dataclasses.replace`.
+"""
 
 from __future__ import annotations
 
@@ -21,39 +26,33 @@ BENCHMARK_FEES = {
 }
 
 
+def _scenario(fee: FeeSpec, kappa: float) -> Scenario:
+    """r=0.03, sigma=0.2, G=F0=100, T=15, the fee, and an exponential charge at rate kappa."""
+    return Scenario(
+        market=MarketParams(r=0.03, sigma=0.2),
+        contract=ContractParams(G=100.0, T=15.0, F0=100.0),
+        fee=fee,
+        charge=ChargeSpec("exponential", T=15.0, kappa=kappa),
+    )
+
+
 def benchmark_scenario(fee_label: str = "c1") -> Scenario:
-    """r=0.03, sigma=0.2, G=F0=100, T=15, exponential charge, two-tier fee."""
+    """Two-tier fee `BENCHMARK_FEES[fee_label]` against the charge rate 0.0055."""
     if fee_label not in BENCHMARK_FEES:
         raise ValueError(f"fee_label must be one of {sorted(BENCHMARK_FEES)}")
     fee = BENCHMARK_FEES[fee_label]
-    T = 15.0
-    return Scenario(
-        market=MarketParams(r=0.03, sigma=0.2),
-        contract=ContractParams(G=100.0, T=T, F0=100.0),
-        fee=FeeSpec("piecewise", breakpoints=fee["breakpoints"], rates=fee["rates"]),
-        charge=ChargeSpec("exponential", T=T, kappa=0.0055),
-    )
+    return _scenario(FeeSpec("piecewise", breakpoints=fee["breakpoints"], rates=fee["rates"]),
+                     0.0055)
 
 
-def matched_exponential_scenario(c: float = 0.01, *, r: float = 0.03, sigma: float = 0.2,
-                                 G: float = 100.0, T: float = 15.0, F0: float = 100.0) -> Scenario:
+def matched_exponential_scenario(c: float = 0.01) -> Scenario:
     """Constant fee c with exponential charge rate kappa = c: holding to maturity
     is optimal and the value collapses to the maturity-benefit closed form."""
-    return Scenario(
-        market=MarketParams(r=r, sigma=sigma),
-        contract=ContractParams(G=G, T=T, F0=F0),
-        fee=FeeSpec("constant", rate=c),
-        charge=ChargeSpec("exponential", T=T, kappa=c),
-    )
+    return _scenario(FeeSpec("constant", rate=c), c)
 
 
-def low_charge_scenario(*, kappa: float = 0.0055, c: float = 0.02) -> Scenario:
-    """Charge relaxes slower than the fee accrues (kappa < c), so the surrender
-    incentive is live at every date: threshold-type region at all times."""
-    T = 15.0
-    return Scenario(
-        market=MarketParams(r=0.03, sigma=0.2),
-        contract=ContractParams(G=100.0, T=T, F0=100.0),
-        fee=FeeSpec("constant", rate=c),
-        charge=ChargeSpec("exponential", T=T, kappa=kappa),
-    )
+def low_charge_scenario() -> Scenario:
+    """Constant fee 0.02 with the charge rate 0.0055: the charge relaxes slower than
+    the fee accrues (kappa < c), so the surrender incentive is live at every date:
+    threshold-type region at all times."""
+    return _scenario(FeeSpec("constant", rate=0.02), 0.0055)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,7 +67,8 @@ class TestNeverSurrenderCheck:
         assert report.holds and not report.violations
 
     def test_charge_above_fee_holds(self):
-        scn = vs.low_charge_scenario(kappa=0.03, c=0.02)
+        live = vs.low_charge_scenario()  # fee 0.02
+        scn = dataclasses.replace(live, charge=dataclasses.replace(live.charge, kappa=0.03))
         report = vs.never_surrender_check(scn, np.linspace(0.0, 14.9, 20))
         assert report.holds
 

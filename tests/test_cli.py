@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,7 +155,7 @@ class TestConfigValidation:
         ("fee.kind", [1]),  # an unhashable kind
         ("charge.kind", [1]),
         ("market.sigma", 1e20),  # no active-set solve settled
-        ("market.sigma", 1e200),  # overflowed in analytic._d1
+        ("market.sigma", 1e200),  # overflowed in analytic's d1
     ])
     def test_out_of_domain_scenario_values_exit_2(self, tmp_path, capsys, path, value):
         doc = _base_config(tasks=["price-lattice", "price-pde", "regions", "mc-verify"],
@@ -814,3 +815,61 @@ class TestTaskTable:
         if "decompose" in tasks:  # the lattice surface when it was priced
             surface = "lattice" if "price-lattice" in tasks else "pde"
             assert summary["results"]["decompose"]["surface"] == surface
+
+
+# columns that do not scale with (G, F0): times, L per unit account, labels,
+# counts and flags; every other column is a value in the units of G
+_SCALE_FREE = {"t", "L", "predicted_section", "quantity", "npaths", "seed",
+               "in_surrender_region", "empty_flag"}
+
+
+def _scaled_run(tmp_path, name: str, lam: float):
+    """A shipped config on N=30, M=41 with G and F0 multiplied by lam, every task
+    but paper-fig and 2000 paths: its CSV columns by file and its summary results."""
+    with open(os.path.join(CONFIG_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    contract = doc["scenario"]["contract"]
+    contract["G"] *= lam
+    contract["F0"] *= lam
+    doc["tasks"] = [t for t in doc["tasks"] if t != "paper-fig"]
+    if "mc" in doc:
+        doc["mc"]["npaths"] = 2000
+    out = tmp_path / f"out-{lam:g}"
+    cfg = _write(tmp_path, doc, f"{name}-{lam:g}.json")
+    assert main(["run", cfg, "--out", str(out), "--grid-N", "30", "--grid-M", "41"]) == 0
+    tables = {}
+    for file in sorted(os.listdir(out)):
+        if file.endswith(".csv"):
+            header, *rows = (out / file).read_text().splitlines()
+            tables[file] = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+    return tables, json.loads((out / "summary.json").read_text())["results"]
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("name", ["full_pipeline_demo", "flat_charge_match"])
+    def test_results_are_homogeneous_of_degree_one_in_g_and_f0(self, tmp_path, name):
+        """The value is homogeneous of degree one in (G, F0, x): scaling G and F0
+        by lam scales every value column by lam and changes no time, flag, count
+        or relative gap."""
+        base_tables, base = _scaled_run(tmp_path, name, 1.0)
+        for lam in (1e-50, 1e90):
+            tables, results = _scaled_run(tmp_path, name, lam)
+            assert tables.keys() == base_tables.keys()
+            for file, columns in tables.items():
+                for col, cells in columns.items():
+                    ref = base_tables[file][col]
+                    if col in _SCALE_FREE:
+                        assert cells == ref, (lam, file, col)
+                        continue
+                    got, want = np.array(cells, dtype=float) / lam, np.array(ref, dtype=float)
+                    assert np.array_equal(np.isinf(got), np.isinf(want)), (lam, file, col)
+                    fin = np.isfinite(want)
+                    err = np.abs(got[fin] - want[fin]) / np.maximum(np.abs(want[fin]), 1.0)
+                    assert err.max(initial=0.0) <= 1e-12, (lam, file, col)
+            counts = {k: v for k, v in base.items() if isinstance(v, (bool, int))}
+            assert {k: results[k] for k in counts} == counts, lam
+            gaps = base.get("max_rel_gap_vs_maturity_benefit", {})
+            assert results.get("max_rel_gap_vs_maturity_benefit", {}).keys() == gaps.keys()
+            for solver, gap in gaps.items():
+                assert results["max_rel_gap_vs_maturity_benefit"][solver] == \
+                    pytest.approx(gap, rel=1e-9), (lam, solver)

@@ -153,7 +153,8 @@ class TestAmericanExtrapolate:
 
     def test_worthless_guarantee_recovers_account(self):
         # g == 1 (kappa=0), no fee, guarantee negligible: pure account
-        scn = vs.matched_exponential_scenario(0.0, G=1e-6)
+        kc0 = vs.matched_exponential_scenario(0.0)
+        scn = dataclasses.replace(kc0, contract=dataclasses.replace(kc0.contract, G=1e-6))
         with pytest.warns(RuntimeWarning, match="deltas"):
             study = vs.american_extrapolate(scn, [60, 120, 240], M=301, xmax_mult=30.0)
         assert abs(study.extrapolated - 100.0) / 100.0 <= 1e-3

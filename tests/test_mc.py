@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import threading
@@ -86,14 +87,16 @@ class TestMaturityBenefit:
         assert abs(est.estimate - h0) <= 3.0 * est.std_error
 
     def test_worthless_guarantee(self):
-        scn = vs.matched_exponential_scenario(0.01, G=1e-6)
+        kc = vs.matched_exponential_scenario(0.01)
+        scn = dataclasses.replace(kc, contract=dataclasses.replace(kc.contract, G=1e-6))
         batch = vs.simulate_paths(scn, seed=22, npaths=10**5, nsteps=12)
         est = vs.mc_maturity_benefit(batch, scn)
         target = 100.0 * math.exp(-0.01 * 15.0)
         assert abs(est.estimate - target) <= 3.0 * est.std_error
 
     def test_small_volatility_limit(self):
-        scn = vs.matched_exponential_scenario(0.02, sigma=0.01)
+        kc = vs.matched_exponential_scenario(0.02)
+        scn = dataclasses.replace(kc, market=dataclasses.replace(kc.market, sigma=0.01))
         batch = vs.simulate_paths(scn, seed=23, npaths=10**5, nsteps=12)
         est = vs.mc_maturity_benefit(batch, scn)
         target = max(100.0 * math.exp(-0.03 * 15.0), 100.0 * math.exp(-0.02 * 15.0))
