@@ -1,13 +1,12 @@
-"""VASTOP_THREADS: the worker-count rule, the one thread pool and the one worker
-process; and the one-thread pin of BLAS.
+"""The worker count, the one thread pool and the one worker process; and the
+one-thread pin of BLAS.
 
 ``ordered_map`` is the package's only thread pool: the Monte Carlo estimator
-passes map their chunks on it, and the decomposition its time slices.
+passes map their chunks on it, and the decomposition its time slices. It has
+one worker per CPU the process may run on (``taskset`` limits them).
 ``OrderedProcess`` runs calls in order on one worker process: ``vastop run``
 writes its CSVs there while its later tasks compute. BLAS runs on one thread
-(``pin_blas``), as OpenBLAS rounds differently for each thread count. An
-invalid VASTOP_THREADS never fails the import; ``worker_count`` reports it as
-a config error.
+(``pin_blas``), as OpenBLAS rounds differently for each thread count.
 """
 
 import ctypes
@@ -19,21 +18,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy
 import scipy
 
-from .model import ConfigError
-
 
 def worker_count(nitems: int) -> int:
-    """Workers for nitems items: VASTOP_THREADS, else the usable CPUs, at most nitems.
-
-    Raises ConfigError for a VASTOP_THREADS that is set and not a positive integer.
-    """
-    raw = os.environ.get("VASTOP_THREADS")
-    if not raw:
-        n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    elif raw.isdecimal() and int(raw) >= 1:
-        n = int(raw)
-    else:
-        raise ConfigError(f"VASTOP_THREADS must be a positive integer, got {raw!r}")
+    """Workers for nitems items: the CPUs the process may run on, at most nitems."""
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(n, nitems))
 
 
@@ -55,8 +43,9 @@ class OrderedProcess:
 
     Each call runs as fn(state, *args, **kwargs), where state is one dict that
     lives as long as the worker, for its memos. With one worker
-    (worker_count(2) == 1, as under VASTOP_THREADS=1) or on a platform that
-    cannot fork, each call runs inline in submit, on a dict of the helper's own.
+    (worker_count(2) == 1: the process may run on one CPU) or on a platform
+    that cannot fork, each call runs inline in submit, on a dict of the
+    helper's own.
     fn and its arguments are pickled to the worker, so fn must be a module-level
     function. A forked worker starts with the caller's modules loaded, where a
     spawned one would import numpy and scipy again (about 0.3 s per run); as

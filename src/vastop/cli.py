@@ -17,12 +17,12 @@ exception, printed with its traceback), 2 config error (naming
 `<section>.<key>` when one key is at fault; an `out` that cannot be created or
 written is one too).
 Re-running with an identical config and seed reproduces byte-identical CSVs.
-BLAS runs on one thread (`_threads.pin_blas`); the environment variable
-VASTOP_THREADS sets the workers that build and reduce Monte Carlo chunks and
-evaluate decomposition time slices, bit-identically for any worker count.
-With more than one worker, a run writes its CSVs from one background process,
+BLAS runs on one thread (`_threads.pin_blas`); one worker per CPU the process
+may run on (`taskset` limits them) builds and reduces Monte Carlo chunks and
+evaluates decomposition time slices, bit-identically for any worker count.
+With more than one such CPU, a run writes its CSVs from one background process,
 forked at the first write (`_threads.OrderedProcess`), while its later tasks
-compute; VASTOP_THREADS=1 keeps the run in one process. The memo of CSV rows
+compute; with one, the run stays in one process. The memo of CSV rows
 formatted so far lives in that process for the run, and the writer's memory
 is not part of the run's own RSS. The run joins the writer before it writes
 summary.json and on every error, so no process outlives it.
@@ -42,14 +42,14 @@ import numpy as np
 
 from . import analytic, decompose, lattice, mc, model, pde, presets, region, surfaces
 from . import io as csvio
-from ._threads import OrderedProcess, worker_count
+from ._threads import OrderedProcess
 from .model import ConfigError
 
 # section -> key -> (default, type, allowed), the rule format of the scenario
 # table `model._SCENARIO_RULES`
 _RULES = {
     "grid": {
-        "N": (360, int, "[1, 100000]"),
+        "N": (360, int, f"[1, {surfaces.MAX_STEPS}]"),
         "M": (401, int, "[3, 100000]"),
         "xmax_mult": (8.0, float, "(1, 1e6]"),
     },
@@ -315,11 +315,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        worker_count(1)  # an invalid VASTOP_THREADS fails any task list
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
@@ -327,6 +322,9 @@ def main(argv=None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
+        return 2
+    except RecursionError:  # arrays or objects nested deeper than the decoder recurses
+        print("config error: invalid JSON: nested too deeply", file=sys.stderr)
         return 2
 
     try:

@@ -13,8 +13,8 @@ surrender premium - continuation premium = payout - maturity benefit,
 used to cross-check the quadratures without any PDE/lattice input.
 
 ``decomposition_residuals`` evaluates the time slices on the package's one
-thread pool, ``_threads.ordered_map`` (VASTOP_THREADS workers, else one per
-available CPU), one item per slice. Each slice is computed alone, so the report
+thread pool, ``_threads.ordered_map`` (one worker per CPU the process may run
+on), one item per slice. Each slice is computed alone, so the report
 is the same to the last bit for any worker count. scipy's ``ndtr`` releases the
 GIL (scipy 1.17.1: a Python thread keeps counting at its idle rate through a
 20M-element call), so the slices overlap whole: on the c1 lattice surface at
@@ -180,8 +180,7 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
     identities dominate), so the surface needs at least 5 state nodes
     (ConfigError otherwise); interior nodes whose residual exceeds 5e-3 G are
     flagged by their (time, state) indices on the surface.
-    The time slices run on VASTOP_THREADS workers (see the module docstring);
-    an invalid value raises ConfigError.
+    The time slices run on the package's thread pool (see the module docstring).
     """
     if not np.array_equal(surface.tnodes, boundary.tnodes):
         raise ConfigError("surface and boundary live on different time grids")

@@ -10,7 +10,7 @@ the core's cache across the in-place passes that build them.
 
 An estimator pass (``mc_verify_estimates`` serves all estimators at once)
 maps its chunks on the package's one thread pool, ``_threads.ordered_map``
-(VASTOP_THREADS workers, else one per available CPU). The worker that builds a
+(one worker per CPU the process may run on). The worker that builds a
 chunk runs every estimator's kernel on each block and reduces the chunk to
 per-estimator sums and sums of squares, taken with numpy's pairwise summation
 over chunk-length sample buffers. The caller adds those sums in chunk order,

@@ -3,7 +3,9 @@
 Everything here is pure and immutable after construction: evaluators can be
 shared freely across threads. Rates are per year and time is measured in years
 throughout the package. The module also holds the one checker of run-document
-keys, `checked_section`, and the scenario's rules in that checker's format.
+keys, `checked_section`, and the scenario's rules in that checker's format; the
+scenario dataclasses check their fields with the same checker and rules, so a
+scenario built in Python obeys the ranges of a document.
 """
 
 from __future__ import annotations
@@ -56,10 +58,7 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r):
-            raise ConfigError("market.r must be finite")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ConfigError("market.sigma must be a positive real")
+        _check_fields(self, "market")
 
 
 @dataclass(frozen=True)
@@ -71,17 +70,12 @@ class ContractParams:
     F0: float
 
     def __post_init__(self) -> None:
-        for name in ("G", "T", "F0"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"contract.{name} must be a positive real")
+        _check_fields(self, "contract")
 
 
 # ---------------------------------------------------------------------------
 # Fee specification
 # ---------------------------------------------------------------------------
-
-_FEE_KINDS = ("constant", "piecewise", "smooth")
 
 
 @dataclass(frozen=True)
@@ -113,25 +107,17 @@ class FeeSpec:
     integral_fn: Callable[[float, float], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _FEE_KINDS:
-            raise ConfigError(f"fee.kind must be one of {_FEE_KINDS}, got {self.kind!r}")
-        if self.kind == "constant":
-            if not 0.0 <= self.rate <= 1.0:
-                raise ConfigError("fee.rate must lie in [0, 1]")
-        elif self.kind == "piecewise":
+        if self.kind == "smooth":
+            if self.rate_fn is None or self.integral_fn is None:
+                raise ConfigError("fee.kind='smooth' requires rate_fn and integral_fn")
+            return
+        _check_fields(self, "fee")
+        if self.kind == "piecewise":
             bps = self.breakpoints
             if len(self.rates) != len(bps) + 1:
                 raise ConfigError("fee.rates must have exactly len(breakpoints) + 1 entries")
-            if not all(math.isfinite(b) for b in bps):
-                raise ConfigError("fee.breakpoints must be finite")
             if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
                 raise ConfigError("fee.breakpoints must be strictly increasing")
-            if bps and bps[0] <= 0.0:
-                raise ConfigError("fee.breakpoints must be strictly positive")
-            if any(not 0.0 <= r <= 1.0 for r in self.rates):
-                raise ConfigError("fee.rates must lie in [0, 1]")
-        elif self.rate_fn is None or self.integral_fn is None:
-            raise ConfigError("fee.kind='smooth' requires rate_fn and integral_fn")
 
     def __call__(self, t):
         """Vectorized fee rate."""
@@ -175,8 +161,6 @@ class FeeSpec:
 # Surrender-charge specification
 # ---------------------------------------------------------------------------
 
-_CHARGE_KINDS = ("exponential", "cubic")
-
 
 @dataclass(frozen=True)
 class ChargeSpec:
@@ -198,14 +182,8 @@ class ChargeSpec:
     k: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _CHARGE_KINDS:
-            raise ConfigError(f"charge.kind must be one of {_CHARGE_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ConfigError("charge.T must be a positive real")
-        if self.kind == "exponential" and not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ConfigError("charge.kappa must be a finite nonnegative real")
-        if self.kind == "cubic" and not 0.0 < self.k < 1.0:
-            raise ConfigError("charge.k must lie in (0, 1) so that g stays in (0, 1]")
+        # T is the contract's maturity, under the contract's rule
+        _check_fields(self, "charge", T=_SCENARIO_RULES["contract"]["T"])
 
     def __call__(self, t):
         t = _as_float_array(t)
@@ -379,13 +357,25 @@ def checked_section(path: str, given, rules: dict) -> dict:
             for key, rule in rules.items()}
 
 
+def _check_fields(part, section: str, **more) -> None:
+    """Check the fields of a scenario dataclass that the rules of its section (of its
+    kind, if it has one) and more name, as in a document, and keep the checked values
+    (floats and tuples of floats)."""
+    rules = _SCENARIO_RULES[section]
+    if isinstance(rules.get("kind"), dict):
+        rules = _kind_rules(section, part.kind, rules["kind"])
+    rules = {**rules, **more}
+    given = {key: getattr(part, key) for key in rules}
+    for key, value in checked_section(section, given, rules).items():
+        object.__setattr__(part, key, value)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated Scenario from its document form.
 
-    `checked_section` checks every key against `_SCENARIO_RULES`, which are tighter
-    than the dataclasses (|market.r| <= 1, G and F0 in [1e-100, 1e100], T a normal
-    float at most 100) and admit only the serializable kinds; the dataclasses then
-    check the rules that relate one key to another.
+    `checked_section` checks every key against `_SCENARIO_RULES`, which admit only
+    the serializable kinds; the dataclasses check their fields with the same rules,
+    and the rules that relate one key to another.
     """
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be an object")

@@ -59,12 +59,11 @@ class PdeGrid:
 
 
 def build_pde_grid(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0) -> PdeGrid:
-    """Grid constructor; tol is 1e-10 G (at least the smallest positive float, so
-    that a tiny G cannot make it 0)."""
+    """Grid constructor; tol is 1e-10 G, positive for every G of the rules."""
     return PdeGrid(
         xnodes=log_space_nodes(scn.contract.F0, xmax_mult, M),
         tnodes=time_nodes(scn, N),
-        tol=max(1e-10 * scn.contract.G, math.ulp(0.0)),
+        tol=1e-10 * scn.contract.G,
     )
 
 

@@ -10,6 +10,7 @@ test must end with no child process and no thread of the package's pool alive.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import vastop as vs
+from vastop._threads import worker_count
 
 BENCH_N = 360
 BENCH_M = 401
@@ -32,6 +34,19 @@ def no_leaked_workers():
     children = multiprocessing.active_children()
     threads = [t.name for t in threading.enumerate() if t.name.startswith("vastop")]
     assert not children and not threads, f"left running: {children} {threads}"
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) lets the process run on n CPUs, as `taskset` would, for the rest of
+    the test; it checks that the worker count follows, so a test that varies the
+    count cannot pass on the host's."""
+
+    def run_on(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        assert worker_count(n + 1) == n
+
+    return run_on
 
 
 @pytest.fixture(scope="session")

@@ -121,6 +121,14 @@ class TestConfigValidation:
         assert main(["run", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # the decoder recurses once per level, past the interpreter's limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -472,83 +480,73 @@ class TestConfigValidation:
         if code == 0:
             json.loads(summary.read_text(), parse_constant=_no_constants)
 
-    @pytest.mark.parametrize("tasks", [["price-lattice"], ["price-lattice", "mc-verify"]])
-    @pytest.mark.parametrize("value", ["two", "0", "-1"])
-    def test_invalid_thread_count_exits_2_for_any_task_list(self, tmp_path, capsys, monkeypatch,
-                                                             tasks, value):
-        monkeypatch.setenv("VASTOP_THREADS", value)
-        doc = _base_config(tasks=tasks, mc={"npaths": 100})
-        out = tmp_path / "o"
-        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "VASTOP_THREADS" in err
-        assert not out.exists()
-
-    def test_invalid_thread_count_never_fails_the_import(self):
-        # importing vastop leaves the BLAS variables as it found them, set or not
+    def test_import_leaves_the_blas_variables_as_it_found_them(self):
+        # importing vastop sets no BLAS variable, and changes none that is set
         blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
         code = f"import os, vastop; print([os.environ.get(v) for v in {blas!r}])"
-        for threads, given in (("two", {}), ("3", {}), ("3", {"OPENBLAS_NUM_THREADS": "2"})):
+        for given in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
             env = {k: v for k, v in os.environ.items() if k not in blas}
-            env.update(given, VASTOP_THREADS=threads, PYTHONPATH=SRC_DIR)
+            env.update(given, PYTHONPATH=SRC_DIR)
             out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                  text=True, check=True)
             assert out.stdout.strip() == repr([given.get(v) for v in blas])
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 class TestWriterExitPaths:
     """Each way out of a run, with the CSVs written in the run itself (one
-    worker) and in its writer process (two): the exit code and message are the
+    CPU) and in its writer process (two): the exit code and message are the
     same, no child process is left and only a run that exits 0 writes
     summary.json."""
 
-    def _run(self, tmp_path, monkeypatch, threads, doc):
-        monkeypatch.setenv("VASTOP_THREADS", threads)
+    @pytest.fixture(autouse=True)
+    def _run_on(self, cpus, threads):
+        cpus(threads)
+
+    def _run(self, tmp_path, doc):
         out = tmp_path / "o"
         code = main(["run", _write(tmp_path, doc), "--out", str(out)])
         assert not multiprocessing.active_children()
         assert (out / "summary.json").exists() == (code == 0)
         return code, out
 
-    def test_success(self, tmp_path, monkeypatch, threads):
+    def test_success(self, tmp_path):
         doc = _base_config(tasks=["check-L", "price-lattice", "regions", "boundary"])
-        code, out = self._run(tmp_path, monkeypatch, threads, doc)
+        code, out = self._run(tmp_path, doc)
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert sorted(os.listdir(out)) == sorted([*summary["artifacts"], "summary.json"])
 
-    def test_solver_error_after_writes(self, tmp_path, capsys, monkeypatch, threads):
+    def test_solver_error_after_writes(self, tmp_path, capsys, monkeypatch):
         import vastop.pde as pde
 
         monkeypatch.setattr(pde.PdeGrid, "max_iter", 1)
         doc = _base_config(tasks=["check-L", "price-lattice", "price-pde"])
-        code, out = self._run(tmp_path, monkeypatch, threads, doc)
+        code, out = self._run(tmp_path, doc)
         assert code == 1
         assert capsys.readouterr().err.startswith("solver error: SolverError: ")
         # the writes emitted before the failure are finished, as in one process
         assert sorted(os.listdir(out)) == ["check_L.csv", "surface_lattice.csv"]
 
-    def test_internal_error_in_a_write(self, tmp_path, capsys, monkeypatch, threads):
+    def test_internal_error_in_a_write(self, tmp_path, capsys, monkeypatch):
         import vastop.io as csvio
 
         def broken(*args, **kwargs):
             raise KeyError("boom")
 
         monkeypatch.setattr(csvio, "_write_grid", broken)
-        code, _ = self._run(tmp_path, monkeypatch, threads,
-                            _base_config(tasks=["check-L", "price-lattice", "regions"]))
+        code, _ = self._run(tmp_path, _base_config(tasks=["check-L", "price-lattice", "regions"]))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("internal error: KeyError: 'boom'\n")
         assert "Traceback (most recent call last)" in err and "in broken" in err
 
-    def test_unwritable_output_in_a_write(self, tmp_path, capsys, monkeypatch, threads):
+    def test_unwritable_output_in_a_write(self, tmp_path, capsys):
         blocked = tmp_path / "o" / "region_lattice.csv"
         blocked.mkdir(parents=True)
         doc = _base_config(tasks=["price-lattice", "regions", "boundary"])
-        code, out = self._run(tmp_path, monkeypatch, threads, doc)
+        code, out = self._run(tmp_path, doc)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: out: cannot write {str(blocked)!r}: ")
@@ -753,28 +751,27 @@ def _one_cpu():
 class TestTaskTable:
     @pytest.mark.parametrize("name, threads", [
         *((name, None) for name in SHIPPED),
-        ("full_pipeline_demo", "1"),
-        ("full_pipeline_demo", "3"),
+        ("full_pipeline_demo", 1),
+        ("full_pipeline_demo", 3),
         ("full_pipeline_demo", "one-cpu-child"),
     ])
-    def test_shipped_config_matches_golden(self, tmp_path, monkeypatch, name, threads):
+    def test_shipped_config_matches_golden(self, tmp_path, cpus, name, threads):
         """Every CSV of a shipped config hashes to the recorded sha256, and the
         summary lists the same artifacts, tasks and results. BLAS runs on one
-        thread, so the bytes are the same under any VASTOP_THREADS (conftest
-        imported numpy before vastop) and in a child pinned to one CPU that asks
-        OpenBLAS for two threads."""
+        thread, so the bytes are the same for any count of CPUs the run may use
+        (conftest imported numpy before vastop) and in a child pinned to one CPU
+        that asks OpenBLAS for two threads."""
         with open(os.path.join(GOLDEN_DIR, f"{name}.json"), encoding="utf-8") as fh:
             golden = json.load(fh)
         argv = ["run", os.path.join(CONFIG_DIR, f"{name}.json"), "--out", str(tmp_path / "out")]
         if threads == "one-cpu-child":
             env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=SRC_DIR)
-            env.pop("VASTOP_THREADS", None)
             child = subprocess.run([sys.executable, "-m", "vastop.cli", *argv], env=env,
                                    preexec_fn=_one_cpu, capture_output=True, text=True)
             assert child.returncode == 0, child.stderr
         else:
             if threads is not None:
-                monkeypatch.setenv("VASTOP_THREADS", threads)
+                cpus(threads)
             assert main(argv) == 0
         out = tmp_path / "out"
         csvs = sorted(n for n in os.listdir(out) if n.endswith(".csv"))

@@ -147,14 +147,14 @@ class TestParallelSlices:
         assert np.isinf(boundary.values).any() and np.isfinite(boundary.values).any()
         return surf, boundary
 
-    def test_report_bytes_identical_for_any_worker_count(self, c1_scn, c1_small, monkeypatch):
+    def test_report_bytes_identical_for_any_worker_count(self, c1_scn, c1_small, cpus):
         surf, boundary = c1_small
         reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("VASTOP_THREADS", threads)
+        for threads in (1, 2):
+            cpus(threads)
             reports.append(vs.decomposition_residuals(surf, c1_scn, boundary))
         # more workers than cores, with frequent thread switches
-        monkeypatch.setenv("VASTOP_THREADS", "4")
+        cpus(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -169,8 +169,8 @@ class TestParallelSlices:
                         "mean_abs_res_phif", "min_e", "min_f", "flagged"):
                 assert repr(getattr(rep, key)) == repr(getattr(first, key)), key
 
-    def test_slices_equal_the_single_date_premiums(self, c1_scn, c1_small, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "2")
+    def test_slices_equal_the_single_date_premiums(self, c1_scn, c1_small, cpus):
+        cpus(2)
         surf, boundary = c1_small
         rep = vs.decomposition_residuals(surf, c1_scn, boundary)
         for n in (0, 1, 57, surf.tnodes.size - 2, surf.tnodes.size - 1):
@@ -179,10 +179,3 @@ class TestParallelSlices:
             f = vs.continuation_premium(c1_scn, boundary, t, surf.xnodes)
             assert e.tobytes() == rep.e[n].tobytes()
             assert f.tobytes() == rep.f[n].tobytes()
-
-    @pytest.mark.parametrize("value", ["0", "-2", "two"])
-    def test_invalid_thread_count_rejected(self, c1_scn, c1_small, monkeypatch, value):
-        monkeypatch.setenv("VASTOP_THREADS", value)
-        surf, boundary = c1_small
-        with pytest.raises(ConfigError, match="VASTOP_THREADS"):
-            vs.decomposition_residuals(surf, c1_scn, boundary)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package, test or demo imports a name it never
 uses, every function the package exports and every fee and charge kind has a
 consumer, only one module holds a thread pool, only one holds the rule checker of
-document keys, and the README documents exactly the keys that checker knows."""
+document keys, no module reads the environment, and the README documents exactly
+the keys that checker knows."""
 
 from __future__ import annotations
 
@@ -115,11 +116,13 @@ def unreached_kinds(kinds, document_kinds, sources: list[str]) -> list[str]:
 
 
 def test_every_scenario_kind_has_a_consumer():
-    # a fee or charge kind that only model.py and its unit tests build is not part of the package
+    # a fee or charge kind that only model.py and its unit tests build is not part of the
+    # package; the smooth fee is the one kind no document can give
     sources = [p.read_text(encoding="utf-8") for p in [*MODULES, *CONSUMERS] if p.name != "model.py"]
-    rules = model._SCENARIO_RULES
-    for kinds, section in ((model._FEE_KINDS, "fee"), (model._CHARGE_KINDS, "charge")):
-        assert unreached_kinds(kinds, rules[section]["kind"], sources) == [], section
+    for section, library_kinds in (("fee", ("smooth",)), ("charge", ())):
+        document_kinds = model._SCENARIO_RULES[section]["kind"]
+        kinds = (*document_kinds, *library_kinds)
+        assert unreached_kinds(kinds, document_kinds, sources) == [], section
 
 
 def test_kind_checker_flags_an_unreached_kind():
@@ -154,6 +157,31 @@ def test_pool_checker_flags_every_import_form():
           "from concurrent import futures\n"
     assert pool_imports(src) == ["concurrent.futures", "concurrent.futures.ThreadPoolExecutor",
                                  "concurrent.futures"]
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """The readers of the environment (os.environ, os.getenv and their bytes forms)
+    that a module names or imports."""
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted(ENVIRONMENT_READERS & (names_used(source) | imported))
+
+
+def test_no_module_reads_the_environment():
+    # a run follows its document and what the code can observe (the CPUs the process
+    # may run on), never a variable of the environment
+    found = {p.name: environment_reads(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_environment_guard_flags_every_form():
+    src = "import os\nfrom os import getenv as g, environb\nx = os.environ.get('A')\n" \
+          "y = os.getenv('B') or g('C')\n"
+    assert environment_reads(src) == ["environ", "environb", "getenv"]
+    assert environment_reads("import os\nn = os.sched_getaffinity(0)\n") == []
 
 
 def rule_checker_parts(source: str) -> list[str]:

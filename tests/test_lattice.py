@@ -165,23 +165,25 @@ class TestAmericanExtrapolate:
 
 
 class TestGridResolutionError:
-    def _scn(self, sigma):
+    def _scn(self, sigma, T=15.0):
         return vs.Scenario(
             market=vs.MarketParams(r=0.03, sigma=sigma),
-            contract=vs.ContractParams(G=100.0, T=15.0, F0=100.0),
+            contract=vs.ContractParams(G=100.0, T=T, F0=100.0),
             fee=vs.FeeSpec("constant", rate=0.01),
-            charge=vs.ChargeSpec("exponential", T=15.0, kappa=0.01),
+            charge=vs.ChargeSpec("exponential", T=T, kappa=0.01),
         )
 
     def test_finer_state_grid_does_not_cure_a_long_step(self):
         # the rounding error of expm grows with M and shrinks with N
-        for M in (3, 6, 12):
+        vs.build_chain(self._scn(10.0), 1, 3, 1.5)
+        for M in (6, 12):
             with pytest.raises(vs.GridResolutionError, match="try N >= "):
-                vs.build_chain(self._scn(50.0), 1, M, 1.5)
-        vs.build_chain(self._scn(50.0), 50, 3, 1.5)
+                vs.build_chain(self._scn(10.0), 1, M, 1.5)
+        vs.build_chain(self._scn(10.0), 62, 12, 1.5)  # the N the advice names at M = 12
 
     def test_too_stiff_sigma_names_the_key(self):
-        # no grid cures sigma = 1e10 (past the document rule, open to the library)
-        with pytest.raises(vs.GridResolutionError, match=r"market.sigma = 1e\+10") as exc:
-            vs.build_chain(self._scn(1e10), 1, 3, 1.5)
+        # no grid of the rules cures the largest sigma over the longest step on the
+        # narrowest state grid
+        with pytest.raises(vs.GridResolutionError, match=r"market.sigma = 10 ") as exc:
+            vs.build_chain(self._scn(10.0, T=100.0), 1, 3, 1.0000001)
         assert "try" not in str(exc.value)

@@ -250,14 +250,14 @@ class TestChunkPool:
             assert np.array_equal(F[:, 1:], np.exp(logF))
         assert starts == [0, CHUNK_PATHS]
 
-    def test_estimates_bit_identical_for_any_worker_count(self, c1_scn, c1_lattice, monkeypatch):
+    def test_estimates_bit_identical_for_any_worker_count(self, c1_scn, c1_lattice, cpus):
         batch = vs.simulate_paths(c1_scn, seed=8, npaths=3 * CHUNK_PATHS + 17, nsteps=360)
         runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("VASTOP_THREADS", threads)
+        for threads in (1, 2):
+            cpus(threads)
             runs.append(repr(_estimates(batch, c1_scn, c1_lattice)))
         # one worker per chunk, more than the cores, with frequent thread switches
-        monkeypatch.setenv("VASTOP_THREADS", "4")
+        cpus(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -272,8 +272,8 @@ class TestChunkPool:
         est = vs.mc_verify_estimates(batch, c2_scn, c2_lattice["boundary"], c2_lattice["mask"])
         assert repr((est.maturity_benefit, est.boundary_strategy, est.premiums)) == repr((mb, sv, prem))
 
-    def test_early_break_stops_and_joins_the_workers(self, c1_scn, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "2")
+    def test_early_break_stops_and_joins_the_workers(self, c1_scn, monkeypatch, cpus):
+        cpus(2)
         built = []
         chunk = PathBatch._chunk
 
@@ -291,8 +291,8 @@ class TestChunkPool:
         assert built == [0]
         assert threading.active_count() == before
 
-    def test_worker_error_propagates_and_joins_the_workers(self, c1_scn, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "2")
+    def test_worker_error_propagates_and_joins_the_workers(self, c1_scn, monkeypatch, cpus):
+        cpus(2)
         chunk = PathBatch._chunk
 
         def failing(self, ci, drifts):
@@ -312,7 +312,7 @@ class TestChunkPool:
 
     @pytest.mark.parametrize("npaths, nsteps",
                              [(CHUNK_PATHS + 300, 360), (3 * CHUNK_PATHS + 17, 60)])
-    def test_block_pass_equals_the_whole_chunk_reduction(self, c1_scn, monkeypatch, npaths, nsteps):
+    def test_block_pass_equals_the_whole_chunk_reduction(self, c1_scn, cpus, npaths, nsteps):
         # the band and holed slices take the nearest-node branch of the premium kernel
         assert npaths % CHUNK_PATHS % BLOCK_ROWS != 0
         batch = vs.simulate_paths(c1_scn, seed=54, npaths=npaths, nsteps=nsteps)
@@ -327,12 +327,12 @@ class TestChunkPool:
                 acc[1] += float(np.sum(x * x))
         mb, sv, ee, ff = (mc._finalize(t, q, npaths, 54) for t, q in totals)
         expected = repr(mc.McVerifyEstimates(mb, sv, mc._premiums(ee, ff)))
-        for threads in ("1", "2"):
-            monkeypatch.setenv("VASTOP_THREADS", threads)
+        for threads in (1, 2):
+            cpus(threads)
             assert repr(vs.mc_verify_estimates(batch, c1_scn, boundary, mask)) == expected
 
-    def test_estimator_error_propagates_and_joins_the_workers(self, c1_scn, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "2")
+    def test_estimator_error_propagates_and_joins_the_workers(self, c1_scn, monkeypatch, cpus):
+        cpus(2)
         blocks = PathBatch._blocks
 
         def failing(self, ci, drifts):
@@ -348,8 +348,8 @@ class TestChunkPool:
             vs.mc_maturity_benefit(batch, c1_scn)
         assert threading.active_count() == before
 
-    def test_pass_holds_less_than_one_chunk(self, c1_scn, c1_lattice, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "2")
+    def test_pass_holds_less_than_one_chunk(self, c1_scn, c1_lattice, cpus):
+        cpus(2)
         batch = vs.simulate_paths(c1_scn, seed=16, npaths=1 << 16, nsteps=360)
         tracemalloc.start()
         try:
@@ -358,9 +358,3 @@ class TestChunkPool:
         finally:
             tracemalloc.stop()
         assert peak < CHUNK_PATHS * 361 * 8  # the bytes of one chunk's paths
-
-    @pytest.mark.parametrize("value", ["0", "-2", "two"])
-    def test_invalid_thread_count_rejected(self, c1_scn, monkeypatch, value):
-        monkeypatch.setenv("VASTOP_THREADS", value)
-        with pytest.raises(ConfigError, match="VASTOP_THREADS"):
-            vs.mc_maturity_benefit(vs.simulate_paths(c1_scn, seed=1, npaths=10, nsteps=4), c1_scn)

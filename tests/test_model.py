@@ -309,6 +309,77 @@ class TestScenarioSerialization:
         assert getattr(getattr(vs.scenario_from_dict(doc), section), key) == value
 
 
+# the ends of the interval of every scenario number of the rules
+_ENDS = {
+    "market.r": (-1.0, 1.0), "market.sigma": (0.0, 10.0),
+    "contract.G": (1e-100, 1e100), "contract.T": (2.0**-1022, 100.0), "contract.F0": (1e-100, 1e100),
+    "fee.rate": (0.0, 1.0), "fee.breakpoints": (0.0, math.inf), "fee.rates": (0.0, 1.0),
+    "charge.kappa": (0.0, 1.0), "charge.k": (0.0, 1.0),
+}
+
+
+def _scenario_doc(path: str, value) -> dict:
+    """A valid scenario document (constant fee, exponential charge) with value at path:
+    a list key holds it as one element, and a key of a kind comes with that kind."""
+    doc = {"market": {"r": 0.03, "sigma": 0.2}, "contract": {"G": 100.0, "T": 15.0, "F0": 100.0},
+           "fee": {"kind": "constant", "rate": 0.01},
+           "charge": {"kind": "exponential", "kappa": 0.01}}
+    section, key = path.split(".")
+    doc[section] = {
+        "fee.breakpoints": {"kind": "piecewise", "breakpoints": [value], "rates": [0.01, 0.01]},
+        "fee.rates": {"kind": "piecewise", "breakpoints": [5.0], "rates": [0.01, value]},
+        "charge.k": {"kind": "cubic", "k": value},
+    }.get(path, {**doc[section], key: value})
+    return doc
+
+
+def _built(doc: dict) -> vs.Scenario:
+    """The scenario of doc built from the dataclasses, as a library caller builds one."""
+    contract = doc["contract"]
+    return vs.Scenario(market=MarketParams(**doc["market"]), contract=ContractParams(**contract),
+                       fee=FeeSpec(**doc["fee"]), charge=ChargeSpec(**doc["charge"], T=contract["T"]))
+
+
+def _outcome(build, doc: dict):
+    """The scenario build makes of doc, or the message of the ConfigError it raises."""
+    try:
+        return build(doc)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def test_every_scenario_number_has_its_ends_listed():
+    numbers = set()
+    for section, rules in _SCENARIO_RULES.items():
+        kinds = rules.get("kind")
+        numbers |= {f"{section}.{key}" for key in
+                    (set().union(*kinds.values()) if isinstance(kinds, dict) else rules)}
+    assert numbers == set(_ENDS)
+
+
+@pytest.mark.parametrize("path", sorted(_ENDS))
+def test_library_and_document_agree_at_every_rule_end(path):
+    # each end itself and the floats on either side of it: the dataclasses accept what
+    # a document may give and refuse the rest with the same message
+    refused = set()
+    for end in _ENDS[path]:
+        for value in {math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)}:
+            doc = _scenario_doc(path, value)
+            built = _outcome(_built, doc)
+            assert built == _outcome(vs.scenario_from_dict, doc), value
+            refused.add(isinstance(built, str))
+            if isinstance(built, str):
+                assert built.startswith(path), built
+            else:
+                assert vs.scenario_from_dict(vs.scenario_to_dict(built)) == built
+    assert refused == {True, False}
+
+
+def test_charge_maturity_follows_the_contract_rule():
+    with pytest.raises(ConfigError, match=r"^charge\.T must be a number in \[2\*\*-1022, 100\]"):
+        ChargeSpec("exponential", T=math.nextafter(100.0, math.inf), kappa=0.01)
+
+
 @pytest.mark.parametrize("value, ok", [
     (0, True), (-3, True), (1.5, True), (True, False), (False, False),
     (math.nan, False), (math.inf, False), (-math.inf, False),

@@ -185,8 +185,8 @@ class TestSolveVariationalInequality:
         assert "config error: unknown key 'pde' in config" in capsys.readouterr().err
 
     def test_default_tol_stays_positive_for_a_tiny_guarantee(self, kc_scn):
-        # 1e-10 G underflows to 0 for the smallest positive G
-        scn = dataclasses.replace(kc_scn, contract=ContractParams(G=5e-324, T=15.0, F0=100.0))
+        # the smallest G of the rules
+        scn = dataclasses.replace(kc_scn, contract=ContractParams(G=1e-100, T=15.0, F0=100.0))
         assert vs.build_pde_grid(scn, N=12, M=51).tol > 0.0
         assert vs.build_pde_grid(kc_scn, N=12, M=51).tol == 1e-10 * kc_scn.contract.G
 

@@ -206,3 +206,38 @@ class TestNeverSurrenderOracle:
         # hold-to-maturity value (the closed form is off a 41-node grid by its
         # discretization error): the value is h at every node, up to the solver tolerance
         assert np.max(np.abs(disc.values - cont.obstacle)) <= disc.metadata["solver_tol"]
+
+
+@st.composite
+def _piecewise_scenarios(draw, N=24):
+    """A piecewise fee with 1 to 4 breakpoints on dates of the N-step grid and every
+    rate in [0, 2 kappa + 0.01], against an exponential charge kappa: L(t) = g(t)
+    (kappa - c(t)) takes both signs across the fee's intervals."""
+    T = draw(st.sampled_from([5.0, 15.0, 30.0]))
+    kappa = draw(st.floats(0.0, 0.05))
+    steps = sorted(draw(st.lists(st.integers(1, N - 1), min_size=1, max_size=4, unique=True)))
+    rates = draw(st.lists(st.floats(0.0, 2 * kappa + 0.01), min_size=len(steps) + 1,
+                          max_size=len(steps) + 1))
+    dates = np.linspace(0.0, T, N + 1)  # the grid's dates, as time_nodes builds them
+    return vs.Scenario(
+        market=vs.MarketParams(r=draw(st.floats(-0.05, 0.1)), sigma=draw(st.floats(0.05, 0.6))),
+        contract=vs.ContractParams(G=100.0, T=T, F0=100.0),
+        fee=vs.FeeSpec("piecewise", breakpoints=tuple(float(dates[k]) for k in steps),
+                       rates=tuple(rates)),
+        charge=vs.ChargeSpec("exponential", T=T, kappa=kappa),
+    )
+
+
+class TestSliceOracle:
+    @given(scn=_piecewise_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_no_surrender_node_where_L_is_positive(self, scn):
+        # the source paper's theorem slice by slice: L(t_n) > 0 empties the surrender
+        # slice at t_n; the chain matches the drift exactly, so the lattice marks no
+        # node there in either mode, even next to a fee breakpoint
+        N, M = 24, 41
+        surf = vs.bermudan_value(vs.build_chain(scn, N, M), scn, "discontinuous")
+        positive = vs.L_value(scn, surf.tnodes[:-1]) > 1e-9
+        for mode in ("value-gap", "exercise"):
+            marked = vs.extract_regions(surf, scn, mode=mode).in_surrender.any(axis=1)
+            assert not np.any(marked & positive), mode

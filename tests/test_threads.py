@@ -11,7 +11,6 @@ import time
 import pytest
 
 from vastop._threads import OrderedProcess, ordered_map, worker_count
-from vastop.model import ConfigError
 
 
 def _slow_square(i: int) -> int:
@@ -20,33 +19,26 @@ def _slow_square(i: int) -> int:
 
 
 class TestWorkerCount:
-    def test_thread_count_capped_at_the_items(self, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "3")
+    def test_thread_count_capped_at_the_items(self, cpus):
+        cpus(3)
         assert worker_count(10) == 3
         assert worker_count(2) == 2
 
-    def test_default_is_at_least_one(self, monkeypatch):
-        monkeypatch.delenv("VASTOP_THREADS", raising=False)
+    def test_default_is_at_least_one(self):
         assert worker_count(1) == 1
-        assert worker_count(10**6) >= 1
-
-    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
-    def test_invalid_value_is_a_config_error(self, monkeypatch, value):
-        monkeypatch.setenv("VASTOP_THREADS", value)
-        with pytest.raises(ConfigError, match="VASTOP_THREADS"):
-            worker_count(4)
+        assert worker_count(10**6) == len(os.sched_getaffinity(0)) >= 1
 
 
 class TestOrderedMap:
-    @pytest.mark.parametrize("threads", ["1", "2", "4"])
-    def test_results_in_order(self, monkeypatch, threads):
-        monkeypatch.setenv("VASTOP_THREADS", threads)
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_results_in_order(self, cpus, threads):
+        cpus(threads)
         before = threading.active_count()
         assert ordered_map(_slow_square, 23) == [i * i for i in range(23)]
         assert threading.active_count() == before
 
-    def test_worker_error_propagates_and_joins(self, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "2")
+    def test_worker_error_propagates_and_joins(self, cpus):
+        cpus(2)
         started = []
 
         def work(i):
@@ -89,10 +81,9 @@ def _logged(path) -> list[tuple[int, int, int]]:
 
 
 class TestOrderedProcess:
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_calls_run_in_order_on_one_worker_with_its_own_state(self, tmp_path, monkeypatch,
-                                                                 threads):
-        monkeypatch.setenv("VASTOP_THREADS", threads)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_calls_run_in_order_on_one_worker_with_its_own_state(self, tmp_path, cpus, threads):
+        cpus(threads)
         for run in range(2):  # each helper starts with an empty state
             path = str(tmp_path / f"run{run}.log")
             with OrderedProcess() as writes:
@@ -102,12 +93,12 @@ class TestOrderedProcess:
             assert [(i, calls) for _, i, calls in log] == [(i, i + 1) for i in range(12)]
             pids = {pid for pid, _, _ in log}
             assert len(pids) == 1
-            assert (pids == {os.getpid()}) == (threads == "1")
+            assert (pids == {os.getpid()}) == (threads == 1)
             assert not multiprocessing.active_children()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_a_failed_call_stops_the_later_ones(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("VASTOP_THREADS", threads)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failed_call_stops_the_later_ones(self, tmp_path, cpus, threads):
+        cpus(threads)
         path = str(tmp_path / "log")
         with pytest.raises(KeyError, match="call 3"):
             with OrderedProcess() as writes:
@@ -115,9 +106,9 @@ class TestOrderedProcess:
                     writes.submit(_log, path, i, 3)
         assert [i for _, i, _ in _logged(path)] == [0, 1, 2]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_a_failed_call_wins_over_a_later_error(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("VASTOP_THREADS", threads)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failed_call_wins_over_a_later_error(self, tmp_path, cpus, threads):
+        cpus(threads)
         path = str(tmp_path / "log")
         with pytest.raises(KeyError, match="call 1"):
             with OrderedProcess() as writes:
@@ -126,8 +117,8 @@ class TestOrderedProcess:
                 raise FloatingPointError("after the calls")
         assert [i for _, i, _ in _logged(path)] == [0]
 
-    def test_an_error_in_the_block_waits_for_the_calls(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "2")
+    def test_an_error_in_the_block_waits_for_the_calls(self, tmp_path, cpus):
+        cpus(2)
         path = str(tmp_path / "log")
         with pytest.raises(FloatingPointError):
             with OrderedProcess() as writes:
@@ -136,8 +127,8 @@ class TestOrderedProcess:
                 raise FloatingPointError("after the calls")
         assert [i for _, i, _ in _logged(path)] == list(range(6))
 
-    def test_an_interrupt_cancels_the_calls_not_started(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VASTOP_THREADS", "2")
+    def test_an_interrupt_cancels_the_calls_not_started(self, tmp_path, cpus):
+        cpus(2)
         path = str(tmp_path / "log")
         with pytest.raises(KeyboardInterrupt):
             with OrderedProcess() as writes:
