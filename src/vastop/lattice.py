@@ -3,9 +3,16 @@
 The account diffusion is approximated by a continuous-time Markov chain on a
 log-uniform state grid: tridiagonal generator rows match the local drift
 (r - c(t_n)) x and variance sigma^2 x^2 exactly (drift upwinded where needed
-to keep rates nonnegative), and the one-step transition matrix is the exact
-matrix exponential of the generator over a step. Backward induction over the
-exercise dates then values the surrender right for either reward convention.
+to keep rates nonnegative), and the one-step transition matrix is the matrix
+exponential of the generator over a step. ``_expm`` computes it as
+``scipy.linalg.expm`` does (Al-Mohy & Higham 2009: scipy's Pade step, then
+repeated squaring), except that before each squaring it sets to 0 every entry
+below sqrt(tiny), about 1.5e-154. A product of two kept entries is then a normal
+number, so no squaring stalls on subnormal arithmetic. On the production grids
+and on random documents, every entry this moves lies below 1e-136, far under
+any value a sweep can resolve, and both sweeps keep scipy's bits. Backward induction
+over the exercise dates then values the surrender right for either reward
+convention.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import bandwidth, expm
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .model import ConfigError, Scenario
 from .surfaces import MAX_STEPS, ValueSurface, center_index, log_space_nodes, time_nodes
@@ -42,9 +50,12 @@ class ChainGrid:
     ``step_keys[n]`` is the fee rate c(t_n) that step n's matrix was built with.
     Transition matrices are shared between steps with identical coefficients
     (piecewise fees produce only a handful of distinct matrices), and between
-    chains built with one ``matrices`` memo (see ``build_chain``). They are
-    read-only, and hold no negative and no subnormal entry: ``build_chain``
-    sets every probability below the smallest normal double (2.2e-308) to 0.
+    chains built with one ``matrices`` memo (see ``build_chain``). Each is
+    ``_expm`` of the step's generator: scipy's Pade step, then squarings with
+    the entries below sqrt(tiny) set to 0 before each (see the module
+    docstring). They are read-only, and hold no negative and no subnormal
+    entry: ``build_chain`` sets every probability below the smallest normal
+    double (2.2e-308) to 0.
     Those far-tail entries change no value a sweep computes (a dropped term
     P_ij V_j is below 2.2e-308 max V, and rounding absorbs it into a row sum
     of at least about min V), but arithmetic on subnormals is slow: at
@@ -106,6 +117,35 @@ def _generator(xnodes: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarra
 
 _STEP_BUDGET = 1e-12 / np.finfo(float).eps  # largest exit rate x dt expm rounds within 1e-12
 _TINY = np.finfo(float).tiny  # smallest normal double, 2.2e-308
+_SQRT_TINY = math.sqrt(_TINY)  # 1.5e-154: a product of two larger entries is normal
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a generator step, as the generic branch of
+    ``scipy.linalg.expm`` (scipy 1.17) computes it, with entries below sqrt(tiny)
+    set to 0 before each squaring (see the module docstring). A diagonal or
+    triangular A takes scipy's own branches."""
+    lower, upper = bandwidth(A)
+    if lower == 0 or upper == 0:
+        return expm(A)
+    Am = np.empty((5,) + A.shape)  # scipy's workspace: A and its powers, then U and V
+    Am[0] = A
+    m, s = pick_pade_structure(Am)
+    if m < 0:
+        raise MemoryError("scipy.linalg.expm could not allocate sufficient memory while"
+                          f" trying to compute the Pade structure (error code {m}).")
+    info = pade_UV_calc(Am, m)
+    if info != 0:
+        if info <= -11:
+            raise MemoryError("scipy.linalg.expm could not allocate sufficient memory while"
+                              f" trying to compute the exponential (error code {info}).")
+        raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the"
+                           f" exponential computation (error code {info})")
+    E = Am[0]
+    for _ in range(s):
+        E[np.abs(E) < _SQRT_TINY] = 0.0
+        E = E @ E
+    return E if s else E.copy()  # a copy frees the workspace
 
 
 def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int, M: int,
@@ -150,7 +190,8 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
     generator reads (state nodes, dt, r, sigma and the fee rate) to the checked
     transition matrix, so chains that share a step's coefficients share its
     matrix and exponentiate it once. The row-sum and minimum-probability
-    check runs on the raw ``expm`` result; entries below the smallest normal
+    check runs on the result of ``_expm`` (scipy's Pade step plus squarings
+    that drop the entries below sqrt(tiny)); entries below the smallest normal
     double are then set to 0 (see ``ChainGrid``).
     """
     r, sigma = scn.market.r, scn.market.sigma
@@ -167,7 +208,7 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
             memo_key = (xnodes.tobytes(), dt, r, sigma, c)
             if memo_key not in memo:
                 mu = (r - c) * xnodes
-                P = expm(_generator(xnodes, mu, var) * dt)
+                P = _expm(_generator(xnodes, mu, var) * dt)
                 rs_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
                 pmin = float(P.min())
                 if rs_err > 1e-12 or pmin < -1e-12:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .model import ConfigError, L_value, Scenario
 from .surfaces import ValueSurface, log_space_nodes, time_nodes
@@ -73,12 +74,12 @@ def _obstacle_solve(sub, diag, sup, rhs, obstacle, v0, tol, max_iter):
     A has diagonals sub, diag, sup with sub[0] = sup[-1] = 0. Each iteration marks
     node i active when (A v - rhs)_i > v_i - obstacle_i. v is returned when that is
     the set it was solved with, or when the last solve moved it by at most tol (nodes
-    with both sides zero can flip on rounding alone); otherwise one banded solve with
-    v = obstacle on the active rows and A v = rhs on the others gives the next v.
-    Returns (v, A v - rhs, iterations).
+    with both sides zero can flip on rounding alone); otherwise one tridiagonal solve
+    (LAPACK dgtsv, the routine ``solve_banded((1, 1), ...)`` calls) with v = obstacle
+    on the active rows and A v = rhs on the others gives the next v; a singular
+    system raises LinAlgError. Returns (v, A v - rhs, iterations).
     """
     v = np.maximum(v0, obstacle)
-    ab = np.zeros((3, rhs.size))
     active = None
     for it in range(1, max_iter + 1):
         res = diag * v - rhs
@@ -88,10 +89,10 @@ def _obstacle_solve(sub, diag, sup, rhs, obstacle, v0, tol, max_iter):
         if active is not None and (last <= tol or np.array_equal(now, active)):
             return v, res, it
         active = now
-        ab[0, 1:] = np.where(active[:-1], 0.0, sup[:-1])
-        ab[1] = np.where(active, 1.0, diag)
-        ab[2, :-1] = np.where(active[1:], 0.0, sub[1:])
-        vn = solve_banded((1, 1), ab, np.where(active, obstacle, rhs), check_finite=False)
+        *_, vn, info = dgtsv(np.where(active[1:], 0.0, sub[1:]), np.where(active, 1.0, diag),
+                             np.where(active[:-1], 0.0, sup[:-1]), np.where(active, obstacle, rhs))
+        if info:  # info > 0: an exactly zero pivot
+            raise LinAlgError("singular matrix")
         last = float(np.max(np.abs(vn - v)))
         v = vn
     raise SolverError(

@@ -668,7 +668,7 @@ class TestRunPipeline:
 
             return counting
 
-        for name in ("build_chain", "expm", "bermudan_value"):
+        for name in ("build_chain", "_expm", "bermudan_value"):
             monkeypatch.setattr(lattice, name, counted(name))
         doc = _base_config(tasks=["price-lattice", "paper-fig"], grid={"N": 30, "M": 41})
         doc["scenario"]["fee"] = fee
@@ -679,7 +679,7 @@ class TestRunPipeline:
         assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
         assert len(calls["build_chain"]) == builds
         # c1 and c2 share their two fee rates, so only a constant fee adds a matrix
-        assert len(calls["expm"]) == (2 if c1 else 3)
+        assert len(calls["_expm"]) == (2 if c1 else 3)
         # a c1 run's discontinuous surface is panel a
         assert len(calls["bermudan_value"]) == (4 if c1 else 5)
         # panels from a reused chain are byte-identical to a paper-fig-only run

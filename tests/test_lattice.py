@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 import vastop as vs
 from vastop import lattice
@@ -17,6 +20,75 @@ from vastop.surfaces import center_index
 
 def _subnormals(P: np.ndarray) -> int:
     return int(((P != 0.0) & (np.abs(P) < np.finfo(float).tiny)).sum())
+
+
+# _expm's entries equal scipy.linalg.expm's wherever scipy's is at least this: the
+# largest entry it moved was 1.4e-137 on the production grids (kc at xmax_mult 30)
+# and 2.8e-137 over 500 documents of _documents
+_SCIPY_BOUND = 1e-130
+_expm = lattice._expm
+
+
+def _chain_and_scipy_reference(scn, N, M, xmax_mult):
+    """build_chain's chain, and the same chain with the matrices of scipy.linalg.expm
+    (negatives clipped, subnormals kept); (None, None) where build_chain refuses a
+    matrix, after checking that scipy's fails the same row-sum or sign check."""
+    raw = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_expm", lambda A: raw.append(expm(A)) or _expm(A))
+        try:
+            grid = vs.build_chain(scn, N, M, xmax_mult)
+        except vs.GridResolutionError:
+            P = raw[-1]
+            assert np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12 or P.min() < -1e-12
+            return None, None
+    kept = {key: np.maximum(P, 0.0) for key, P in zip(grid.matrices, raw)}
+    return grid, dataclasses.replace(grid, matrices=kept)
+
+
+def _assert_scipy_bits(grid, reference, scn):
+    for P, R in zip(grid.matrices.values(), reference.matrices.values()):
+        big = R >= _SCIPY_BOUND
+        assert np.array_equal(P[big], R[big])
+    for kind in ("discontinuous", "continuous"):
+        ours, theirs = vs.bermudan_value(grid, scn, kind), vs.bermudan_value(reference, scn, kind)
+        assert ours.values.tobytes() == theirs.values.tobytes()
+        assert ours.obstacle.tobytes() == theirs.obstacle.tobytes()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _documents(draw):
+    """A scenario inside the rule table, with a chain grid of at most 60 steps and
+    121 nodes: r and sigma log-uniform, a constant or piecewise fee, an exponential
+    or cubic charge, G and F0 over 1e-100 to 1e100."""
+    N = draw(st.integers(1, 60))
+    T = draw(_log_uniform(0.01, 100.0))
+    if N > 1 and draw(st.booleans()):
+        steps = sorted(draw(st.lists(st.integers(1, N - 1), min_size=1, max_size=3, unique=True)))
+        dates = np.linspace(0.0, T, N + 1)  # the grid's dates, as time_nodes builds them
+        fee = vs.FeeSpec("piecewise", breakpoints=tuple(float(dates[k]) for k in steps),
+                         rates=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=len(steps) + 1,
+                                                   max_size=len(steps) + 1))))
+    else:
+        fee = vs.FeeSpec("constant", rate=draw(st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        charge = vs.ChargeSpec("exponential", T=T, kappa=draw(st.floats(0.0, 1.0)))
+    else:
+        charge = vs.ChargeSpec("cubic", T=T, k=draw(st.floats(0.01, 0.99)))
+    scn = vs.Scenario(
+        market=vs.MarketParams(r=draw(st.sampled_from([-1.0, 1.0])) * draw(_log_uniform(1e-4, 1.0)),
+                               sigma=draw(_log_uniform(1e-3, 10.0))),
+        contract=vs.ContractParams(G=draw(_log_uniform(1e-100, 1e100)), T=T,
+                                   F0=draw(_log_uniform(1e-100, 1e100))),
+        fee=fee,
+        charge=charge,
+    )
+    M = 121 - draw(st.integers(0, 118))  # drawn from the top: far tails need many nodes
+    return scn, N, M, draw(_log_uniform(1.5, 1000.0))
 
 
 class TestBuildChain:
@@ -39,27 +111,55 @@ class TestBuildChain:
 
     @pytest.mark.parametrize("G, F0", [(1e-100, 1e100), (1e100, 1e-100), (1.0, 1.0)])
     @pytest.mark.parametrize("r, xmax_mult", [(-0.5, 8.0), (0.5, 1000.0)])
-    def test_flushed_subnormals_change_no_bit(self, monkeypatch, G, F0, r, xmax_mult):
+    def test_flushed_subnormals_change_no_bit(self, G, F0, r, xmax_mult):
         # sigma = 0.02 on 121 nodes leaves far-tail probabilities below the smallest
-        # normal double in expm's result; the chain holds 0 there, and both sweeps
-        # give the bits of the matrices that keep them (negatives clipped)
-        raw = []
-        monkeypatch.setattr(lattice, "expm", lambda A: raw.append(expm(A)) or raw[-1].copy())
+        # normal double in scipy's expm; the chain holds 0 there, and both sweeps
+        # give the bits of scipy's matrices that keep them (negatives clipped)
         scn = vs.Scenario(
             market=vs.MarketParams(r=r, sigma=0.02),
             contract=vs.ContractParams(G=G, T=15.0, F0=F0),
             fee=vs.FeeSpec("piecewise", breakpoints=(5.0, 10.0), rates=(0.03, 0.0, 0.03)),
             charge=vs.ChargeSpec("exponential", T=15.0, kappa=0.01),
         )
-        grid = vs.build_chain(scn, 30, 121, xmax_mult)
-        kept = dataclasses.replace(
-            grid, matrices={key: np.maximum(P, 0.0) for key, P in zip(grid.matrices, raw)})
-        assert len(raw) == 2 and all(_subnormals(P) > 0 for P in kept.matrices.values())
+        grid, reference = _chain_and_scipy_reference(scn, 30, 121, xmax_mult)
+        assert len(grid.matrices) == 2
+        assert all(_subnormals(P) > 0 for P in reference.matrices.values())
         assert all(_subnormals(P) == 0 for P in grid.matrices.values())
-        for kind in ("discontinuous", "continuous"):
-            flushed, reference = vs.bermudan_value(grid, scn, kind), vs.bermudan_value(kept, scn, kind)
-            assert flushed.values.tobytes() == reference.values.tobytes()
-            assert flushed.obstacle.tobytes() == reference.obstacle.tobytes()
+        _assert_scipy_bits(grid, reference, scn)
+
+    @pytest.mark.parametrize("label, xmax_mult, squarings", [("c1", 8.0, 3), ("kc", 30.0, 2)])
+    def test_production_chain_keeps_scipys_bits(self, label, xmax_mult, squarings):
+        # the production grid (N=360, M=401), where expm squares its Pade
+        # approximant 3 times (c1) or twice (kc on the wide grid)
+        scn = vs.benchmark_scenario() if label == "c1" else vs.matched_exponential_scenario(0.01)
+        grid, reference = _chain_and_scipy_reference(scn, 360, 401, xmax_mult)
+        x, r, sigma = grid.xnodes, scn.market.r, scn.market.sigma
+        A = lattice._generator(x, (r - grid.step_keys[0]) * x, (sigma * x) ** 2) * grid.dt
+        Am = np.empty((5,) + A.shape)
+        Am[0] = A
+        assert pick_pade_structure(Am) == (13, squarings)
+        _assert_scipy_bits(grid, reference, scn)
+
+    @pytest.mark.parametrize("r", [-0.5, 0.5])
+    def test_triangular_generator_takes_scipys_branch(self, r):
+        # sigma = 1e-200 squares to a zero variance, so the upwinded drift moves one
+        # way only and the generator is triangular. scipy exponentiates that case
+        # with its own formula, whose rows miss 1 by about 2% here: the chain
+        # refuses the grid, with scipy's matrix as with _expm's
+        scn = dataclasses.replace(vs.low_charge_scenario(), market=vs.MarketParams(r=r, sigma=1e-200))
+        assert _chain_and_scipy_reference(scn, 12, 41, 8.0) == (None, None)
+        x = vs.surfaces.log_space_nodes(100.0, 8.0, 41)
+        A = lattice._generator(x, (r - 0.02) * x, (1e-200 * x) ** 2) * 1.25  # dt = 15 / 12
+        assert (np.any(np.diag(A, -1)), np.any(np.diag(A, 1))) == (r < 0.02, r > 0.02)
+        assert lattice._expm(A).tobytes() == expm(A).tobytes()
+
+    @given(doc=_documents())
+    @settings(max_examples=100, deadline=None)
+    def test_random_chains_keep_scipys_bits(self, doc):
+        scn, N, M, xmax_mult = doc
+        grid, reference = _chain_and_scipy_reference(scn, N, M, xmax_mult)
+        if grid is not None:
+            _assert_scipy_bits(grid, reference, scn)
 
     def test_one_step_conditional_mean_matches_drift(self, c1_scn):
         grid = vs.build_chain(c1_scn, N=36, M=201, xmax_mult=8.0)

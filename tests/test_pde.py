@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 import vastop as vs
 from vastop.cli import main
@@ -43,6 +44,38 @@ def _ref_psor(sub, diag, sup, rhs, obstacle, v0, omega, tol, max_iter):
         if last < tol:
             return vp[1:-1].copy(), it
     raise SolverError(f"PSOR did not converge in {max_iter} iterations (last update {last:.3e})", last)
+
+
+def _banded_obstacle_solve(sub, diag, sup, rhs, obstacle, v0, tol, max_iter):
+    """The active-set solve as it was written on ``solve_banded``, kept as the
+    reference of the direct LAPACK call: the same iteration, each linear solve
+    through a (3, K) band matrix."""
+    v = np.maximum(v0, obstacle)
+    ab = np.zeros((3, rhs.size))
+    active = None
+    for it in range(1, max_iter + 1):
+        res = diag * v - rhs
+        res[1:] += sub[1:] * v[:-1]
+        res[:-1] += sup[:-1] * v[1:]
+        now = res > v - obstacle
+        if active is not None and (last <= tol or np.array_equal(now, active)):
+            return v, res, it
+        active = now
+        ab[0, 1:] = np.where(active[:-1], 0.0, sup[:-1])
+        ab[1] = np.where(active, 1.0, diag)
+        ab[2, :-1] = np.where(active[1:], 0.0, sub[1:])
+        vn = solve_banded((1, 1), ab, np.where(active, obstacle, rhs), check_finite=False)
+        last = float(np.max(np.abs(vn - v)))
+        v = vn
+    raise SolverError("did not settle", last)
+
+
+def _assert_same_solve(args):
+    v, res, it = _obstacle_solve(*args)
+    v_ref, res_ref, it_ref = _banded_obstacle_solve(*args)
+    assert it == it_ref
+    assert v.tobytes() == v_ref.tobytes() and res.tobytes() == res_ref.tobytes()
+    return v
 
 
 def _psor_surface(scn, grid, monkeypatch):
@@ -189,6 +222,50 @@ class TestSolveVariationalInequality:
         scn = dataclasses.replace(kc_scn, contract=ContractParams(G=1e-100, T=15.0, F0=100.0))
         assert vs.build_pde_grid(scn, N=12, M=51).tol > 0.0
         assert vs.build_pde_grid(kc_scn, N=12, M=51).tol == 1e-10 * kc_scn.contract.G
+
+
+class TestObstacleSolve:
+    def test_every_c1_level_matches_solve_banded(self, c1_scn, monkeypatch):
+        levels = []
+
+        def recording(*args):
+            levels.append([np.copy(a) if isinstance(a, np.ndarray) else a for a in args])
+            return _obstacle_solve(*args)
+
+        monkeypatch.setattr("vastop.pde._obstacle_solve", recording)
+        vs.solve_variational_inequality(c1_scn, vs.build_pde_grid(c1_scn, 360, 401))
+        assert len(levels) == 362  # 360 steps, two of them in Rannacher half steps
+        for args in levels:
+            _assert_same_solve(args)
+
+    def test_random_systems_match_solve_banded(self):
+        # diagonally dominant systems whose obstacle binds on a random part of the nodes
+        rng = np.random.default_rng(7)
+        mixed = 0
+        for _ in range(50):
+            K = int(rng.integers(2, 80))
+            a, c = rng.uniform(0.0, 2.0, K), rng.uniform(0.0, 2.0, K)
+            sub, sup, diag = -a, -c, a + c + rng.uniform(1e-3, 1.0, K)
+            sub[0] = sup[-1] = 0.0
+            obstacle = rng.normal(size=K)
+            rhs = rng.normal(size=K)
+            v = _assert_same_solve((sub, diag, sup, rhs, obstacle, rng.normal(size=K), 1e-12, 100))
+            mixed += 0 < np.count_nonzero(v == obstacle) < K
+        assert mixed >= 10
+
+    def test_zero_pivot_on_a_free_row_raises(self):
+        # row and column 2 are zero, and row 2 is free: 0 * v_2 - rhs_2 = 0 is not
+        # above v_2 - obstacle_2 = 0
+        K = 5
+        sub, sup, diag = np.full(K, -1.0), np.full(K, -1.0), np.full(K, 4.0)
+        sub[0] = sup[-1] = 0.0
+        sub[2] = diag[2] = sup[2] = sup[1] = sub[3] = 0.0
+        rhs, obstacle = np.ones(K), np.full(K, -1e9)
+        rhs[2], obstacle[2] = 0.0, 0.0
+        args = (sub, diag, sup, rhs, obstacle, np.zeros(K), 1e-12, 100)
+        for solve in (_obstacle_solve, _banded_obstacle_solve):
+            with pytest.raises(LinAlgError, match="singular matrix"):
+                solve(*args)
 
 
 class TestSmoothFit:
