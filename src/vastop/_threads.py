@@ -41,23 +41,21 @@ class OrderedProcess:
     """Run submitted calls one at a time, in submission order, on one worker
     process forked at the first submit.
 
-    Each call runs as fn(state, *args, **kwargs), where state is one dict that
-    lives as long as the worker, for its memos. With one worker
-    (worker_count(2) == 1: the process may run on one CPU) or on a platform
-    that cannot fork, each call runs inline in submit, on a dict of the
-    helper's own.
+    Each call runs as fn(*args, **kwargs). With one worker (worker_count(2)
+    == 1: the process may run on one CPU) or on a platform that cannot fork,
+    each call runs inline in submit.
     fn and its arguments are pickled to the worker, so fn must be a module-level
     function. A forked worker starts with the caller's modules loaded, where a
     spawned one would import numpy and scipy again (about 0.3 s per run); as
     the fork copies only the calling thread, fn should call no BLAS and no pool.
-    Only the worker's own calls write the module state they use (`_state`,
-    `_failed`), so each forked worker starts with that state clean.
+    Only the worker's own calls write the module state they use (`_failed`),
+    so each forked worker starts with that state clean.
 
     A call that raises stops the calls after it, and submit raises that error
-    once it is known. Leaving the helper as a context manager joins the worker:
-    it waits for every call, ends the process and raises the first call's
-    error. That error wins over one raised in the with block, which every
-    submitted call came before; an exception that is not an Exception
+    once it is known. join, or leaving the helper as a context manager, joins
+    the worker: it waits for every call, ends the process and raises the first
+    call's error. That error wins over one raised in the with block, which
+    every submitted call came before; an exception that is not an Exception
     (KeyboardInterrupt) cancels the calls not yet started instead.
     """
 
@@ -67,7 +65,6 @@ class OrderedProcess:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        self.state: dict = {}
         self._pool = None
         self._pending = deque()
         if worker_count(2) > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -75,27 +72,30 @@ class OrderedProcess:
 
     def submit(self, fn, *args, **kwargs) -> None:
         if self._pool is None:
-            fn(self.state, *args, **kwargs)
+            fn(*args, **kwargs)
             return
         while self._pending and self._pending[0].done():
             self._pending.popleft().result()
         self._pending.append(self._pool.submit(_call, fn, args, kwargs))
 
+    def join(self) -> None:
+        """Wait for every call, end the worker and raise the first call's error."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            while self._pending:
+                self._pending.popleft().result()
+
     def __enter__(self):
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
-        if self._pool is None:
-            return
-        interrupted = kind is not None and not issubclass(kind, Exception)
-        self._pool.shutdown(cancel_futures=interrupted)
-        if not interrupted:
-            for fut in self._pending:
-                fut.result()
+        if kind is None or issubclass(kind, Exception):
+            self.join()
+        elif self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
-# in an OrderedProcess worker: its state and whether one of its calls has raised
-_state: dict = {}
+# in an OrderedProcess worker: whether one of its calls has raised
 _failed = False
 
 
@@ -104,7 +104,7 @@ def _call(fn, args, kwargs):
     if _failed:
         return None
     try:
-        return fn(_state, *args, **kwargs)
+        return fn(*args, **kwargs)
     except BaseException:
         _failed = True
         raise

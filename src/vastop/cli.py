@@ -22,10 +22,10 @@ may run on (`taskset` limits them) builds and reduces Monte Carlo chunks and
 evaluates decomposition time slices, bit-identically for any worker count.
 With more than one such CPU, a run writes its CSVs from one background process,
 forked at the first write (`_threads.OrderedProcess`), while its later tasks
-compute; with one, the run stays in one process. The memo of CSV rows
-formatted so far lives in that process for the run, and the writer's memory
-is not part of the run's own RSS. The run joins the writer before it writes
-summary.json and on every error, so no process outlives it.
+compute; with one, the run stays in one process. The run joins the writer
+before it writes summary.json and on every error, so no process outlives it.
+summary.json records the seconds of each task and of that join under
+`timings`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import functools
 import json
 import os
 import sys
+import time
 import traceback
 
 import numpy as np
@@ -71,11 +72,10 @@ def _writing(path: str):
         raise ConfigError(f"out: cannot write {path!r}: {exc.strerror}") from None
 
 
-def _write(rows: dict, path: str, writer, *args, memo: bool = False) -> None:
-    """Write one artifact; runs in the run's writer, whose state is the memo of
-    the CSV rows formatted so far, passed on to the CSV writer when memo is set."""
+def _write(path: str, writer, *args) -> None:
+    """Write one artifact; runs in the run's writer."""
     with _writing(path):
-        writer(path, *args, **({"rows": rows} if memo else {}))
+        writer(path, *args)
 
 
 class _Run:
@@ -83,8 +83,8 @@ class _Run:
     with their prerequisites, grid, mc and out), its time nodes, the summary,
     the products of earlier tasks, the run's memos (the chains and lattice
     surfaces built so far and the transition matrices of those chains) and its
-    writer, which writes the CSVs in emit order and keeps the rows memo. Each
-    run starts with empty memos and a writer of its own."""
+    writer, which writes the CSVs in emit order. Each run starts with empty
+    memos and a writer of its own."""
 
     def __init__(self, doc: dict, args):
         """Check doc with the command-line overrides of args, then set up the run;
@@ -138,9 +138,9 @@ class _Run:
             raise ConfigError(
                 f"out: cannot create directory {self.out_dir!r}: {exc.strerror}") from None
 
-    def emit(self, name: str, writer, *args, memo: bool = False) -> None:
-        """Have the writer write artifact name; memo passes it the rows memo."""
-        self.writes.submit(_write, os.path.join(self.out_dir, name), writer, *args, memo=memo)
+    def emit(self, name: str, writer, *args) -> None:
+        """Have the writer write artifact name."""
+        self.writes.submit(_write, os.path.join(self.out_dir, name), writer, *args)
         self.summary["artifacts"].append(name)
 
     def chain(self, scn):
@@ -174,7 +174,7 @@ class _Run:
         i0 = surfaces.center_index(surf.xnodes, scn.contract.F0)
         self.results[f"{name}_value_at_inception"] = float(surf.values[0, i0])
         if "regions" not in self.tasks:
-            self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf, memo=True)
+            self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf)
         if self.never_surrender.holds:
             hline = np.stack([np.asarray(analytic.maturity_benefit_value(scn, float(t), surf.xnodes))
                               for t in surf.tnodes])
@@ -210,7 +210,7 @@ def _regions(run: _Run) -> None:
     for name, surf in run.surfaces.items():
         mask = region.extract_regions(surf, run.scn)
         run.masks[name] = mask
-        run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask, memo=True)
+        run.emit(f"region_{name}.csv", csvio.write_surface_csv, surf, mask)
         run.results[f"empty_slices_{name}"] = int((~mask.in_surrender.any(axis=1)).sum())
         run.results[f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
         ex = region.extract_regions(surf, run.scn, mode="exercise")
@@ -226,7 +226,7 @@ def _boundary(run: _Run) -> None:
 def _decompose(run: _Run) -> None:
     name = run.checked
     report = decompose.decomposition_residuals(run.surfaces[name], run.scn, run.boundaries[name])
-    run.emit("decompose.csv", csvio.write_report_csv, report, run.surfaces[name], memo=True)
+    run.emit("decompose.csv", csvio.write_report_csv, report, run.surfaces[name])
     run.results["decompose"] = {
         "surface": name,
         **{key: getattr(report, key) for key in (
@@ -254,8 +254,7 @@ def _paper_fig(run: _Run) -> None:
             surf = run.value(bscn, kind)
             mode = "exercise" if kind == "continuous" else "value-gap"
             mask = region.extract_regions(surf, bscn, mode=mode)
-            run.emit(f"fig_panel_{panel}_{label}_{kind}.csv", csvio.write_surface_csv, surf, mask,
-                     memo=True)
+            run.emit(f"fig_panel_{panel}_{label}_{kind}.csv", csvio.write_surface_csv, surf, mask)
 
 
 # task -> (function, prerequisites); the key order is the run order, so every
@@ -288,11 +287,16 @@ def _closed(requested) -> list[str]:
 def run_plan(doc: dict, args) -> dict:
     """Check the run document doc with the overrides of args, run its tasks and
     their prerequisites in table order, join the writer, write summary.json and
-    return it."""
+    return it. The summary's timings hold the wall seconds of each task and of
+    the wait to join the writer (writer_join_s)."""
     run = _Run(doc, args)
+    timings = run.summary["timings"] = {}
+    steps = [(task, functools.partial(_TABLE[task][0], run)) for task in run.tasks]
     with run.writes:
-        for task in run.tasks:
-            _TABLE[task][0](run)
+        for key, step in [*steps, ("writer_join_s", run.writes.join)]:
+            start = time.perf_counter()
+            step()
+            timings[key] = time.perf_counter() - start
     try:
         text = json.dumps(run.summary, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:  # NaN or an infinity among the results

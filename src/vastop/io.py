@@ -1,20 +1,14 @@
 """CSV writers with byte-stable, shortest round-trip numeric formatting.
 
 Every float is written as ``format_number`` writes it: ``repr`` of the Python
-float, the shortest decimal string that reads back to the same float. The grid
-writers format a whole time slice at once (``map(repr, row.tolist())``) and
-write it with one call, so no per-cell Python function call is made.
-
-The grid writers take an optional ``rows`` memo, a dict the caller keeps for
-one run: it maps the bytes of a float64 row to the row's cells joined by
-commas, so a row that repeats one written earlier (the same obstacle in two
-surfaces, the same surface in two files) is split, not formatted again. The
-memo holds one string per distinct row it was given; without it a writer holds
-one slice of strings at a time.
-
-A surface's value cell that is bit-equal to the reward cell of the same node
-(-0.0 and 0.0 are not, and NaNs are when their bits are) takes the reward
-cell's string, so only the other value cells are formatted.
+float, the shortest decimal string that reads back to the same float. The
+writers format a whole array or time slice at once and write a slice with one
+call, so no per-cell Python function call is made: orjson's float64 encoder
+writes the same shortest round-trip digits as ``repr`` at a fraction of its
+cost, and spells them the same way wherever ``repr`` writes positional
+notation (0, and 1e-4 <= |x| < 1e16). Every other cell (``1e-06``, ``1e+16``,
+``nan``, ``inf``) is written by ``repr`` itself. orjson is imported on the
+first write, so a process that writes no CSV never loads it.
 """
 
 from __future__ import annotations
@@ -45,55 +39,37 @@ def format_number(v) -> str:
 
 def _numbers(a) -> list[str]:
     """format_number of every element of a 1-D array, in one call."""
-    return list(map(repr, np.asarray(a, dtype=float).tolist()))
+    import orjson  # here, not at the top: see the module docstring
 
-
-def _cells(row: np.ndarray, rows: dict | None, keep: bool, like=None) -> list[str]:
-    """repr of every element of a float64 row, looked up in the rows memo first
-    and, when keep is set, added to it. like is None or (other, its cells), a
-    row of the same nodes whose strings the bit-equal elements of row take."""
-    if rows is not None:
-        key = row.tobytes()
-        line = rows.get(key)
-        if line is not None:
-            return line.split(",")
-    if like is None:
-        cells = list(map(repr, row.tolist()))
-    else:
-        other, cells = like[0], like[1].copy()
-        diff = np.flatnonzero(row.view(np.int64) != other.view(np.int64))
-        for i, cell in zip(diff.tolist(), map(repr, row[diff].tolist())):
-            cells[i] = cell
-    if rows is not None and keep:
-        rows[key] = ",".join(cells)
+    a = np.ascontiguousarray(a, dtype=float)  # float32 cells widen like float()
+    if not a.size:
+        return []
+    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    # orjson writes 1e-6, 1e16, 0.0000999 and null where repr writes 1e-06,
+    # 1e+16, 9.99e-05, nan and inf
+    odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16) | (a == 0)))
+    for i, v in zip(odd.tolist(), a[odd].tolist()):
+        cells[i] = repr(v)
     return cells
 
 
-def _write_grid(fh, tnodes, xnodes, arrays, flags=None, rows=None, keep=True,
-                tied=False) -> None:
+def _write_grid(fh, tnodes, xnodes, arrays, flags=None) -> None:
     """One row t,x,arrays[k][n, i]...[,flags(n)[i]] per (t, x) node.
 
     A time slice is laid out as one list of cells and separators, filled
     column by column with extended-slice assignments and written at once.
-    Each slice of an array is formatted through the rows memo (see the module
-    docstring); keep=False reads the memo without adding to it. With tied,
-    the cells of arrays[0] that are bit-equal to those of arrays[1] take
-    arrays[1]'s strings.
     """
     xs = _numbers(xnodes)
     M = len(xs)
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
     row = 2 * (2 + len(arrays) + (flags is not None))  # cells and their separators
     buf = [","] * (row * M)
     buf[row - 1::row] = ["\n"] * M
     buf[2::row] = xs
     for n, t in enumerate(_numbers(tnodes)):
         buf[0::row] = [t] * M
-        cells = [_cells(a[n], rows, keep) for a in arrays[tied:]]
-        if tied:
-            cells.insert(0, _cells(arrays[0][n], rows, keep, like=(arrays[1][n], cells[0])))
-        for k, c in enumerate(cells):
-            buf[4 + 2 * k::row] = c
+        for k, a in enumerate(arrays):
+            buf[4 + 2 * k::row] = _numbers(a[n])
         if flags is not None:
             buf[row - 2::row] = flags(n)
         fh.write("".join(buf))
@@ -102,11 +78,9 @@ def _write_grid(fh, tnodes, xnodes, arrays, flags=None, rows=None, keep=True,
 _FLAGS = np.array(["0", "1"], dtype=object)  # a region flag's string, indexed by the flag
 
 
-def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = None,
-                      rows: dict | None = None) -> None:
+def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = None) -> None:
     """Header t,x,value,reward,in_surrender_region; maturity slice carries 0
-    in the region column (regions are defined before maturity only). The value
-    and reward rows are formatted through, and added to, the rows memo."""
+    in the region column (regions are defined before maturity only)."""
     last = surface.tnodes.size - 1
 
     def flags(n):
@@ -116,8 +90,7 @@ def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = Non
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,value,reward,in_surrender_region\n")
-        _write_grid(fh, surface.tnodes, surface.xnodes, (surface.values, surface.obstacle), flags,
-                    rows=rows, tied=True)
+        _write_grid(fh, surface.tnodes, surface.xnodes, (surface.values, surface.obstacle), flags)
 
 
 def write_boundary_csv(path, boundary: Boundary) -> None:
@@ -133,17 +106,13 @@ def write_boundary_csv(path, boundary: Boundary) -> None:
         ))
 
 
-def write_report_csv(path, report: DecompositionReport, surface: ValueSurface,
-                     rows: dict | None = None) -> None:
-    """Header t,x,v,h,e,f,res_he,res_phif; v comes from the surface. Rows are
-    looked up in the rows memo but not added: the report's own columns never
-    repeat, and keeping them would only hold their strings."""
+def write_report_csv(path, report: DecompositionReport, surface: ValueSurface) -> None:
+    """Header t,x,v,h,e,f,res_he,res_phif; v comes from the surface."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,v,h,e,f,res_he,res_phif\n")
         _write_grid(
             fh, report.tnodes, report.xnodes,
             (surface.values, report.h, report.e, report.f, report.res_he, report.res_phif),
-            rows=rows, keep=False,
         )
 
 

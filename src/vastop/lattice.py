@@ -158,7 +158,15 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int
     fault when enough steps cure it, else the keys whose rates dominate are
     named. The diffusion rates scale as sigma^2 / dy^2: market.sigma and the
     log spacing dy of the state nodes, which grid.M and grid.xmax_mult set.
+    A sigma so small that the variance (sigma x)^2 underflows to 0 at every
+    node leaves a triangular generator, whose exponential scipy's triangular
+    branch rounds beyond the budget on any grid: market.sigma is named then.
     """
+    if not var.any():
+        return GridResolutionError(
+            f"{head}: market.sigma = {scn.market.sigma:g} is so small that the variance"
+            " (sigma x)^2 underflows to 0 at every state node, which no grid cures"
+        )
     exit_rates = -np.diag(_generator(xnodes, mu, var))
     stiffness = float(exit_rates.max()) * dt
     if stiffness <= _STEP_BUDGET:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vastop as vs
 from vastop.cli import TASKS, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -232,6 +234,19 @@ class TestConfigValidation:
         assert "market.sigma = 0.2" in err and "state spacing dy = 1e-08" in err
         assert "grid.M = 21" in err and "grid.xmax_mult = 1.0000001 " in err
         assert "internal error" not in err and not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("r", [-0.5, 0.5])
+    def test_underflowing_sigma_names_the_key(self, tmp_path, capsys, r):
+        # (sigma x)^2 underflows to 0 at every node, so the generator is triangular
+        # and scipy's triangular branch misses the row sums on any grid
+        scn = vs.low_charge_scenario()
+        scn = dataclasses.replace(scn, market=vs.MarketParams(r=r, sigma=1e-200))
+        doc = _base_config(scenario=vs.scenario_to_dict(scn), tasks=["price-lattice"],
+                           grid={"N": 12, "M": 41})
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: invalid transition matrix" in err
+        assert "market.sigma = 1e-200 is so small" in err and "try" not in err
 
     def test_too_long_time_step_advises_more_steps(self, tmp_path, capsys):
         # sigma = 10 is a valid scenario: one 15-year step is too stiff for it, and a
@@ -619,14 +634,25 @@ class TestRunPipeline:
             b1 = (out1 / name).read_bytes()
             b2 = (out2 / name).read_bytes()
             if name == "summary.json":
-                # the echoed out-dir differs by construction
+                # the echoed out-dir and the wall times differ by construction
                 s1 = json.loads(b1)
                 s2 = json.loads(b2)
-                s1["config"].pop("out")
-                s2["config"].pop("out")
+                for s in (s1, s2):
+                    s["config"].pop("out")
+                    assert set(s.pop("timings")) == {*s["config"]["tasks"], "writer_join_s"}
                 assert s1 == s2
             else:
                 assert b1 == b2, name
+
+    def test_summary_times_each_task_and_the_writer_join(self, tmp_path):
+        doc = _base_config(tasks=["decompose", "paper-fig"], grid={"N": 12, "M": 21})
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        timings = summary["timings"]
+        assert set(timings) == {*summary["config"]["tasks"], "writer_join_s"}
+        assert len(summary["config"]["tasks"]) == 5  # decompose pulls in its prerequisites
+        assert all(math.isfinite(v) and v >= 0 for v in timings.values())
 
     def test_cli_overrides(self, tmp_path):
         doc = _base_config(tasks=["price-lattice"])

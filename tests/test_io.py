@@ -3,22 +3,30 @@
 The ``_ref_*`` functions are the per-cell writers the package used before the
 writers formatted whole time slices; every writer must reproduce their bytes,
 both on the outputs of a real small-grid run and on arrays holding the float
-values whose shortest round-trip spelling is easiest to get wrong, with and
-without one rows memo shared across writer calls.
+values whose shortest round-trip spelling is easiest to get wrong. A property
+test holds the cell formatter to ``repr(float(v))`` on any float64 or float32
+array, and a fresh interpreter shows that importing the package leaves orjson
+unloaded.
 """
 
 from __future__ import annotations
 
-import functools
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vastop as vs
 from vastop import io as csvio
 from vastop.decompose import DecompositionReport
 from vastop.region import Boundary, RegionMask
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 # --- reference writers (per-cell formatting) ---------------------------------
 
@@ -239,7 +247,7 @@ class TestEdgeValues:
             "-0.0", "5e-324", "1e-05", "1e+16", "123.0"]
 
 
-# --- value cells that share the reward cell's string -----------------------------
+# --- value cells bit-equal to the reward cell of their node ----------------------
 
 
 def _nan(payload: int) -> float:
@@ -275,21 +283,8 @@ class TestValueCellsTiedToReward:
         for name, args in (("masked", (ties["surf"], ties["mask"])), ("plain", (ties["surf"],))):
             _same_bytes(tmp_path, name, csvio.write_surface_csv, _ref_write_surface_csv, *args)
 
-    def test_with_shared_memo(self, tmp_path, ties, edge):
-        rows: dict = {}
-        write = functools.partial(csvio.write_surface_csv, rows=rows)
-        for name, args in (("first", (ties["surf"], ties["mask"])), ("edge", (edge["surf"],)),
-                           ("again", (ties["surf"],))):
-            _same_bytes(tmp_path, name, write, _ref_write_surface_csv, *args)
-        assert set(rows) == _row_keys(ties["surf"], edge["surf"])
-        for surf in (ties["surf"], edge["surf"]):
-            for a in (surf.values, surf.obstacle):
-                for n in range(surf.tnodes.size):
-                    row = np.asarray(a[n], dtype=float)
-                    assert rows[row.tobytes()] == ",".join(map(repr, row.tolist()))
 
-
-# --- one rows memo shared across writer calls -----------------------------------
+# --- rows that repeat, and rows of one special value -----------------------------
 
 
 @pytest.fixture(scope="module")
@@ -310,44 +305,73 @@ def repeats():
     return {"surf": surf, "mask": mask, "report": report}
 
 
-def _row_keys(*surfs):
-    return {np.asarray(a, dtype=float)[n].tobytes()
-            for s in surfs for a in (s.values, s.obstacle) for n in range(s.tnodes.size)}
+class TestRepeatedRows:
+    def test_surface_with_and_without_mask(self, tmp_path, repeats):
+        for name, args in (("masked", (repeats["surf"], repeats["mask"])),
+                           ("plain", (repeats["surf"],))):
+            _same_bytes(tmp_path, name, csvio.write_surface_csv, _ref_write_surface_csv, *args)
+
+    def test_report(self, tmp_path, repeats):
+        _same_bytes(tmp_path, "report", csvio.write_report_csv, _ref_write_report_csv,
+                    repeats["report"], repeats["surf"])
 
 
-class TestSharedRowsMemo:
-    def test_surfaces_match_reference_and_fill_the_memo(self, tmp_path, edge, repeats):
-        rows: dict = {}
-        write = functools.partial(csvio.write_surface_csv, rows=rows)
-        for name, args in (("edge", (edge["surf"], edge["mask"])),
-                           ("repeats", (repeats["surf"], repeats["mask"])),
-                           ("again", (repeats["surf"],)),
-                           ("edge_plain", (edge["surf"],))):
-            _same_bytes(tmp_path, name, write, _ref_write_surface_csv, *args)
-        # one entry per distinct float64 row: -0.0 and 0.0 rows are two entries
-        assert set(rows) == _row_keys(edge["surf"], repeats["surf"])
-        # the edge surface's 4 value and 4 float32 obstacle rows, then the
-        # 0.0, -0.0, NaN, +inf and -inf rows; every other row is a repeat
-        assert len(rows) == 4 + 4 + 5
-        assert rows[np.full(len(EDGE), -0.0).tobytes()] == ",".join(["-0.0"] * len(EDGE))
+# --- the format contract on any float --------------------------------------------
 
-    def test_report_reads_the_memo_without_adding_to_it(self, tmp_path, edge, repeats):
-        rows: dict = {}
-        csvio.write_surface_csv(str(tmp_path / "seed.csv"), repeats["surf"], rows=rows)
-        before = dict(rows)
-        write = functools.partial(csvio.write_report_csv, rows=rows)
-        for name, (report, surf) in (("own", (repeats["report"], repeats["surf"])),
-                                     ("edge", (edge["report"], edge["surf"]))):
-            _same_bytes(tmp_path, name, write, _ref_write_report_csv, report, surf)
-        assert rows == before
 
-    def test_real_run_shares_rows_across_files(self, tmp_path, c1_small):
-        rows: dict = {}
-        write = functools.partial(csvio.write_surface_csv, rows=rows)
-        for key, mask in (("disc", "mask"), ("cont", "mask_cont"), ("pde", "mask_pde"),
-                          ("disc", None)):
-            args = (c1_small[key],) + ((c1_small[mask],) if mask else ())
-            _same_bytes(tmp_path, key, write, _ref_write_surface_csv, *args)
-        _same_bytes(tmp_path, "report", functools.partial(csvio.write_report_csv, rows=rows),
-                    _ref_write_report_csv, c1_small["report"], c1_small["disc"])
-        assert set(rows) == _row_keys(c1_small["disc"], c1_small["cont"], c1_small["pde"])
+def _from_bits(bits: int, dtype) -> float:
+    """The float of dtype whose bit pattern is bits: NaNs of any payload and sign,
+    subnormals and infinities included."""
+    ints = np.uint64 if dtype == np.float64 else np.uint32
+    return np.array([bits], dtype=ints).view(dtype)[0]
+
+
+# where repr turns from positional to exponent notation, with both neighbours of
+# each edge; the zeros, the smallest subnormals, the infinities and NaNs of
+# either sign with payloads (signalling float64 ones too: widening a signalling
+# float32 NaN makes numpy warn)
+_EDGES = [w for v in (1e-4, -1e-4, 1e16, -1e16) for w in (np.nextafter(v, -np.inf), v,
+                                                            np.nextafter(v, np.inf))]
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, *_EDGES]
+_NAN_BITS = {np.float64: (0x7FF0000000000001, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF),
+             np.float32: (0x7FC00001, 0xFFC00000, 0x7FFFFFFF)}
+
+
+def _cells(dtype):
+    width = 64 if dtype == np.float64 else 32
+    special = [*map(dtype, _SPECIAL), *(_from_bits(b, dtype) for b in _NAN_BITS[dtype])]
+    return st.lists(st.one_of(
+        st.floats(width=width),
+        st.integers(0, 2**width - 1).map(lambda b: _from_bits(b, dtype)),
+        st.sampled_from(special),
+    ), max_size=40).map(lambda v: np.array(v, dtype=dtype))
+
+
+class TestFormatContract:
+    """Every writer formats its floats with ``_numbers``; its cells must be
+    ``repr(float(v))``, float32 arrays included (widened exactly, not printed
+    with float32's own shortest digits)."""
+
+    @given(a=_cells(np.float64))
+    @settings(max_examples=300, deadline=None)
+    def test_float64(self, a):
+        assert csvio._numbers(a) == [repr(float(v)) for v in a]
+
+    @given(a=_cells(np.float32))
+    @settings(max_examples=200, deadline=None)
+    def test_float32(self, a):
+        assert csvio._numbers(a) == [repr(float(v)) for v in a]
+
+    def test_strided_rows(self):
+        nans = [_from_bits(b, np.float64) for b in _NAN_BITS[np.float64]]
+        grid = np.array([[*nans, *_SPECIAL], [*_SPECIAL, *nans]])
+        for col in (grid[:, 3], grid.T[0], grid[0, ::2]):
+            assert csvio._numbers(col) == [repr(float(v)) for v in col]
+
+    def test_importing_the_package_leaves_orjson_unloaded(self):
+        # orjson is imported by the first CSV write: a process that writes none,
+        # such as a run's main process while its writer is forked, never loads it
+        code = "import sys, vastop, vastop.cli; print('orjson' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC_DIR),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@ slices, and the one worker process that writes a run's CSVs."""
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import threading
@@ -59,21 +60,20 @@ class TestOrderedMap:
 # calls for OrderedProcess: module-level, so that they pickle to its worker
 
 
-def _log(state: dict, path: str, i: int, fail_at: int = -1) -> None:
-    """Append "pid i calls" to path, calls counting this worker's calls so far."""
+def _log(path: str, i: int, fail_at: int = -1) -> None:
+    """Append "pid i" to path."""
     if i == fail_at:
         raise KeyError(f"call {i}")
-    state["calls"] = state.get("calls", 0) + 1
     time.sleep(0.001 * (i % 3))
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(f"{os.getpid()} {i} {state['calls']}\n")
+        fh.write(f"{os.getpid()} {i}\n")
 
 
-def _sleep(state: dict, seconds: float) -> None:
+def _sleep(seconds: float) -> None:
     time.sleep(seconds)
 
 
-def _logged(path) -> list[tuple[int, int, int]]:
+def _logged(path) -> list[tuple[int, int]]:
     if not os.path.exists(path):
         return []
     with open(path, encoding="utf-8") as fh:
@@ -84,14 +84,16 @@ class TestOrderedProcess:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_calls_run_in_order_on_one_worker_with_its_own_state(self, tmp_path, cpus, threads):
         cpus(threads)
-        for run in range(2):  # each helper starts with an empty state
+        # each helper starts with a clean state: a call that failed in the first
+        # stops none of the second's
+        for run, fail_at in enumerate((5, -1)):
             path = str(tmp_path / f"run{run}.log")
-            with OrderedProcess() as writes:
+            with contextlib.suppress(KeyError), OrderedProcess() as writes:
                 for i in range(12):
-                    writes.submit(_log, path, i)
+                    writes.submit(_log, path, i, fail_at)
             log = _logged(path)
-            assert [(i, calls) for _, i, calls in log] == [(i, i + 1) for i in range(12)]
-            pids = {pid for pid, _, _ in log}
+            assert [i for _, i in log] == list(range(12 if fail_at < 0 else fail_at))
+            pids = {pid for pid, _ in log}
             assert len(pids) == 1
             assert (pids == {os.getpid()}) == (threads == 1)
             assert not multiprocessing.active_children()
@@ -104,7 +106,7 @@ class TestOrderedProcess:
             with OrderedProcess() as writes:
                 for i in range(8):
                     writes.submit(_log, path, i, 3)
-        assert [i for _, i, _ in _logged(path)] == [0, 1, 2]
+        assert [i for _, i in _logged(path)] == [0, 1, 2]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_failed_call_wins_over_a_later_error(self, tmp_path, cpus, threads):
@@ -115,7 +117,7 @@ class TestOrderedProcess:
                 writes.submit(_log, path, 0)
                 writes.submit(_log, path, 1, 1)
                 raise FloatingPointError("after the calls")
-        assert [i for _, i, _ in _logged(path)] == [0]
+        assert [i for _, i in _logged(path)] == [0]
 
     def test_an_error_in_the_block_waits_for_the_calls(self, tmp_path, cpus):
         cpus(2)
@@ -125,7 +127,7 @@ class TestOrderedProcess:
                 for i in range(6):
                     writes.submit(_log, path, i)
                 raise FloatingPointError("after the calls")
-        assert [i for _, i, _ in _logged(path)] == list(range(6))
+        assert [i for _, i in _logged(path)] == list(range(6))
 
     def test_an_interrupt_cancels_the_calls_not_started(self, tmp_path, cpus):
         cpus(2)
