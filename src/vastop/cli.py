@@ -20,12 +20,14 @@ Re-running with an identical config and seed reproduces byte-identical CSVs.
 BLAS runs on one thread (`_threads.pin_blas`); one worker per CPU the process
 may run on (`taskset` limits them) builds and reduces Monte Carlo chunks and
 evaluates decomposition time slices, bit-identically for any worker count.
-With more than one such CPU, a run writes its CSVs from one background process,
-forked at the first write (`_threads.OrderedProcess`), while its later tasks
-compute; with one, the run stays in one process. The run joins the writer
-before it writes summary.json and on every error, so no process outlives it.
-summary.json records the seconds of each task and of that join under
-`timings`.
+With more than one such CPU, a run writes each CSV in a child process forked
+at its emit (`_threads.OrderedProcess`), in emit order, while its later tasks
+compute; the child reads the artifact from the memory it shares with the run,
+so nothing is copied to it. With one CPU, the run stays in one process. The
+run waits for its writes before it writes summary.json and on every error, so
+no process outlives it. summary.json records the seconds of each task and of
+that wait under `timings`, and, under `diagnostics`, the solver checks the
+price-pde and decompose tasks compute.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import os
 import sys
@@ -72,19 +75,13 @@ def _writing(path: str):
         raise ConfigError(f"out: cannot write {path!r}: {exc.strerror}") from None
 
 
-def _write(path: str, writer, *args) -> None:
-    """Write one artifact; runs in the run's writer."""
-    with _writing(path):
-        writer(path, *args)
-
-
 class _Run:
     """What the tasks of one run share: its checked document (scenario, tasks
     with their prerequisites, grid, mc and out), its time nodes, the summary,
     the products of earlier tasks, the run's memos (the chains and lattice
     surfaces built so far and the transition matrices of those chains) and its
-    writer, which writes the CSVs in emit order. Each run starts with empty
-    memos and a writer of its own."""
+    writes, which write the CSVs in emit order. Each run starts with empty
+    memos and writes of its own."""
 
     def __init__(self, doc: dict, args):
         """Check doc with the command-line overrides of args, then set up the run;
@@ -123,14 +120,15 @@ class _Run:
                        "out": self.out_dir},
             "artifacts": [],
             "results": {},
+            "diagnostics": {},
         }
-        self.results = self.summary["results"]
+        self.results, self.diagnostics = self.summary["results"], self.summary["diagnostics"]
         self.tnodes = surfaces.time_nodes(scn, self.grid["N"])
         self.results["maturity_benefit_value_at_inception"] = float(
             analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         self.surfaces, self.masks, self.boundaries = {}, {}, {}
         self._chains, self._matrices, self._values = {}, {}, {}
-        self.writes = OrderedProcess()  # its process starts at the first emit
+        self.writes = OrderedProcess()
         # last, so that a run refused by a check above leaves no directory behind
         try:
             os.makedirs(self.out_dir, exist_ok=True)
@@ -139,8 +137,16 @@ class _Run:
                 f"out: cannot create directory {self.out_dir!r}: {exc.strerror}") from None
 
     def emit(self, name: str, writer, *args) -> None:
-        """Have the writer write artifact name."""
-        self.writes.submit(_write, os.path.join(self.out_dir, name), writer, *args)
+        """Have writer write artifact name, in emit order. orjson, which the
+        writers use, is loaded here, so that each forked write finds it loaded."""
+        path = os.path.join(self.out_dir, name)
+
+        def write():
+            with _writing(path):
+                writer(path, *args)
+
+        importlib.import_module("orjson")
+        self.writes.submit(write)
         self.summary["artifacts"].append(name)
 
     def chain(self, scn):
@@ -203,7 +209,10 @@ def _price_lattice(run: _Run) -> None:
 
 def _price_pde(run: _Run) -> None:
     grid = pde.build_pde_grid(run.scn, **run.grid)
-    run.priced("pde", pde.solve_variational_inequality(run.scn, grid))
+    surf = pde.solve_variational_inequality(run.scn, grid)
+    run.diagnostics["price-pde"] = {key: surf.metadata[key] for key in (
+        "psor_max_iterations", "complementarity_free_max", "complementarity_active_min")}
+    run.priced("pde", surf)
 
 
 def _regions(run: _Run) -> None:
@@ -232,6 +241,8 @@ def _decompose(run: _Run) -> None:
         **{key: getattr(report, key) for key in (
             "mean_abs_res_he", "mean_abs_res_phif", "max_abs_res_he", "max_abs_res_phif")},
     }
+    run.diagnostics["decompose"] = {
+        "flagged_nodes": len(report.flagged), "min_e": report.min_e, "min_f": report.min_f}
 
 
 def _mc_verify(run: _Run) -> None:
@@ -286,9 +297,10 @@ def _closed(requested) -> list[str]:
 
 def run_plan(doc: dict, args) -> dict:
     """Check the run document doc with the overrides of args, run its tasks and
-    their prerequisites in table order, join the writer, write summary.json and
-    return it. The summary's timings hold the wall seconds of each task and of
-    the wait to join the writer (writer_join_s)."""
+    their prerequisites in table order, wait for the CSV writes, write
+    summary.json and return it. The summary's timings hold the wall seconds of
+    each task and of the wait for the writes after the last task (writer_join_s);
+    its diagnostics hold the solver checks of the tasks that compute them."""
     run = _Run(doc, args)
     timings = run.summary["timings"] = {}
     steps = [(task, functools.partial(_TABLE[task][0], run)) for task in run.tasks]

@@ -8,13 +8,13 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from conftest import assert_no_children
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -511,9 +511,9 @@ class TestConfigValidation:
 @pytest.mark.parametrize("threads", [1, 2])
 class TestWriterExitPaths:
     """Each way out of a run, with the CSVs written in the run itself (one
-    CPU) and in its writer process (two): the exit code and message are the
-    same, no child process is left and only a run that exits 0 writes
-    summary.json."""
+    CPU) and in child processes forked from it (two): the exit code and
+    message are the same, no child process is left and only a run that exits
+    0 writes summary.json."""
 
     @pytest.fixture(autouse=True)
     def _run_on(self, cpus, threads):
@@ -522,7 +522,7 @@ class TestWriterExitPaths:
     def _run(self, tmp_path, doc):
         out = tmp_path / "o"
         code = main(["run", _write(tmp_path, doc), "--out", str(out)])
-        assert not multiprocessing.active_children()
+        assert_no_children()
         assert (out / "summary.json").exists() == (code == 0)
         return code, out
 
@@ -556,6 +556,20 @@ class TestWriterExitPaths:
         err = capsys.readouterr().err
         assert err.startswith("internal error: KeyError: 'boom'\n")
         assert "Traceback (most recent call last)" in err and "in broken" in err
+
+    def test_interrupt_after_writes(self, tmp_path, monkeypatch):
+        import vastop.pde as pde
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pde, "solve_variational_inequality", interrupted)
+        out = tmp_path / "o"
+        doc = _base_config(tasks=["check-L", "price-lattice", "price-pde"])
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", _write(tmp_path, doc), "--out", str(out)])
+        assert_no_children()
+        assert not (out / "summary.json").exists()
 
     def test_unwritable_output_in_a_write(self, tmp_path, capsys):
         blocked = tmp_path / "o" / "region_lattice.csv"
@@ -653,6 +667,34 @@ class TestRunPipeline:
         assert set(timings) == {*summary["config"]["tasks"], "writer_join_s"}
         assert len(summary["config"]["tasks"]) == 5  # decompose pulls in its prerequisites
         assert all(math.isfinite(v) and v >= 0 for v in timings.values())
+
+    @pytest.mark.parametrize("tasks, diagnosed", [
+        (["check-L"], set()),
+        (["price-pde"], {"price-pde"}),
+        (["decompose"], {"decompose"}),
+        (["price-pde", "decompose"], {"price-pde", "decompose"}),
+    ])
+    def test_summary_reports_the_diagnostics_of_the_tasks_run(self, tmp_path, tasks, diagnosed):
+        doc = _base_config(tasks=tasks, grid={"N": 12, "M": 21})
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        diagnostics = summary["diagnostics"]
+        assert set(diagnostics) == diagnosed
+        keys = {"price-pde": {"psor_max_iterations", "complementarity_free_max",
+                              "complementarity_active_min"},
+                "decompose": {"flagged_nodes", "min_e", "min_f"}}
+        for task, entry in diagnostics.items():
+            assert set(entry) == keys[task]
+            assert all(math.isfinite(v) for v in entry.values())
+        if "price-pde" in diagnosed:
+            assert diagnostics["price-pde"]["psor_max_iterations"] >= 1
+        if "decompose" in diagnosed:
+            # the report's extremes are those of the columns decompose.csv holds
+            table = np.genfromtxt(out / "decompose.csv", delimiter=",", names=True)
+            assert diagnostics["decompose"]["min_e"] == table["e"].min()
+            assert diagnostics["decompose"]["min_f"] == table["f"].min()
+            assert isinstance(diagnostics["decompose"]["flagged_nodes"], int)
 
     def test_cli_overrides(self, tmp_path):
         doc = _base_config(tasks=["price-lattice"])

@@ -369,8 +369,8 @@ class TestFormatContract:
             assert csvio._numbers(col) == [repr(float(v)) for v in col]
 
     def test_importing_the_package_leaves_orjson_unloaded(self):
-        # orjson is imported by the first CSV write: a process that writes none,
-        # such as a run's main process while its writer is forked, never loads it
+        # orjson is imported by the first CSV write (or emit): a process that
+        # writes none never loads it
         code = "import sys, vastop, vastop.cli; print('orjson' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC_DIR),
                              capture_output=True, text=True, check=True)

@@ -1,15 +1,15 @@
 """The thread map shared by the Monte Carlo estimator passes and the decomposition
-slices, and the one worker process that writes a run's CSVs."""
+slices, and the ordered forked calls that write a run's CSVs."""
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import threading
 import time
 
 import pytest
+from conftest import assert_no_children
 
 from vastop._threads import OrderedProcess, ordered_map, worker_count
 
@@ -57,9 +57,6 @@ class TestOrderedMap:
         assert threading.active_count() == before
 
 
-# calls for OrderedProcess: module-level, so that they pickle to its worker
-
-
 def _log(path: str, i: int, fail_at: int = -1) -> None:
     """Append "pid i" to path."""
     if i == fail_at:
@@ -73,6 +70,23 @@ def _sleep(seconds: float) -> None:
     time.sleep(seconds)
 
 
+def _touch(path: str, *args) -> None:
+    with open(path, "w", encoding="utf-8"):
+        pass
+
+
+class _Opaque:
+    def __reduce__(self):
+        raise TypeError("_Opaque does not pickle")
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its pickle calls it with one argument."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
 def _logged(path) -> list[tuple[int, int]]:
     if not os.path.exists(path):
         return []
@@ -82,10 +96,9 @@ def _logged(path) -> list[tuple[int, int]]:
 
 class TestOrderedProcess:
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_calls_run_in_order_on_one_worker_with_its_own_state(self, tmp_path, cpus, threads):
+    def test_calls_run_in_order_and_each_helper_starts_clean(self, tmp_path, cpus, threads):
         cpus(threads)
-        # each helper starts with a clean state: a call that failed in the first
-        # stops none of the second's
+        # a call that failed in the first helper stops none of the second's
         for run, fail_at in enumerate((5, -1)):
             path = str(tmp_path / f"run{run}.log")
             with contextlib.suppress(KeyError), OrderedProcess() as writes:
@@ -93,10 +106,13 @@ class TestOrderedProcess:
                     writes.submit(_log, path, i, fail_at)
             log = _logged(path)
             assert [i for _, i in log] == list(range(12 if fail_at < 0 else fail_at))
+            # inline on one CPU; on two, each call in a child of its own
             pids = {pid for pid, _ in log}
-            assert len(pids) == 1
-            assert (pids == {os.getpid()}) == (threads == 1)
-            assert not multiprocessing.active_children()
+            if threads == 1:
+                assert pids == {os.getpid()}
+            else:
+                assert len(pids) == len(log) and os.getpid() not in pids
+            assert_no_children()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_failed_call_stops_the_later_ones(self, tmp_path, cpus, threads):
@@ -107,6 +123,7 @@ class TestOrderedProcess:
                 for i in range(8):
                     writes.submit(_log, path, i, 3)
         assert [i for _, i in _logged(path)] == [0, 1, 2]
+        assert_no_children()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_failed_call_wins_over_a_later_error(self, tmp_path, cpus, threads):
@@ -118,6 +135,7 @@ class TestOrderedProcess:
                 writes.submit(_log, path, 1, 1)
                 raise FloatingPointError("after the calls")
         assert [i for _, i in _logged(path)] == [0]
+        assert_no_children()
 
     def test_an_error_in_the_block_waits_for_the_calls(self, tmp_path, cpus):
         cpus(2)
@@ -128,15 +146,44 @@ class TestOrderedProcess:
                     writes.submit(_log, path, i)
                 raise FloatingPointError("after the calls")
         assert [i for _, i in _logged(path)] == list(range(6))
+        assert_no_children()
 
     def test_an_interrupt_cancels_the_calls_not_started(self, tmp_path, cpus):
         cpus(2)
         path = str(tmp_path / "log")
         with pytest.raises(KeyboardInterrupt):
             with OrderedProcess() as writes:
-                writes.submit(_sleep, 0.2)
+                writes.submit(_sleep, 5.0)
                 for i in range(50):
                     writes.submit(_log, path, i)
                 raise KeyboardInterrupt
-        # the calls already handed to the worker may run; the rest never start
-        assert len(_logged(path)) < 10
+        # the children are killed at once: the one asleep and those waiting behind it
+        assert _logged(path) == []
+        assert_no_children()
+
+    def test_calls_and_arguments_need_not_pickle(self, tmp_path, cpus):
+        cpus(2)
+        with OrderedProcess() as writes:
+            writes.submit(lambda: _touch(str(tmp_path / "closure")))
+            writes.submit(_touch, str(tmp_path / "argument"), _Opaque())
+        assert sorted(os.listdir(tmp_path)) == ["argument", "closure"]
+        assert_no_children()
+
+    @pytest.mark.parametrize("local", [True, False])
+    def test_an_error_that_does_not_pickle_reaches_the_caller(self, cpus, local):
+        cpus(2)
+
+        class LocalError(Exception):
+            pass
+
+        def fail():
+            raise LocalError("in the child") if local else _TwoArgError("in the child", "two")
+
+        name = "LocalError: in the child" if local else "_TwoArgError: in the child: two"
+        with pytest.raises(RuntimeError, match=name) as info:
+            with OrderedProcess() as writes:
+                writes.submit(fail)
+        cause = str(info.value.__cause__)
+        assert "Traceback (most recent call last)" in cause and "in fail" in cause
+        assert name in cause
+        assert_no_children()
