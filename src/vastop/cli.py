@@ -15,7 +15,8 @@ steps. Exit codes: 0 success, 1 solver failure (a NaN or infinite result is
 one, and no summary.json is then written) or internal error (any other
 exception, printed with its traceback), 2 config error (naming
 `<section>.<key>` when one key is at fault; an `out` that cannot be created or
-written is one too).
+written is one too, and so is a grid on which a task's largest arrays would
+exceed `MEMORY_BUDGET`, refused before any work).
 Re-running with an identical config and seed reproduces byte-identical CSVs.
 BLAS runs on one thread (`_threads.pin_blas`); one worker per CPU the process
 may run on (`taskset` limits them) builds and reduces Monte Carlo chunks and
@@ -27,7 +28,7 @@ so nothing is copied to it. With one CPU, the run stays in one process. The
 run waits for its writes before it writes summary.json and on every error, so
 no process outlives it. summary.json records the seconds of each task and of
 that wait under `timings`, and, under `diagnostics`, the solver checks the
-price-pde and decompose tasks compute.
+price-pde, boundary, decompose and mc-verify tasks compute.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import analytic, decompose, lattice, mc, model, pde, presets, region, surfaces
 from . import io as csvio
-from ._threads import OrderedProcess
+from ._threads import OrderedProcess, worker_count
 from .model import ConfigError
 
 # section -> key -> (default, type, allowed), the rule format of the scenario
@@ -62,6 +63,82 @@ _RULES = {
         "seed": (20_240_901, int, "[0, 2**128)"),
     },
 }
+
+
+# Every task's largest arrays must fit in this many bytes: a run whose grid
+# needs more is refused before any work (see _largest_arrays).
+MEMORY_BUDGET = 2 << 30
+
+
+def _distinct_matrices(scns, N: int) -> int:
+    """The transition matrices the chains of scns keep on N steps: one per
+    distinct (F0, T, r, sigma, step fee), as chains share their matrices."""
+    keys = set()
+    for scn in scns:
+        tn = np.linspace(0.0, scn.contract.T, N + 1)
+        keys.update((scn.contract.F0, scn.contract.T, scn.market.r, scn.market.sigma, float(c))
+                    for c in np.unique(scn.fee(tn[:-1])))
+    return len(keys)
+
+
+def _largest_arrays(task: str, N: int, M: int, matrices: int, paths: int) -> int:
+    """Bytes of the largest float64 arrays task holds at once on an N x M grid,
+    with matrices transition matrices in the chains it builds and keeps, and
+    paths Monte Carlo paths; 0 for a task that holds O(N) floats."""
+    surface = 2 * (N + 1) * M  # values and obstacle
+    # scipy's Pade workspace (5 M x M), the generator step, a squaring's product
+    # and its mask, and the kept matrices
+    chains = (8 + matrices) * M * M
+    floats = {
+        "price-lattice": chains + surface,
+        "price-pde": surface,
+        "regions": 3 * (N + 1) * M,
+        # the report's 5 arrays and 2 of their absolute values, the log(x / K)
+        # table, and two column blocks of 3N rows on each pool worker
+        "decompose": 7 * (N + 1) * M + N * M
+        + 6 * N * min(M, decompose.BLOCK_NODES + 3) * worker_count(N + 1),
+        # a few blocks of paths on each pool worker
+        "mc-verify": 5 * mc.BLOCK_ROWS * (N + 1) * worker_count(-(-paths // mc.CHUNK_PATHS)),
+        # the chains of c1 and c2 and the four surfaces of the panels
+        "paper-fig": chains + 4 * surface,
+    }
+    return 8 * floats.get(task, 0)
+
+
+def _largest_fit(fits, lo: int, hi: int) -> int:
+    """The largest n in [lo, hi] with fits(n), for fits true at lo and false at hi."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def _check_memory(tasks, scn, grid: dict, paths: int) -> None:
+    """Refuse, with a ConfigError naming grid.M or grid.N and its largest value
+    that fits, a grid on which a task's largest arrays exceed MEMORY_BUDGET.
+    grid.M is named for the tasks that build chains, whose M x M matrices no
+    grid.N makes smaller, grid.N for the others."""
+    N, M = grid["N"], grid["M"]
+    lattice = [scn] if "price-lattice" in tasks else []
+    figs = [presets.benchmark_scenario("c1"), presets.benchmark_scenario("c2")]
+    matrices = {"price-lattice": _distinct_matrices(lattice, N),
+                "paper-fig": _distinct_matrices([*lattice, *figs], N)}
+    for task in tasks:
+        def need(n: int, m: int) -> int:
+            return _largest_arrays(task, n, m, matrices.get(task, 0), paths)
+
+        if need(N, M) <= MEMORY_BUDGET:
+            continue
+        if task in matrices:
+            key, value = "grid.M", M
+            fit = _largest_fit(lambda m: need(N, m) <= MEMORY_BUDGET, 3, M)
+        else:
+            key, value = "grid.N", N
+            fit = _largest_fit(lambda n: need(n, M) <= MEMORY_BUDGET, 1, N)
+        raise ConfigError(
+            f"{key} = {value} is too large: {task} would hold {need(N, M) / 2**30:.3g} GiB"
+            f" of arrays, over the {MEMORY_BUDGET / 2**30:g} GiB budget; the largest"
+            f" {key} that fits is {fit}")
 
 
 @contextlib.contextmanager
@@ -124,6 +201,7 @@ class _Run:
         }
         self.results, self.diagnostics = self.summary["results"], self.summary["diagnostics"]
         self.tnodes = surfaces.time_nodes(scn, self.grid["N"])
+        _check_memory(self.tasks, scn, self.grid, self.mc["npaths"])
         self.results["maturity_benefit_value_at_inception"] = float(
             analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         self.surfaces, self.masks, self.boundaries = {}, {}, {}
@@ -227,9 +305,11 @@ def _regions(run: _Run) -> None:
 
 
 def _boundary(run: _Run) -> None:
+    counts = run.diagnostics["boundary"] = {}
     for name, mask in run.masks.items():
         run.boundaries[name] = region.extract_boundary(mask, run.surfaces[name])
         run.emit(f"boundary_{name}.csv", csvio.write_boundary_csv, run.boundaries[name])
+        counts[f"threshold_violations_{name}"] = len(run.boundaries[name].violations)
 
 
 def _decompose(run: _Run) -> None:
@@ -256,6 +336,16 @@ def _mc_verify(run: _Run) -> None:
             ("continuation_premium", prem.f_estimate, prem.f_std_error, prem.npaths, prem.seed)]
     run.emit("estimates.csv", csvio.write_estimates_csv, rows)
     run.results["mc"] = {label: {"estimate": e, "std_error": s} for label, e, s, _, _ in rows}
+    # in standard errors, None where the standard error is 0: the maturity
+    # benefit's distance to its closed form h0, and how far the boundary
+    # strategy, a lower bound on v0, lies above v0 or below h0
+    h0 = run.results["maturity_benefit_value_at_inception"]
+    v0 = run.results[f"{name}_value_at_inception"]
+    run.diagnostics["mc-verify"] = {
+        "maturity_benefit_z": abs(mb.estimate - h0) / mb.std_error if mb.std_error else None,
+        "sandwich_excess": (max((sv.estimate - v0) / sv.std_error,
+                                (h0 - sv.estimate) / sv.std_error) if sv.std_error else None),
+    }
 
 
 def _paper_fig(run: _Run) -> None:

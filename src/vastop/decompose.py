@@ -18,7 +18,15 @@ on), one item per slice. Each slice is computed alone, so the report
 is the same to the last bit for any worker count. scipy's ``ndtr`` releases the
 GIL (scipy 1.17.1: a Python thread keeps counting at its idle rate through a
 20M-element call), so the slices overlap whole: on the c1 lattice surface at
-N=360, M=401 the residuals take 1.65 s on 1 worker and 1.10 s on 2 (2 vCPUs).
+N=360, M=401 the residuals take 1.65 s on 1 worker and 0.87 s on 2 (2 vCPUs,
+medians of 8 calls).
+
+A slice integrates over the 3 Simpson nodes of each later step and is
+evaluated in column blocks of at most ``BLOCK_NODES`` + 3 state nodes, so a
+worker holds two 3N x (``BLOCK_NODES`` + 3) float arrays, 2.3 MB at N=360,
+whatever M is. Besides the report's five (N+1) x M arrays, the decomposition
+keeps one N x M table of log(x / K). Its traced peak at N=360, M=401 on 2
+workers is 11.3 MB, against 22.8 MB for full-width slices.
 """
 
 from __future__ import annotations
@@ -35,11 +43,32 @@ from .region import Boundary
 from .surfaces import ValueSurface
 
 __all__ = [
+    "BLOCK_NODES",
     "DecompositionReport",
     "surrender_premium",
     "continuation_premium",
     "decomposition_residuals",
 ]
+
+
+# State nodes per column block of the premium quadrature, a multiple of 32
+# (see the module docstring). 128 runs as fast as full-width slices; 64 traced
+# 9.1 MB at N=360, M=401 on 2 workers and ran about 3% slower.
+BLOCK_NODES = 128
+
+
+def _blocks(m: int) -> list[tuple[int, int]]:
+    """Column blocks [i0, i1) of m state nodes, BLOCK_NODES wide; a remainder
+    narrower than 4 joins the block before it, as OpenBLAS rounds a product of
+    fewer than 4 columns differently from the same columns of a wider one."""
+    edges = [*range(0, max(m - 3, 1), BLOCK_NODES), m]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The runs [a, b) of True in a boolean vector."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.view(np.int8), [0]))))
+    return list(zip(edges[::2], edges[1::2]))
 
 
 class _StepQuadrature:
@@ -50,6 +79,14 @@ class _StepQuadrature:
     boundary frozen at the step's left node and the fee evaluated one-sidedly
     so panel integrands stay smooth across fee breakpoints and boundary
     empty/nonempty transitions (both live on grid times).
+
+    ``premiums`` evaluates the states in the column blocks of ``_blocks``. Every
+    element goes through the numpy and ``ndtr`` operations of one full-width
+    (3N x M) evaluation, in the same order, and each block's quadrature is one
+    ``dgemv`` on its columns, which OpenBLAS rounds as it rounds those columns
+    of the full product when the block starts on a multiple of 4 and is at
+    least 4 wide; so the premiums keep the full-width bits
+    (``tests/test_decompose.py`` keeps that formulation as the reference).
     """
 
     def __init__(self, scn: Scenario, boundary: Boundary, x: np.ndarray):
@@ -74,14 +111,20 @@ class _StepQuadrature:
             [scn.fee.integral(float(a), float(m)) for a, m in zip(tn[:-1], mids)]
         )
         self.fee_int = np.stack([I_grid[:-1], I_mid, I_grid[1:]], axis=1).reshape(-1)
-        self.K = np.repeat(np.asarray(boundary.values, dtype=float), 3)
+        bvals = np.asarray(boundary.values, dtype=float)
+        self.K = np.repeat(bvals, 3)
         self.scn = scn
         self.x = x = np.asarray(x, dtype=float)
-        # log(x / K) at every Simpson node with a finite boundary, shared by all dates
-        finite = np.isfinite(self.K)[:, None]
-        self.log_xK = np.zeros((self.K.size, x.size))
-        np.divide(x[None, :], self.K[:, None], out=self.log_xK, where=finite)
-        np.log(self.log_xK, out=self.log_xK, where=finite)
+        # log(x / K) of every step with a finite boundary, shared by all dates and
+        # by the step's 3 Simpson nodes: one contiguous table per column block
+        finite = np.isfinite(bvals)[:, None]
+        self.blocks = _blocks(x.size)
+        self.log_xK = []
+        for i0, i1 in self.blocks:
+            table = np.zeros((bvals.size, i1 - i0))
+            np.divide(x[None, i0:i1], bvals[:, None], out=table, where=finite)
+            np.log(table, out=table, where=finite)
+            self.log_xK.append(table)
 
     def premiums(self, n0: int) -> tuple[np.ndarray, np.ndarray]:
         """Surrender and continuation premiums at (tnodes[n0], x)."""
@@ -92,35 +135,55 @@ class _StepQuadrature:
         lo = 3 * n0
         if lo >= self.s_nodes.size:
             return np.zeros_like(x), put
-        s = self.s_nodes[lo:]
         w = self.factor[lo:]
         K = self.K[lo:]
-        tau = s - t
+        tau = self.s_nodes[lo:] - t
         fee_int = self.fee_int[lo:] - self.fee_int[lo]
-        e0 = x[None, :] * np.exp(-fee_int)[:, None]  # E[e^{-r tau} F_s], full
+        disc = np.exp(-fee_int)[:, None]  # E[e^{-r tau} F_s] = x disc
         sig = scn.market.sigma
         r = scn.market.r
-        # E[e^{-r tau} F_s 1{F_s >= K}]: e0 Phi(d1) where the boundary is finite
-        eK = np.zeros_like(e0)
         finite = np.isfinite(K)
         pos = tau > 0.0
-        start = finite & ~pos
-        if np.any(start):  # s == t: indicator is deterministic
-            eK[start] = np.where(x[None, :] >= K[start, None], x[None, :], 0.0)
-        # d1 is built in place in eK, one run of finite-boundary rows with s > t at
-        # a time: the same operations in the same order as one d1 expression
-        rows = finite & pos
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], rows.view(np.int8), [0]))))
-        for a, b in zip(edges[::2], edges[1::2]):
+        # E[e^{-r tau} F_s 1{F_s >= K}] = e0 Phi(d1) on each run of finite-boundary
+        # rows, which is a run of whole steps; d1's row constants are taken once
+        # per slice. Rows with s == t take harmless constants here and the
+        # indicator, which is deterministic there, below.
+        runs = []
+        for a, b in _runs(finite):
             sst = sig * np.sqrt(tau[a:b])
-            d1 = eK[a:b]
-            np.add(self.log_xK[lo + a:lo + b], (r * tau[a:b] - fee_int[a:b])[:, None], out=d1)
-            d1 += 0.5 * (sst**2)[:, None]
-            d1 /= sst[:, None]
-            ndtr(d1, out=d1)
-            d1 *= e0[a:b]
-        e = w @ eK
-        quad_full = w @ e0
+            half = 0.5 * (sst**2)
+            sst[~pos[a:b]] = 1.0
+            runs.append((a, b, (r * tau[a:b] - fee_int[a:b]).reshape(-1, 3, 1),
+                         half[:, None], sst[:, None]))
+        zero = _runs(~finite)
+        start = [(a, b, np.where(x[None, :] >= K[a:b, None], x[None, :], 0.0))
+                 for a, b in _runs(finite & ~pos)]
+        e = np.empty_like(x)
+        quad_full = np.empty_like(x)
+        R = w.size
+        bufs = np.empty((2, R * max(i1 - i0 for i0, i1 in self.blocks)))
+        for (i0, i1), log_xK in zip(self.blocks, self.log_xK):
+            m = i1 - i0
+            e0 = np.multiply(x[None, i0:i1], disc, out=bufs[0, :R * m].reshape(R, m))
+            eK = bufs[1, :R * m].reshape(R, m)
+            for a, b in zero:
+                eK[a:b] = 0.0
+            for a, b, drift, half, sst in runs:
+                # d1 is built in place in eK: the same operations in the same
+                # order as one d1 expression
+                d1 = eK[a:b]
+                np.add(log_xK[(lo + a) // 3:(lo + b) // 3, None, :], drift,
+                       out=d1.reshape(-1, 3, m))
+                d1 += half
+                d1 /= sst
+                # no ndtr(..., where=) to skip rows: scipy 1.17.1 then leaves
+                # cells unwritten and corrupts the heap
+                ndtr(d1, out=d1)
+                d1 *= e0[a:b]
+            for a, b, indicator in start:
+                eK[a:b] = indicator[:, i0:i1]
+            np.matmul(w, eK, out=e[i0:i1])
+            np.matmul(w, e0, out=quad_full[i0:i1])
         f = put + e - quad_full
         return e, f
 
@@ -190,11 +253,11 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
         raise ConfigError("grid.M must be at least 5 for decompose: its residuals skip"
                           " 2 state nodes at each edge")
     quad = _StepQuadrature(scn, boundary, x)
-    Np1 = tn.size
-    h = np.empty((Np1, x.size))
+    v = surface.values
+    h = np.empty((tn.size, x.size))
     e = np.empty_like(h)
     f = np.empty_like(h)
-    phi = np.empty_like(h)
+    res_phif = np.empty_like(h)
 
     def fill(n: int) -> None:
         t = float(tn[n])
@@ -202,15 +265,15 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
         e[n], f[n] = quad.premiums(n)
         # payout branch of the representation is the surrender value x g(t)
         # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly
-        phi[n] = scn.charge(t) * x
+        res_phif[n] = v[n] - scn.charge(t) * x - f[n]
 
-    ordered_map(fill, Np1)
-    res_he = surface.values - h - e
-    res_phif = surface.values - phi - f
+    ordered_map(fill, tn.size)
+    res_he = v - h - e
     sl = slice(2, x.size - 2)
+    abs_he = np.abs(res_he[:, sl])
+    abs_phif = np.abs(res_phif[:, sl])
     flagged = tuple(
-        (int(n), int(i) + 2)
-        for n, i in zip(*np.nonzero(np.abs(res_he[:, sl]) > 5e-3 * scn.contract.G))
+        (int(n), int(i) + 2) for n, i in zip(*np.nonzero(abs_he > 5e-3 * scn.contract.G))
     )
     return DecompositionReport(
         tnodes=tn,
@@ -220,10 +283,10 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
         f=f,
         res_he=res_he,
         res_phif=res_phif,
-        max_abs_res_he=float(np.max(np.abs(res_he[:, sl]))),
-        mean_abs_res_he=float(np.mean(np.abs(res_he[:, sl]))),
-        max_abs_res_phif=float(np.max(np.abs(res_phif[:, sl]))),
-        mean_abs_res_phif=float(np.mean(np.abs(res_phif[:, sl]))),
+        max_abs_res_he=float(np.max(abs_he)),
+        mean_abs_res_he=float(np.mean(abs_he)),
+        max_abs_res_phif=float(np.max(abs_phif)),
+        mean_abs_res_phif=float(np.mean(abs_phif)),
         min_e=float(np.min(e)),
         min_f=float(np.min(f)),
         flagged=flagged,

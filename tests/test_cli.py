@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -9,8 +10,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vastop as vs
-from vastop.cli import TASKS, main
+from vastop import cli
+from vastop.cli import MEMORY_BUDGET, TASKS, main
+from vastop.model import ConfigError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -671,8 +676,8 @@ class TestRunPipeline:
     @pytest.mark.parametrize("tasks, diagnosed", [
         (["check-L"], set()),
         (["price-pde"], {"price-pde"}),
-        (["decompose"], {"decompose"}),
-        (["price-pde", "decompose"], {"price-pde", "decompose"}),
+        (["decompose"], {"boundary", "decompose"}),
+        (["price-pde", "decompose"], {"price-pde", "boundary", "decompose"}),
     ])
     def test_summary_reports_the_diagnostics_of_the_tasks_run(self, tmp_path, tasks, diagnosed):
         doc = _base_config(tasks=tasks, grid={"N": 12, "M": 21})
@@ -683,6 +688,8 @@ class TestRunPipeline:
         assert set(diagnostics) == diagnosed
         keys = {"price-pde": {"psor_max_iterations", "complementarity_free_max",
                               "complementarity_active_min"},
+                "boundary": {f"threshold_violations_{name}" for name in ("lattice", "pde")
+                             if f"{name}_value_at_inception" in summary["results"]},
                 "decompose": {"flagged_nodes", "min_e", "min_f"}}
         for task, entry in diagnostics.items():
             assert set(entry) == keys[task]
@@ -695,6 +702,47 @@ class TestRunPipeline:
             assert diagnostics["decompose"]["min_e"] == table["e"].min()
             assert diagnostics["decompose"]["min_f"] == table["f"].min()
             assert isinstance(diagnostics["decompose"]["flagged_nodes"], int)
+
+    def test_boundary_diagnostics_count_the_threshold_violations(self, tmp_path):
+        # value-gap mode marks the PDE's lowest node in slices 0-3 of this
+        # scenario, so those slices are not threshold-shaped
+        scenario = {"market": {"r": 0.092, "sigma": 0.96},
+                    "contract": {"G": 100.0, "T": 30.0, "F0": 152.6},
+                    "fee": {"kind": "constant", "rate": 0.02},
+                    "charge": {"kind": "exponential", "kappa": 0.028}}
+        doc = _base_config(scenario=scenario, tasks=["price-lattice", "price-pde", "boundary"],
+                           grid={"N": 24, "M": 41})
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        counts = json.loads((out / "summary.json").read_text())["diagnostics"]["boundary"]
+        scn = vs.scenario_from_dict(scenario)
+        priced = {"lattice": vs.bermudan_value(vs.build_chain(scn, 24, 41, 8.0), scn),
+                  "pde": vs.solve_variational_inequality(scn, vs.build_pde_grid(scn, 24, 41))}
+        assert counts == {
+            f"threshold_violations_{name}":
+                len(vs.extract_boundary(vs.extract_regions(surf, scn), surf).violations)
+            for name, surf in priced.items()}
+        assert counts["threshold_violations_pde"] > 0
+
+    @pytest.mark.parametrize("npaths", [1, 1500])
+    def test_mc_verify_diagnostics_are_the_sandwich_checks(self, tmp_path, npaths):
+        doc = _base_config(tasks=["mc-verify"], grid={"N": 12, "M": 21},
+                           mc={"npaths": npaths, "seed": 3})
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        diag, res = summary["diagnostics"]["mc-verify"], summary["results"]
+        if npaths == 1:  # one path has no standard error
+            assert diag == {"maturity_benefit_z": None, "sandwich_excess": None}
+            return
+        h0 = res["maturity_benefit_value_at_inception"]
+        v0 = res["lattice_value_at_inception"]
+        mb, sv = res["mc"]["maturity_benefit"], res["mc"]["boundary_strategy_value"]
+        assert diag == {
+            "maturity_benefit_z": abs(mb["estimate"] - h0) / mb["std_error"],
+            "sandwich_excess": max((sv["estimate"] - v0) / sv["std_error"],
+                                   (h0 - sv["estimate"]) / sv["std_error"]),
+        }
 
     def test_cli_overrides(self, tmp_path):
         doc = _base_config(tasks=["price-lattice"])
@@ -938,3 +986,82 @@ class TestScaleInvariance:
             for solver, gap in gaps.items():
                 assert results["max_rel_gap_vs_maturity_benefit"][solver] == \
                     pytest.approx(gap, rel=1e-9), (lam, solver)
+
+
+class TestMemoryBudget:
+    """A grid on which a task's largest arrays exceed MEMORY_BUDGET is refused
+    before any work, naming grid.M or grid.N and the largest value that fits."""
+
+    REFUSAL = re.compile(r"(grid\.[MN]) = (\d+) is too large: (\S+) would hold [\d.e+]+ GiB"
+                         r" of arrays, over the 2 GiB budget; the largest \1 that fits is (\d+)$")
+
+    @staticmethod
+    def _refusal(doc, out) -> re.Match | None:
+        """The refusal of doc's run setup, None when the run is accepted; the
+        setup checks the document and creates out, and allocates no grid."""
+        args = argparse.Namespace(out=str(out), seed=None, grid_N=None, grid_M=None)
+        try:
+            cli._Run(doc, args)
+        except ConfigError as exc:
+            match = TestMemoryBudget.REFUSAL.match(str(exc))
+            assert match, str(exc)
+            return match
+        return None
+
+    # task: the tasks requested, the grid at the rule ends but for one key, and
+    # the CPUs the run may use (the pool's blocks count once per worker)
+    CASES = {
+        "price-lattice": (["price-lattice"], {"N": 12, "M": 100_000}, 2),
+        "price-pde": (["price-pde"], {"N": 100_000, "M": 100_000}, 2),
+        "regions": (["price-pde", "regions"], {"N": 100_000, "M": 100_000}, 2),
+        "decompose": (["price-pde", "decompose"], {"N": 100_000, "M": 401}, 2),
+        "mc-verify": (["price-pde", "mc-verify"], {"N": 100_000, "M": 5}, 4),
+        "paper-fig": (["paper-fig"], {"N": 12, "M": 100_000}, 2),
+    }
+
+    @pytest.mark.parametrize("task", sorted(CASES))
+    def test_each_task_at_and_just_past_the_budget(self, tmp_path, cpus, task):
+        requested, grid, ncpu = self.CASES[task]
+        cpus(ncpu)
+        doc = _base_config(tasks=requested, grid=dict(grid))
+        tracemalloc.start()
+        try:
+            # take each refusal's advice until the run is accepted: the last
+            # refusal is the task's own, and its value is the largest that fits
+            refused = []
+            while (match := self._refusal(doc, tmp_path / "out")) is not None:
+                key, value, by, fit = match.groups()
+                assert int(fit) < int(value) == doc["grid"][key[-1]]
+                refused.append((key, by, int(fit)))
+                doc["grid"][key[-1]] = int(fit)
+            key, by, fit = refused[-1]
+            assert by == task
+            assert cli._largest_arrays(task, **self._sizes(doc, task)) <= MEMORY_BUDGET
+            doc["grid"][key[-1]] = fit + 1
+            match = self._refusal(doc, tmp_path / "out")
+            assert match is not None and match.group(1, 3, 4) == (key, task, str(fit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # no task ran: the grids at the budget take gigabytes
+
+    @staticmethod
+    def _sizes(doc, task) -> dict:
+        scn = vs.scenario_from_dict(doc["scenario"])
+        figs = [vs.benchmark_scenario("c1"), vs.benchmark_scenario("c2")]
+        chains = {"price-lattice": [scn], "paper-fig": figs}.get(task, [])
+        return {"N": doc["grid"]["N"], "M": doc["grid"]["M"], "paths": 100_000,
+                "matrices": cli._distinct_matrices(chains, doc["grid"]["N"])}
+
+    @pytest.mark.parametrize("task", ["check-L", "boundary"])
+    def test_tasks_of_o_n_floats_hold_no_grid(self, task):
+        assert cli._largest_arrays(task, 100_000, 100_000, 0, 10**9) == 0
+
+    def test_refusal_exits_2_before_any_work(self, tmp_path, capsys):
+        doc = _base_config(tasks=["price-lattice"], grid={"N": 12, "M": 12_000})
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.M = 12000 is too large: price-lattice")
+        assert "internal error" not in err
+        assert not out.exists()

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import vastop as vs
+from vastop.decompose import BLOCK_NODES, _blocks, _StepQuadrature
 from vastop.model import ChargeSpec, ConfigError, ContractParams, FeeSpec, MarketParams, Scenario
 from vastop.region import Boundary
 
@@ -179,3 +182,118 @@ class TestParallelSlices:
             f = vs.continuation_premium(c1_scn, boundary, t, surf.xnodes)
             assert e.tobytes() == rep.e[n].tobytes()
             assert f.tobytes() == rep.f[n].tobytes()
+
+
+def _full_width_log(quad) -> np.ndarray:
+    """log(x / K) at every Simpson node with a finite boundary, (3N x M)."""
+    finite = np.isfinite(quad.K)[:, None]
+    log_xK = np.zeros((quad.K.size, quad.x.size))
+    np.divide(quad.x[None, :], quad.K[:, None], out=log_xK, where=finite)
+    np.log(log_xK, out=log_xK, where=finite)
+    return log_xK
+
+
+def _full_width_premiums(quad, log_xK: np.ndarray, n0: int):
+    """The premiums at tnodes[n0] as one full-width (3N x M) evaluation: the
+    formulation whose bits the column-blocked quadrature keeps."""
+    scn, x = quad.scn, quad.x
+    t = float(quad.tnodes[n0])
+    put = np.asarray(vs.guarantee_put_value(scn, t, x), dtype=float)
+    lo = 3 * n0
+    if lo >= quad.s_nodes.size:
+        return np.zeros_like(x), put
+    w = quad.factor[lo:]
+    K = quad.K[lo:]
+    tau = quad.s_nodes[lo:] - t
+    fee_int = quad.fee_int[lo:] - quad.fee_int[lo]
+    e0 = x[None, :] * np.exp(-fee_int)[:, None]
+    sig, r = scn.market.sigma, scn.market.r
+    eK = np.zeros_like(e0)
+    finite = np.isfinite(K)
+    pos = tau > 0.0
+    start = finite & ~pos
+    if np.any(start):
+        eK[start] = np.where(x[None, :] >= K[start, None], x[None, :], 0.0)
+    rows = finite & pos
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], rows.view(np.int8), [0]))))
+    for a, b in zip(edges[::2], edges[1::2]):
+        sst = sig * np.sqrt(tau[a:b])
+        d1 = eK[a:b]
+        np.add(log_xK[lo + a:lo + b], (r * tau[a:b] - fee_int[a:b])[:, None], out=d1)
+        d1 += 0.5 * (sst**2)[:, None]
+        d1 /= sst[:, None]
+        ndtr(d1, out=d1)
+        d1 *= e0[a:b]
+    e = w @ eK
+    return e, put + e - w @ e0
+
+
+def _assert_full_width_bits(scn, surf, boundary) -> None:
+    """The report of decomposition_residuals equals, byte for byte, the one the
+    full-width premiums give: e and f on every slice, the residuals and their
+    statistics."""
+    rep = vs.decomposition_residuals(surf, scn, boundary)
+    quad = _StepQuadrature(scn, boundary, surf.xnodes)
+    log_xK = _full_width_log(quad)
+    x, G = surf.xnodes, scn.contract.G
+    for n in range(surf.tnodes.size):
+        e, f = _full_width_premiums(quad, log_xK, n)
+        assert rep.e[n].tobytes() == e.tobytes(), n
+        assert rep.f[n].tobytes() == f.tobytes(), n
+    phi = np.stack([scn.charge(float(t)) * x for t in surf.tnodes])
+    res_he = surf.values - rep.h - rep.e
+    res_phif = surf.values - phi - rep.f
+    assert rep.res_he.tobytes() == res_he.tobytes()
+    assert rep.res_phif.tobytes() == res_phif.tobytes()
+    sl = slice(2, x.size - 2)
+    for key, res in (("he", res_he), ("phif", res_phif)):
+        assert repr(getattr(rep, f"max_abs_res_{key}")) == repr(float(np.max(np.abs(res[:, sl]))))
+        assert repr(getattr(rep, f"mean_abs_res_{key}")) == repr(float(np.mean(np.abs(res[:, sl]))))
+    assert rep.flagged == tuple((int(n), int(i) + 2)
+                                for n, i in zip(*np.nonzero(np.abs(res_he[:, sl]) > 5e-3 * G)))
+
+
+class TestBlockedQuadrature:
+    """The premiums are evaluated in column blocks of state nodes and keep the
+    bits of one full-width evaluation."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 151, 401, 1000, *(
+        k * BLOCK_NODES + d for k in (1, 2) for d in (-1, 0, 1, 3, 4))])
+    def test_blocks_tile_the_states(self, m):
+        blocks = _blocks(m)
+        assert BLOCK_NODES % 32 == 0
+        assert blocks[0][0] == 0 and blocks[-1][1] == m
+        for (i0, i1), (j0, _) in zip(blocks, blocks[1:]):
+            assert i1 == j0
+        for i0, i1 in blocks:
+            assert i0 % BLOCK_NODES == 0 and min(m, 4) <= i1 - i0 <= BLOCK_NODES + 3
+
+    @pytest.mark.parametrize("M", [151, 2 * BLOCK_NODES + 1])  # a partial block; a merged remainder
+    @pytest.mark.parametrize("solver", ["lattice", "pde"])
+    @pytest.mark.parametrize("label", ["c1", "c2"])
+    def test_small_grids_keep_the_full_width_bits(self, label, solver, M, cpus):
+        cpus(2)
+        scn = vs.benchmark_scenario(label)
+        if solver == "lattice":
+            surf = vs.bermudan_value(vs.build_chain(scn, 90, M, 8.0), scn, "discontinuous")
+        else:
+            surf = vs.solve_variational_inequality(scn, vs.build_pde_grid(scn, 90, M, 8.0))
+        boundary = vs.extract_boundary(vs.extract_regions(surf, scn), surf)
+        assert np.isinf(boundary.values).any() and np.isfinite(boundary.values).any()
+        _assert_full_width_bits(scn, surf, boundary)
+
+    def test_production_grid_keeps_the_full_width_bits(self, c1_scn, c1_lattice, cpus):
+        cpus(2)
+        _assert_full_width_bits(c1_scn, c1_lattice["disc"], c1_lattice["boundary"])
+
+    def test_pool_holds_column_blocks_not_full_slices(self, c1_scn, c1_lattice, cpus):
+        # full-width slices peak at 21.8 MB here: each of the 2 workers holds
+        # two (3N x M) arrays, 3.5 MB each
+        cpus(2)
+        tracemalloc.start()
+        try:
+            vs.decomposition_residuals(c1_lattice["disc"], c1_scn, c1_lattice["boundary"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
