@@ -1,11 +1,11 @@
-"""The worker count, the one thread pool and the ordered forked calls; and the
+"""The worker count, the one thread pool and the forked calls; and the
 one-thread pin of BLAS.
 
 ``ordered_map`` is the package's only thread pool: the Monte Carlo estimator
 passes map their chunks on it, and the decomposition its time slices. It has
 one worker per CPU the process may run on (``taskset`` limits them).
-``OrderedProcess`` runs calls in order, each in a child process forked from
-the caller: ``vastop run`` writes its CSVs there while its later tasks compute.
+``ForkedCalls`` runs each call in a child process forked from the caller:
+``vastop run`` writes each CSV there while its later tasks compute.
 BLAS runs on one thread (``pin_blas``), as OpenBLAS rounds differently for
 each thread count.
 """
@@ -14,11 +14,9 @@ import ctypes
 import glob
 import os
 import pickle
-import select
 import signal
 import sys
 import traceback
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy
@@ -43,86 +41,65 @@ def ordered_map(fn, nitems: int) -> list:
         return list(pool.map(fn, range(nitems)))
 
 
-class OrderedProcess:
-    """Run submitted calls one at a time, in submission order, each in a child
-    process forked at its submit.
+class ForkedCalls:
+    """Run each submitted call, fn(*args, **kwargs), in a child process forked
+    at its submit; inline on a platform without os.fork.
 
-    Each call runs as fn(*args, **kwargs). With one worker (worker_count(2)
-    == 1: the process may run on one CPU) or on a platform that cannot fork,
-    each call runs inline in submit. A child finds fn and its arguments in
-    the memory it shares with the caller, so nothing is copied or pickled on
-    the way in; as the fork copies only the calling thread, submit from a
-    process with no other thread, and fn should call no BLAS and no pool.
-    Each child waits for a one-byte token from the child before it, calls fn
-    and passes the token on, so the calls run in order; the first child of a
-    helper starts at once. A call that raises passes no token: the calls after
-    it end without running, and the error, with its traceback as text, comes
-    back through a pipe.
-
-    submit raises a failed call's error once it is known. join, or leaving
-    the helper as a context manager, waits for every child and raises the first
-    call's error, with the child's traceback as its cause. That error wins over
-    one raised in the with block, which every submitted call came before; an
-    exception that is not an Exception (KeyboardInterrupt) kills the children
-    instead. Either way no child outlives the helper.
+    A child finds fn and its arguments in the memory it shares with the
+    caller, so nothing is pickled on the way in. The fork copies only the
+    calling thread: submit from a process with no other thread, and fn should
+    call no BLAS and no pool. The calls run side by side, and a failed call
+    stops none of the others. join, or leaving the helper as a context
+    manager, waits for every child in submit order, then raises the first
+    failed call's error with its traceback in the child as the cause; that
+    error wins over one raised in the with block. An exception that is not an
+    Exception (KeyboardInterrupt) kills the children instead. Either way no
+    child outlives the helper.
     """
 
     def __init__(self):
-        self._fork = worker_count(2) > 1 and hasattr(os, "fork")
-        self._children = deque()  # (pid, read end of its error pipe), oldest first
-        self._token = None  # read end of the newest child's token pipe
+        self._children = []  # (pid, read end of its error pipe), oldest first
 
     def submit(self, fn, *args, **kwargs) -> None:
-        if not self._fork:
+        if not hasattr(os, "fork"):
             fn(*args, **kwargs)
             return
-        self._reap(block=False)
-        token_r, token_w = os.pipe()
         error_r, error_w = os.pipe()
         for stream in (sys.stdout, sys.stderr):  # so that no child writes their buffers again
             stream.flush()
         try:
             pid = os.fork()
         except OSError:  # out of processes or memory
-            for fd in (token_r, token_w, error_r, error_w):
-                os.close(fd)
+            os.close(error_r)
+            os.close(error_w)
             raise
         if pid == 0:
-            _child(self._token, token_w, error_w, fn, args, kwargs)  # does not return
+            _child(error_w, fn, args, kwargs)  # does not return
+        os.close(error_w)
         self._children.append((pid, error_r))
-        for fd in (token_w, error_w, self._token):
-            if fd is not None:
-                os.close(fd)
-        self._token = token_r
 
     def join(self) -> None:
-        """Wait for every child and raise the first call's error."""
-        self._reap(block=True)
-
-    def _reap(self, block: bool) -> None:
-        """Reap the children that have ended, oldest first; without block stop at
-        the first that has not. Raise the first call's error."""
+        """Wait for every child, oldest first, then raise the first failed call's error."""
+        failed = None  # (report, exit status) of the first call that failed
         while self._children:
             pid, fd = self._children[0]
-            ended = select.poll()  # readable once the child has reported or ended
-            ended.register(fd, select.POLLIN)
-            if not block and not ended.poll(0):
-                return
             with open(fd, "rb", closefd=False) as pipe:  # until the child ends
                 report = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            self._children.popleft()
+            self._children.pop(0)
             os.close(fd)
-            if report:
-                exc, text = pickle.loads(report)
-                raise exc from _ChildTraceback(f'\n"""\n{text}"""')
-            if status:
-                raise RuntimeError(f"the process of a call ended with status {status}")
+            if failed is None and (report or status):
+                failed = report, status
+        if failed and failed[0]:
+            exc, text = pickle.loads(failed[0])
+            raise exc from _ChildTraceback(f'\n"""\n{text}"""')
+        if failed:
+            raise RuntimeError(f"the process of a call ended with status {failed[1]}")
 
     def _kill(self) -> None:
         """Kill and reap the children not yet reaped."""
         while self._children:
-            pid, fd = self._children.popleft()
+            pid, fd = self._children.pop(0)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
@@ -136,9 +113,6 @@ class OrderedProcess:
                 self.join()
         finally:
             self._kill()
-            if self._token is not None:
-                os.close(self._token)
-                self._token = None
 
 
 class _ChildTraceback(Exception):
@@ -146,21 +120,16 @@ class _ChildTraceback(Exception):
     error as the caller raises it."""
 
 
-def _child(wait_fd, token_fd, error_fd, fn, args, kwargs):
-    """The life of a forked child: wait for the token on wait_fd (None for the
-    first child), run fn, then pass the token on to token_fd or report the
-    error on error_fd. A token pipe that closes without a token means an
-    earlier call failed, so fn never runs. Exits without returning."""
+def _child(error_fd, fn, args, kwargs):
+    """The life of a forked child: run fn, and report its error on error_fd.
+    Exits without returning."""
     status = 1
     try:
-        if wait_fd is None or os.read(wait_fd, 1):
-            try:
-                fn(*args, **kwargs)
-            except BaseException as exc:  # the child's boundary: reported, then it exits
-                with open(error_fd, "wb") as pipe:
-                    pipe.write(_report(exc))
-            else:
-                os.write(token_fd, b"\0")
+        try:
+            fn(*args, **kwargs)
+        except BaseException as exc:  # the child's boundary: reported, then it exits
+            with open(error_fd, "wb") as pipe:
+                pipe.write(_report(exc))
         status = 0
     finally:
         try:

@@ -45,7 +45,11 @@ def _terms(scn: Scenario, t: float, x):
     r, sig = scn.market.r, scn.market.sigma
     fee_int = scn.fee.integral(t, T)
     sst = sig * math.sqrt(tau)
-    d1 = (np.log(x / G) + (r * tau - fee_int) + 0.5 * sst**2) / sst
+    num = np.log(x / G) + (r * tau - fee_int) + 0.5 * sst**2
+    if sst > 0.0:
+        d1 = num / sst
+    else:  # sigma sqrt(tau) underflows (a subnormal sigma): F_T is deterministic
+        d1 = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
     return x, (x * math.exp(-fee_int), G * math.exp(-r * tau), d1, d1 - sst)
 
 

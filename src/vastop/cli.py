@@ -21,14 +21,15 @@ Re-running with an identical config and seed reproduces byte-identical CSVs.
 BLAS runs on one thread (`_threads.pin_blas`); one worker per CPU the process
 may run on (`taskset` limits them) builds and reduces Monte Carlo chunks and
 evaluates decomposition time slices, bit-identically for any worker count.
-With more than one such CPU, a run writes each CSV in a child process forked
-at its emit (`_threads.OrderedProcess`), in emit order, while its later tasks
-compute; the child reads the artifact from the memory it shares with the run,
-so nothing is copied to it. With one CPU, the run stays in one process. The
+A run writes each CSV in a child process forked at its emit
+(`_threads.ForkedCalls`) while its later tasks compute; the child reads the
+artifact from the memory it shares with the run, so nothing is copied to it.
+The writes run side by side, and a failed write stops none of the others. The
 run waits for its writes before it writes summary.json and on every error, so
-no process outlives it. summary.json records the seconds of each task and of
-that wait under `timings`, and, under `diagnostics`, the solver checks the
-price-pde, boundary, decompose and mc-verify tasks compute.
+no process outlives it, and then reports the first failed write. summary.json
+records the seconds of each task and of that wait under `timings`, and, under
+`diagnostics`, the solver checks the price-pde, regions, boundary, decompose
+and mc-verify tasks compute.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import analytic, decompose, lattice, mc, model, pde, presets, region, surfaces
 from . import io as csvio
-from ._threads import OrderedProcess, worker_count
+from ._threads import ForkedCalls, worker_count
 from .model import ConfigError
 
 # section -> key -> (default, type, allowed), the rule format of the scenario
@@ -157,8 +158,7 @@ class _Run:
     with their prerequisites, grid, mc and out), its time nodes, the summary,
     the products of earlier tasks, the run's memos (the chains and lattice
     surfaces built so far and the transition matrices of those chains) and its
-    writes, which write the CSVs in emit order. Each run starts with empty
-    memos and writes of its own."""
+    CSV writes. Each run starts with empty memos and writes of its own."""
 
     def __init__(self, doc: dict, args):
         """Check doc with the command-line overrides of args, then set up the run;
@@ -206,7 +206,7 @@ class _Run:
             analytic.maturity_benefit_value(scn, 0.0, scn.contract.F0))
         self.surfaces, self.masks, self.boundaries = {}, {}, {}
         self._chains, self._matrices, self._values = {}, {}, {}
-        self.writes = OrderedProcess()
+        self.writes = ForkedCalls()
         # last, so that a run refused by a check above leaves no directory behind
         try:
             os.makedirs(self.out_dir, exist_ok=True)
@@ -215,8 +215,8 @@ class _Run:
                 f"out: cannot create directory {self.out_dir!r}: {exc.strerror}") from None
 
     def emit(self, name: str, writer, *args) -> None:
-        """Have writer write artifact name, in emit order. orjson, which the
-        writers use, is loaded here, so that each forked write finds it loaded."""
+        """Have writer write artifact name. orjson, which the writers use, is
+        loaded here, so that each forked write finds it loaded."""
         path = os.path.join(self.out_dir, name)
 
         def write():
@@ -294,6 +294,9 @@ def _price_pde(run: _Run) -> None:
 
 
 def _regions(run: _Run) -> None:
+    dates = run.tnodes[:-1]
+    predicted_empty = region.classify_sections(run.scn, dates) == "empty"
+    mismatches = run.diagnostics["regions"] = {}
     for name, surf in run.surfaces.items():
         mask = region.extract_regions(surf, run.scn)
         run.masks[name] = mask
@@ -302,6 +305,9 @@ def _regions(run: _Run) -> None:
         run.results[f"surrender_nodes_{name}"] = int(mask.in_surrender.sum())
         ex = region.extract_regions(surf, run.scn, mode="exercise")
         run.results[f"surrender_nodes_exercise_{name}"] = int(ex.in_surrender.sum())
+        # the dates where the sign of L and the solved exercise-mode emptiness disagree
+        solved_empty = ~ex.in_surrender.any(axis=1)
+        mismatches[f"sign_mismatch_dates_{name}"] = dates[solved_empty != predicted_empty].tolist()
 
 
 def _boundary(run: _Run) -> None:

@@ -40,7 +40,7 @@ from ._threads import ordered_map
 from .analytic import guarantee_put_value, maturity_benefit_value
 from .model import ConfigError, Scenario
 from .region import Boundary
-from .surfaces import ValueSurface
+from .surfaces import ValueSurface, date_index
 
 __all__ = [
     "BLOCK_NODES",
@@ -143,11 +143,14 @@ class _StepQuadrature:
         sig = scn.market.sigma
         r = scn.market.r
         finite = np.isfinite(K)
-        pos = tau > 0.0
+        # F_s is random where sigma sqrt(tau) > 0, and F_s = x to float precision
+        # elsewhere: at s == t, and where sigma sqrt(tau) underflows to 0, as tau
+        # or the drift is then too small to move x on a grid the lattice accepts
+        pos = sig * np.sqrt(tau) > 0.0
         # E[e^{-r tau} F_s 1{F_s >= K}] = e0 Phi(d1) on each run of finite-boundary
         # rows, which is a run of whole steps; d1's row constants are taken once
-        # per slice. Rows with s == t take harmless constants here and the
-        # indicator, which is deterministic there, below.
+        # per slice. Rows with a deterministic F_s take harmless constants here
+        # and the indicator below.
         runs = []
         for a, b in _runs(finite):
             sst = sig * np.sqrt(tau[a:b])
@@ -188,20 +191,12 @@ class _StepQuadrature:
         return e, f
 
 
-def _boundary_index(boundary: Boundary, t: float) -> int:
-    tn = np.asarray(boundary.tnodes, dtype=float)
-    n = int(np.argmin(np.abs(tn - t)))
-    if abs(tn[n] - t) > 1e-9 * max(1.0, tn[-1]):
-        raise ConfigError(f"t={t} is not an exercise date of the boundary grid")
-    return n
-
-
 def surrender_premium(scn: Scenario, boundary: Boundary, t: float, x):
     """Value of the surrender right: integral of (c g - g') against the
     discounted account expectation above the boundary; empty sections
     contribute nothing."""
     quad = _StepQuadrature(scn, boundary, np.atleast_1d(np.asarray(x, dtype=float)))
-    e, _ = quad.premiums(_boundary_index(boundary, t))
+    e, _ = quad.premiums(date_index(boundary.tnodes, t))
     return float(e[0]) if np.ndim(x) == 0 else e
 
 
@@ -210,7 +205,7 @@ def continuation_premium(scn: Scenario, boundary: Boundary, t: float, x):
     (g' - c g) against the expectation below the boundary; empty sections use
     the full expectation. Returns (G - x)_+ at maturity."""
     quad = _StepQuadrature(scn, boundary, np.atleast_1d(np.asarray(x, dtype=float)))
-    _, f = quad.premiums(_boundary_index(boundary, t))
+    _, f = quad.premiums(date_index(boundary.tnodes, t))
     return float(f[0]) if np.ndim(x) == 0 else f
 
 

@@ -18,7 +18,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .model import ConfigError, L_value, Scenario
-from .surfaces import ValueSurface, log_space_nodes, time_nodes
+from .surfaces import ValueSurface, date_index, log_space_nodes, time_nodes
 
 __all__ = [
     "SolverError",
@@ -229,9 +229,7 @@ def smooth_fit_diagnostic(surface: ValueSurface, scn: Scenario, boundary, times)
     bvals = np.full(tq.size, np.inf)
     skipped: list[str] = []
     for j, t in enumerate(tq):
-        n = int(np.argmin(np.abs(surface.tnodes - t)))
-        if abs(surface.tnodes[n] - t) > 1e-9 * max(1.0, surface.tnodes[-1]):
-            raise ConfigError(f"t={t} is not a grid time")
+        n = date_index(surface.tnodes, t)
         b = boundary.values[n] if n < len(boundary.values) else np.inf
         if not np.isfinite(b):
             skipped.append(f"t={t}: empty section")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .model import ConfigError, Scenario
 
-__all__ = ["ValueSurface", "log_space_nodes", "time_nodes", "center_index"]
+__all__ = ["ValueSurface", "log_space_nodes", "time_nodes", "center_index", "date_index"]
 
 MAX_STEPS = 100_000  # the largest grid.N of a run config
 
@@ -62,6 +62,15 @@ def center_index(xnodes: np.ndarray, x: float) -> int:
     if abs(np.log(xnodes[i] / x)) > 0.51 * dy:
         raise ConfigError(f"x={x} is not on the state grid")
     return i
+
+
+def date_index(tnodes, t: float) -> int:
+    """Index of the date of tnodes at t (error if none lies within 1e-9 max(1, T))."""
+    tnodes = np.asarray(tnodes, dtype=float)
+    n = int(np.argmin(np.abs(tnodes - t)))
+    if abs(tnodes[n] - t) > 1e-9 * max(1.0, tnodes[-1]):
+        raise ConfigError(f"t={t} is not a date of the time grid")
+    return n
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import assert_no_children
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vastop as vs
@@ -513,12 +513,73 @@ class TestConfigValidation:
             assert out.stdout.strip() == repr([given.get(v) for v in blas])
 
 
+def _log_uniform(lo: float, hi: float):
+    """Floats spread log-uniformly over [lo, hi], both ends included."""
+    inside = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+    return st.one_of(st.sampled_from([lo, hi]), inside)
+
+
+@st.composite
+def _scenarios(draw) -> dict:
+    """A scenario document drawn over the rule intervals of its numbers, with
+    fee breakpoints on the dates of a 12-step grid."""
+    T = draw(st.one_of(st.sampled_from([2.0**-1022, 100.0]), _log_uniform(1e-3, 100.0)))
+    rates = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        fee = {"kind": "constant", "rate": draw(rates)}
+    else:
+        steps = sorted(draw(st.sets(st.integers(1, 11), min_size=1, max_size=3)))
+        fee = {"kind": "piecewise", "breakpoints": [T * j / 12 for j in steps],
+               "rates": draw(st.lists(rates, min_size=len(steps) + 1, max_size=len(steps) + 1))}
+    if draw(st.booleans()):
+        charge = {"kind": "exponential", "kappa": draw(st.floats(0.0, 1.0))}
+    else:
+        charge = {"kind": "cubic", "k": draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                       exclude_max=True))}
+    return {
+        "market": {"r": draw(st.floats(-1.0, 1.0)),
+                   "sigma": draw(st.one_of(_log_uniform(1e-3, 10.0),
+                                           st.floats(0.0, 10.0, exclude_min=True)))},
+        "contract": {"G": draw(_log_uniform(1e-100, 1e100)), "T": T,
+                     "F0": draw(_log_uniform(1e-100, 1e100))},
+        "fee": fee,
+        "charge": charge,
+    }
+
+
+class TestRandomDocuments:
+    @given(scenario=_scenarios())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_an_accepted_document_runs_to_a_finite_summary(self, tmp_path_factory, cpus,
+                                                          scenario):
+        # every task but price-pde, whose linear systems can stop being
+        # M-matrices on an accepted document, and paper-fig, which prices
+        # fixed scenarios
+        cpus(2)
+        doc = _base_config(scenario=scenario, grid={"N": 12, "M": 21},
+                           mc={"npaths": 256, "seed": 5},
+                           tasks=["check-L", "price-lattice", "regions", "boundary", "decompose",
+                                  "mc-verify"])
+        out = tmp_path_factory.mktemp("doc")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", _write(out, doc), "--out", str(out / "o")])
+        assert_no_children()
+        summary = out / "o" / "summary.json"
+        if code == 0:
+            json.loads(summary.read_text(), parse_constant=_no_constants)
+        else:
+            assert code == 2 and err.getvalue().startswith("config error: "), err.getvalue()
+            assert not summary.exists()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 class TestWriterExitPaths:
-    """Each way out of a run, with the CSVs written in the run itself (one
-    CPU) and in child processes forked from it (two): the exit code and
-    message are the same, no child process is left and only a run that exits
-    0 writes summary.json."""
+    """Each way out of a run, on one CPU and on two, with the CSVs written in
+    child processes forked from the run: the exit code and message are the
+    same, no child process is left and only a run that exits 0 writes
+    summary.json."""
 
     @pytest.fixture(autouse=True)
     def _run_on(self, cpus, threads):
@@ -585,8 +646,8 @@ class TestWriterExitPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: out: cannot write {str(blocked)!r}: ")
         assert "Traceback" not in err
-        # no write after the failed one
-        assert os.listdir(out) == ["region_lattice.csv"]
+        # the write after the failed one completes
+        assert sorted(os.listdir(out)) == ["boundary_lattice.csv", "region_lattice.csv"]
 
 
 class TestRunPipeline:
@@ -676,8 +737,8 @@ class TestRunPipeline:
     @pytest.mark.parametrize("tasks, diagnosed", [
         (["check-L"], set()),
         (["price-pde"], {"price-pde"}),
-        (["decompose"], {"boundary", "decompose"}),
-        (["price-pde", "decompose"], {"price-pde", "boundary", "decompose"}),
+        (["decompose"], {"regions", "boundary", "decompose"}),
+        (["price-pde", "decompose"], {"price-pde", "regions", "boundary", "decompose"}),
     ])
     def test_summary_reports_the_diagnostics_of_the_tasks_run(self, tmp_path, tasks, diagnosed):
         doc = _base_config(tasks=tasks, grid={"N": 12, "M": 21})
@@ -686,14 +747,17 @@ class TestRunPipeline:
         summary = json.loads((out / "summary.json").read_text())
         diagnostics = summary["diagnostics"]
         assert set(diagnostics) == diagnosed
+        priced = [name for name in ("lattice", "pde")
+                  if f"{name}_value_at_inception" in summary["results"]]
         keys = {"price-pde": {"psor_max_iterations", "complementarity_free_max",
                               "complementarity_active_min"},
-                "boundary": {f"threshold_violations_{name}" for name in ("lattice", "pde")
-                             if f"{name}_value_at_inception" in summary["results"]},
+                "regions": {f"sign_mismatch_dates_{name}" for name in priced},
+                "boundary": {f"threshold_violations_{name}" for name in priced},
                 "decompose": {"flagged_nodes", "min_e", "min_f"}}
         for task, entry in diagnostics.items():
             assert set(entry) == keys[task]
-            assert all(math.isfinite(v) for v in entry.values())
+            assert all(math.isfinite(v) for value in entry.values()
+                       for v in (value if isinstance(value, list) else [value]))
         if "price-pde" in diagnosed:
             assert diagnostics["price-pde"]["psor_max_iterations"] >= 1
         if "decompose" in diagnosed:
@@ -724,6 +788,18 @@ class TestRunPipeline:
             for name, surf in priced.items()}
         assert counts["threshold_violations_pde"] > 0
 
+    @pytest.mark.parametrize("label, mismatches", [("c2", [10.0]), ("c1", [])])
+    def test_regions_diagnostics_list_the_sign_mismatch_dates(self, tmp_path, label, mismatches):
+        # at N=90, M=151 c2's exercise-mode slice at t=10 is empty where L < 0
+        doc = _base_config(tasks=["price-lattice", "price-pde", "regions"],
+                           grid={"N": 90, "M": 151})
+        doc["scenario"] = vs.scenario_to_dict(vs.benchmark_scenario(label))
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        diag = json.loads((out / "summary.json").read_text())["diagnostics"]["regions"]
+        assert diag == {"sign_mismatch_dates_lattice": mismatches,
+                        "sign_mismatch_dates_pde": mismatches}
+
     @pytest.mark.parametrize("npaths", [1, 1500])
     def test_mc_verify_diagnostics_are_the_sandwich_checks(self, tmp_path, npaths):
         doc = _base_config(tasks=["mc-verify"], grid={"N": 12, "M": 21},
@@ -743,6 +819,30 @@ class TestRunPipeline:
             "sandwich_excess": max((sv["estimate"] - v0) / sv["std_error"],
                                    (h0 - sv["estimate"]) / sv["std_error"]),
         }
+
+    def test_each_artifact_is_written_by_one_fork(self, tmp_path, cpus, monkeypatch):
+        cpus(2)
+        doc = _base_config(tasks=list(TASKS), grid={"N": 12, "M": 21},
+                           mc={"npaths": 256, "seed": 3})
+        cfg = _write(tmp_path, doc)
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        assert main(["run", cfg, "--out", str(tmp_path / "forked")]) == 0
+        artifacts = json.loads((tmp_path / "forked" / "summary.json").read_text())["artifacts"]
+        assert len(artifacts) == 11 and len(forks) == len(artifacts)
+        assert_no_children()
+        # where os.fork does not exist, the run writes the same bytes in its own process
+        monkeypatch.delattr(os, "fork")
+        assert main(["run", cfg, "--out", str(tmp_path / "inline")]) == 0
+        assert len(forks) == len(artifacts)
+        for name in artifacts:
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "inline" / name).read_bytes()), name
 
     def test_cli_overrides(self, tmp_path):
         doc = _base_config(tasks=["price-lattice"])

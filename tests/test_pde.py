@@ -12,7 +12,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 import vastop as vs
 from vastop.cli import main
-from vastop.model import ContractParams
+from vastop.model import ConfigError, ContractParams
 from vastop.pde import SolverError, _obstacle_solve
 from vastop.surfaces import center_index
 
@@ -279,6 +279,12 @@ class TestSmoothFit:
         rep = vs.smooth_fit_diagnostic(c1_pde["surface"], c1_scn, c1_pde["boundary"], times=[7.0])
         assert np.isnan(rep.jump[0])
         assert any("empty" in s for s in rep.skipped)
+
+    def test_off_date_time_rejected(self, c1_scn, c1_pde):
+        # dates lie 1/24 apart on the production grid
+        with pytest.raises(ConfigError, match=r"t=0\.017 is not a date of the time grid"):
+            vs.smooth_fit_diagnostic(c1_pde["surface"], c1_scn, c1_pde["boundary"],
+                                     times=[2.0, 0.017])
 
     def test_jump_shrinks_under_refinement(self, c1_scn):
         jumps = {}

@@ -1,5 +1,5 @@
 """The thread map shared by the Monte Carlo estimator passes and the decomposition
-slices, and the ordered forked calls that write a run's CSVs."""
+slices, and the forked calls that write a run's CSVs."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import time
 import pytest
 from conftest import assert_no_children
 
-from vastop._threads import OrderedProcess, ordered_map, worker_count
+from vastop._threads import ForkedCalls, ordered_map, worker_count
 
 
 def _slow_square(i: int) -> int:
@@ -57,11 +57,11 @@ class TestOrderedMap:
         assert threading.active_count() == before
 
 
-def _log(path: str, i: int, fail_at: int = -1) -> None:
-    """Append "pid i" to path."""
+def _log(path: str, i: int, fail_at: int = -1, sleep: float = 0.0) -> None:
+    """After sleep seconds, append "pid i" to path, or fail if i is fail_at."""
+    time.sleep(sleep or 0.001 * (i % 3))
     if i == fail_at:
         raise KeyError(f"call {i}")
-    time.sleep(0.001 * (i % 3))
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"{os.getpid()} {i}\n")
 
@@ -95,42 +95,44 @@ def _logged(path) -> list[tuple[int, int]]:
 
 
 class TestOrderedProcess:
+    """ForkedCalls, the helper that writes a run's CSVs."""
+
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_calls_run_in_order_and_each_helper_starts_clean(self, tmp_path, cpus, threads):
+    def test_each_call_runs_once_in_a_child_of_its_own(self, tmp_path, cpus, threads):
         cpus(threads)
-        # a call that failed in the first helper stops none of the second's
+        # a call that failed in the first helper stops none of the others, nor
+        # any of the second helper's
         for run, fail_at in enumerate((5, -1)):
             path = str(tmp_path / f"run{run}.log")
-            with contextlib.suppress(KeyError), OrderedProcess() as writes:
+            with contextlib.suppress(KeyError), ForkedCalls() as writes:
                 for i in range(12):
                     writes.submit(_log, path, i, fail_at)
             log = _logged(path)
-            assert [i for _, i in log] == list(range(12 if fail_at < 0 else fail_at))
-            # inline on one CPU; on two, each call in a child of its own
+            assert sorted(i for _, i in log) == [i for i in range(12) if i != fail_at]
             pids = {pid for pid, _ in log}
-            if threads == 1:
-                assert pids == {os.getpid()}
-            else:
-                assert len(pids) == len(log) and os.getpid() not in pids
+            assert len(pids) == len(log) and os.getpid() not in pids
             assert_no_children()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_failed_call_stops_the_later_ones(self, tmp_path, cpus, threads):
+    def test_the_first_failed_call_is_raised_after_all_ended(self, tmp_path, cpus, threads):
         cpus(threads)
         path = str(tmp_path / "log")
-        with pytest.raises(KeyError, match="call 3"):
-            with OrderedProcess() as writes:
-                for i in range(8):
-                    writes.submit(_log, path, i, 3)
-        assert [i for _, i in _logged(path)] == [0, 1, 2]
-        assert_no_children()
+        with ForkedCalls() as writes:
+            writes.submit(_log, path, 0)
+            writes.submit(_log, path, 1, 1, 0.3)  # fails after call 2 has failed
+            writes.submit(_log, path, 2, 2)
+            writes.submit(_log, path, 3, -1, 0.6)  # healthy, and the last to end
+            with pytest.raises(KeyError, match="call 1"):
+                writes.join()
+            assert_no_children()
+        assert sorted(i for _, i in _logged(path)) == [0, 3]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_failed_call_wins_over_a_later_error(self, tmp_path, cpus, threads):
         cpus(threads)
         path = str(tmp_path / "log")
         with pytest.raises(KeyError, match="call 1"):
-            with OrderedProcess() as writes:
+            with ForkedCalls() as writes:
                 writes.submit(_log, path, 0)
                 writes.submit(_log, path, 1, 1)
                 raise FloatingPointError("after the calls")
@@ -141,29 +143,29 @@ class TestOrderedProcess:
         cpus(2)
         path = str(tmp_path / "log")
         with pytest.raises(FloatingPointError):
-            with OrderedProcess() as writes:
+            with ForkedCalls() as writes:
                 for i in range(6):
                     writes.submit(_log, path, i)
                 raise FloatingPointError("after the calls")
-        assert [i for _, i in _logged(path)] == list(range(6))
+        assert sorted(i for _, i in _logged(path)) == list(range(6))
         assert_no_children()
 
-    def test_an_interrupt_cancels_the_calls_not_started(self, tmp_path, cpus):
+    def test_an_interrupt_kills_every_child(self, tmp_path, cpus):
         cpus(2)
         path = str(tmp_path / "log")
+        start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            with OrderedProcess() as writes:
+            with ForkedCalls() as writes:
                 writes.submit(_sleep, 5.0)
-                for i in range(50):
-                    writes.submit(_log, path, i)
+                writes.submit(_log, path, 0, -1, 5.0)
                 raise KeyboardInterrupt
-        # the children are killed at once: the one asleep and those waiting behind it
+        assert time.perf_counter() - start < 2.0
         assert _logged(path) == []
         assert_no_children()
 
     def test_calls_and_arguments_need_not_pickle(self, tmp_path, cpus):
         cpus(2)
-        with OrderedProcess() as writes:
+        with ForkedCalls() as writes:
             writes.submit(lambda: _touch(str(tmp_path / "closure")))
             writes.submit(_touch, str(tmp_path / "argument"), _Opaque())
         assert sorted(os.listdir(tmp_path)) == ["argument", "closure"]
@@ -181,7 +183,7 @@ class TestOrderedProcess:
 
         name = "LocalError: in the child" if local else "_TwoArgError: in the child: two"
         with pytest.raises(RuntimeError, match=name) as info:
-            with OrderedProcess() as writes:
+            with ForkedCalls() as writes:
                 writes.submit(fail)
         cause = str(info.value.__cause__)
         assert "Traceback (most recent call last)" in cause and "in fail" in cause
