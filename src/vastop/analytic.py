@@ -47,7 +47,8 @@ def _terms(scn: Scenario, t: float, x):
     sst = sig * math.sqrt(tau)
     num = np.log(x / G) + (r * tau - fee_int) + 0.5 * sst**2
     if sst > 0.0:
-        d1 = num / sst
+        with np.errstate(over="ignore"):  # a tiny sigma sqrt(tau) takes d1 to its limit +-inf
+            d1 = num / sst
     else:  # sigma sqrt(tau) underflows (a subnormal sigma): F_T is deterministic
         d1 = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
     return x, (x * math.exp(-fee_int), G * math.exp(-r * tau), d1, d1 - sst)

@@ -98,13 +98,10 @@ class _StepQuadrature:
         # Simpson nodes per step: left endpoint, midpoint, right endpoint
         self.s_nodes = np.stack([tn[:-1], mids, tn[1:]], axis=1).reshape(-1)
         self.weights = np.stack([dt / 6.0, 4.0 * dt / 6.0, dt / 6.0], axis=1).reshape(-1)
-        cL = np.asarray([scn.fee.rate_right(float(t)) for t in tn[:-1]])
-        cM = np.asarray(scn.fee(mids), dtype=float)
-        cR = np.asarray(scn.fee(tn[1:]), dtype=float)
-        c = np.stack([cL, cM, cR], axis=1).reshape(-1)
-        g = np.asarray(scn.charge(self.s_nodes), dtype=float)
-        gt = np.asarray(scn.charge.dt(self.s_nodes), dtype=float)
-        self.factor = (c * g - gt) * self.weights  # premium integrand weight per node
+        c = np.stack([scn.fee.rate_right(tn[:-1]), scn.fee(mids), scn.fee(tn[1:])],
+                     axis=1).reshape(-1)
+        # premium integrand weight per node
+        self.factor = (c * scn.charge(self.s_nodes) - scn.charge.dt(self.s_nodes)) * self.weights
         # exact fee integrals from 0 to each Simpson node
         I_grid = np.array([scn.fee.integral(0.0, float(t)) for t in tn])
         I_mid = I_grid[:-1] + np.array(
@@ -178,7 +175,8 @@ class _StepQuadrature:
                 np.add(log_xK[(lo + a) // 3:(lo + b) // 3, None, :], drift,
                        out=d1.reshape(-1, 3, m))
                 d1 += half
-                d1 /= sst
+                with np.errstate(over="ignore"):  # d1 = +-inf is the limit of a tiny sst
+                    d1 /= sst
                 # no ndtr(..., where=) to skip rows: scipy 1.17.1 then leaves
                 # cells unwritten and corrupts the heap
                 ndtr(d1, out=d1)
@@ -253,14 +251,14 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
     e = np.empty_like(h)
     f = np.empty_like(h)
     res_phif = np.empty_like(h)
+    g = scn.charge(tn)
 
     def fill(n: int) -> None:
-        t = float(tn[n])
-        h[n] = maturity_benefit_value(scn, t, x)
+        h[n] = maturity_benefit_value(scn, float(tn[n]), x)
         e[n], f[n] = quad.premiums(n)
         # payout branch of the representation is the surrender value x g(t)
         # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly
-        res_phif[n] = v[n] - scn.charge(t) * x - f[n]
+        res_phif[n] = v[n] - g[n] * x - f[n]
 
     ordered_map(fill, tn.size)
     res_he = v - h - e

@@ -170,12 +170,12 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int
     exit_rates = -np.diag(_generator(xnodes, mu, var))
     stiffness = float(exit_rates.max()) * dt
     if stiffness <= _STEP_BUDGET:
-        return GridResolutionError(f"{head}; try M >= {2 * M}")
+        return GridResolutionError(f"{head}; try grid.M >= {2 * M}")
     steps = math.ceil(N * stiffness / _STEP_BUDGET)
     if steps <= MAX_STEPS:
         return GridResolutionError(
             f"{head}: the generator is too stiff for dt = {dt:.3g}"
-            f" (largest exit rate x dt = {stiffness:.2e}); try N >= {steps}"
+            f" (largest exit rate x dt = {stiffness:.2e}); try grid.N >= {steps}"
         )
     diffusion = float((-np.diag(_generator(xnodes, np.zeros_like(mu), var))).max()) * dt
     dy = math.log(xnodes[1] / xnodes[0])
@@ -208,10 +208,9 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
     dt = float(tnodes[1] - tnodes[0])
     var = (sigma * xnodes) ** 2
     memo = {} if matrices is None else matrices
-    step_keys: list[float] = []
+    step_keys = tuple(scn.fee(tnodes[:-1]).tolist())
     chain: dict[float, np.ndarray] = {}
-    for n in range(N):
-        c = float(scn.fee(float(tnodes[n])))
+    for c in step_keys:
         if c not in chain:
             memo_key = (xnodes.tobytes(), dt, r, sigma, c)
             if memo_key not in memo:
@@ -228,11 +227,10 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
                 P.setflags(write=False)
                 memo[memo_key] = P
             chain[c] = memo[memo_key]
-        step_keys.append(c)
     return ChainGrid(
         xnodes=xnodes,
         tnodes=tnodes,
-        step_keys=tuple(step_keys),
+        step_keys=step_keys,
         matrices=chain,
         discount=math.exp(-scn.market.r * dt),
         xmax_mult=xmax_mult,
@@ -273,7 +271,7 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
     # top band spuriously exercises whenever holding through a cheap-fee window
     # is optimal. Each step decays at the fee its transition matrix was built with.
     step_decay = np.exp(-np.asarray(grid.step_keys) * grid.dt)
-    g_grid = np.asarray(scn.charge(tn), dtype=float)
+    g_grid = scn.charge(tn)
 
     values = np.empty((N + 1, x.size))
     obstacle = np.empty_like(values)
@@ -285,7 +283,7 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
     slope_h = 1.0  # hold-to-maturity slope
     for n in range(N - 1, -1, -1):
         cont = _step(grid, n, V, rho)
-        ob = scn.charge(float(tn[n])) * x
+        ob = g_grid[n] * x
         hold_v = step_decay[n] * slope_v
         np.maximum(cont, hold_v * x, out=cont)
         slope_v = max(float(g_grid[n]), hold_v)

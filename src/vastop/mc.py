@@ -197,7 +197,7 @@ def _boundary_kernel(batch: PathBatch, scn: Scenario, boundary: Boundary):
     r, G = scn.market.r, scn.contract.G
     b = np.asarray(boundary.values, dtype=float)
     disc = np.exp(-r * tn)
-    gvals = np.asarray(scn.charge(tn[:-1]), dtype=float)
+    gvals = scn.charge(tn[:-1])
 
     def kernel(F: np.ndarray):
         hits = F[:, :-1] >= b[None, :]
@@ -229,14 +229,12 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
         raise ConfigError("mask is not defined on the batch's exercise dates")
     dt = float(tn[1] - tn[0])
     r = scn.market.r
-    g = np.asarray(scn.charge(tn), dtype=float)
-    gt = np.asarray(scn.charge.dt(tn), dtype=float)
-    cL = np.asarray([scn.fee.rate_right(float(t)) for t in tn[:-1]])
-    cR = np.asarray(scn.fee(tn[1:]), dtype=float)
+    g = scn.charge(tn)
+    gt = scn.charge.dt(tn)
     disc = np.exp(-r * tn)
     # per-step endpoint weights of the premium integrand (c g - g') e^{-r s}
-    wL = 0.5 * dt * (cL * g[:-1] - gt[:-1]) * disc[:-1]
-    wR = 0.5 * dt * (cR * g[1:] - gt[1:]) * disc[1:]
+    wL = 0.5 * dt * (scn.fee.rate_right(tn[:-1]) * g[:-1] - gt[:-1]) * disc[:-1]
+    wR = 0.5 * dt * (scn.fee(tn[1:]) * g[1:] - gt[1:]) * disc[1:]
     # the slice threshold, NaN where the slice is not threshold-shaped
     boundary = extract_boundary(mask)
     K = boundary.values.copy()
@@ -252,8 +250,9 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
         out = np.where(F >= K, F, 0.0)  # a NaN threshold leaves the column to the nearest node
         if loose.size:
             Fl = F[:, loose]
-            idx = np.clip(np.rint((np.log(Fl) - log_x0) / dy).astype(int), 0, mask.xnodes.size - 1)
-            out[:, loose] = np.where(mask.in_surrender[loose, idx], Fl, 0.0)
+            with np.errstate(divide="ignore"):  # a path at F = 0 takes the lowest node
+                idx = np.clip(np.rint((np.log(Fl) - log_x0) / dy), 0, mask.xnodes.size - 1)
+            out[:, loose] = np.where(mask.in_surrender[loose, idx.astype(int)], Fl, 0.0)
         return out
 
     def kernel(F: np.ndarray):

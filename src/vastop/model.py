@@ -45,6 +45,15 @@ def _as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _per_date(rule: Callable[[np.ndarray], np.ndarray], t):
+    """rule, a function of an array of dates, at t: a float for a scalar t, taken from
+    a one-date array, so that it has the bits of the same date inside any vector
+    (numpy's scalar arithmetic rounds some powers differently from its array loops)."""
+    t = _as_float_array(t)
+    out = rule(np.atleast_1d(t))
+    return out if t.ndim else float(out[0])
+
+
 # ---------------------------------------------------------------------------
 # Market and contract parameters
 # ---------------------------------------------------------------------------
@@ -120,25 +129,20 @@ class FeeSpec:
                 raise ConfigError("fee.breakpoints must be strictly increasing")
 
     def __call__(self, t):
-        """Vectorized fee rate."""
-        t = _as_float_array(t)
-        if self.kind == "constant":
-            return np.broadcast_to(np.float64(self.rate), t.shape).copy() if t.ndim else float(self.rate)
-        if self.kind == "piecewise":
-            idx = np.searchsorted(np.asarray(self.breakpoints), t, side="left")
-            out = np.asarray(self.rates, dtype=float)[idx]
-            return out if t.ndim else float(out)
-        out = _as_float_array(self.rate_fn(t))
-        return out if t.ndim else float(out)
+        """Fee rate c(t), vectorized over t."""
+        return _per_date(lambda d: self._rates(d, "left"), t)
 
     def rate_right(self, t):
         """Right limit c(t+), differing from c(t) only at piecewise breakpoints."""
-        if self.kind != "piecewise":
-            return self(t)
-        t = _as_float_array(t)
-        idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
-        out = np.asarray(self.rates, dtype=float)[idx]
-        return out if t.ndim else float(out)
+        return _per_date(lambda d: self._rates(d, "right"), t)
+
+    def _rates(self, d: np.ndarray, side: str) -> np.ndarray:
+        """The rates at the dates d, a breakpoint taking the rate of the interval on side."""
+        if self.kind == "constant":
+            return np.full(d.shape, self.rate)
+        if self.kind == "piecewise":
+            return np.asarray(self.rates)[np.searchsorted(self.breakpoints, d, side=side)]
+        return _as_float_array(self.rate_fn(d))
 
     def integral(self, t: float, s: float) -> float:
         """Exact integral of the fee rate over [t, s]."""
@@ -151,8 +155,8 @@ class FeeSpec:
         if self.kind == "piecewise":
             edges = (t, *[b for b in self.breakpoints if t < b < s], s)
             total = 0.0
-            for a, b in zip(edges, edges[1:]):
-                total += self.rate_right(a) * (b - a)
+            for a, b, rate in zip(edges, edges[1:], self.rate_right(edges[:-1]).tolist()):
+                total += rate * (b - a)
             return total
         return float(self.integral_fn(t, s))
 
@@ -186,20 +190,16 @@ class ChargeSpec:
         _check_fields(self, "charge", T=_SCENARIO_RULES["contract"]["T"])
 
     def __call__(self, t):
-        t = _as_float_array(t)
+        """g(t), vectorized over t."""
         if self.kind == "exponential":
-            out = np.exp(-self.kappa * (self.T - t))
-        else:
-            out = 1.0 - self.k * (1.0 - t / self.T) ** 3
-        return out if out.ndim else float(out)
+            return _per_date(lambda d: np.exp(-self.kappa * (self.T - d)), t)
+        return _per_date(lambda d: 1.0 - self.k * (1.0 - d / self.T) ** 3, t)
 
     def dt(self, t):
-        t = _as_float_array(t)
+        """g'(t), vectorized over t."""
         if self.kind == "exponential":
-            out = self.kappa * np.exp(-self.kappa * (self.T - t))
-        else:
-            out = (3.0 * self.k / self.T) * (1.0 - t / self.T) ** 2
-        return out if out.ndim else float(out)
+            return self.kappa * self(t)
+        return _per_date(lambda d: (3.0 * self.k / self.T) * (1.0 - d / self.T) ** 2, t)
 
 
 # ---------------------------------------------------------------------------

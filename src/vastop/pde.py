@@ -132,10 +132,11 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
 
     s2 = 0.5 * sig * sig
     clamp = L_value(scn, tn[:-1]) < 0.0
+    g_left = scn.charge(tn[:-1])
+    c_left = scn.fee(tn[:-1])
     for n in range(N - 1, -1, -1):
-        t_left = float(tn[n])
-        phi = scn.charge(t_left) * x
-        adv = r - scn.fee(t_left) - s2
+        phi = g_left[n] * x
+        adv = r - c_left[n] - s2
         a = s2 / dy**2 - adv / (2.0 * dy)
         bq = -2.0 * s2 / dy**2 - r  # not -(a + cq) - r, which rounds differently
         cq = s2 / dy**2 + adv / (2.0 * dy)

@@ -86,11 +86,11 @@ def extract_regions(surface: ValueSurface, scn: Scenario, mode: str = "value-gap
         from .analytic import maturity_benefit_value
 
         x = surface.xnodes
+        g = scn.charge(surface.tnodes[:-1])
         gate = np.empty_like(mask)
         for n, t in enumerate(surface.tnodes[:-1]):
-            payout = scn.charge(float(t)) * x
             h = np.asarray(maturity_benefit_value(scn, float(t), x))
-            gate[n] = payout >= h + tol[n]
+            gate[n] = g[n] * x >= h + tol[n]
         mask &= gate
     return RegionMask(
         tnodes=surface.tnodes,

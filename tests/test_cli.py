@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vastop as vs
-from vastop import cli
+from vastop import cli, lattice
 from vastop.cli import MEMORY_BUDGET, TASKS, main
 from vastop.model import ConfigError
 
@@ -261,10 +261,34 @@ class TestConfigValidation:
         doc["scenario"]["market"]["sigma"] = 10.0
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error: invalid transition matrix" in err and "try N >= 203" in err
-        assert "market.sigma" not in err and "try M" not in err
+        assert "config error: invalid transition matrix" in err and "try grid.N >= 203" in err
+        assert "market.sigma" not in err and "try grid.M" not in err
         doc["grid"]["N"] = 203
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+
+    def test_advice_on_the_time_grid_names_its_key(self, tmp_path, capsys):
+        # a random-document draw whose 12 steps of 8.33 years miss the row sums
+        # (1.25e-12) at twice the rounding budget: the advice names grid.N
+        scenario = {"market": {"r": 0.6111, "sigma": 7.0711},
+                    "contract": {"G": 1e100, "T": 100.0, "F0": 1e100},
+                    "fee": {"kind": "constant", "rate": 0.3001},
+                    "charge": {"kind": "exponential", "kappa": 0.2522}}
+        doc = _base_config(scenario=scenario, tasks=["price-lattice"], grid={"N": 12, "M": 21})
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid transition matrix")
+        assert "; try grid.N >= 26\n" in err and "internal error" not in err
+
+    def test_advice_on_the_state_grid_names_its_key(self, tmp_path, capsys, monkeypatch):
+        # a step within the rounding budget whose matrix misses its row sums is
+        # the state grid's fault: the advice names grid.M
+        expm = lattice._expm
+        monkeypatch.setattr(lattice, "_expm", lambda A: expm(A) * (1.0 + 1e-9))
+        doc = _base_config(tasks=["price-lattice"])
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid transition matrix")
+        assert err.endswith("; try grid.M >= 82\n") and "internal error" not in err
 
     def test_misaligned_breakpoints_exit_2(self, tmp_path, capsys):
         doc = _base_config()
@@ -548,6 +572,9 @@ def _scenarios(draw) -> dict:
 
 
 class TestRandomDocuments:
+    # a numpy RuntimeWarning of an accepted document is a fault: raised in a run,
+    # it ends the run with exit 1
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(scenario=_scenarios())
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

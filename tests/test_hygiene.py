@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package, test or demo imports a name it never
 uses, every function the package exports and every fee and charge kind has a
 consumer, only one module holds a thread pool, only one holds the rule checker of
-document keys, no module reads the environment, and the README documents exactly
-the keys that checker knows."""
+document keys, no module reads the environment or evaluates a fee or charge date by
+date at float(t), and the README documents exactly the keys that checker knows."""
 
 from __future__ import annotations
 
@@ -211,7 +211,37 @@ def test_rule_checker_guard_flags_every_form():
                                                "is_finite_number()", "is_finite_number()"]
 
 
-KEY_TABLE_HEADER = "| key | default | type and range | null | meaning |"
+DATE_EVALUATORS = {"fee", "rate_right", "charge", "dt"}
+
+
+def scalar_date_calls(source: str) -> list[str]:
+    """Calls of a fee or charge evaluator on a float(...) argument, by name and line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in DATE_EVALUATORS and any(
+                    isinstance(a, ast.Call) and getattr(a.func, "id", None) == "float"
+                    for a in [*node.args, *(k.value for k in node.keywords)]):
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_fee_and_charge_are_evaluated_per_date_vector():
+    # each layer evaluates its dates as one vector, never date by date through float()
+    found = {p.name: scalar_date_calls(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_scalar_date_checker_flags_every_form():
+    src = "c = scn.fee(float(t))\nd = fee.rate_right(t=float(tn[n]))\ng = charge(1.0, float(t))\n" \
+          "k = scn.charge.dt(float(t)) * x\nok = scn.fee(tn[:-1]), float(scn.charge(t)), scn.dt\n"
+    assert scalar_date_calls(src) == ["fee (line 1)", "rate_right (line 2)", "charge (line 3)",
+                                      "dt (line 4)"]
+
+
+KEY_TABLE_HEADER ="| key | default | type and range | null | meaning |"
 
 
 def documented_keys(readme: str) -> list[str]:

@@ -277,7 +277,7 @@ class TestGridResolutionError:
         # the rounding error of expm grows with M and shrinks with N
         vs.build_chain(self._scn(10.0), 1, 3, 1.5)
         for M in (6, 12):
-            with pytest.raises(vs.GridResolutionError, match="try N >= "):
+            with pytest.raises(vs.GridResolutionError, match="try grid.N >= "):
                 vs.build_chain(self._scn(10.0), 1, M, 1.5)
         vs.build_chain(self._scn(10.0), 62, 12, 1.5)  # the N the advice names at M = 12
 

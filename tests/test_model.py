@@ -152,6 +152,36 @@ class TestChargeSpec:
         assert 0.0 < g <= 1.0
 
 
+# each kind of fee and charge, from T, a number u in (0, 1) and breakpoints
+_SPECS = {
+    "constant": lambda T, u, bps: FeeSpec("constant", rate=u),
+    "piecewise": lambda T, u, bps: FeeSpec("piecewise", breakpoints=bps,
+                                           rates=tuple(u / (1 + j) for j in range(len(bps) + 1))),
+    "smooth": lambda T, u, bps: vs.fee_from_cubic_charge_bound(T, u),
+    "exponential": lambda T, u, bps: ChargeSpec("exponential", T=T, kappa=u),
+    "cubic": lambda T, u, bps: ChargeSpec("cubic", T=T, k=u),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPECS))
+@given(T=st.floats(1e-3, 100.0), u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       N=st.integers(1, 400), steps=st.sets(st.integers(1, 400), min_size=1, max_size=3),
+       drawn=st.lists(st.floats(0.0, 1.0), max_size=20))
+@settings(max_examples=40, deadline=None)
+def test_a_scalar_call_has_the_bits_of_its_date_in_any_vector(kind, T, u, N, steps, drawn):
+    # the layers evaluate a fee or charge once per date vector, and a scalar call at
+    # one of those dates must give the same float to the last bit
+    tn = np.linspace(0.0, T, N + 1)
+    spec = _SPECS[kind](T, u, tuple(sorted({float(tn[min(j, N)]) for j in steps})))
+    dates = np.concatenate([tn, 0.5 * (tn[:-1] + tn[1:]), T * np.asarray(drawn)])
+    names = ("__call__", "dt") if isinstance(spec, ChargeSpec) else ("__call__", "rate_right")
+    for name in names:
+        evaluate = getattr(spec, name)
+        scalars = [evaluate(float(t)) for t in dates]
+        assert all(type(s) is float for s in scalars), name
+        assert np.asarray(scalars).tobytes() == evaluate(dates).tobytes(), name
+
+
 class TestReward:
     def test_maturity_branch(self, c1_scn):
         assert vs.reward(c1_scn, 15.0, 80.0) == 100.0
