@@ -33,9 +33,9 @@ def main() -> None:
             charge=ChargeSpec("exponential", T=T, kappa=kappa),
         )
         report = vs.never_surrender_check(scn, tgrid)
-        need = vs.matching_exponential_rate(c)
+        # the least exponential charge rate that removes the incentive is kappa = c
         print(f"  fee {c:.3f}, charge rate {kappa:.3f}: never-surrender holds = "
-              f"{report.holds}  (threshold rate = {need:.3f})")
+              f"{report.holds}  (threshold rate = {c:.3f})")
 
     print("\nCubic charge 1 - k (1 - t/T)^3 with k = 0.1: the fee cap over time")
     for t in (0.0, 5.0, 10.0, 14.0, 15.0):

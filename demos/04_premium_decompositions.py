@@ -31,8 +31,7 @@ def main() -> None:
 
     print("\nPoint decompositions at inception (x = 100):")
     h = vs.maturity_benefit_value(scn, 0.0, 100.0)
-    e = vs.surrender_premium(scn, boundary, 0.0, 100.0)
-    f = vs.continuation_premium(scn, boundary, 0.0, 100.0)
+    e, f = vs.premiums_at(scn, boundary, 0.0, 100.0)
     phi = vs.reward(scn, 0.0, 100.0)
     i0 = np.argmin(np.abs(surf.xnodes - 100.0))
     v = surf.values[0, i0]
@@ -55,8 +54,7 @@ def main() -> None:
     kc = vs.matched_exponential_scenario(0.01)
     from vastop.region import Boundary
     empty = Boundary(tnodes=np.linspace(0, 15, 361), values=np.full(360, np.inf))
-    e0 = vs.surrender_premium(kc, empty, 0.0, 100.0)
-    f0 = vs.continuation_premium(kc, empty, 0.0, 100.0)
+    e0, f0 = vs.premiums_at(kc, empty, 0.0, 100.0)
     put = vs.guarantee_put_value(kc, 0.0, 100.0)
     print(f"  e = {e0:.6f}, f = {f0:.6f}, guarantee put = {put:.6f}")
 

@@ -48,8 +48,7 @@ def main() -> None:
           f"| solver value {v0:.4f} (a lower bound up to date discretization)")
 
     prem = est.premiums
-    e_q = vs.surrender_premium(scn, boundary, 0.0, 100.0)
-    f_q = vs.continuation_premium(scn, boundary, 0.0, 100.0)
+    e_q, f_q = vs.premiums_at(scn, boundary, 0.0, 100.0)
     print(f"surrender premium: mc {prem.e_estimate:.4f} +- {prem.e_std_error:.4f} "
           f"| quadrature {e_q:.4f}")
     print(f"continuation premium: mc {prem.f_estimate:.4f} +- {prem.f_std_error:.4f} "

@@ -29,7 +29,6 @@ from .analytic import (
     cubic_charge_fee_bound,
     fee_from_cubic_charge_bound,
     guarantee_put_value,
-    matching_exponential_rate,
     maturity_benefit_value,
     never_surrender_check,
 )
@@ -52,18 +51,15 @@ from .pde import (
 )
 from .region import (
     Boundary,
-    RegionComparison,
     RegionMask,
     classify_sections,
-    compare_regions,
     extract_boundary,
     extract_regions,
 )
 from .decompose import (
     DecompositionReport,
-    continuation_premium,
     decomposition_residuals,
-    surrender_premium,
+    premiums_at,
 )
 from .mc import (
     McEstimate,

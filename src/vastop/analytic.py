@@ -1,10 +1,10 @@
 """Closed forms of the time-dependent fee and charge model.
 
 Maturity-benefit value, guarantee put, the never-surrender condition checker,
-and the two standard fee/charge matching constructions. These serve as oracles
-for the numerical solvers, so everything here is evaluated to near machine
-precision: the normal CDF comes from scipy.special.ndtr and fee integrals are
-exact, interval by interval for the piecewise kind.
+and the fee bound of a cubic charge with the fee that saturates it. These serve
+as oracles for the numerical solvers, so everything here is evaluated to near
+machine precision: the normal CDF comes from scipy.special.ndtr and fee
+integrals are exact, interval by interval for the piecewise kind.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "never_surrender_check",
     "cubic_charge_fee_bound",
     "fee_from_cubic_charge_bound",
-    "matching_exponential_rate",
 ]
 
 
@@ -132,12 +131,3 @@ def fee_from_cubic_charge_bound(T: float, k: float) -> FeeSpec:
         return math.log(gs / gt)
 
     return FeeSpec("smooth", rate_fn=rate, integral_fn=integral)
-
-
-def matching_exponential_rate(c: float) -> float:
-    """Minimal exponential charge rate removing the surrender incentive for a
-    constant fee c: kappa = c."""
-    if c < 0.0:
-        raise DomainError("fee rate must be nonnegative")
-    return float(c)
-

@@ -73,10 +73,11 @@ MEMORY_BUDGET = 2 << 30
 
 def _distinct_matrices(scns, N: int) -> int:
     """The transition matrices the chains of scns keep on N steps: one per
-    distinct (F0, T, r, sigma, step fee), as chains share their matrices."""
+    distinct (F0, T, r, sigma, step fee), as chains share their matrices.
+    ConfigError when N misses the fee breakpoints of one of scns."""
     keys = set()
     for scn in scns:
-        tn = np.linspace(0.0, scn.contract.T, N + 1)
+        tn = surfaces.time_nodes(scn, N)
         keys.update((scn.contract.F0, scn.contract.T, scn.market.r, scn.market.sigma, float(c))
                     for c in np.unique(scn.fee(tn[:-1])))
     return len(keys)
@@ -121,9 +122,11 @@ def _check_memory(tasks, scn, grid: dict, paths: int) -> None:
     grid.N makes smaller, grid.N for the others."""
     N, M = grid["N"], grid["M"]
     lattice = [scn] if "price-lattice" in tasks else []
-    figs = [presets.benchmark_scenario("c1"), presets.benchmark_scenario("c2")]
-    matrices = {"price-lattice": _distinct_matrices(lattice, N),
-                "paper-fig": _distinct_matrices([*lattice, *figs], N)}
+    chains = {"price-lattice": lattice,
+              "paper-fig": [*lattice, *map(presets.benchmark_scenario, ("c1", "c2"))]}
+    # a paper-fig run whose N misses the benchmark breakpoints stops here
+    matrices = {task: _distinct_matrices(scns, N) for task, scns in chains.items()
+                if task in tasks}
     for task in tasks:
         def need(n: int, m: int) -> int:
             return _largest_arrays(task, n, m, matrices.get(task, 0), paths)

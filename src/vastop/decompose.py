@@ -45,8 +45,7 @@ from .surfaces import ValueSurface, date_index
 __all__ = [
     "BLOCK_NODES",
     "DecompositionReport",
-    "surrender_premium",
-    "continuation_premium",
+    "premiums_at",
     "decomposition_residuals",
 ]
 
@@ -189,22 +188,15 @@ class _StepQuadrature:
         return e, f
 
 
-def surrender_premium(scn: Scenario, boundary: Boundary, t: float, x):
-    """Value of the surrender right: integral of (c g - g') against the
-    discounted account expectation above the boundary; empty sections
-    contribute nothing."""
+def premiums_at(scn: Scenario, boundary: Boundary, t: float, x):
+    """The surrender premium e and the continuation premium f at (t, x), floats
+    for a scalar x. e integrates (c g - g') against the discounted account
+    expectation above the boundary, empty sections contributing nothing; f is
+    the guarantee put plus the complementary integral below the boundary, empty
+    sections using the full expectation, and (G - x)_+ at maturity."""
     quad = _StepQuadrature(scn, boundary, np.atleast_1d(np.asarray(x, dtype=float)))
-    e, _ = quad.premiums(date_index(boundary.tnodes, t))
-    return float(e[0]) if np.ndim(x) == 0 else e
-
-
-def continuation_premium(scn: Scenario, boundary: Boundary, t: float, x):
-    """Value of holding on: guarantee put plus the complementary integral of
-    (g' - c g) against the expectation below the boundary; empty sections use
-    the full expectation. Returns (G - x)_+ at maturity."""
-    quad = _StepQuadrature(scn, boundary, np.atleast_1d(np.asarray(x, dtype=float)))
-    _, f = quad.premiums(date_index(boundary.tnodes, t))
-    return float(f[0]) if np.ndim(x) == 0 else f
+    e, f = quad.premiums(date_index(boundary.tnodes, t))
+    return (float(e[0]), float(f[0])) if np.ndim(x) == 0 else (e, f)
 
 
 @dataclass(frozen=True)

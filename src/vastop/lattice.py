@@ -68,7 +68,6 @@ class ChainGrid:
     step_keys: tuple[float, ...]
     matrices: dict
     discount: float
-    xmax_mult: float
 
     @property
     def nsteps(self) -> int:
@@ -197,10 +196,12 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
     given, is a memo the caller keeps across chains: it maps everything the
     generator reads (state nodes, dt, r, sigma and the fee rate) to the checked
     transition matrix, so chains that share a step's coefficients share its
-    matrix and exponentiate it once. The row-sum and minimum-probability
-    check runs on the result of ``_expm`` (scipy's Pade step plus squarings
-    that drop the entries below sqrt(tiny)); entries below the smallest normal
-    double are then set to 0 (see ``ChainGrid``).
+    matrix and exponentiate it once. A step stiffer than ``_STEP_BUDGET``
+    (largest exit rate x dt) is refused before ``_expm`` runs, so the verdict
+    does not hang on how its exponential rounds. The row-sum and
+    minimum-probability check runs on the result of ``_expm`` (scipy's Pade
+    step plus squarings that drop the entries below sqrt(tiny)); entries below
+    the smallest normal double are then set to 0 (see ``ChainGrid``).
     """
     r, sigma = scn.market.r, scn.market.sigma
     xnodes = log_space_nodes(scn.contract.F0, xmax_mult, M)
@@ -215,7 +216,12 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
             memo_key = (xnodes.tobytes(), dt, r, sigma, c)
             if memo_key not in memo:
                 mu = (r - c) * xnodes
-                P = _expm(_generator(xnodes, mu, var) * dt)
+                A = _generator(xnodes, mu, var) * dt
+                if -A.diagonal().min() > _STEP_BUDGET:  # too stiff, whatever expm rounds
+                    raise _invalid_matrix("invalid transition matrix", scn, xnodes, mu, var,
+                                          dt, N, M, xmax_mult)
+                P = _expm(A)
+                del A  # held into the next step, it raised mc-verify's peak RSS by 3.5 MB
                 rs_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
                 pmin = float(P.min())
                 if rs_err > 1e-12 or pmin < -1e-12:
@@ -233,7 +239,6 @@ def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
         step_keys=step_keys,
         matrices=chain,
         discount=math.exp(-scn.market.r * dt),
-        xmax_mult=xmax_mult,
     )
 
 
@@ -302,12 +307,7 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
         obstacle=obstacle,
         provenance="lattice",
         reward_kind=reward_kind,
-        metadata={
-            "N": N,
-            "M": x.size,
-            "xmax_mult": grid.xmax_mult,
-            "solver_tol": 1e-12 * scn.contract.G,
-        },
+        metadata={"solver_tol": 1e-12 * scn.contract.G},
     )
 
 

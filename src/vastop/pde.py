@@ -187,9 +187,6 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
         provenance="pde",
         reward_kind="discontinuous",
         metadata={
-            "N": N,
-            "M": M,
-            "theta": grid.theta,
             # the most iterations any level took, under the PSOR solver's name
             "psor_max_iterations": iters_max,
             # the update tolerance, also the diagnostics' obstacle slack

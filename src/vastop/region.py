@@ -17,11 +17,9 @@ from .surfaces import ValueSurface
 __all__ = [
     "RegionMask",
     "Boundary",
-    "RegionComparison",
     "extract_regions",
     "extract_boundary",
     "classify_sections",
-    "compare_regions",
 ]
 
 
@@ -50,9 +48,6 @@ class Boundary:
     tnodes: np.ndarray
     values: np.ndarray  # shape (N,), np.inf where the section is empty
     violations: tuple[tuple[int, int], ...] = ()
-
-    def is_empty(self, n: int) -> bool:
-        return not np.isfinite(self.values[n])
 
     @property
     def nonempty_times(self) -> np.ndarray:
@@ -145,32 +140,3 @@ def classify_sections(scn: Scenario, tgrid) -> np.ndarray:
     slice otherwise.
     """
     return np.where(L_value(scn, tgrid) >= 0.0, "empty", "nonempty-conjectured").astype(object)
-
-
-@dataclass(frozen=True)
-class RegionComparison:
-    """Node-wise comparison of two masks on the same grid."""
-
-    equal: bool
-    sym_diff_nodes: tuple[tuple[int, int], ...]
-    only_in_first: int
-    only_in_second: int
-
-
-def compare_regions(mask_a: RegionMask, mask_b: RegionMask) -> RegionComparison:
-    """Node-wise equality report between two region masks."""
-    if mask_a.in_surrender.shape != mask_b.in_surrender.shape or not (
-        np.array_equal(mask_a.tnodes, mask_b.tnodes)
-        and np.array_equal(mask_a.xnodes, mask_b.xnodes)
-    ):
-        raise ConfigError("masks live on different grids")
-    diff = mask_a.in_surrender ^ mask_b.in_surrender
-    nodes = tuple((int(n), int(i)) for n, i in zip(*np.nonzero(diff)))
-    only_a = int(np.count_nonzero(mask_a.in_surrender & ~mask_b.in_surrender))
-    only_b = int(np.count_nonzero(mask_b.in_surrender & ~mask_a.in_surrender))
-    return RegionComparison(
-        equal=not nodes,
-        sym_diff_nodes=nodes,
-        only_in_first=only_a,
-        only_in_second=only_b,
-    )

@@ -69,7 +69,8 @@ def test_criterion_03_reward_representation_equivalence(c1_lattice, c2_lattice):
     masks_equal = []
     for bundle in (c1_lattice, c2_lattice):
         gaps.append(float(np.max(np.abs(bundle["disc"].values - bundle["cont"].values))))
-        masks_equal.append(vs.compare_regions(bundle["mask_ex"], bundle["mask_cont_ex"]).equal)
+        masks_equal.append(np.array_equal(bundle["mask_ex"].in_surrender,
+                                          bundle["mask_cont_ex"].in_surrender))
     ok = max(gaps) <= 1e-10 * G and all(masks_equal)
     _verdict(3, "discontinuous vs continuous reward equivalence",
              ok,
@@ -119,8 +120,7 @@ def test_criterion_06_decomposition_identities(c1_scn, c2_scn, c1_lattice, c2_la
         means[label] = (rep.mean_abs_res_he, rep.mean_abs_res_phif)
         for t in (0.0, 3.0, 8.0, 13.0):
             for x in (25.0, 100.0, 390.0):
-                e = vs.surrender_premium(scn, bundle["boundary"], t, x)
-                f = vs.continuation_premium(scn, bundle["boundary"], t, x)
+                e, f = vs.premiums_at(scn, bundle["boundary"], t, x)
                 rhs = vs.reward(scn, t, x) - vs.maturity_benefit_value(scn, t, x)
                 id_gap = max(id_gap, abs((e - f) - rhs) / max(1.0, abs(rhs)))
     ok = all(m[0] <= 5e-3 * G and m[1] <= 5e-3 * G for m in means.values()) and id_gap <= 1e-8

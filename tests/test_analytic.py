@@ -137,12 +137,8 @@ class TestFeeChargeMatching:
         exact_report = vs.never_surrender_check(exact, np.linspace(0.0, 14.99, 60))
         assert exact_report.min_L >= -1e-12
 
-    def test_matching_exponential_rate(self):
-        assert vs.matching_exponential_rate(0.02) == 0.02
-        assert vs.matching_exponential_rate(0.0) == 0.0
-        with pytest.raises(DomainError):
-            vs.matching_exponential_rate(-0.01)
-        scn = vs.matched_exponential_scenario(0.01)  # kappa = matching rate
+    def test_matched_exponential_scenario_never_surrenders(self):
+        scn = vs.matched_exponential_scenario(0.01)  # kappa = c, the least rate that holds
         report = vs.never_surrender_check(scn, np.linspace(0.0, 14.9, 25))
         assert report.holds
 

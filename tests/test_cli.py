@@ -266,18 +266,26 @@ class TestConfigValidation:
         doc["grid"]["N"] = 203
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
 
-    def test_advice_on_the_time_grid_names_its_key(self, tmp_path, capsys):
-        # a random-document draw whose 12 steps of 8.33 years miss the row sums
-        # (1.25e-12) at twice the rounding budget: the advice names grid.N
-        scenario = {"market": {"r": 0.6111, "sigma": 7.0711},
-                    "contract": {"G": 1e100, "T": 100.0, "F0": 1e100},
-                    "fee": {"kind": "constant", "rate": 0.3001},
-                    "charge": {"kind": "exponential", "kappa": 0.2522}}
-        doc = _base_config(scenario=scenario, tasks=["price-lattice"], grid={"N": 12, "M": 21})
-        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: invalid transition matrix")
-        assert "; try grid.N >= 26\n" in err and "internal error" not in err
+    def test_advice_on_the_time_grid_names_its_key(self, tmp_path, capsys, monkeypatch):
+        # two neighbouring random-document draws whose 12 steps of 8.33 years are
+        # about twice as stiff as the rounding budget (9598.5 and 9598.8): both are
+        # refused before any exponential, whichever way it would round, and the
+        # advice names grid.N
+        calls = []
+        monkeypatch.setattr(lattice, "_expm", lambda A: calls.append(A))
+        for r, sigma in ((0.6119, 7.071), (0.6111, 7.0711)):
+            scenario = {"market": {"r": r, "sigma": sigma},
+                        "contract": {"G": 1e100, "T": 100.0, "F0": 1e100},
+                        "fee": {"kind": "constant", "rate": 0.3001},
+                        "charge": {"kind": "exponential", "kappa": 0.2522}}
+            doc = _base_config(scenario=scenario, tasks=["price-lattice"],
+                               grid={"N": 12, "M": 21})
+            assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: invalid transition matrix: the generator is"
+                                  " too stiff for dt = 8.33 (largest exit rate x dt = 9.60e+03)")
+            assert err.endswith("; try grid.N >= 26\n") and "internal error" not in err
+        assert calls == [] and not (tmp_path / "o" / "summary.json").exists()
 
     def test_advice_on_the_state_grid_names_its_key(self, tmp_path, capsys, monkeypatch):
         # a step within the rounding budget whose matrix misses its row sums is
@@ -299,6 +307,18 @@ class TestConfigValidation:
         doc["grid"]["N"] = 20  # 15/20 grid misses t=5 and t=10
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         assert "breakpoint" in capsys.readouterr().err
+
+    def test_paper_fig_off_the_benchmark_breakpoints_exits_2_before_any_work(self, tmp_path,
+                                                                              capsys):
+        # the run's own fee is constant, but paper-fig prices c1 and c2, whose fee
+        # breakpoints at t = 5 and 10 N = 100 misses: no task runs, no out is made
+        doc = _base_config(tasks=["check-L", "price-lattice", "paper-fig"])
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out), "--grid-N", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: fee breakpoint t=5.0 does not fall on the time"
+                              " grid (N=100); choose N a multiple of 3")
+        assert not out.exists()
 
     @pytest.mark.parametrize("breakpoint, advice", [
         (3.14159265, "no N up to 100000 puts fee.breakpoints on it"),

@@ -29,7 +29,7 @@ def _empty_boundary(T: float, N: int) -> Boundary:
 class TestSurrenderPremium:
     def test_empty_region_gives_zero(self, kc_scn):
         b = _empty_boundary(15.0, 360)
-        assert vs.surrender_premium(kc_scn, b, 0.0, 100.0) == 0.0
+        assert vs.premiums_at(kc_scn, b, 0.0, 100.0)[0] == 0.0
 
     def test_fully_surrendered_closed_form(self):
         # unit charge (kappa = 0), constant fee: integrating the full account
@@ -44,10 +44,10 @@ class TestSurrenderPremium:
         b = _flat_boundary(T, 360, 1e-12)
         for t, x in [(0.0, 100.0), (5.0, 40.0)]:
             expected = x * (1.0 - math.exp(-c * (T - t)))
-            assert vs.surrender_premium(scn, b, t, x) == pytest.approx(expected, rel=1e-9)
+            assert vs.premiums_at(scn, b, t, x)[0] == pytest.approx(expected, rel=1e-9)
 
     def test_benchmark_residual_against_solver(self, c1_scn, c1_lattice):
-        e = vs.surrender_premium(c1_scn, c1_lattice["boundary"], 0.0, 100.0)
+        e, _ = vs.premiums_at(c1_scn, c1_lattice["boundary"], 0.0, 100.0)
         h = vs.maturity_benefit_value(c1_scn, 0.0, 100.0)
         i0 = int(np.argmin(np.abs(c1_lattice["disc"].xnodes - 100.0)))
         v = float(c1_lattice["disc"].values[0, i0])
@@ -58,16 +58,16 @@ class TestContinuationPremium:
     def test_matched_rates_equals_guarantee_put(self, kc_scn):
         b = _empty_boundary(15.0, 360)
         for t, x in [(0.0, 100.0), (3.0, 55.0), (12.0, 250.0)]:
-            f = vs.continuation_premium(kc_scn, b, t, x)
+            _, f = vs.premiums_at(kc_scn, b, t, x)
             assert f == pytest.approx(vs.guarantee_put_value(kc_scn, t, x), abs=1e-12)
 
     def test_maturity_value_is_put_payoff(self, kc_scn):
         b = _empty_boundary(15.0, 360)
-        assert vs.continuation_premium(kc_scn, b, 15.0, 80.0) == pytest.approx(20.0, abs=1e-12)
-        assert vs.continuation_premium(kc_scn, b, 15.0, 130.0) == 0.0
+        assert vs.premiums_at(kc_scn, b, 15.0, 80.0)[1] == pytest.approx(20.0, abs=1e-12)
+        assert vs.premiums_at(kc_scn, b, 15.0, 130.0)[1] == 0.0
 
     def test_benchmark_residual_against_solver(self, c2_scn, c2_lattice):
-        f = vs.continuation_premium(c2_scn, c2_lattice["boundary"], 0.0, 100.0)
+        _, f = vs.premiums_at(c2_scn, c2_lattice["boundary"], 0.0, 100.0)
         phi = vs.reward(c2_scn, 0.0, 100.0)
         i0 = int(np.argmin(np.abs(c2_lattice["disc"].xnodes - 100.0)))
         v = float(c2_lattice["disc"].values[0, i0])
@@ -80,8 +80,7 @@ class TestIdentities:
         b = c1_lattice["boundary"]
         for t in (0.0, 2.0, 7.0, 12.0):
             for x in (20.0, 100.0, 444.0):
-                e = vs.surrender_premium(c1_scn, b, t, x)
-                f = vs.continuation_premium(c1_scn, b, t, x)
+                e, f = vs.premiums_at(c1_scn, b, t, x)
                 lhs = e - f
                 rhs = vs.reward(c1_scn, t, x) - vs.maturity_benefit_value(c1_scn, t, x)
                 assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
@@ -138,7 +137,7 @@ class TestDecompositionResiduals:
 
     def test_off_grid_time_rejected(self, c1_scn, c1_lattice):
         with pytest.raises(ConfigError):
-            vs.surrender_premium(c1_scn, c1_lattice["boundary"], 0.017, 100.0)
+            vs.premiums_at(c1_scn, c1_lattice["boundary"], 0.017, 100.0)
 
 
 class TestParallelSlices:
@@ -178,8 +177,7 @@ class TestParallelSlices:
         rep = vs.decomposition_residuals(surf, c1_scn, boundary)
         for n in (0, 1, 57, surf.tnodes.size - 2, surf.tnodes.size - 1):
             t = float(surf.tnodes[n])
-            e = vs.surrender_premium(c1_scn, boundary, t, surf.xnodes)
-            f = vs.continuation_premium(c1_scn, boundary, t, surf.xnodes)
+            e, f = vs.premiums_at(c1_scn, boundary, t, surf.xnodes)
             assert e.tobytes() == rep.e[n].tobytes()
             assert f.tobytes() == rep.f[n].tobytes()
 

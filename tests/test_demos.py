@@ -1,4 +1,5 @@
-"""Every demo runs to its end in-process, with its default arguments."""
+"""Every demo runs to its end in-process, with its default arguments, and prints
+the stdout recorded in tests/golden/demos/<demo>.txt, byte for byte."""
 
 from __future__ import annotations
 
@@ -10,11 +11,14 @@ import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def test_demos_are_found():
     assert DEMOS
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -24,3 +28,5 @@ def test_demo_runs_to_its_end(path, monkeypatch):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue().endswith("\nDone.\n")
+    golden = (GOLDEN / f"{path.stem}.txt").read_text(encoding="utf-8")
+    assert out.getvalue() == golden

@@ -32,18 +32,32 @@ _expm = lattice._expm
 def _chain_and_scipy_reference(scn, N, M, xmax_mult):
     """build_chain's chain, and the same chain with the matrices of scipy.linalg.expm
     (negatives clipped, subnormals kept); (None, None) where build_chain refuses a
-    matrix, after checking that scipy's fails the same row-sum or sign check."""
+    matrix, after checking that scipy's fails the same row-sum or sign check, or a
+    step before its exponential, after checking that the step is stiffer than the
+    rounding budget."""
     raw = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_expm", lambda A: raw.append(expm(A)) or _expm(A))
         try:
             grid = vs.build_chain(scn, N, M, xmax_mult)
-        except vs.GridResolutionError:
-            P = raw[-1]
-            assert np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12 or P.min() < -1e-12
+        except vs.GridResolutionError as exc:
+            if "row-sum err" in str(exc):
+                P = raw[-1]
+                assert np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12 or P.min() < -1e-12
+            else:
+                assert _stiffness(scn, N, M, xmax_mult) > lattice._STEP_BUDGET
             return None, None
     kept = {key: np.maximum(P, 0.0) for key, P in zip(grid.matrices, raw)}
     return grid, dataclasses.replace(grid, matrices=kept)
+
+
+def _stiffness(scn, N, M, xmax_mult) -> float:
+    """The largest exit rate x dt of the steps of scn's chain."""
+    x = vs.surfaces.log_space_nodes(scn.contract.F0, xmax_mult, M)
+    tn = vs.time_nodes(scn, N)
+    rates = [-np.diag(lattice._generator(x, (scn.market.r - c) * x, (scn.market.sigma * x) ** 2))
+             for c in set(scn.fee(tn[:-1]).tolist())]
+    return float(max(r.max() for r in rates)) * float(tn[1] - tn[0])
 
 
 def _assert_scipy_bits(grid, reference, scn):
@@ -274,12 +288,14 @@ class TestGridResolutionError:
         )
 
     def test_finer_state_grid_does_not_cure_a_long_step(self):
-        # the rounding error of expm grows with M and shrinks with N
-        vs.build_chain(self._scn(10.0), 1, 3, 1.5)
-        for M in (6, 12):
-            with pytest.raises(vs.GridResolutionError, match="try grid.N >= "):
+        # the stiffness of a step, and with it the rounding error of expm, grows
+        # with M and shrinks with N; the advice names the least N within the budget
+        for M, steps in ((3, 2), (6, 13), (12, 62)):
+            with pytest.raises(vs.GridResolutionError, match=f"try grid.N >= {steps}$"):
                 vs.build_chain(self._scn(10.0), 1, M, 1.5)
-        vs.build_chain(self._scn(10.0), 62, 12, 1.5)  # the N the advice names at M = 12
+            with pytest.raises(vs.GridResolutionError, match=f"try grid.N >= {steps}$"):
+                vs.build_chain(self._scn(10.0), steps - 1, M, 1.5)
+            vs.build_chain(self._scn(10.0), steps, M, 1.5)
 
     def test_too_stiff_sigma_names_the_key(self):
         # no grid of the rules cures the largest sigma over the longest step on the

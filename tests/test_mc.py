@@ -153,7 +153,7 @@ class TestPremiumIntegrals:
         # f = put + full complementary integral; compare with closed forms
         put = vs.guarantee_put_value(c1_scn, 0.0, 100.0)
         b_empty = Boundary(tnodes=batch.tnodes, values=np.full(60, np.inf))
-        f_quad = vs.continuation_premium(c1_scn, b_empty, 0.0, 100.0)
+        _, f_quad = vs.premiums_at(c1_scn, b_empty, 0.0, 100.0)
         assert abs(prem.f_estimate - f_quad) <= 3.0 * prem.f_std_error + 0.01 * abs(f_quad)
         # closed form of put + full complementary integral
         g0 = float(c1_scn.charge(0.0))
@@ -172,8 +172,7 @@ class TestPremiumIntegrals:
         batch = vs.simulate_paths(c2_scn, seed=52, npaths=200000, nsteps=360)
         prem = vs.mc_premium_integrals(batch, c2_scn, c2_lattice["mask"])
         b = c2_lattice["boundary"]
-        e_q = vs.surrender_premium(c2_scn, b, 0.0, 100.0)
-        f_q = vs.continuation_premium(c2_scn, b, 0.0, 100.0)
+        e_q, f_q = vs.premiums_at(c2_scn, b, 0.0, 100.0)
         assert abs(prem.e_estimate - e_q) <= 3.0 * prem.e_std_error + 0.01 * abs(e_q)
         assert abs(prem.f_estimate - f_q) <= 3.0 * prem.f_std_error + 0.01 * abs(f_q)
 

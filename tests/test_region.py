@@ -46,7 +46,6 @@ class TestExtractBoundary:
         b = c1_lattice["boundary"]
         n7 = int(np.argmin(np.abs(b.tnodes - 7.0)))
         assert not np.isfinite(b.values[n7])
-        assert b.is_empty(n7)
 
     def test_threshold_structure_clean(self, c1_lattice, c2_lattice):
         assert c1_lattice["boundary"].violations == ()
@@ -118,14 +117,13 @@ class TestCompareRegions:
         cont = vs.bermudan_value(grid, lowch_scn, "continuous")
         md = vs.extract_regions(disc, lowch_scn, mode="exercise")
         mc = vs.extract_regions(cont, lowch_scn, mode="exercise")
-        cmp = vs.compare_regions(md, mc)
-        assert cmp.equal
+        assert np.array_equal(md.in_surrender, mc.in_surrender)
         assert md.in_surrender.sum() > 0
 
     def test_matched_rates_documented_disagreement(self, kc_scn):
         # stopped-set of the continuous formulation is everything when the
         # value everywhere equals the hold-to-maturity value, while the
-        # surrender set proper is empty: equal=False by construction
+        # surrender set proper is empty: they differ by construction
         grid = vs.build_chain(kc_scn, N=90, M=151, xmax_mult=8.0)
         disc = vs.bermudan_value(grid, kc_scn, "discontinuous")
         cont = vs.bermudan_value(grid, kc_scn, "continuous")
@@ -133,19 +131,13 @@ class TestCompareRegions:
         m_cont = vs.extract_regions(cont, kc_scn, mode="value-gap")
         assert int(m_disc.in_surrender.sum()) == 0
         assert bool(m_cont.in_surrender.all())
-        cmp = vs.compare_regions(m_disc, m_cont)
-        assert not cmp.equal
-        assert cmp.only_in_second == m_cont.in_surrender.size
+        assert not np.array_equal(m_disc.in_surrender, m_cont.in_surrender)
+        only_in_cont = m_cont.in_surrender & ~m_disc.in_surrender
+        assert int(only_in_cont.sum()) == m_cont.in_surrender.size
 
     def test_benchmark_reward_kinds_agree(self, c1_lattice):
-        cmp = vs.compare_regions(c1_lattice["mask_ex"], c1_lattice["mask_cont_ex"])
-        assert cmp.equal
-
-    def test_grid_mismatch_rejected(self, c1_lattice, c1_scn):
-        grid = vs.build_chain(c1_scn, N=90, M=151, xmax_mult=8.0)
-        other = vs.extract_regions(vs.bermudan_value(grid, c1_scn), c1_scn)
-        with pytest.raises(ConfigError):
-            vs.compare_regions(c1_lattice["mask"], other)
+        assert np.array_equal(c1_lattice["mask_ex"].in_surrender,
+                              c1_lattice["mask_cont_ex"].in_surrender)
 
     def test_lattice_and_pde_masks_agree_near_boundary(self, c1_scn, c1_lattice, c1_pde):
         # The two routes carry opposite-signed O(dt) boundary biases (exercise
