@@ -12,7 +12,8 @@ keys: the PDE is Crank-Nicolson with the scheme constants of `pde.PdeGrid` and
 the tolerance `pde.build_pde_grid` derives from G, regions use
 `region.extract_regions`' fixed tolerances, and paths take exact lognormal
 steps. Exit codes: 0 success, 1 solver failure (a NaN or infinite result is
-one, and no summary.json is then written) or internal error (any other
+one, and no summary.json is then written), running out of memory on a grid
+under the budget (one line, no summary.json) or internal error (any other
 exception, printed with its traceback), 2 config error (naming
 `<section>.<key>` when one key is at fault; an `out` that cannot be created or
 written is one too, and so is a grid on which a task's largest arrays would
@@ -28,8 +29,7 @@ The writes run side by side, and a failed write stops none of the others. The
 run waits for its writes before it writes summary.json and on every error, so
 no process outlives it, and then reports the first failed write. summary.json
 records the seconds of each task and of that wait under `timings`, and, under
-`diagnostics`, the solver checks the price-pde, regions, boundary, decompose
-and mc-verify tasks compute.
+`diagnostics`, the solver checks every task but check-L computes.
 """
 
 from __future__ import annotations
@@ -66,21 +66,13 @@ _RULES = {
 }
 
 
+# paper-fig's benchmark scenarios by fee label, with their two panels
+_FIGURE = {"c1": ("a", "b"), "c2": ("c", "d")}
+
+
 # Every task's largest arrays must fit in this many bytes: a run whose grid
 # needs more is refused before any work (see _largest_arrays).
 MEMORY_BUDGET = 2 << 30
-
-
-def _distinct_matrices(scns, N: int) -> int:
-    """The transition matrices the chains of scns keep on N steps: one per
-    distinct (F0, T, r, sigma, step fee), as chains share their matrices.
-    ConfigError when N misses the fee breakpoints of one of scns."""
-    keys = set()
-    for scn in scns:
-        tn = surfaces.time_nodes(scn, N)
-        keys.update((scn.contract.F0, scn.contract.T, scn.market.r, scn.market.sigma, float(c))
-                    for c in np.unique(scn.fee(tn[:-1])))
-    return len(keys)
 
 
 def _largest_arrays(task: str, N: int, M: int, matrices: int, paths: int) -> int:
@@ -115,18 +107,30 @@ def _largest_fit(fits, lo: int, hi: int) -> int:
     return lo
 
 
+def _matrix_keys(scn, grid: dict, fee: str) -> set:
+    """The memo keys of the distinct transition matrices of scn's chain on grid
+    (`lattice.chain_steps`). A grid.N that misses a breakpoint of scn's fee is
+    refused naming fee, the owner of that fee."""
+    try:
+        *_, keys = lattice.chain_steps(scn, grid["N"], grid["M"], grid["xmax_mult"])
+    except ConfigError as exc:  # time_nodes names the run's own fee, scenario.fee
+        raise ConfigError(str(exc).replace("scenario.fee", fee)) from None
+    return set(keys.values())
+
+
 def _check_memory(tasks, scn, grid: dict, paths: int) -> None:
     """Refuse, with a ConfigError naming grid.M or grid.N and its largest value
     that fits, a grid on which a task's largest arrays exceed MEMORY_BUDGET.
     grid.M is named for the tasks that build chains, whose M x M matrices no
     grid.N makes smaller, grid.N for the others."""
     N, M = grid["N"], grid["M"]
-    lattice = [scn] if "price-lattice" in tasks else []
-    chains = {"price-lattice": lattice,
-              "paper-fig": [*lattice, *map(presets.benchmark_scenario, ("c1", "c2"))]}
-    # a paper-fig run whose N misses the benchmark breakpoints stops here
-    matrices = {task: _distinct_matrices(scns, N) for task, scns in chains.items()
-                if task in tasks}
+    own = [_matrix_keys(scn, grid, "scenario.fee")] if "price-lattice" in tasks else []
+    chains = {"price-lattice": own}
+    if "paper-fig" in tasks:  # a run whose N misses the benchmark breakpoints stops here
+        chains["paper-fig"] = [*own, *(_matrix_keys(presets.benchmark_scenario(label), grid,
+                                                    f"paper-fig's {label} benchmark fee")
+                                       for label in _FIGURE)]
+    matrices = {task: len(set().union(*keys)) for task, keys in chains.items() if task in tasks}
     for task in tasks:
         def need(n: int, m: int) -> int:
             return _largest_arrays(task, n, m, matrices.get(task, 0), paths)
@@ -284,8 +288,15 @@ def _check_l(run: _Run) -> None:
     run.results["min_L"] = check.min_L
 
 
+def _matrix_checks(chain) -> list[dict]:
+    """The checks build_chain made on each distinct transition matrix of chain,
+    with the fee rate of its steps."""
+    return [{"fee": c, **check} for c, check in chain.checks.items()]
+
+
 def _price_lattice(run: _Run) -> None:
     run.priced("lattice", run.value(run.scn, "discontinuous"))
+    run.diagnostics["price-lattice"] = {"transition_matrices": _matrix_checks(run.chain(run.scn))}
 
 
 def _price_pde(run: _Run) -> None:
@@ -358,8 +369,10 @@ def _mc_verify(run: _Run) -> None:
 
 
 def _paper_fig(run: _Run) -> None:
-    for label, panel_pair in (("c1", ("a", "b")), ("c2", ("c", "d"))):
+    checks = run.diagnostics["paper-fig"] = {}
+    for label, panel_pair in _FIGURE.items():
         bscn = presets.benchmark_scenario(label)
+        checks[f"transition_matrices_{label}"] = _matrix_checks(run.chain(bscn))
         for kind, panel in zip(("discontinuous", "continuous"), panel_pair):
             surf = run.value(bscn, kind)
             mode = "exercise" if kind == "continuous" else "value-gap"
@@ -449,6 +462,9 @@ def main(argv=None) -> int:
         return 2
     except (pde.SolverError, FloatingPointError) as exc:  # no convergence, a non-finite result
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a grid under the budget on a machine with less free memory
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -118,11 +118,13 @@ def write_report_csv(path, report: DecompositionReport, surface: ValueSurface) -
 
 def write_estimates_csv(path, rows) -> None:
     """rows: iterable of (quantity, estimate, std_error, npaths, seed)."""
+    rows = list(rows)
+    cells = zip(_numbers([row[1] for row in rows]), _numbers([row[2] for row in rows]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("quantity,estimate,std_error,npaths,seed\n")
         fh.write("".join(
-            f"{name},{format_number(est)},{format_number(se)},{int(npaths)},{int(seed)}\n"
-            for name, est, se, npaths, seed in rows
+            f"{name},{est},{se},{int(npaths)},{int(seed)}\n"
+            for (name, _, _, npaths, seed), (est, se) in zip(rows, cells)
         ))
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "GridResolutionError",
     "ChainGrid",
     "ConvergenceStudy",
+    "chain_steps",
     "build_chain",
     "bermudan_value",
     "american_extrapolate",
@@ -47,7 +48,9 @@ class GridResolutionError(ConfigError):
 class ChainGrid:
     """State chain for one scenario: nodes, exercise dates and per-step transitions.
 
-    ``step_keys[n]`` is the fee rate c(t_n) that step n's matrix was built with.
+    ``step_keys[n]`` is the fee rate c(t_n) that step n's matrix was built with,
+    and ``checks`` maps each fee rate to the ``row_sum_error`` (largest
+    |row sum - 1|) and ``min_probability`` its matrix had on leaving ``_expm``.
     Transition matrices are shared between steps with identical coefficients
     (piecewise fees produce only a handful of distinct matrices), and between
     chains built with one ``matrices`` memo (see ``build_chain``). Each is
@@ -67,6 +70,7 @@ class ChainGrid:
     tnodes: np.ndarray
     step_keys: tuple[float, ...]
     matrices: dict
+    checks: dict
     discount: float
 
     @property
@@ -147,8 +151,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E if s else E.copy()  # a copy frees the workspace
 
 
-def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int, M: int,
-                    xmax_mult: float):
+def _invalid_matrix(head: str, scn: Scenario, xnodes, var, stiffness: float, dt: float,
+                    N: int, M: int, xmax_mult: float):
     """GridResolutionError naming the likelier cause of an invalid transition matrix.
 
     The rounding error of expm(Q dt) grows with the stiffness of Q dt (its
@@ -166,8 +170,6 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int
             f"{head}: market.sigma = {scn.market.sigma:g} is so small that the variance"
             " (sigma x)^2 underflows to 0 at every state node, which no grid cures"
         )
-    exit_rates = -np.diag(_generator(xnodes, mu, var))
-    stiffness = float(exit_rates.max()) * dt
     if stiffness <= _STEP_BUDGET:
         return GridResolutionError(f"{head}; try grid.M >= {2 * M}")
     steps = math.ceil(N * stiffness / _STEP_BUDGET)
@@ -176,7 +178,7 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int
             f"{head}: the generator is too stiff for dt = {dt:.3g}"
             f" (largest exit rate x dt = {stiffness:.2e}); try grid.N >= {steps}"
         )
-    diffusion = float((-np.diag(_generator(xnodes, np.zeros_like(mu), var))).max()) * dt
+    diffusion = float((-np.diag(_generator(xnodes, np.zeros_like(var), var))).max()) * dt
     dy = math.log(xnodes[1] / xnodes[0])
     key = (f"market.sigma = {scn.market.sigma:g} with the state spacing dy = {dy:.3g}"
            f" of grid.M = {M} and grid.xmax_mult = {xmax_mult!r}"
@@ -187,58 +189,62 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, mu, var, dt: float, N: int
     )
 
 
+def chain_steps(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0):
+    """(xnodes, tnodes, step_keys, keys) of scn's chain: step_keys[n] is the fee
+    rate c(t_n) step n freezes, and keys maps each distinct one to the memo key of
+    its matrix, all the generator reads (state nodes, dt, r, sigma and the fee)."""
+    xnodes = log_space_nodes(scn.contract.F0, xmax_mult, M)
+    tnodes = time_nodes(scn, N)
+    step_keys = tuple(scn.fee(tnodes[:-1]).tolist())
+    coefficients = (xnodes.tobytes(), float(tnodes[1] - tnodes[0]), scn.market.r, scn.market.sigma)
+    return xnodes, tnodes, step_keys, {c: (*coefficients, c) for c in dict.fromkeys(step_keys)}
+
+
 def build_chain(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0,
                 matrices: dict | None = None) -> ChainGrid:
     """Build the state chain: log-uniform nodes, one transition matrix per step.
 
-    Piecewise-fee breakpoints must land on time nodes (ConfigError otherwise);
-    coefficients are frozen at each step's left endpoint. ``matrices``, when
-    given, is a memo the caller keeps across chains: it maps everything the
-    generator reads (state nodes, dt, r, sigma and the fee rate) to the checked
-    transition matrix, so chains that share a step's coefficients share its
-    matrix and exponentiate it once. A step stiffer than ``_STEP_BUDGET``
-    (largest exit rate x dt) is refused before ``_expm`` runs, so the verdict
-    does not hang on how its exponential rounds. The row-sum and
-    minimum-probability check runs on the result of ``_expm`` (scipy's Pade
-    step plus squarings that drop the entries below sqrt(tiny)); entries below
-    the smallest normal double are then set to 0 (see ``ChainGrid``).
+    ``matrices``, when given, is a memo the caller keeps across chains: it maps
+    each key of ``chain_steps`` to the checked transition matrix and its checks,
+    so chains that share a step's coefficients share its matrix and exponentiate
+    it once. A step stiffer than ``_STEP_BUDGET`` (largest exit rate x dt) is
+    refused before ``_expm`` runs, so the verdict does not hang on how its
+    exponential rounds. The row-sum and minimum-probability check runs on the
+    result of ``_expm`` (scipy's Pade step plus squarings that drop the entries
+    below sqrt(tiny)); entries below the smallest normal double are then set to
+    0 (see ``ChainGrid``).
     """
     r, sigma = scn.market.r, scn.market.sigma
-    xnodes = log_space_nodes(scn.contract.F0, xmax_mult, M)
-    tnodes = time_nodes(scn, N)
+    xnodes, tnodes, step_keys, keys = chain_steps(scn, N, M, xmax_mult)
     dt = float(tnodes[1] - tnodes[0])
     var = (sigma * xnodes) ** 2
     memo = {} if matrices is None else matrices
-    step_keys = tuple(scn.fee(tnodes[:-1]).tolist())
-    chain: dict[float, np.ndarray] = {}
-    for c in step_keys:
-        if c not in chain:
-            memo_key = (xnodes.tobytes(), dt, r, sigma, c)
-            if memo_key not in memo:
-                mu = (r - c) * xnodes
-                A = _generator(xnodes, mu, var) * dt
-                if -A.diagonal().min() > _STEP_BUDGET:  # too stiff, whatever expm rounds
-                    raise _invalid_matrix("invalid transition matrix", scn, xnodes, mu, var,
-                                          dt, N, M, xmax_mult)
-                P = _expm(A)
-                del A  # held into the next step, it raised mc-verify's peak RSS by 3.5 MB
-                rs_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-                pmin = float(P.min())
-                if rs_err > 1e-12 or pmin < -1e-12:
-                    raise _invalid_matrix(
-                        f"invalid transition matrix (row-sum err {rs_err:.2e}, min prob {pmin:.2e})",
-                        scn, xnodes, mu, var, dt, N, M, xmax_mult,
-                    )
-                P[P < _TINY] = 0.0  # negatives and subnormals, see ChainGrid
-                P.setflags(write=False)
-                memo[memo_key] = P
-            chain[c] = memo[memo_key]
+    for c, key in keys.items():
+        if key not in memo:
+            A = _generator(xnodes, (r - c) * xnodes, var) * dt
+            stiffness = -float(A.diagonal().min())  # the largest exit rate x dt
+            if stiffness > _STEP_BUDGET:  # too stiff, whatever expm rounds
+                raise _invalid_matrix("invalid transition matrix", scn, xnodes, var, stiffness,
+                                      dt, N, M, xmax_mult)
+            P = _expm(A)
+            del A  # held into the next step, it raised mc-verify's peak RSS by 3.5 MB
+            rs_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
+            pmin = float(P.min())
+            if rs_err > 1e-12 or pmin < -1e-12:
+                raise _invalid_matrix(
+                    f"invalid transition matrix (row-sum err {rs_err:.2e}, min prob {pmin:.2e})",
+                    scn, xnodes, var, stiffness, dt, N, M, xmax_mult,
+                )
+            P[P < _TINY] = 0.0  # negatives and subnormals, see ChainGrid
+            P.setflags(write=False)
+            memo[key] = P, {"row_sum_error": rs_err, "min_probability": pmin}
     return ChainGrid(
         xnodes=xnodes,
         tnodes=tnodes,
         step_keys=step_keys,
-        matrices=chain,
-        discount=math.exp(-scn.market.r * dt),
+        matrices={c: memo[key][0] for c, key in keys.items()},
+        checks={c: memo[key][1] for c, key in keys.items()},
+        discount=math.exp(-r * dt),
     )
 
 

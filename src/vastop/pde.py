@@ -209,7 +209,7 @@ class SmoothFitReport:
     skipped: tuple[str, ...]
 
 
-def smooth_fit_diagnostic(surface: ValueSurface, scn: Scenario, boundary, times) -> SmoothFitReport:
+def smooth_fit_diagnostic(surface: ValueSurface, boundary, times) -> SmoothFitReport:
     """Measure the slope discontinuity of the value across the boundary.
 
     For each requested time with a finite boundary node b, the right slope is

@@ -28,7 +28,8 @@ def log_space_nodes(F0: float, xmax_mult: float, M: int) -> np.ndarray:
 
 def time_nodes(scn: Scenario, N: int) -> np.ndarray:
     """N+1 equally spaced exercise dates on [0, T]; piecewise-fee breakpoints
-    must coincide with nodes so the fee never changes inside a step."""
+    must coincide with nodes so the fee never changes inside a step. The refusal
+    of an N that misses one names grid.N and the scenario's fee, scenario.fee."""
     if N < 1:
         raise ConfigError("need at least one time step")
     T = scn.contract.T
@@ -39,10 +40,10 @@ def time_nodes(scn: Scenario, N: int) -> np.ndarray:
             steps = b / dt
             if abs(steps - round(steps)) > 1e-9:
                 multiple = _alignment_multiple(T, scn.fee.breakpoints)
-                advice = (f"choose N a multiple of {multiple}" if multiple else
-                          f"no N up to {MAX_STEPS} puts fee.breakpoints on it")
+                advice = (f"choose grid.N a multiple of {multiple}" if multiple else
+                          f"no grid.N up to {MAX_STEPS} puts every breakpoint on a date")
                 raise ConfigError(
-                    f"fee breakpoint t={b} does not fall on the time grid (N={N}); {advice}")
+                    f"grid.N = {N} puts no date on the breakpoint t={b} of scenario.fee; {advice}")
     return tnodes
 
 

@@ -211,7 +211,7 @@ def test_criterion_10_smooth_fit_refinement(c1_scn):
         surf = vs.solve_variational_inequality(c1_scn, pgrid)
         mask = vs.extract_regions(surf, c1_scn)
         boundary = vs.extract_boundary(mask, surf)
-        rep = vs.smooth_fit_diagnostic(surf, c1_scn, boundary, times=[2.0, 12.0])
+        rep = vs.smooth_fit_diagnostic(surf, boundary, times=[2.0, 12.0])
         jumps[M] = rep.jump
     ratios = jumps[BENCH_M] / jumps[2 * BENCH_M - 1]
     ok = bool(np.all(ratios >= 1.5))

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vastop as vs
-from vastop import cli, lattice
+from vastop import cli, lattice, mc
 from vastop.cli import MEMORY_BUDGET, TASKS, main
 from vastop.model import ConfigError
 
@@ -308,21 +308,34 @@ class TestConfigValidation:
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         assert "breakpoint" in capsys.readouterr().err
 
+    def _off_grid_refusal(self, tmp_path, capsys, fee, N) -> str:
+        """The refusal of a check-L, price-lattice and paper-fig run with fee on N
+        steps, after checking that it creates no out."""
+        doc = _base_config(tasks=["check-L", "price-lattice", "paper-fig"])
+        doc["scenario"]["fee"] = fee
+        out = tmp_path / "o"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out), "--grid-N", str(N)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
     def test_paper_fig_off_the_benchmark_breakpoints_exits_2_before_any_work(self, tmp_path,
                                                                               capsys):
         # the run's own fee is constant, but paper-fig prices c1 and c2, whose fee
         # breakpoints at t = 5 and 10 N = 100 misses: no task runs, no out is made
-        doc = _base_config(tasks=["check-L", "price-lattice", "paper-fig"])
-        out = tmp_path / "o"
-        assert main(["run", _write(tmp_path, doc), "--out", str(out), "--grid-N", "100"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: fee breakpoint t=5.0 does not fall on the time"
-                              " grid (N=100); choose N a multiple of 3")
-        assert not out.exists()
+        err = self._off_grid_refusal(tmp_path, capsys, {"kind": "constant", "rate": 0.01}, 100)
+        assert err == ("config error: grid.N = 100 puts no date on the breakpoint t=5.0 of"
+                       " paper-fig's c1 benchmark fee; choose grid.N a multiple of 3\n")
+
+    def test_own_fee_off_the_grid_names_scenario_fee(self, tmp_path, capsys):
+        # the run's own fee breaks at t = 5, which 7 steps of 15/7 years miss
+        fee = {"kind": "piecewise", "breakpoints": [5.0], "rates": [0.01, 0.02]}
+        err = self._off_grid_refusal(tmp_path, capsys, fee, 7)
+        assert err == ("config error: grid.N = 7 puts no date on the breakpoint t=5.0 of"
+                       " scenario.fee; choose grid.N a multiple of 3\n")
 
     @pytest.mark.parametrize("breakpoint, advice", [
-        (3.14159265, "no N up to 100000 puts fee.breakpoints on it"),
-        (15.0 * 7 / 20011, "choose N a multiple of 20011"),  # the least N is past 10000
+        (3.14159265, "no grid.N up to 100000 puts every breakpoint on a date"),
+        (15.0 * 7 / 20011, "choose grid.N a multiple of 20011"),  # the least N is past 10000
     ])
     def test_misaligned_breakpoint_advice_names_an_aligning_n_or_none(self, tmp_path, capsys,
                                                                       breakpoint, advice):
@@ -332,7 +345,9 @@ class TestConfigValidation:
         doc["grid"]["N"] = 12
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: fee breakpoint") and err.rstrip().endswith(advice)
+        assert err.startswith(f"config error: grid.N = 12 puts no date on the breakpoint"
+                              f" t={breakpoint} of scenario.fee; ")
+        assert err.rstrip().endswith(advice)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("out", ["blocker", "blocker/sub"])
@@ -657,6 +672,24 @@ class TestWriterExitPaths:
         # the writes emitted before the failure are finished, as in one process
         assert sorted(os.listdir(out)) == ["check_L.csv", "surface_lattice.csv"]
 
+    def test_out_of_memory_after_writes(self, tmp_path, capsys, monkeypatch):
+        # a grid under the budget on a machine with less free memory: numpy's
+        # refusal is reported on one line, without a traceback
+        import vastop.pde as pde
+
+        message = ("Unable to allocate 5.36 GiB for an array with shape (12000, 12000)"
+                   " and data type float64")
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pde, "solve_variational_inequality", exhausted)
+        doc = _base_config(tasks=["check-L", "price-lattice", "price-pde"])
+        code, out = self._run(tmp_path, doc)
+        assert code == 1
+        assert capsys.readouterr().err == f"out of memory: {message}\n"
+        assert sorted(os.listdir(out)) == ["check_L.csv", "surface_lattice.csv"]
+
     def test_internal_error_in_a_write(self, tmp_path, capsys, monkeypatch):
         import vastop.io as csvio
 
@@ -784,8 +817,9 @@ class TestRunPipeline:
     @pytest.mark.parametrize("tasks, diagnosed", [
         (["check-L"], set()),
         (["price-pde"], {"price-pde"}),
-        (["decompose"], {"regions", "boundary", "decompose"}),
+        (["decompose"], {"price-lattice", "regions", "boundary", "decompose"}),
         (["price-pde", "decompose"], {"price-pde", "regions", "boundary", "decompose"}),
+        (["paper-fig"], {"paper-fig"}),
     ])
     def test_summary_reports_the_diagnostics_of_the_tasks_run(self, tmp_path, tasks, diagnosed):
         doc = _base_config(tasks=tasks, grid={"N": 12, "M": 21})
@@ -796,7 +830,9 @@ class TestRunPipeline:
         assert set(diagnostics) == diagnosed
         priced = [name for name in ("lattice", "pde")
                   if f"{name}_value_at_inception" in summary["results"]]
-        keys = {"price-pde": {"psor_max_iterations", "complementarity_free_max",
+        keys = {"price-lattice": {"transition_matrices"},
+                "paper-fig": {"transition_matrices_c1", "transition_matrices_c2"},
+                "price-pde": {"psor_max_iterations", "complementarity_free_max",
                               "complementarity_active_min"},
                 "regions": {f"sign_mismatch_dates_{name}" for name in priced},
                 "boundary": {f"threshold_violations_{name}" for name in priced},
@@ -804,7 +840,8 @@ class TestRunPipeline:
         for task, entry in diagnostics.items():
             assert set(entry) == keys[task]
             assert all(math.isfinite(v) for value in entry.values()
-                       for v in (value if isinstance(value, list) else [value]))
+                       for item in (value if isinstance(value, list) else [value])
+                       for v in (item.values() if isinstance(item, dict) else [item]))
         if "price-pde" in diagnosed:
             assert diagnostics["price-pde"]["psor_max_iterations"] >= 1
         if "decompose" in diagnosed:
@@ -813,6 +850,31 @@ class TestRunPipeline:
             assert diagnostics["decompose"]["min_e"] == table["e"].min()
             assert diagnostics["decompose"]["min_f"] == table["f"].min()
             assert isinstance(diagnostics["decompose"]["flagged_nodes"], int)
+
+    @pytest.mark.parametrize("fee, own", [
+        ({"kind": "piecewise", "breakpoints": [5.0, 10.0],
+          "rates": [0.010908, 0.005454, 0.010908]}, [0.010908, 0.005454]),  # c1
+        ({"kind": "constant", "rate": 0.01}, [0.01]),
+    ])
+    def test_chain_diagnostics_report_each_distinct_matrix(self, tmp_path, fee, own):
+        doc = _base_config(tasks=["price-lattice", "paper-fig"], grid={"N": 30, "M": 41})
+        doc["scenario"]["fee"] = fee
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        diag = json.loads((out / "summary.json").read_text())["diagnostics"]
+
+        def checks(scn):
+            chain = vs.build_chain(scn, 30, 41, 8.0)
+            return [{"fee": c, **check} for c, check in chain.checks.items()]
+
+        lattice_checks = diag["price-lattice"]["transition_matrices"]
+        assert lattice_checks == checks(vs.scenario_from_dict(doc["scenario"]))
+        assert [entry["fee"] for entry in lattice_checks] == own
+        # c1 and c2 share their two matrices, and so their numbers
+        c1 = checks(vs.benchmark_scenario("c1"))
+        assert diag["paper-fig"] == {"transition_matrices_c1": c1, "transition_matrices_c2": c1}
+        for entry in [*lattice_checks, *c1]:
+            assert 0 <= entry["row_sum_error"] <= 1e-12 and entry["min_probability"] >= -1e-12
 
     def test_boundary_diagnostics_count_the_threshold_violations(self, tmp_path):
         # value-gap mode marks the PDE's lowest node in slices 0-3 of this
@@ -1197,8 +1259,39 @@ class TestMemoryBudget:
         scn = vs.scenario_from_dict(doc["scenario"])
         figs = [vs.benchmark_scenario("c1"), vs.benchmark_scenario("c2")]
         chains = {"price-lattice": [scn], "paper-fig": figs}.get(task, [])
-        return {"N": doc["grid"]["N"], "M": doc["grid"]["M"], "paths": 100_000,
-                "matrices": cli._distinct_matrices(chains, doc["grid"]["N"])}
+        N, M = doc["grid"]["N"], doc["grid"]["M"]
+        keys = {key for chain in chains for key in lattice.chain_steps(chain, N, M)[3].values()}
+        return {"N": N, "M": M, "paths": 100_000, "matrices": len(keys)}
+
+    @pytest.mark.parametrize("tasks", [
+        ["price-lattice", "price-pde", "regions", "decompose", "mc-verify"],
+        ["paper-fig"],  # alone, so that it builds its chains
+    ])
+    def test_estimates_track_the_traced_peaks(self, tmp_path, cpus, monkeypatch, tasks):
+        # c1 at N=360, M=401 on two CPUs, where every estimate is 2 to 23 MB: each
+        # task's traced peak lies within half and twice the estimate, which encodes
+        # the block sizes of decompose and mc and scipy's Pade workspace
+        cpus(2)
+        monkeypatch.setattr(cli._Run, "emit", lambda run, *args: None)  # no CSV is written
+        doc = _base_config(scenario=vs.scenario_to_dict(vs.benchmark_scenario("c1")),
+                           tasks=tasks, grid={"N": 360, "M": 401},
+                           mc={"npaths": 2 * mc.CHUNK_PATHS})
+        args = argparse.Namespace(out=str(tmp_path / "out"), seed=None, grid_N=None, grid_M=None)
+        run = cli._Run(doc, args)
+        measured = []
+        for task in run.tasks:
+            tracemalloc.start()
+            try:
+                cli._TABLE[task][0](run)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sizes = {**self._sizes(doc, task), "paths": doc["mc"]["npaths"]}
+            estimate = cli._largest_arrays(task, **sizes)
+            if estimate:
+                assert estimate >= 2e6 and estimate / 2 <= peak <= 2 * estimate, (task, peak)
+                measured.append(task)
+        assert measured == tasks
 
     @pytest.mark.parametrize("task", ["check-L", "boundary"])
     def test_tasks_of_o_n_floats_hold_no_grid(self, task):

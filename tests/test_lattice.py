@@ -120,6 +120,38 @@ class TestBuildChain:
         # piecewise fee with two distinct rates -> two distinct matrices
         assert len(seen) == 2
 
+    def test_checks_are_those_of_each_exponential(self, c1_scn, c2_scn):
+        # measured on _expm's result, before the entries below tiny are set to 0;
+        # a chain that shares the memo shares the matrices and their numbers
+        memo = {}
+        grid = vs.build_chain(c1_scn, N=36, M=101, xmax_mult=8.0, matrices=memo)
+        x, r, sigma = grid.xnodes, c1_scn.market.r, c1_scn.market.sigma
+        assert list(grid.checks) == list(grid.matrices) == [0.010908, 0.005454]
+        for c, check in grid.checks.items():
+            P = lattice._expm(lattice._generator(x, (r - c) * x, (sigma * x) ** 2) * grid.dt)
+            assert check == {"row_sum_error": float(np.max(np.abs(P.sum(axis=1) - 1.0))),
+                             "min_probability": float(P.min())}
+        other = vs.build_chain(c2_scn, N=36, M=101, xmax_mult=8.0, matrices=memo)
+        assert other.checks == grid.checks and len(memo) == 2
+        assert all(other.matrices[c] is P for c, P in grid.matrices.items())
+
+    def test_chain_steps_key_what_the_generator_reads(self, c1_scn, c2_scn):
+        xnodes, tnodes, step_keys, keys = lattice.chain_steps(c1_scn, 36, 101)
+        grid = vs.build_chain(c1_scn, 36, 101)
+        assert np.array_equal(xnodes, grid.xnodes) and np.array_equal(tnodes, grid.tnodes)
+        assert step_keys == grid.step_keys == tuple(c1_scn.fee(tnodes[:-1]).tolist())
+        # the charge is not read: c1 and c2 key the same two matrices
+        assert keys == lattice.chain_steps(c2_scn, 36, 101)[3] and len(keys) == 2
+        # state nodes, dt, r and sigma are
+        for scn, N, M, mult in (
+            (dataclasses.replace(c1_scn, contract=vs.ContractParams(G=100.0, T=15.0, F0=50.0)),
+             36, 101, 8.0),
+            (c1_scn, 72, 101, 8.0), (c1_scn, 36, 103, 8.0), (c1_scn, 36, 101, 9.0),
+            (dataclasses.replace(c1_scn, market=vs.MarketParams(r=0.04, sigma=0.2)), 36, 101, 8.0),
+            (dataclasses.replace(c1_scn, market=vs.MarketParams(r=0.03, sigma=0.3)), 36, 101, 8.0),
+        ):
+            assert set(lattice.chain_steps(scn, N, M, mult)[3].values()).isdisjoint(keys.values())
+
     def test_production_matrices_hold_no_subnormal(self, c1_lattice):
         assert [_subnormals(P) for P in c1_lattice["grid"].matrices.values()] == [0, 0]
 

@@ -271,19 +271,19 @@ class TestObstacleSolve:
 class TestSmoothFit:
     def test_deep_region_slope_equals_charge_factor(self, c1_scn, c1_pde):
         surf = c1_pde["surface"]
-        rep = vs.smooth_fit_diagnostic(surf, c1_scn, c1_pde["boundary"], times=[2.0])
+        rep = vs.smooth_fit_diagnostic(surf, c1_pde["boundary"], times=[2.0])
         g2 = float(c1_scn.charge(2.0))
         assert rep.slope_right[0] == pytest.approx(g2, abs=1e-6)
 
-    def test_empty_sections_skipped(self, c1_scn, c1_pde):
-        rep = vs.smooth_fit_diagnostic(c1_pde["surface"], c1_scn, c1_pde["boundary"], times=[7.0])
+    def test_empty_sections_skipped(self, c1_pde):
+        rep = vs.smooth_fit_diagnostic(c1_pde["surface"], c1_pde["boundary"], times=[7.0])
         assert np.isnan(rep.jump[0])
         assert any("empty" in s for s in rep.skipped)
 
-    def test_off_date_time_rejected(self, c1_scn, c1_pde):
+    def test_off_date_time_rejected(self, c1_pde):
         # dates lie 1/24 apart on the production grid
         with pytest.raises(ConfigError, match=r"t=0\.017 is not a date of the time grid"):
-            vs.smooth_fit_diagnostic(c1_pde["surface"], c1_scn, c1_pde["boundary"],
+            vs.smooth_fit_diagnostic(c1_pde["surface"], c1_pde["boundary"],
                                      times=[2.0, 0.017])
 
     def test_jump_shrinks_under_refinement(self, c1_scn):
@@ -293,6 +293,6 @@ class TestSmoothFit:
             surf = vs.solve_variational_inequality(c1_scn, grid)
             mask = vs.extract_regions(surf, c1_scn)
             boundary = vs.extract_boundary(mask, surf)
-            rep = vs.smooth_fit_diagnostic(surf, c1_scn, boundary, times=[2.0])
+            rep = vs.smooth_fit_diagnostic(surf, boundary, times=[2.0])
             jumps[M] = float(rep.jump[0])
         assert jumps[401] < jumps[201]
