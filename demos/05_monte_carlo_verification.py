@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Monte Carlo verification: unbiased oracles and a strategy lower bound.
 
-Counter-based random streams make every estimate bit-reproducible. The
-boundary-following stopping rule gives a lower bound on the solver value; the
-path estimators of the two premiums work on arbitrary region masks, including
-disconnected ones.
+Counter-based random streams make every estimate bit-reproducible. Paths come
+in antithetic pairs (Z and -Z), and each standard error is taken over the pair
+means. The boundary-following stopping rule gives a lower bound on the solver
+value; the path estimators of the two premiums work on arbitrary region masks,
+including disconnected ones.
 
 Usage:
     python demos/05_monte_carlo_verification.py [--paths N]

@@ -3,20 +3,30 @@
 Randomness comes from the counter-based Philox generator. Paths are produced
 in fixed-size chunks of 2^14; chunk i draws from Philox(key=seed).jumped(i)
 with a path-major normal matrix, so results are bit-reproducible for a given
-(seed, npaths, nsteps). A chunk is drawn and built in blocks of
-BLOCK_ROWS paths: consecutive standard_normal calls on the chunk's generator
-stack to the same paths as one call, and a block's normals and paths stay in
-the core's cache across the in-place passes that build them.
+(seed, npaths, nsteps). Paths come in antithetic pairs (Glasserman 2004,
+Monte Carlo Methods in Financial Engineering, section 4.2): path 2j of a chunk
+takes the chunk's j-th row of normals Z_j and path 2j + 1 takes -Z_j, so a
+chunk draws half as many normals as it has paths. A chunk is drawn and built
+in blocks of BLOCK_ROWS paths: consecutive standard_normal calls on the
+chunk's generator stack to the same rows as one call, and a block's normals
+and paths stay in the core's cache across the in-place passes that build
+them. BLOCK_ROWS and CHUNK_PATHS are even, so a pair never straddles a block
+or a chunk, only the batch's last path can be unpaired, and a batch of n paths
+is the first n paths of any larger batch with the same seed.
 
 An estimator pass (``mc_verify_estimates`` serves all estimators at once)
 maps its chunks on the package's one thread pool, ``_threads.ordered_map``
 (one worker per CPU the process may run on). The worker that builds a
 chunk runs every estimator's kernel on each block and reduces the chunk to
-per-estimator sums and sums of squares, taken with numpy's pairwise summation
-over chunk-length sample buffers. The caller adds those sums in chunk order,
-so every estimate is the same to the last bit for any worker count, and a pass
-holds a few blocks per worker, never a whole chunk. ``PathBatch.iter_chunks``,
-the whole-chunk accessor, builds its chunks on the calling thread.
+per-estimator statistics: the sum over its paths, and the count, mean and
+centred sum of squares of its pair means, the independent samples. The caller
+adds the sums and merges the pair statistics (Chan, Golub & LeVeque) in chunk
+order, so every estimate is the same to the last bit for any worker count, and
+a pass holds a few blocks per worker, never a whole chunk. An estimate is the
+mean over all npaths paths; its standard error is the standard deviation of
+the npaths // 2 pair means over the square root of their count, 0 when there
+is no pair (one path). ``PathBatch.iter_chunks``, the whole-chunk accessor,
+builds its chunks on the calling thread.
 """
 
 from __future__ import annotations
@@ -72,27 +82,32 @@ class PathBatch:
 
     def _blocks(self, ci: int, drifts: np.ndarray):
         """Yield the paths of chunk ci as consecutive row blocks of BLOCK_ROWS
-        rows and nsteps + 1 columns, with drifts the per-step log drifts. Every
-        block is built in the same two buffers, so a block is valid until the
-        next one is drawn. Runs on a pool worker, so it must call no public
-        vastop function (the perfbench tracer's span stack is single-threaded)."""
+        rows and nsteps + 1 columns, with drifts the per-step log drifts. A block
+        of m rows draws (m + 1) // 2 rows of normals; its even rows take them and
+        its odd rows their negatives. Every block is built in the same two
+        buffers, so a block is valid until the next one is drawn. Runs on a pool
+        worker, so it must call no public vastop function (the perfbench
+        tracer's span stack is single-threaded)."""
         vol = self.scn.market.sigma * math.sqrt(float(self.tnodes[1] - self.tnodes[0]))
         F0 = self.scn.contract.F0
         npc = min(CHUNK_PATHS, self.npaths - ci * CHUNK_PATHS)
         rng = np.random.Generator(np.random.Philox(key=self.seed).jumped(ci))
         rows = min(BLOCK_ROWS, npc)
-        Zbuf = np.empty((rows, self.nsteps))
+        base = math.log(F0) + np.cumsum(drifts)
+        Sbuf = np.empty(((rows + 1) // 2, self.nsteps))
         Fbuf = np.empty((rows, self.nsteps + 1))
         Fbuf[:, 0] = F0
         for r0 in range(0, npc, rows):
-            Z, F = Zbuf[:npc - r0], Fbuf[:npc - r0]
-            rng.standard_normal(out=Z)
-            # exp(log F0 + cumsum(drifts + vol Z)), built in place in Z
-            Z *= vol
-            Z += drifts
-            np.cumsum(Z, axis=1, out=Z)
-            Z += math.log(F0)
-            np.exp(Z, out=F[:, 1:])
+            F = Fbuf[:npc - r0]
+            S = Sbuf[:(F.shape[0] + 1) // 2]
+            rng.standard_normal(out=S)
+            # log F = log F0 + cumsum(drifts) +- vol cumsum(Z), built in place in F
+            S *= vol
+            np.cumsum(S, axis=1, out=S)
+            up, down = F[0::2, 1:], F[1::2, 1:]
+            np.add(base, S, out=up)
+            np.subtract(base, S[:down.shape[0]], out=down)
+            np.exp(F[:, 1:], out=F[:, 1:])
             yield F
 
     def _chunk(self, ci: int, drifts: np.ndarray) -> np.ndarray:
@@ -139,10 +154,32 @@ class McEstimate:
     seed: int
 
 
-def _finalize(total: float, total_sq: float, n: int, seed: int) -> McEstimate:
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return McEstimate(estimate=mean, std_error=math.sqrt(var / n), npaths=n, seed=seed)
+def _chunk_stats(x: np.ndarray) -> tuple[float, int, float, float]:
+    """A chunk's per-path samples reduced to their sum, and the count, mean and
+    centred sum of squares of their pair means. The mean is taken shifted by the
+    first pair mean, so a constant sample has a sum of squares of exactly 0."""
+    total, k = float(np.sum(x)), x.size // 2
+    if not k:
+        return total, 0, 0.0, 0.0
+    pm = 0.5 * (x[0:2 * k:2] + x[1:2 * k:2])
+    mean = float(pm[0] + np.sum(pm - pm[0]) / k)
+    return total, k, mean, float(np.sum(np.square(pm - mean)))
+
+
+def _finalize(per_chunk, n: int, seed: int) -> McEstimate:
+    """Add the chunks' sums and merge their pair statistics (Chan, Golub &
+    LeVeque) in chunk order."""
+    total, k, mean, m2 = 0.0, 0, 0.0, 0.0
+    for s, kb, mb, m2b in per_chunk:
+        total += s
+        if kb:
+            kk = k + kb
+            delta = mb - mean
+            mean += delta * (kb / kk)
+            m2 += m2b + delta * delta * (k * kb / kk)
+            k = kk
+    return McEstimate(estimate=total / n, std_error=math.sqrt(m2) / k if k else 0.0,
+                      npaths=n, seed=seed)
 
 
 def _one_pass(batch: PathBatch, kernels) -> list[McEstimate]:
@@ -150,14 +187,14 @@ def _one_pass(batch: PathBatch, kernels) -> list[McEstimate]:
 
     A kernel maps a block F of paths to a tuple of per-path samples. The worker
     that builds a chunk writes each sample of its blocks into a chunk-length
-    buffer and returns every buffer's sum and sum of squares; the caller adds
+    buffer and reduces every buffer with ``_chunk_stats``; the caller merges
     those in chunk order. So the result of a kernel depends neither on the
     worker count nor on which other kernels share the pass.
     """
 
     drifts = batch._drifts()
 
-    def chunk_sums(ci: int) -> list[tuple[float, float]]:
+    def chunk_stats(ci: int) -> list[tuple[float, int, float, float]]:
         bufs, r0 = [], 0
         for F in batch._blocks(ci, drifts):
             samples = [x for kernel in kernels for x in kernel(F)]
@@ -167,15 +204,10 @@ def _one_pass(batch: PathBatch, kernels) -> list[McEstimate]:
             for buf, x in zip(bufs, samples):
                 buf[r0:r0 + F.shape[0]] = x
             r0 += F.shape[0]
-        return [(float(np.sum(b)), float(np.sum(b * b))) for b in bufs]
+        return [_chunk_stats(b) for b in bufs]
 
-    per_chunk = ordered_map(chunk_sums, -(-batch.npaths // CHUNK_PATHS))
-    totals = [[0.0, 0.0] for _ in per_chunk[0]]
-    for sums in per_chunk:
-        for acc, (s, q) in zip(totals, sums):
-            acc[0] += s
-            acc[1] += q
-    return [_finalize(t, q, batch.npaths, batch.seed) for t, q in totals]
+    per_chunk = ordered_map(chunk_stats, -(-batch.npaths // CHUNK_PATHS))
+    return [_finalize(stats, batch.npaths, batch.seed) for stats in zip(*per_chunk)]
 
 
 def _maturity_kernel(scn: Scenario):

@@ -929,6 +929,31 @@ class TestRunPipeline:
                                    (h0 - sv["estimate"]) / sv["std_error"]),
         }
 
+    def test_readme_names_every_diagnostics_key(self, tmp_path):
+        doc = _base_config(tasks=list(TASKS), grid={"N": 12, "M": 21},
+                           mc={"npaths": 256, "seed": 3})
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 0
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert set(diagnostics) == set(TASKS) - {"check-L"}
+
+        def keys(value):  # every key of the nested dicts, those inside lists included
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield key
+                    yield from keys(item)
+            elif isinstance(value, list):
+                for item in value:
+                    yield from keys(item)
+
+        with open(os.path.join(SRC_DIR, "..", "README.md"), encoding="utf-8") as fh:
+            named = set(re.findall(r"`([^`\s]+)`", fh.read()))
+        # a name such as `sign_mismatch_dates_<surface>` stands for each surface
+        patterns = [re.compile(re.sub(r"<[a-z]+>", "[a-z0-9]+", re.escape(name))) for name in named]
+        unnamed = {key for key in keys(diagnostics)
+                   if not any(pattern.fullmatch(key) for pattern in patterns)}
+        assert not unnamed
+
     def test_each_artifact_is_written_by_one_fork(self, tmp_path, cpus, monkeypatch):
         cpus(2)
         doc = _base_config(tasks=list(TASKS), grid={"N": 12, "M": 21},

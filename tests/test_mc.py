@@ -120,8 +120,9 @@ class TestBoundaryStrategy:
         mb = vs.mc_maturity_benefit(batch, c1_scn)
         assert sv.estimate == mb.estimate and sv.std_error == mb.std_error
 
-    def test_immediate_exercise_is_deterministic(self, c1_scn):
-        batch = vs.simulate_paths(c1_scn, seed=41, npaths=1000, nsteps=12)
+    @pytest.mark.parametrize("npaths", [1, 7, 500, 1000, 3 * CHUNK_PATHS + 17])
+    def test_immediate_exercise_is_deterministic(self, c1_scn, npaths):
+        batch = vs.simulate_paths(c1_scn, seed=41, npaths=npaths, nsteps=12)
         tiny = _boundary(15.0, 12, np.full(12, 1e-12))
         sv = vs.mc_boundary_strategy_value(batch, c1_scn, tiny)
         g0 = float(c1_scn.charge(0.0))
@@ -217,8 +218,15 @@ class TestPremiumIntegrals:
         assert 0.0 < prem.e_estimate
         assert prem.e_estimate == pytest.approx(e_path.mean(), rel=1e-12)
         assert prem.f_estimate == pytest.approx(f_path.mean(), rel=1e-12)
-        assert prem.e_std_error == pytest.approx(e_path.std() / math.sqrt(e_path.size), rel=1e-8)
-        assert prem.f_std_error == pytest.approx(f_path.std() / math.sqrt(f_path.size), rel=1e-8)
+        e_pairs, f_pairs = _pair_means(e_path), _pair_means(f_path)
+        assert prem.e_std_error == pytest.approx(e_pairs.std() / math.sqrt(e_pairs.size), rel=1e-8)
+        assert prem.f_std_error == pytest.approx(f_pairs.std() / math.sqrt(f_pairs.size), rel=1e-8)
+
+
+def _pair_means(x: np.ndarray) -> np.ndarray:
+    """Means of the antithetic pairs (paths 2j and 2j + 1); an odd last path is left out."""
+    k = x.size // 2
+    return 0.5 * (x[0:2 * k:2] + x[1:2 * k:2])
 
 
 def _estimates(batch, scn, bundle):
@@ -231,23 +239,48 @@ def _estimates(batch, scn, bundle):
 
 class TestChunkPool:
     def test_chunks_match_the_closed_formula(self, c1_scn):
+        # chunk ci draws ceil(paths / 2) rows of normals Z from Philox(seed).jumped(ci);
+        # path 2j takes +Z_j and path 2j + 1 takes -Z_j, the odd last path +Z alone
         seed, nsteps = 5, 12
-        batch = vs.simulate_paths(c1_scn, seed=seed, npaths=CHUNK_PATHS + 300, nsteps=nsteps)
+        batch = vs.simulate_paths(c1_scn, seed=seed, npaths=CHUNK_PATHS + 301, nsteps=nsteps)
         tn = np.linspace(0.0, 15.0, nsteps + 1)
         dt = float(tn[1] - tn[0])
         r, sig, F0 = 0.03, c1_scn.market.sigma, c1_scn.contract.F0
         fee_ints = np.array([c1_scn.fee.integral(float(a), float(b)) for a, b in zip(tn[:-1], tn[1:])])
         drifts = r * dt - fee_ints - 0.5 * sig * sig * dt
         vol = sig * math.sqrt(dt)
+        base = math.log(F0) + np.cumsum(drifts)
         starts = []
         for start, F in batch.iter_chunks():
             starts.append(start)
             rng = np.random.Generator(np.random.Philox(key=seed).jumped(start // CHUNK_PATHS))
-            Z = rng.standard_normal((F.shape[0], nsteps))
-            logF = math.log(F0) + np.cumsum(drifts[None, :] + vol * Z, axis=1)
+            Z = rng.standard_normal(((F.shape[0] + 1) // 2, nsteps))
+            S = np.cumsum(vol * Z, axis=1)
             assert np.all(F[:, 0] == F0)
-            assert np.array_equal(F[:, 1:], np.exp(logF))
+            assert np.array_equal(F[0::2, 1:], np.exp(base + S))
+            assert np.array_equal(F[1::2, 1:], np.exp(base - S[:F.shape[0] // 2]))
         assert starts == [0, CHUNK_PATHS]
+
+    @pytest.mark.parametrize("npaths", [CHUNK_PATHS + 301, 2 * BLOCK_ROWS])
+    def test_standard_errors_are_taken_over_pair_means(self, c1_scn, npaths):
+        nsteps = 12
+        batch = vs.simulate_paths(c1_scn, seed=17, npaths=npaths, nsteps=nsteps)
+        boundary = _boundary(15.0, nsteps, np.linspace(150.0, 120.0, nsteps))
+        est = vs.mc_verify_estimates(batch, c1_scn, boundary, _mask(c1_scn, nsteps, False))
+        F, tn = batch.materialize(), batch.tnodes
+        r, G = c1_scn.market.r, c1_scn.contract.G
+        mb = math.exp(-r * 15.0) * np.maximum(G, F[:, -1])
+        hits = F[:, :-1] >= boundary.values
+        first = hits.argmax(axis=1)
+        rows = np.arange(npaths)
+        sv = np.where(hits.any(axis=1),
+                      np.exp(-r * tn[first]) * c1_scn.charge(tn[first]) * F[rows, first], mb)
+        for got, path in ((est.maturity_benefit, mb), (est.boundary_strategy, sv)):
+            pairs = _pair_means(path)
+            assert pairs.size == npaths // 2
+            # the estimate is the mean over every path, the odd last one included
+            assert got.estimate == pytest.approx(path.mean(), rel=1e-12)
+            assert got.std_error == pytest.approx(pairs.std() / math.sqrt(pairs.size), rel=1e-8)
 
     def test_estimates_bit_identical_for_any_worker_count(self, c1_scn, c1_lattice, cpus):
         batch = vs.simulate_paths(c1_scn, seed=8, npaths=3 * CHUNK_PATHS + 17, nsteps=360)
@@ -319,12 +352,10 @@ class TestChunkPool:
         boundary = _boundary(15.0, nsteps, np.linspace(150.0, 120.0, nsteps))
         kernels = [mc._maturity_kernel(c1_scn), mc._boundary_kernel(batch, c1_scn, boundary),
                    mc._premium_kernel(batch, c1_scn, mask)]
-        totals = [[0.0, 0.0] for _ in range(4)]
-        for _, F in batch.iter_chunks():
-            for acc, x in zip(totals, [x for kernel in kernels for x in kernel(F)]):
-                acc[0] += float(np.sum(x))
-                acc[1] += float(np.sum(x * x))
-        mb, sv, ee, ff = (mc._finalize(t, q, npaths, 54) for t, q in totals)
+        # each whole chunk's samples reduced to their sum and pair-mean statistics
+        per_chunk = [[mc._chunk_stats(x) for kernel in kernels for x in kernel(F)]
+                     for _, F in batch.iter_chunks()]
+        mb, sv, ee, ff = (mc._finalize(stats, npaths, 54) for stats in zip(*per_chunk))
         expected = repr(mc.McVerifyEstimates(mb, sv, mc._premiums(ee, ff)))
         for threads in (1, 2):
             cpus(threads)
