@@ -40,7 +40,7 @@ from ._threads import ordered_map
 from .analytic import guarantee_put_value, maturity_benefit_value
 from .model import ConfigError, Scenario
 from .region import Boundary
-from .surfaces import ValueSurface, date_index
+from .surfaces import ValueSurface, date_index, step_table
 
 __all__ = [
     "BLOCK_NODES",
@@ -74,10 +74,9 @@ class _StepQuadrature:
     """Per-step Simpson nodes and integrand factors for the states x, shared by
     the premiums of every date.
 
-    Composite Simpson on the exercise-date grid, one panel per step, with the
-    boundary frozen at the step's left node and the fee evaluated one-sidedly
-    so panel integrands stay smooth across fee breakpoints and boundary
-    empty/nonempty transitions (both live on grid times).
+    Composite Simpson on the exercise-date grid, one panel per step. The fee at
+    each node and the date whose boundary it reads come from
+    ``surfaces.step_table``.
 
     ``premiums`` evaluates the states in the column blocks of ``_blocks``. Every
     element goes through the numpy and ``ndtr`` operations of one full-width
@@ -91,16 +90,15 @@ class _StepQuadrature:
     def __init__(self, scn: Scenario, boundary: Boundary, x: np.ndarray):
         tn = np.asarray(boundary.tnodes, dtype=float)
         self.tnodes = tn
-        self.nsteps = tn.size - 1
         dt = np.diff(tn)
         mids = 0.5 * (tn[:-1] + tn[1:])
         # Simpson nodes per step: left endpoint, midpoint, right endpoint
         self.s_nodes = np.stack([tn[:-1], mids, tn[1:]], axis=1).reshape(-1)
         self.weights = np.stack([dt / 6.0, 4.0 * dt / 6.0, dt / 6.0], axis=1).reshape(-1)
-        c = np.stack([scn.fee.rate_right(tn[:-1]), scn.fee(mids), scn.fee(tn[1:])],
-                     axis=1).reshape(-1)
+        table = step_table(scn, tn)
         # premium integrand weight per node
-        self.factor = (c * scn.charge(self.s_nodes) - scn.charge.dt(self.s_nodes)) * self.weights
+        self.factor = (table.node_fee.reshape(-1) * scn.charge(self.s_nodes)
+                       - scn.charge.dt(self.s_nodes)) * self.weights
         # exact fee integrals from 0 to each Simpson node
         I_grid = np.array([scn.fee.integral(0.0, float(t)) for t in tn])
         I_mid = I_grid[:-1] + np.array(
@@ -108,19 +106,20 @@ class _StepQuadrature:
         )
         self.fee_int = np.stack([I_grid[:-1], I_mid, I_grid[1:]], axis=1).reshape(-1)
         bvals = np.asarray(boundary.values, dtype=float)
-        self.K = np.repeat(bvals, 3)
+        self.node_date = table.node_date.reshape(-1)
+        self.K = bvals[self.node_date]
         self.scn = scn
         self.x = x = np.asarray(x, dtype=float)
-        # log(x / K) of every step with a finite boundary, shared by all dates and
-        # by the step's 3 Simpson nodes: one contiguous table per column block
+        # log(x / b) of every date with a finite boundary, shared by all slices
+        # and by every node that reads the date: one table per column block
         finite = np.isfinite(bvals)[:, None]
         self.blocks = _blocks(x.size)
         self.log_xK = []
         for i0, i1 in self.blocks:
-            table = np.zeros((bvals.size, i1 - i0))
-            np.divide(x[None, i0:i1], bvals[:, None], out=table, where=finite)
-            np.log(table, out=table, where=finite)
-            self.log_xK.append(table)
+            log_xK = np.zeros((bvals.size, i1 - i0))
+            np.divide(x[None, i0:i1], bvals[:, None], out=log_xK, where=finite)
+            np.log(log_xK, out=log_xK, where=finite)
+            self.log_xK.append(log_xK)
 
     def premiums(self, n0: int) -> tuple[np.ndarray, np.ndarray]:
         """Surrender and continuation premiums at (tnodes[n0], x)."""
@@ -144,16 +143,15 @@ class _StepQuadrature:
         # or the drift is then too small to move x on a grid the lattice accepts
         pos = sig * np.sqrt(tau) > 0.0
         # E[e^{-r tau} F_s 1{F_s >= K}] = e0 Phi(d1) on each run of finite-boundary
-        # rows, which is a run of whole steps; d1's row constants are taken once
-        # per slice. Rows with a deterministic F_s take harmless constants here
-        # and the indicator below.
+        # rows; d1's row constants are taken once per slice. Rows with a
+        # deterministic F_s take harmless constants here and the indicator below.
         runs = []
         for a, b in _runs(finite):
             sst = sig * np.sqrt(tau[a:b])
             half = 0.5 * (sst**2)
             sst[~pos[a:b]] = 1.0
-            runs.append((a, b, (r * tau[a:b] - fee_int[a:b]).reshape(-1, 3, 1),
-                         half[:, None], sst[:, None]))
+            runs.append((a, b, (r * tau[a:b] - fee_int[a:b])[:, None], half[:, None],
+                         sst[:, None]))
         zero = _runs(~finite)
         start = [(a, b, np.where(x[None, :] >= K[a:b, None], x[None, :], 0.0))
                  for a, b in _runs(finite & ~pos)]
@@ -171,8 +169,10 @@ class _StepQuadrature:
                 # d1 is built in place in eK: the same operations in the same
                 # order as one d1 expression
                 d1 = eK[a:b]
-                np.add(log_xK[(lo + a) // 3:(lo + b) // 3, None, :], drift,
-                       out=d1.reshape(-1, 3, m))
+                # mode "clip" writes straight into d1 ("raise" buffers it); the
+                # K lookup has already refused a date off the table
+                np.take(log_xK, self.node_date[lo + a:lo + b], axis=0, out=d1, mode="clip")
+                d1 += drift
                 d1 += half
                 with np.errstate(over="ignore"):  # d1 = +-inf is the limit of a tiny sst
                     d1 /= sst

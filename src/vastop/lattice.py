@@ -26,7 +26,7 @@ from scipy.linalg import bandwidth, expm
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .model import ConfigError, Scenario
-from .surfaces import MAX_STEPS, ValueSurface, center_index, log_space_nodes, time_nodes
+from .surfaces import MAX_STEPS, ValueSurface, center_index, log_space_nodes, step_table, time_nodes
 
 __all__ = [
     "GridResolutionError",
@@ -48,17 +48,17 @@ class GridResolutionError(ConfigError):
 class ChainGrid:
     """State chain for one scenario: nodes, exercise dates and per-step transitions.
 
-    ``step_keys[n]`` is the fee rate c(t_n) that step n's matrix was built with,
-    and ``checks`` maps each fee rate to the ``row_sum_error`` (largest
-    |row sum - 1|) and ``min_probability`` its matrix had on leaving ``_expm``.
-    Transition matrices are shared between steps with identical coefficients
-    (piecewise fees produce only a handful of distinct matrices), and between
-    chains built with one ``matrices`` memo (see ``build_chain``). Each is
-    ``_expm`` of the step's generator: scipy's Pade step, then squarings with
-    the entries below sqrt(tiny) set to 0 before each (see the module
-    docstring). They are read-only, and hold no negative and no subnormal
-    entry: ``build_chain`` sets every probability below the smallest normal
-    double (2.2e-308) to 0.
+    ``step_keys[n]`` is the fee rate step n's matrix was built with, the solver
+    fee of ``surfaces.step_table``; ``checks`` maps each fee rate to the
+    ``row_sum_error`` (largest |row sum - 1|) and ``min_probability`` its
+    matrix had on leaving ``_expm``. Transition matrices are shared between
+    steps with identical coefficients (piecewise fees produce only a handful of
+    distinct matrices), and between chains built with one ``matrices`` memo
+    (see ``build_chain``). Each is ``_expm`` of the step's generator: scipy's
+    Pade step, then squarings with the entries below sqrt(tiny) set to 0 before
+    each (see the module docstring). They are read-only, and hold no negative
+    and no subnormal entry: ``build_chain`` sets every probability below the
+    smallest normal double (2.2e-308) to 0.
     Those far-tail entries change no value a sweep computes (a dropped term
     P_ij V_j is below 2.2e-308 max V, and rounding absorbs it into a row sum
     of at least about min V), but arithmetic on subnormals is slow: at
@@ -190,12 +190,12 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, var, stiffness: float, dt:
 
 
 def chain_steps(scn: Scenario, N: int, M: int, xmax_mult: float = 8.0):
-    """(xnodes, tnodes, step_keys, keys) of scn's chain: step_keys[n] is the fee
-    rate c(t_n) step n freezes, and keys maps each distinct one to the memo key of
-    its matrix, all the generator reads (state nodes, dt, r, sigma and the fee)."""
+    """(xnodes, tnodes, step_keys, keys) of scn's chain: step_keys[n] is the fee step
+    n freezes, the solver fee of ``surfaces.step_table``, and keys maps each distinct
+    one to the memo key of its matrix, all the generator reads (nodes, dt, r, sigma, fee)."""
     xnodes = log_space_nodes(scn.contract.F0, xmax_mult, M)
     tnodes = time_nodes(scn, N)
-    step_keys = tuple(scn.fee(tnodes[:-1]).tolist())
+    step_keys = tuple(step_table(scn, tnodes).solver_fee.tolist())
     coefficients = (xnodes.tobytes(), float(tnodes[1] - tnodes[0]), scn.market.r, scn.market.sigma)
     return xnodes, tnodes, step_keys, {c: (*coefficients, c) for c in dict.fromkeys(step_keys)}
 

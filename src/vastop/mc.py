@@ -39,6 +39,7 @@ import numpy as np
 from ._threads import ordered_map
 from .model import ConfigError, Scenario
 from .region import Boundary, RegionMask, extract_boundary
+from .surfaces import step_table
 
 __all__ = [
     "BLOCK_ROWS",
@@ -264,32 +265,35 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     g = scn.charge(tn)
     gt = scn.charge.dt(tn)
     disc = np.exp(-r * tn)
+    # the trapezoid ends of each step are the step table's left and right nodes
+    table = step_table(scn, tn)
     # per-step endpoint weights of the premium integrand (c g - g') e^{-r s}
-    wL = 0.5 * dt * (scn.fee.rate_right(tn[:-1]) * g[:-1] - gt[:-1]) * disc[:-1]
-    wR = 0.5 * dt * (scn.fee(tn[1:]) * g[1:] - gt[1:]) * disc[1:]
+    wL = 0.5 * dt * (table.node_fee[:, 0] * g[:-1] - gt[:-1]) * disc[:-1]
+    wR = 0.5 * dt * (table.node_fee[:, 2] * g[1:] - gt[1:]) * disc[1:]
     # the slice threshold, NaN where the slice is not threshold-shaped
     boundary = extract_boundary(mask)
     K = boundary.values.copy()
     K[[n for n, _ in boundary.violations]] = np.nan
-    loose = np.flatnonzero(np.isnan(K))
+    # per end: the slice each step reads, its threshold and the steps where it is NaN
+    ends = [(n, K[n], np.flatnonzero(np.isnan(K[n]))) for n in table.node_date[:, [0, 2]].T]
     log_x0 = math.log(mask.xnodes[0])
     dy = math.log(mask.xnodes[1] / mask.xnodes[0])
     G, T = scn.contract.G, scn.contract.T
     discT = math.exp(-r * T)
 
-    def above(F: np.ndarray) -> np.ndarray:
-        """F where it lies in the surrender region of its slice, else 0."""
-        out = np.where(F >= K, F, 0.0)  # a NaN threshold leaves the column to the nearest node
+    def above(F: np.ndarray, end) -> np.ndarray:
+        """F where it lies in the surrender region of the slice it reads, else 0."""
+        slices, Kend, loose = end
+        out = np.where(F >= Kend, F, 0.0)  # a NaN threshold leaves the column to the nearest node
         if loose.size:
             Fl = F[:, loose]
             with np.errstate(divide="ignore"):  # a path at F = 0 takes the lowest node
                 idx = np.clip(np.rint((np.log(Fl) - log_x0) / dy), 0, mask.xnodes.size - 1)
-            out[:, loose] = np.where(mask.in_surrender[loose, idx.astype(int)], Fl, 0.0)
+            out[:, loose] = np.where(mask.in_surrender[slices[loose], idx.astype(int)], Fl, 0.0)
         return out
 
     def kernel(F: np.ndarray):
-        # right endpoint with the region frozen at the left node
-        e_path = above(F[:, :-1]) @ wL + above(F[:, 1:]) @ wR
+        e_path = above(F[:, :-1], ends[0]) @ wL + above(F[:, 1:], ends[1]) @ wR
         full_path = F[:, :-1] @ wL + F[:, 1:] @ wR
         put_path = discT * np.maximum(G - F[:, -1], 0.0)
         return e_path, put_path + e_path - full_path
@@ -333,8 +337,8 @@ def mc_premium_integrals(batch: PathBatch, scn: Scenario, mask: RegionMask) -> M
     Works on arbitrary (possibly disconnected-in-time) masks: per step the
     indicator uses the slice threshold when the slice is threshold-shaped, and
     nearest-node mask membership otherwise. Time integration is per-step
-    trapezoid with the region frozen at the step's left node, matching the
-    decompose module's convention.
+    trapezoid; the fee and the slice at each end are those of the step table's
+    left and right nodes (``surfaces.step_table``), as in decompose.
     """
     return _premiums(*_one_pass(batch, [_premium_kernel(batch, scn, mask)]))
 

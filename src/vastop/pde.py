@@ -18,7 +18,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .model import ConfigError, L_value, Scenario
-from .surfaces import ValueSurface, date_index, log_space_nodes, time_nodes
+from .surfaces import ValueSurface, date_index, log_space_nodes, step_table, time_nodes
 
 __all__ = [
     "SolverError",
@@ -107,8 +107,9 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     solve at every level. Bottom boundary is the guarantee floor G e^{-r(T-t)},
     or the payout g(t) x where that lies higher; the top node is clamped to the
     payout when the slice is expected to contain surrender states (L(t) < 0)
-    and extrapolated linearly in x otherwise. The fee depends on time only, so
-    the coefficients a, bq and cq of v_{i-1}, v_i and v_{i+1} are scalars per level.
+    and extrapolated linearly in x otherwise. The fee, the solver fee of
+    ``surfaces.step_table``, depends on time only, so the coefficients a, bq and cq
+    of v_{i-1}, v_i and v_{i+1} are scalars per level.
     """
     x = grid.xnodes
     tn = grid.tnodes
@@ -133,10 +134,10 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     s2 = 0.5 * sig * sig
     clamp = L_value(scn, tn[:-1]) < 0.0
     g_left = scn.charge(tn[:-1])
-    c_left = scn.fee(tn[:-1])
+    c_step = step_table(scn, tn).solver_fee
     for n in range(N - 1, -1, -1):
         phi = g_left[n] * x
-        adv = r - c_left[n] - s2
+        adv = r - c_step[n] - s2
         a = s2 / dy**2 - adv / (2.0 * dy)
         bq = -2.0 * s2 / dy**2 - r  # not -(a + cq) - r, which rounds differently
         cq = s2 / dy**2 + adv / (2.0 * dy)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import ConfigError, Scenario
 
-__all__ = ["ValueSurface", "log_space_nodes", "time_nodes", "center_index", "date_index"]
+__all__ = ["ValueSurface", "StepTable", "log_space_nodes", "time_nodes", "step_table",
+           "center_index", "date_index"]
 
 MAX_STEPS = 100_000  # the largest grid.N of a run config
 
@@ -54,6 +56,36 @@ def _alignment_multiple(T: float, breakpoints: tuple[float, ...]) -> int | None:
         steps = b / (T / n)
         n = n[np.abs(steps - np.rint(steps)) <= 1e-9]
     return int(n[0]) if n.size else None
+
+
+class StepTable(NamedTuple):
+    """Which side of a date every layer takes on the steps [t_n, t_{n+1}) of a grid.
+
+    solver_fee[n] is the fee rate the lattice and the PDE freeze over step n:
+    c(t_n), the rate of the interval a breakpoint t_n ends, so that
+    L(t_n) = g'(t_n) - solver_fee[n] g(t_n) bit for bit and the solved
+    emptiness of slice n follows the sign of L. node_fee[n] is the fee at the
+    premium quadratures' left, mid and right nodes of step n (decompose's
+    Simpson nodes; Monte Carlo's trapezoid takes the two ends): c(t_n+), c(mid)
+    and c(t_{n+1}), one-sided so that a panel integrand stays smooth across a
+    breakpoint. node_date[n] is the date whose boundary or region slice each of
+    those nodes reads: n at all three, the region frozen at the left node.
+    """
+
+    solver_fee: np.ndarray  # (N,)
+    node_fee: np.ndarray  # (N, 3)
+    node_date: np.ndarray  # (N, 3), indices of the dates
+
+
+def step_table(scn: Scenario, tnodes: np.ndarray) -> StepTable:
+    """The StepTable of scn on the dates tnodes. It holds no fee integral: an
+    integral takes no side of a date, and each layer keeps its own sum."""
+    left, right = tnodes[:-1], tnodes[1:]
+    n = np.arange(left.size)
+    return StepTable(solver_fee=scn.fee(left),
+                     node_fee=np.stack([scn.fee.rate_right(left), scn.fee(0.5 * (left + right)),
+                                        scn.fee(right)], axis=1),
+                     node_date=np.stack([n, n, n], axis=1))
 
 
 def center_index(xnodes: np.ndarray, x: float) -> int:

@@ -2,7 +2,8 @@
 uses, every function the package exports and every fee and charge kind has a
 consumer, only one module holds a thread pool, only one holds the rule checker of
 document keys, no module reads the environment or evaluates a fee or charge date by
-date at float(t), and the README documents exactly the keys that checker knows."""
+date at float(t), only the step table picks a side of a fee breakpoint, and the
+README documents exactly the keys that checker knows."""
 
 from __future__ import annotations
 
@@ -239,6 +240,35 @@ def test_scalar_date_checker_flags_every_form():
           "k = scn.charge.dt(float(t)) * x\nok = scn.fee(tn[:-1]), float(scn.charge(t)), scn.dt\n"
     assert scalar_date_calls(src) == ["fee (line 1)", "rate_right (line 2)", "charge (line 3)",
                                       "dt (line 4)"]
+
+
+def fee_side_calls(source: str) -> list[str]:
+    """Calls that pick a side of a fee breakpoint, c(t) as `<x>.fee(...)` or c(t+)
+    as `rate_right(...)`, by name and line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "rate_right" or (name == "fee" and isinstance(func, ast.Attribute)):
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_fee_sides_are_taken_in_the_step_table():
+    # which side of a breakpoint each layer takes is one entry of surfaces.step_table;
+    # model.py defines the rates and L(t), and every other module reads the table
+    found = {p.name: fee_side_calls(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")
+             if p.name not in ("model.py", "surfaces.py")}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_fee_side_checker_flags_every_form():
+    src = "c = scn.fee(tn[:-1])\nd = self.scn.fee.rate_right(t)\ne = rate_right(t)\n" \
+          "f = batch.scn.fee(t=0.5 * (a + b))[n]\n" \
+          "ok = scn.fee.integral(a, b), scn.fee, scn.charge(t), fee_rate(t), table.node_fee[:, 0]\n"
+    assert fee_side_calls(src) == ["fee (line 1)", "rate_right (line 2)", "rate_right (line 3)",
+                                   "fee (line 4)"]
 
 
 KEY_TABLE_HEADER ="| key | default | type and range | null | meaning |"
