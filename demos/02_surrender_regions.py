@@ -20,7 +20,7 @@ def region_summary(label: str, scn) -> None:
     grid = vs.build_chain(scn, N=360, M=401, xmax_mult=8.0)
     surf = vs.bermudan_value(grid, scn)
     mask = vs.extract_regions(surf, scn)
-    boundary = vs.extract_boundary(mask, surf)
+    boundary = vs.extract_boundary(mask)
     tn = mask.tnodes[:-1]
     empty = np.array([not row.any() for row in mask.in_surrender])
 

@@ -27,7 +27,7 @@ def main() -> None:
     grid = vs.build_chain(scn, N=360, M=401, xmax_mult=8.0)
     surf = vs.bermudan_value(grid, scn)
     mask = vs.extract_regions(surf, scn)
-    boundary = vs.extract_boundary(mask, surf)
+    boundary = vs.extract_boundary(mask)
 
     print("\nPoint decompositions at inception (x = 100):")
     h = vs.maturity_benefit_value(scn, 0.0, 100.0)

@@ -31,7 +31,7 @@ def main() -> None:
     grid = vs.build_chain(scn, N=360, M=401, xmax_mult=8.0)
     surf = vs.bermudan_value(grid, scn)
     mask = vs.extract_regions(surf, scn)
-    boundary = vs.extract_boundary(mask, surf)
+    boundary = vs.extract_boundary(mask)
     i0 = np.argmin(np.abs(surf.xnodes - 100.0))
     v0 = surf.values[0, i0]
     h0 = vs.maturity_benefit_value(scn, 0.0, 100.0)
@@ -40,19 +40,19 @@ def main() -> None:
     # all estimators share one pass over the paths
     est = vs.mc_verify_estimates(batch, scn, boundary, mask)
 
-    mb = est.maturity_benefit
+    mb = est["maturity_benefit"]
     print(f"\nmaturity benefit: mc {mb.estimate:.4f} +- {mb.std_error:.4f} "
           f"| closed form {h0:.4f} (z = {(mb.estimate - h0) / mb.std_error:+.2f})")
 
-    sv = est.boundary_strategy
+    sv = est["boundary_strategy_value"]
     print(f"boundary strategy: mc {sv.estimate:.4f} +- {sv.std_error:.4f} "
           f"| solver value {v0:.4f} (a lower bound up to date discretization)")
 
-    prem = est.premiums
+    e, f = est["surrender_premium"], est["continuation_premium"]
     e_q, f_q = vs.premiums_at(scn, boundary, 0.0, 100.0)
-    print(f"surrender premium: mc {prem.e_estimate:.4f} +- {prem.e_std_error:.4f} "
+    print(f"surrender premium: mc {e.estimate:.4f} +- {e.std_error:.4f} "
           f"| quadrature {e_q:.4f}")
-    print(f"continuation premium: mc {prem.f_estimate:.4f} +- {prem.f_std_error:.4f} "
+    print(f"continuation premium: mc {f.estimate:.4f} +- {f.std_error:.4f} "
           f"| quadrature {f_q:.4f}")
 
     again = vs.mc_maturity_benefit(

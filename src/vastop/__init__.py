@@ -64,7 +64,6 @@ from .decompose import (
 from .mc import (
     McEstimate,
     McPremiumEstimates,
-    McVerifyEstimates,
     PathBatch,
     mc_boundary_strategy_value,
     mc_maturity_benefit,

@@ -34,8 +34,10 @@ def ordered_map(fn, nitems: int) -> list:
 
     An exception raised by fn cancels the items not yet started and reaches
     the caller once the pool is joined. fn runs on pool threads, so it must
-    call no public vastop function (the perfbench tracer's span stack is
-    single-threaded).
+    not look a public vastop function up through its module (``analytic.f``):
+    the perfbench tracer wraps those module attributes, and its span stack is
+    single-threaded. A name bound by ``from .x import f`` when the package
+    loads keeps the original function, so fn may call that.
     """
     with ThreadPoolExecutor(worker_count(nitems), thread_name_prefix="vastop") as pool:
         return list(pool.map(fn, range(nitems)))

@@ -327,7 +327,7 @@ def _regions(run: _Run) -> None:
 def _boundary(run: _Run) -> None:
     counts = run.diagnostics["boundary"] = {}
     for name, mask in run.masks.items():
-        run.boundaries[name] = region.extract_boundary(mask, run.surfaces[name])
+        run.boundaries[name] = region.extract_boundary(mask)
         run.emit(f"boundary_{name}.csv", csvio.write_boundary_csv, run.boundaries[name])
         counts[f"threshold_violations_{name}"] = len(run.boundaries[name].violations)
 
@@ -348,14 +348,11 @@ def _decompose(run: _Run) -> None:
 def _mc_verify(run: _Run) -> None:
     name, opts = run.checked, run.mc
     batch = mc.simulate_paths(run.scn, opts["seed"], opts["npaths"], run.grid["N"])
-    res = mc.mc_verify_estimates(batch, run.scn, run.boundaries[name], run.masks[name])
-    mb, sv, prem = res.maturity_benefit, res.boundary_strategy, res.premiums
-    rows = [("maturity_benefit", mb.estimate, mb.std_error, mb.npaths, mb.seed),
-            ("boundary_strategy_value", sv.estimate, sv.std_error, sv.npaths, sv.seed),
-            ("surrender_premium", prem.e_estimate, prem.e_std_error, prem.npaths, prem.seed),
-            ("continuation_premium", prem.f_estimate, prem.f_std_error, prem.npaths, prem.seed)]
-    run.emit("estimates.csv", csvio.write_estimates_csv, rows)
-    run.results["mc"] = {label: {"estimate": e, "std_error": s} for label, e, s, _, _ in rows}
+    est = mc.mc_verify_estimates(batch, run.scn, run.boundaries[name], run.masks[name])
+    run.emit("estimates.csv", csvio.write_estimates_csv, est)
+    run.results["mc"] = {q: {"estimate": e.estimate, "std_error": e.std_error}
+                         for q, e in est.items()}
+    mb, sv = est["maturity_benefit"], est["boundary_strategy_value"]
     # in standard errors, None where the standard error is 0: the maturity
     # benefit's distance to its closed form h0, and how far the boundary
     # strategy, a lower bound on v0, lies above v0 or below h0

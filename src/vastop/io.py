@@ -93,17 +93,19 @@ def write_surface_csv(path, surface: ValueSurface, mask: RegionMask | None = Non
         _write_grid(fh, surface.tnodes, surface.xnodes, (surface.values, surface.obstacle), flags)
 
 
+def _write_rows(path, header: str, *columns) -> None:
+    """The header line, then one line per row of the columns of cell strings."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write("".join(",".join(row) + "\n" for row in zip(*columns)))
+
+
 def write_boundary_csv(path, boundary: Boundary) -> None:
     """Header t,b_t,empty_flag; one row per boundary value, +inf marks an empty
     section and sets the flag."""
     b = np.asarray(boundary.values, dtype=float)
-    empty = (~np.isfinite(b)).astype(int).tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,b_t,empty_flag\n")
-        fh.write("".join(
-            f"{t},{v},{e}\n"
-            for t, v, e in zip(_numbers(boundary.tnodes[: b.size]), _numbers(b), empty)
-        ))
+    _write_rows(path, "t,b_t,empty_flag", _numbers(boundary.tnodes[: b.size]), _numbers(b),
+                _FLAGS[(~np.isfinite(b)).astype(np.intp)])
 
 
 def write_report_csv(path, report: DecompositionReport, surface: ValueSurface) -> None:
@@ -116,21 +118,16 @@ def write_report_csv(path, report: DecompositionReport, surface: ValueSurface) -
         )
 
 
-def write_estimates_csv(path, rows) -> None:
-    """rows: iterable of (quantity, estimate, std_error, npaths, seed)."""
-    rows = list(rows)
-    cells = zip(_numbers([row[1] for row in rows]), _numbers([row[2] for row in rows]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("quantity,estimate,std_error,npaths,seed\n")
-        fh.write("".join(
-            f"{name},{est},{se},{int(npaths)},{int(seed)}\n"
-            for (name, _, _, npaths, seed), (est, se) in zip(rows, cells)
-        ))
+def write_estimates_csv(path, estimates) -> None:
+    """Header quantity,estimate,std_error,npaths,seed; one row per item of
+    estimates, a mapping of quantity name to ``mc.McEstimate``, in its order."""
+    est = list(estimates.values())
+    _write_rows(path, "quantity,estimate,std_error,npaths,seed", list(estimates),
+                _numbers([e.estimate for e in est]), _numbers([e.std_error for e in est]),
+                [str(int(e.npaths)) for e in est], [str(int(e.seed)) for e in est])
 
 
 def write_check_l_csv(path, tnodes, L, sections) -> None:
     """Header t,L,predicted_section; one row per date, L the surrender
     incentive L(t) and sections the predicted section labels."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,L,predicted_section\n")
-        fh.write("".join(f"{t},{v},{p}\n" for t, v, p in zip(_numbers(tnodes), _numbers(L), sections)))
+    _write_rows(path, "t,L,predicted_section", _numbers(tnodes), _numbers(L), sections)

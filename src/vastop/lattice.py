@@ -312,7 +312,6 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
         values=values,
         obstacle=obstacle,
         provenance="lattice",
-        reward_kind=reward_kind,
         metadata={"solver_tol": 1e-12 * scn.contract.G},
     )
 

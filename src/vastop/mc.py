@@ -47,7 +47,6 @@ __all__ = [
     "PathBatch",
     "McEstimate",
     "McPremiumEstimates",
-    "McVerifyEstimates",
     "simulate_paths",
     "mc_maturity_benefit",
     "mc_boundary_strategy_value",
@@ -87,8 +86,8 @@ class PathBatch:
         of m rows draws (m + 1) // 2 rows of normals; its even rows take them and
         its odd rows their negatives. Every block is built in the same two
         buffers, so a block is valid until the next one is drawn. Runs on a pool
-        worker, so it must call no public vastop function (the perfbench
-        tracer's span stack is single-threaded)."""
+        worker, so it calls a vastop function only by a name imported with
+        ``from``, never through its module (see ``_threads.ordered_map``)."""
         vol = self.scn.market.sigma * math.sqrt(float(self.tnodes[1] - self.tnodes[0]))
         F0 = self.scn.contract.F0
         npc = min(CHUNK_PATHS, self.npaths - ci * CHUNK_PATHS)
@@ -312,13 +311,6 @@ def _premiums(ee: McEstimate, ff: McEstimate) -> McPremiumEstimates:
     )
 
 
-@dataclass(frozen=True)
-class McVerifyEstimates:
-    maturity_benefit: McEstimate
-    boundary_strategy: McEstimate
-    premiums: McPremiumEstimates
-
-
 def mc_maturity_benefit(batch: PathBatch, scn: Scenario) -> McEstimate:
     """Sample mean and standard error of e^{-rT} max(G, F_T)."""
     return _one_pass(batch, [_maturity_kernel(scn)])[0]
@@ -345,10 +337,12 @@ def mc_premium_integrals(batch: PathBatch, scn: Scenario, mask: RegionMask) -> M
 
 def mc_verify_estimates(
     batch: PathBatch, scn: Scenario, boundary: Boundary, mask: RegionMask
-) -> McVerifyEstimates:
-    """Maturity benefit, boundary-strategy value and the two premiums, from one
-    pass over the paths. Each estimate is bit-identical to the one its
-    single-estimator function returns."""
-    mb, sv, ee, ff = _one_pass(batch, [_maturity_kernel(scn), _boundary_kernel(batch, scn, boundary),
-                                       _premium_kernel(batch, scn, mask)])
-    return McVerifyEstimates(maturity_benefit=mb, boundary_strategy=sv, premiums=_premiums(ee, ff))
+) -> dict[str, McEstimate]:
+    """Maturity benefit, boundary-strategy value and the surrender and
+    continuation premiums, from one pass over the paths, keyed by the quantity
+    names of ``estimates.csv`` in its row order. Each estimate is bit-identical
+    to the one its single-estimator function returns."""
+    estimates = _one_pass(batch, [_maturity_kernel(scn), _boundary_kernel(batch, scn, boundary),
+                                  _premium_kernel(batch, scn, mask)])
+    return dict(zip(("maturity_benefit", "boundary_strategy_value", "surrender_premium",
+                     "continuation_premium"), estimates))

@@ -186,7 +186,6 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
         values=values,
         obstacle=obstacle,
         provenance="pde",
-        reward_kind="discontinuous",
         metadata={
             # the most iterations any level took, under the PSOR solver's name
             "psor_max_iterations": iters_max,
@@ -200,11 +199,8 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
 
 @dataclass(frozen=True)
 class SmoothFitReport:
-    """Per-time one-sided slopes around the boundary and their jump."""
+    """Per-time right slope at the boundary and its jump from the left slope."""
 
-    times: np.ndarray
-    boundary: np.ndarray
-    slope_left: np.ndarray
     slope_right: np.ndarray
     jump: np.ndarray
     skipped: tuple[str, ...]
@@ -223,9 +219,7 @@ def smooth_fit_diagnostic(surface: ValueSurface, boundary, times) -> SmoothFitRe
     x = surface.xnodes
     tq = np.asarray(times, dtype=float)
     jumps = np.full(tq.size, np.nan)
-    lefts = np.full(tq.size, np.nan)
     rights = np.full(tq.size, np.nan)
-    bvals = np.full(tq.size, np.inf)
     skipped: list[str] = []
     for j, t in enumerate(tq):
         n = date_index(surface.tnodes, t)
@@ -238,14 +232,10 @@ def smooth_fit_diagnostic(surface: ValueSurface, boundary, times) -> SmoothFitRe
             skipped.append(f"t={t}: boundary too close to the grid edge")
             continue
         v = surface.values[n]
-        lefts[j] = (v[i - 1] - v[i - 2]) / (x[i - 1] - x[i - 2])
+        left = (v[i - 1] - v[i - 2]) / (x[i - 1] - x[i - 2])
         rights[j] = (v[i + 1] - v[i]) / (x[i + 1] - x[i])
-        jumps[j] = abs(rights[j] - lefts[j])
-        bvals[j] = b
+        jumps[j] = abs(rights[j] - left)
     return SmoothFitReport(
-        times=tq,
-        boundary=bvals,
-        slope_left=lefts,
         slope_right=rights,
         jump=jumps,
         skipped=tuple(skipped),

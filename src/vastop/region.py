@@ -32,7 +32,6 @@ class RegionMask:
     in_surrender: np.ndarray  # shape (N, M) over tnodes[:-1]
     tol_abs: float
     tol_rel: float
-    reward_kind: str
     mode: str
 
     def __post_init__(self) -> None:
@@ -93,20 +92,17 @@ def extract_regions(surface: ValueSurface, scn: Scenario, mode: str = "value-gap
         in_surrender=mask,
         tol_abs=tol_abs,
         tol_rel=tol_rel,
-        reward_kind=surface.reward_kind,
         mode=mode,
     )
 
 
-def extract_boundary(mask: RegionMask, surface: ValueSurface | None = None,
-                     interpolate: bool = False) -> Boundary:
-    """Per slice, the smallest state node in the surrender region.
+def extract_boundary(mask: RegionMask, surface: ValueSurface | None = None) -> Boundary:
+    """Per slice, the smallest state node in the surrender region: b(t) = inf S_t.
 
     Verifies the one-sided threshold structure (no continuation node above the
-    boundary); sections violating it are reported, not fatal. With
-    ``interpolate`` (needs the surface) the boundary is refined by the linear
-    zero-crossing of the value-obstacle gap inside the bracketing cell; this is
-    presentation-only and never feeds quadratures unless passed explicitly.
+    boundary); sections violating it are reported, not fatal. surface is not
+    read; it stays in the signature because the benchmark workloads
+    (perfbench/workloads.py) pass it by position.
     """
     N, M = mask.in_surrender.shape
     values = np.full(N, np.inf)
@@ -119,15 +115,7 @@ def extract_boundary(mask: RegionMask, surface: ValueSurface | None = None,
         i = int(hits[0])
         above = np.flatnonzero(~row[i:])
         violations.extend((n, i + int(j)) for j in above)
-        b = float(mask.xnodes[i])
-        if interpolate and surface is not None and i > 0:
-            gap_prev = float(surface.values[n, i - 1] - surface.obstacle[n, i - 1])
-            gap_here = float(surface.values[n, i] - surface.obstacle[n, i])
-            denom = gap_prev - gap_here
-            if denom > 0.0:
-                w = min(1.0, max(0.0, gap_prev / denom))
-                b = float(mask.xnodes[i - 1] + w * (mask.xnodes[i] - mask.xnodes[i - 1]))
-        values[n] = b
+        values[n] = mask.xnodes[i]
     return Boundary(tnodes=mask.tnodes, values=values, violations=tuple(violations))
 
 

@@ -122,7 +122,6 @@ class ValueSurface:
     values: np.ndarray
     obstacle: np.ndarray
     provenance: str
-    reward_kind: str
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -190,7 +190,7 @@ def test_criterion_09_monte_carlo_sandwich(c1_scn, c2_scn, c1_lattice, c2_lattic
         i0 = center_index(bundle["disc"].xnodes, scn.contract.F0)
         v0 = float(bundle["disc"].values[0, i0])
         est = vs.mc_verify_estimates(batch, scn, bundle["boundary"], bundle["mask"])  # one pass
-        mb, sv = est.maturity_benefit, est.boundary_strategy
+        mb, sv = est["maturity_benefit"], est["boundary_strategy_value"]
         results[label] = {
             "mb_ok": abs(mb.estimate - h0) <= 3.0 * mb.std_error,
             "sandwich_ok": h0 - 3.0 * sv.std_error <= sv.estimate <= v0 + 3.0 * sv.std_error,

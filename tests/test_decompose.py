@@ -14,6 +14,7 @@ import vastop as vs
 from vastop.decompose import BLOCK_NODES, _blocks, _StepQuadrature
 from vastop.model import ChargeSpec, ConfigError, ContractParams, FeeSpec, MarketParams, Scenario
 from vastop.region import Boundary
+from vastop.surfaces import step_table
 
 
 def _flat_boundary(T: float, N: int, level: float) -> Boundary:
@@ -85,15 +86,16 @@ class TestIdentities:
                 rhs = vs.reward(c1_scn, t, x) - vs.maturity_benefit_value(c1_scn, t, x)
                 assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
-    def test_integrand_sign_where_surrender_favored(self, c1_scn):
-        # where L(s) < 0 the surrender-premium integrand weight is nonnegative
-        tn = np.linspace(0.0, 15.0, 361)
-        g = np.asarray(c1_scn.charge(tn[:-1]))
-        gt = np.asarray(c1_scn.charge.dt(tn[:-1]))
-        c = np.asarray(c1_scn.fee(tn[:-1]))
-        factor = c * g - gt
-        L = gt - c * g
-        assert np.all(factor[L < 0] >= 0.0)
+    def test_integrand_sign_where_surrender_favored(self, c1_scn, c1_lattice):
+        # the quadrature's surrender-premium weight at every Simpson node has the
+        # sign of -L(s), L = g' - c g with c the fee the step table gives that node
+        boundary = c1_lattice["boundary"]
+        quad = _StepQuadrature(c1_scn, boundary, np.array([100.0]))
+        s = quad.s_nodes
+        c = step_table(c1_scn, boundary.tnodes).node_fee.reshape(-1)
+        L = c1_scn.charge.dt(s) - c * c1_scn.charge(s)
+        assert (L < 0).any() and (L > 0).any()
+        assert np.array_equal(np.sign(quad.factor), -np.sign(L))
 
 
 class TestDecompositionResiduals:

@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package, test or demo imports a name it never
 uses, every function the package exports and every fee and charge kind has a
-consumer, only one module holds a thread pool, only one holds the rule checker of
-document keys, no module reads the environment or evaluates a fee or charge date by
-date at float(t), only the step table picks a side of a fee breakpoint, and the
-README documents exactly the keys that checker knows."""
+consumer, every field of a package dataclass or NamedTuple is read, only one
+module holds a thread pool, only one holds the rule checker of document keys, no
+module reads the environment or evaluates a fee or charge date by date at
+float(t), only the step table picks a side of a fee breakpoint, and the README
+documents exactly the keys that checker knows."""
 
 from __future__ import annotations
 
@@ -101,6 +102,80 @@ def test_reachability_checker_flags_an_unconsumed_function():
     consumers = ["import vastop as vs\nvs.f()\n", "from vastop.n import k\nk()\n"]
     # f has a consumer, g another module, k a consumer; h only its own module
     assert unreached_functions(init, modules, consumers) == ["m.h"]
+
+
+def record_fields(source: str) -> dict[str, list[str]]:
+    """The fields of each dataclass and NamedTuple a module defines, by class name;
+    ClassVar annotations are not fields."""
+    def name(node) -> str | None:
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and ("dataclass" in map(name, node.decorator_list)
+                                               or "NamedTuple" in map(name, node.bases)):
+            found[node.name] = [
+                stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                and name(getattr(stmt.annotation, "value", stmt.annotation)) != "ClassVar"]
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """The attribute names a module loads, and the string literals it hands to
+    getattr: as the argument itself, or as an element of the tuple or list that
+    the loop variable it hands over runs through."""
+    nodes = list(ast.walk(ast.parse(source)))
+    read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    loops: dict[str, set[str]] = {}  # loop variable -> the string literals it runs through
+    for n in nodes:
+        if (isinstance(n, (ast.For, ast.comprehension)) and isinstance(n.target, ast.Name)
+                and isinstance(n.iter, (ast.Tuple, ast.List))):
+            loops.setdefault(n.target.id, set()).update(
+                e.value for e in n.iter.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    for n in nodes:
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr" and len(n.args) > 1:
+            key = n.args[1]
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                read.add(key.value)
+            elif isinstance(key, ast.Name):
+                read |= loops.get(key.id, set())
+    return read
+
+
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.Class.field` of each field of a package dataclass or NamedTuple whose
+    name no reader loads as an attribute or hands to getattr as a literal."""
+    read = set().union(*map(names_read, readers))
+    return [f"{module}.{cls}.{field}" for module, source in modules.items()
+            for cls, fields in record_fields(source).items()
+            for field in fields if field not in read]
+
+
+def test_every_result_field_is_read():
+    # a field that is written and never read is not part of the package's results
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8") for p in
+               [*PACKAGE.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"),
+                *ROOT.glob("tests/*.py")]]
+    assert unread_fields(modules, readers) == []
+
+
+def test_field_checker_flags_every_form():
+    modules = {"m": "from dataclasses import dataclass\nfrom typing import ClassVar, NamedTuple\n"
+                    "@dataclass(frozen=True)\nclass A:\n    a: int\n    b: int\n"
+                    "    k: ClassVar[int] = 1\n"
+                    "@dataclasses.dataclass\nclass B:\n    c: int\n    d: int = 0\n"
+                    "class C(NamedTuple):\n    e: int\n    f: int\n"
+                    "class D:\n    g: int\n"}
+    readers = ["x = r.a\ny = getattr(r, 'c')\nr.b = 1\n",
+               "z = [getattr(r, key) for key in ('e', 'zz')]\nw = C(e=1, f=2)\n",
+               "for key in ['d']:\n    print(key)\n"]
+    # an attribute load and a getattr literal read; a store, a keyword, a ClassVar,
+    # a plain class and a loop literal that reaches no getattr do not
+    assert unread_fields(modules, readers) == ["m.A.b", "m.B.d", "m.C.f"]
 
 
 def string_literals(source: str) -> set[str]:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import vastop as vs
 from vastop import io as csvio
 from vastop.decompose import DecompositionReport
+from vastop.mc import McEstimate
 from vastop.region import Boundary, RegionMask
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -88,12 +89,13 @@ def _ref_write_report_csv(path, report, surface) -> None:
                 )
 
 
-def _ref_write_estimates_csv(path, rows) -> None:
+def _ref_write_estimates_csv(path, estimates) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("quantity,estimate,std_error,npaths,seed\n")
-        for name, est, se, npaths, seed in rows:
+        for name, e in estimates.items():
             fh.write(
-                f"{name},{format_number(est)},{format_number(se)},{int(npaths)},{int(seed)}\n"
+                f"{name},{format_number(e.estimate)},{format_number(e.std_error)},"
+                f"{int(e.npaths)},{int(e.seed)}\n"
             )
 
 
@@ -164,13 +166,8 @@ class TestRealRun:
                     c1_small["report"], c1_small["disc"])
 
     def test_estimates(self, tmp_path, c1_small):
-        est = c1_small["est"]
-        rows = [("maturity_benefit", est.maturity_benefit.estimate,
-                 est.maturity_benefit.std_error, est.maturity_benefit.npaths, 5),
-                ("surrender_premium", est.premiums.e_estimate, est.premiums.e_std_error,
-                 est.premiums.npaths, est.premiums.seed)]
         _same_bytes(tmp_path, "estimates", csvio.write_estimates_csv, _ref_write_estimates_csv,
-                    rows)
+                    c1_small["est"])
 
     def test_check_l(self, tmp_path, c1_small):
         scn = c1_small["scn"]
@@ -198,8 +195,7 @@ def edge():
     vals = np.array([np.roll(EDGE, k) for k in range(tn.size)])
     obst = vals[::-1].astype(np.float32)  # float32 cells widen exactly like float()
     surf = _any_surface(tn, xn, vals, obst)
-    mask = RegionMask(tn, xn, rng.random((tn.size - 1, xn.size)) > 0.5, 0.0, 1e-6,
-                      "discontinuous", "value-gap")
+    mask = RegionMask(tn, xn, rng.random((tn.size - 1, xn.size)) > 0.5, 0.0, 1e-6, "value-gap")
     grids = [np.array([np.roll(EDGE, 2 * k + j) for k in range(tn.size)]) for j in range(5)]
     report = DecompositionReport(tn, xn, *grids, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ())
     boundary = Boundary(tn, np.array([np.inf, 1e16, -0.0]))
@@ -227,10 +223,11 @@ class TestEdgeValues:
                     edge["report"], edge["surf"])
 
     def test_estimates(self, tmp_path):
-        rows = [(f"q{k}", v, EDGE[-1 - k], 10**k, 2**64 + k) for k, v in enumerate(EDGE)]
+        estimates = {f"q{k}": McEstimate(v, EDGE[-1 - k], 10**k, 2**64 + k)
+                     for k, v in enumerate(EDGE)}
         _same_bytes(tmp_path, "estimates", csvio.write_estimates_csv, _ref_write_estimates_csv,
-                    rows)
-        _same_bytes(tmp_path, "no_rows", csvio.write_estimates_csv, _ref_write_estimates_csv, [])
+                    estimates)
+        _same_bytes(tmp_path, "no_rows", csvio.write_estimates_csv, _ref_write_estimates_csv, {})
 
     def test_check_l(self, tmp_path):
         tn = np.array(EDGE)
@@ -272,7 +269,7 @@ def ties(request):
     vals[5] = np.linspace(-1.0, 1.0, e.size)
     surf = _any_surface(tn, e, vals, obst)
     mask = RegionMask(tn, e, np.random.default_rng(5).random((tn.size - 1, e.size)) > 0.5,
-                      0.0, 1e-6, "discontinuous", "value-gap")
+                      0.0, 1e-6, "value-gap")
     same = vals.view(np.int64) == wide.view(np.int64)
     assert same.any() and not same.all()
     return {"surf": surf, "mask": mask}
@@ -299,7 +296,7 @@ def repeats():
     obst = np.array([nzero, zero, e, np.full(e.size, -np.inf), e, nzero]).astype(np.float32)
     surf = _any_surface(tn, e, vals, obst)
     mask = RegionMask(tn, e, np.random.default_rng(4).random((tn.size - 1, e.size)) > 0.5,
-                      0.0, 1e-6, "discontinuous", "value-gap")
+                      0.0, 1e-6, "value-gap")
     report = DecompositionReport(tn, e, obst, vals[::-1], nzero + vals, vals, obst[:, ::-1],
                                  0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ())
     return {"surf": surf, "mask": mask, "report": report}

@@ -28,7 +28,7 @@ def _mask(scn, N, fill):
     in_s = np.full((N, x.size), fill, dtype=bool)
     return RegionMask(
         tnodes=tn, xnodes=x, in_surrender=in_s,
-        tol_abs=1e-6, tol_rel=1e-6, reward_kind="discontinuous", mode="value-gap",
+        tol_abs=1e-6, tol_rel=1e-6, mode="value-gap",
     )
 
 
@@ -275,7 +275,7 @@ class TestChunkPool:
         rows = np.arange(npaths)
         sv = np.where(hits.any(axis=1),
                       np.exp(-r * tn[first]) * c1_scn.charge(tn[first]) * F[rows, first], mb)
-        for got, path in ((est.maturity_benefit, mb), (est.boundary_strategy, sv)):
+        for got, path in ((est["maturity_benefit"], mb), (est["boundary_strategy_value"], sv)):
             pairs = _pair_means(path)
             assert pairs.size == npaths // 2
             # the estimate is the mean over every path, the odd last one included
@@ -302,7 +302,11 @@ class TestChunkPool:
         batch = vs.simulate_paths(c2_scn, seed=9, npaths=2 * CHUNK_PATHS + 5, nsteps=360)
         mb, sv, prem = _estimates(batch, c2_scn, c2_lattice)
         est = vs.mc_verify_estimates(batch, c2_scn, c2_lattice["boundary"], c2_lattice["mask"])
-        assert repr((est.maturity_benefit, est.boundary_strategy, est.premiums)) == repr((mb, sv, prem))
+        assert list(est) == ["maturity_benefit", "boundary_strategy_value", "surrender_premium",
+                             "continuation_premium"]
+        one_pass = (est["maturity_benefit"], est["boundary_strategy_value"],
+                    mc._premiums(est["surrender_premium"], est["continuation_premium"]))
+        assert repr(one_pass) == repr((mb, sv, prem))
 
     def test_early_break_stops_and_joins_the_workers(self, c1_scn, monkeypatch, cpus):
         cpus(2)
@@ -356,7 +360,8 @@ class TestChunkPool:
         per_chunk = [[mc._chunk_stats(x) for kernel in kernels for x in kernel(F)]
                      for _, F in batch.iter_chunks()]
         mb, sv, ee, ff = (mc._finalize(stats, npaths, 54) for stats in zip(*per_chunk))
-        expected = repr(mc.McVerifyEstimates(mb, sv, mc._premiums(ee, ff)))
+        expected = repr({"maturity_benefit": mb, "boundary_strategy_value": sv,
+                         "surrender_premium": ee, "continuation_premium": ff})
         for threads in (1, 2):
             cpus(threads)
             assert repr(vs.mc_verify_estimates(batch, c1_scn, boundary, mask)) == expected

@@ -71,24 +71,11 @@ class TestExtractBoundary:
         in_s = np.array([[False, True, False, True], [False, False, True, True]])
         mask = RegionMask(
             tnodes=tn, xnodes=x, in_surrender=in_s,
-            tol_abs=1e-8, tol_rel=1e-6, reward_kind="discontinuous", mode="value-gap",
+            tol_abs=1e-8, tol_rel=1e-6, mode="value-gap",
         )
         b = vs.extract_boundary(mask)
         assert (0, 2) in b.violations
         assert b.values[0] == 2.0 and b.values[1] == 3.0
-
-    def test_interpolated_boundary_stays_in_cell(self, c1_lattice):
-        mask, surf = c1_lattice["mask"], c1_lattice["disc"]
-        node = vs.extract_boundary(mask, surf, interpolate=False)
-        interp = vs.extract_boundary(mask, surf, interpolate=True)
-        x = surf.xnodes
-        for n in range(len(node.values)):
-            if not np.isfinite(node.values[n]):
-                assert not np.isfinite(interp.values[n])
-                continue
-            i = int(np.searchsorted(x, node.values[n] * (1 - 1e-12)))
-            lo = x[i - 1] if i > 0 else x[0]
-            assert lo - 1e-12 <= interp.values[n] <= node.values[n] + 1e-12
 
 
 class TestClassifySections:

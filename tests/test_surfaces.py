@@ -27,10 +27,10 @@ class TestValueSurface:
         tn, xn, values, obstacle = _grid()
         {"values": values, "obstacle": obstacle}[field][1, 2] = bad
         with pytest.raises(FloatingPointError, match="non-finite pde surface"):
-            ValueSurface(tn, xn, values, obstacle, "pde", "discontinuous")
+            ValueSurface(tn, xn, values, obstacle, "pde")
 
     def test_finite_surface_is_kept_read_only(self):
-        surf = ValueSurface(*_grid(), "lattice", "discontinuous")
+        surf = ValueSurface(*_grid(), "lattice")
         assert not surf.values.flags.writeable and not surf.obstacle.flags.writeable
 
 
@@ -79,7 +79,7 @@ def _layer_values(scn) -> dict:
     tn, x = grid.tnodes, grid.xnodes
     b = np.linspace(110.0, 170.0, N)
     b[[1, 6]] = np.inf  # two empty sections
-    mask = vs.RegionMask(tn, x, x[None, :] >= b[:, None], 0.0, 0.0, "discontinuous", "exercise")
+    mask = vs.RegionMask(tn, x, x[None, :] >= b[:, None], 0.0, 0.0, "exercise")
     batch = vs.simulate_paths(scn, seed=7, npaths=4000, nsteps=N)
     mc_e = vs.mc_premium_integrals(batch, scn, mask)
     return {
