@@ -37,7 +37,8 @@ def ordered_map(fn, nitems: int) -> list:
     not look a public vastop function up through its module (``analytic.f``):
     the perfbench tracer wraps those module attributes, and its span stack is
     single-threaded. A name bound by ``from .x import f`` when the package
-    loads keeps the original function, so fn may call that.
+    loads keeps the original function, so fn may call that: decompose's slices
+    call only ``guarantee_put_value``, bound so.
     """
     with ThreadPoolExecutor(worker_count(nitems), thread_name_prefix="vastop") as pool:
         return list(pool.map(fn, range(nitems)))

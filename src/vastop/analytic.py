@@ -4,7 +4,9 @@ Maturity-benefit value, guarantee put, the never-surrender condition checker,
 and the fee bound of a cubic charge with the fee that saturates it. These serve
 as oracles for the numerical solvers, so everything here is evaluated to near
 machine precision: the normal CDF comes from scipy.special.ndtr and fee
-integrals are exact, interval by interval for the piecewise kind.
+integrals are exact, interval by interval for the piecewise kind. Both closed
+forms take a vector of dates and give one row per date, with the bits each
+date has alone.
 """
 
 from __future__ import annotations
@@ -32,51 +34,52 @@ __all__ = [
 ]
 
 
-def _terms(scn: Scenario, t: float, x):
-    """x as a float array, and the terms both closed forms combine at (t, x):
-    (x e^{-int_t^T c}, G e^{-r tau}, d1, d2) before maturity, None at t = T."""
+def _closed_form(scn: Scenario, t, x, at_maturity, before_maturity):
+    """A closed form at the dates t and the states x, one row per date, a float for
+    a scalar t and x: at_maturity(x) at T (and past it, within the domain's tolerance),
+    before_maturity(x e^{-int_t^T c}, G e^{-r tau}, d1, d2) before T. Each date's
+    constants are Python floats, so a date has the same bits alone as in any vector."""
     scn.check_domain(t, x)
     G, T = scn.contract.G, scn.contract.T
-    x = np.asarray(x, dtype=float)
-    tau = T - t
-    if tau <= 1e-12 * max(1.0, T):
-        return x, None
     r, sig = scn.market.r, scn.market.sigma
-    fee_int = scn.fee.integral(t, T)
-    sst = sig * math.sqrt(tau)
-    num = np.log(x / G) + (r * tau - fee_int) + 0.5 * sst**2
-    if sst > 0.0:
-        with np.errstate(over="ignore"):  # a tiny sigma sqrt(tau) takes d1 to its limit +-inf
-            d1 = num / sst
-    else:  # sigma sqrt(tau) underflows (a subnormal sigma): F_T is deterministic
-        d1 = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
-    return x, (x * math.exp(-fee_int), G * math.exp(-r * tau), d1, d1 - sst)
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    out = np.empty(t.shape + x.shape)
+    rows = out.reshape(t.size, *x.shape)
+    log_xG = np.log(x / G)
+    fee_ints = np.ravel(scn.fee.integral(np.minimum(t, T), T)).tolist()
+    for n, (date, fee_int) in enumerate(zip(t.ravel().tolist(), fee_ints)):
+        tau = T - date
+        if tau <= 1e-12 * max(1.0, T):
+            rows[n] = at_maturity(x)
+            continue
+        sst = sig * math.sqrt(tau)
+        num = log_xG + (r * tau - fee_int) + 0.5 * sst**2
+        if sst > 0.0:
+            with np.errstate(over="ignore"):  # a tiny sigma sqrt(tau) takes d1 to its limit +-inf
+                d1 = num / sst
+        else:  # sigma sqrt(tau) underflows (a subnormal sigma): F_T is deterministic
+            d1 = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
+        rows[n] = before_maturity(x * math.exp(-fee_int), G * math.exp(-r * tau), d1, d1 - sst)
+    return out if out.ndim else float(out)
 
 
-def maturity_benefit_value(scn: Scenario, t: float, x):
-    """Discounted value of the maturity payout max(G, F_T) started at (t, x).
+def maturity_benefit_value(scn: Scenario, t, x):
+    """Discounted value of the maturity payout max(G, F_T) started at (t, x), one
+    row per date of t.
 
     Equals x e^{-int c} Phi(d1) + G e^{-r tau} Phi(-d2); handled by an explicit
     branch at t = T (returns max(G, x)) rather than a d1 limit.
     """
-    x, terms = _terms(scn, t, x)
-    if terms is None:
-        out = np.maximum(scn.contract.G, x)
-    else:
-        x_fee, g_disc, d1, d2 = terms
-        out = x_fee * ndtr(d1) + g_disc * ndtr(-d2)
-    return out if out.ndim else float(out)
+    return _closed_form(scn, t, x, lambda x: np.maximum(scn.contract.G, x),
+                        lambda x_fee, g_disc, d1, d2: x_fee * ndtr(d1) + g_disc * ndtr(-d2))
 
 
-def guarantee_put_value(scn: Scenario, t: float, x):
-    """Discounted value of (G - F_T)_+ started at (t, x); the financial guarantee."""
-    x, terms = _terms(scn, t, x)
-    if terms is None:
-        out = np.maximum(scn.contract.G - x, 0.0)
-    else:
-        x_fee, g_disc, d1, d2 = terms
-        out = g_disc * ndtr(-d2) - x_fee * ndtr(-d1)
-    return out if out.ndim else float(out)
+def guarantee_put_value(scn: Scenario, t, x):
+    """Discounted value of (G - F_T)_+ started at (t, x), one row per date of t;
+    the financial guarantee."""
+    return _closed_form(scn, t, x, lambda x: np.maximum(scn.contract.G - x, 0.0),
+                        lambda x_fee, g_disc, d1, d2: g_disc * ndtr(-d2) - x_fee * ndtr(-d1))
 
 
 @dataclass(frozen=True)

@@ -267,8 +267,7 @@ class _Run:
         if "regions" not in self.tasks:
             self.emit(f"surface_{name}.csv", csvio.write_surface_csv, surf)
         if self.never_surrender.holds:
-            hline = np.stack([np.asarray(analytic.maturity_benefit_value(scn, float(t), surf.xnodes))
-                              for t in surf.tnodes])
+            hline = analytic.maturity_benefit_value(scn, surf.tnodes, surf.xnodes)
             # h >= G e^{-r (T - t)} > 0: an absolute floor would make the gap depend on G's scale
             gap = float(np.max(np.abs(surf.values - hline) / hline))
             self.results.setdefault("max_rel_gap_vs_maturity_benefit", {})[name] = gap

@@ -100,10 +100,8 @@ class _StepQuadrature:
         self.factor = (table.node_fee.reshape(-1) * scn.charge(self.s_nodes)
                        - scn.charge.dt(self.s_nodes)) * self.weights
         # exact fee integrals from 0 to each Simpson node
-        I_grid = np.array([scn.fee.integral(0.0, float(t)) for t in tn])
-        I_mid = I_grid[:-1] + np.array(
-            [scn.fee.integral(float(a), float(m)) for a, m in zip(tn[:-1], mids)]
-        )
+        I_grid = scn.fee.integral(0.0, tn)
+        I_mid = I_grid[:-1] + scn.fee.integral(tn[:-1], mids)
         self.fee_int = np.stack([I_grid[:-1], I_mid, I_grid[1:]], axis=1).reshape(-1)
         bvals = np.asarray(boundary.values, dtype=float)
         self.node_date = table.node_date.reshape(-1)
@@ -239,14 +237,13 @@ def decomposition_residuals(surface: ValueSurface, scn: Scenario,
                           " 2 state nodes at each edge")
     quad = _StepQuadrature(scn, boundary, x)
     v = surface.values
-    h = np.empty((tn.size, x.size))
+    h = maturity_benefit_value(scn, tn, x)
     e = np.empty_like(h)
     f = np.empty_like(h)
     res_phif = np.empty_like(h)
     g = scn.charge(tn)
 
     def fill(n: int) -> None:
-        h[n] = maturity_benefit_value(scn, float(tn[n]), x)
         e[n], f[n] = quad.premiums(n)
         # payout branch of the representation is the surrender value x g(t)
         # at every date; at maturity g = 1 and v = x + (G - x)_+ exactly

@@ -119,10 +119,7 @@ class PathBatch:
         tn = self.tnodes
         r, sig = self.scn.market.r, self.scn.market.sigma
         dt = float(tn[1] - tn[0])
-        fee_ints = np.array(
-            [self.scn.fee.integral(float(a), float(b)) for a, b in zip(tn[:-1], tn[1:])]
-        )
-        return r * dt - fee_ints - 0.5 * sig * sig * dt
+        return r * dt - self.scn.fee.integral(tn[:-1], tn[1:]) - 0.5 * sig * sig * dt
 
     def iter_chunks(self):
         """Yield (first_path_index, F) with F of shape (chunk, nsteps + 1), in

@@ -102,10 +102,11 @@ class FeeSpec:
         it ends, matching indicator conventions like 1_{a < t <= b}.
     smooth
         Rate given by a callable ``rate_fn(t)``, with ``integral_fn(t, s)`` its
-        exact integral over [t, s].
+        exact integral over [t, s] for two floats.
 
-    The spec knows no maturity: `Scenario` checks that the breakpoints lie
-    before it.
+    The rates and the integral take vectors of dates, and give a float for a
+    scalar date with the bits of that date inside any vector. The spec knows no
+    maturity: `Scenario` checks that the breakpoints lie before it.
     """
 
     kind: str
@@ -144,21 +145,22 @@ class FeeSpec:
             return np.asarray(self.rates)[np.searchsorted(self.breakpoints, d, side=side)]
         return _as_float_array(self.rate_fn(d))
 
-    def integral(self, t: float, s: float) -> float:
-        """Exact integral of the fee rate over [t, s]."""
-        if s < t:
+    def integral(self, t, s):
+        """Exact integral of the fee rate over [t, s], vectorized over t and s with
+        broadcasting; a float for scalars. A piecewise fee adds, interval by interval
+        in order, the rate times the part of [t, s] in the interval."""
+        t, s = np.broadcast_arrays(_as_float_array(t), _as_float_array(s))
+        if np.any(s < t):
             raise DomainError("fee integral needs t <= s")
-        if s == t:
-            return 0.0
-        if self.kind == "constant":
-            return self.rate * (s - t)
-        if self.kind == "piecewise":
-            edges = (t, *[b for b in self.breakpoints if t < b < s], s)
-            total = 0.0
-            for a, b, rate in zip(edges, edges[1:], self.rate_right(edges[:-1]).tolist()):
-                total += rate * (b - a)
-            return total
-        return float(self.integral_fn(t, s))
+        if self.kind == "smooth":
+            out = np.reshape([float(self.integral_fn(p, q)) if p < q else 0.0
+                              for p, q in zip(t.ravel().tolist(), s.ravel().tolist())], t.shape)
+        else:  # a constant fee is one interval, whose piece is s - t
+            edges = (-np.inf, *self.breakpoints, np.inf)
+            out = np.zeros(t.shape)
+            for lo, hi, rate in zip(edges, edges[1:], self.rates or (self.rate,)):
+                out += rate * np.maximum(np.minimum(s, hi) - np.maximum(t, lo), 0.0)
+        return out if t.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def smooth_fit_diagnostic(surface: ValueSurface, boundary, times) -> SmoothFitRe
     linear payout, so it equals g(t) exactly) and the left slope over the last
     full continuation cell. Their absolute difference vanishes with the mesh
     when the value is continuously differentiable across the boundary. Empty
-    sections are skipped with a marker.
+    sections and maturity, which has no section, are skipped with a marker.
     """
     x = surface.xnodes
     tq = np.asarray(times, dtype=float)
@@ -223,7 +223,10 @@ def smooth_fit_diagnostic(surface: ValueSurface, boundary, times) -> SmoothFitRe
     skipped: list[str] = []
     for j, t in enumerate(tq):
         n = date_index(surface.tnodes, t)
-        b = boundary.values[n] if n < len(boundary.values) else np.inf
+        if n == len(boundary.values):  # the regions live on [0, T)
+            skipped.append(f"t={t}: maturity, no section")
+            continue
+        b = boundary.values[n]
         if not np.isfinite(b):
             skipped.append(f"t={t}: empty section")
             continue

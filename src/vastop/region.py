@@ -79,13 +79,11 @@ def extract_regions(surface: ValueSurface, scn: Scenario, mode: str = "value-gap
     if mode == "exercise":
         from .analytic import maturity_benefit_value
 
-        x = surface.xnodes
-        g = scn.charge(surface.tnodes[:-1])
-        gate = np.empty_like(mask)
-        for n, t in enumerate(surface.tnodes[:-1]):
-            h = np.asarray(maturity_benefit_value(scn, float(t), x))
-            gate[n] = g[n] * x >= h + tol[n]
-        mask &= gate
+        t, x = surface.tnodes[:-1], surface.xnodes
+        h = maturity_benefit_value(scn, t, x)
+        h += tol
+        # g(t) x goes into tol's buffer, which h + tol was the last to read
+        mask &= np.multiply(scn.charge(t)[:, None], x, out=tol) >= h
     return RegionMask(
         tnodes=surface.tnodes,
         xnodes=surface.xnodes,

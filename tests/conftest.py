@@ -168,6 +168,4 @@ def mc_c2_batch(c2_scn):
 
 
 def maturity_benefit_surface(scn, surf) -> np.ndarray:
-    return np.stack(
-        [np.asarray(vs.maturity_benefit_value(scn, float(t), surf.xnodes)) for t in surf.tnodes]
-    )
+    return vs.maturity_benefit_value(scn, surf.tnodes, surf.xnodes)

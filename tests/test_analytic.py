@@ -60,6 +60,45 @@ class TestMaturityBenefitValue:
             acct = x * math.exp(-c1_scn.fee.integral(t, 15.0))
             assert np.allclose(h, acct + put, rtol=1e-10, atol=1e-10)
 
+
+_T = 15.0
+_FEES = {
+    "constant": vs.FeeSpec("constant", rate=0.01),
+    "piecewise": vs.FeeSpec("piecewise", breakpoints=(5.0, 10.0),
+                            rates=(0.010908, 0.005454, 0.010908)),
+    "smooth": vs.fee_from_cubic_charge_bound(_T, 0.3),
+}
+_CHARGES = {
+    "exponential": vs.ChargeSpec("exponential", T=_T, kappa=0.0055),
+    "cubic": vs.ChargeSpec("cubic", T=_T, k=0.3),
+}
+
+
+@pytest.mark.parametrize("sigma", [0.2, 5e-324], ids=["sigma", "subnormal-sigma"])
+@pytest.mark.parametrize("charge", sorted(_CHARGES))
+@pytest.mark.parametrize("fee", sorted(_FEES))
+@pytest.mark.parametrize("name", ["maturity_benefit_value", "guarantee_put_value"])
+def test_a_scalar_date_has_the_bits_of_its_row_in_any_vector(name, fee, charge, sigma):
+    # the layers evaluate a closed form once per date vector, one row per date, and
+    # a scalar call at one of those dates must give the same floats to the last bit.
+    # The dates include T (the maturity branch), and near T a subnormal sigma takes
+    # sigma sqrt(tau) to 0 (F_T is then deterministic)
+    scn = vs.Scenario(vs.MarketParams(0.03, sigma), vs.ContractParams(100.0, _T, 100.0),
+                      _FEES[fee], _CHARGES[charge])
+    evaluate = getattr(vs, name)
+    dates = np.concatenate([np.linspace(0.0, _T, 25), [2.0 / 3.0, _T - 0.1, _T - 1e-9]])
+    assert sigma > 1e-300 or sigma * math.sqrt(_T - dates[-1]) == 0.0
+    x = np.geomspace(1.0, 800.0, 41)
+    rows = evaluate(scn, dates, x)
+    assert rows.shape == (dates.size, x.size)
+    for t, row in zip(dates, rows):
+        assert evaluate(scn, float(t), x).tobytes() == row.tobytes()
+        scalars = [evaluate(scn, float(t), float(xi)) for xi in x[::8]]
+        assert all(type(v) is float for v in scalars)
+        assert np.asarray(scalars).tobytes() == row[::8].tobytes()
+    assert evaluate(scn, dates, float(x[20])).tobytes() == rows[:, 20].tobytes()
+
+
 class TestNeverSurrenderCheck:
     def test_matched_rates_hold(self):
         scn = vs.matched_exponential_scenario(0.02)

@@ -431,7 +431,8 @@ class TestConfigValidation:
         # bounded; a closed form that returns one stands in for them
         import vastop.analytic as analytic
 
-        monkeypatch.setattr(analytic, "maturity_benefit_value", lambda scn, t, x: bad * x)
+        monkeypatch.setattr(analytic, "maturity_benefit_value",
+                            lambda scn, t, x: np.full(np.shape(t) + np.shape(x), bad))
         doc = _base_config(tasks=["price-lattice", "price-pde", "regions"])
         out = tmp_path / "o"
         assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == 1

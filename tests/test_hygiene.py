@@ -287,11 +287,13 @@ def test_rule_checker_guard_flags_every_form():
                                                "is_finite_number()", "is_finite_number()"]
 
 
-DATE_EVALUATORS = {"fee", "rate_right", "charge", "dt"}
+DATE_EVALUATORS = {"fee", "rate_right", "charge", "dt", "integral", "maturity_benefit_value",
+                   "guarantee_put_value"}
 
 
 def scalar_date_calls(source: str) -> list[str]:
-    """Calls of a fee or charge evaluator on a float(...) argument, by name and line."""
+    """Calls of a fee or charge evaluator, a fee integral or a closed form on a
+    float(...) argument, by name and line."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
@@ -312,9 +314,14 @@ def test_fee_and_charge_are_evaluated_per_date_vector():
 
 def test_scalar_date_checker_flags_every_form():
     src = "c = scn.fee(float(t))\nd = fee.rate_right(t=float(tn[n]))\ng = charge(1.0, float(t))\n" \
-          "k = scn.charge.dt(float(t)) * x\nok = scn.fee(tn[:-1]), float(scn.charge(t)), scn.dt\n"
-    assert scalar_date_calls(src) == ["fee (line 1)", "rate_right (line 2)", "charge (line 3)",
-                                      "dt (line 4)"]
+          "k = scn.charge.dt(float(t)) * x\ni = scn.fee.integral(0.0, float(t))\n" \
+          "h = maturity_benefit_value(scn, float(tn[n]), x)\n" \
+          "p = analytic.guarantee_put_value(scn, t=float(t), x=x)\n" \
+          "ok = scn.fee(tn[:-1]), float(scn.charge(t)), scn.dt, scn.fee.integral(tn[:-1], tn[1:])\n" \
+          "ok = float(maturity_benefit_value(scn, 0.0, F0)), guarantee_put_value(scn, t, x)\n"
+    assert sorted(scalar_date_calls(src)) == sorted([
+        "fee (line 1)", "rate_right (line 2)", "charge (line 3)", "dt (line 4)",
+        "integral (line 5)", "maturity_benefit_value (line 6)", "guarantee_put_value (line 7)"])
 
 
 def fee_side_calls(source: str) -> list[str]:

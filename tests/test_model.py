@@ -180,6 +180,17 @@ def test_a_scalar_call_has_the_bits_of_its_date_in_any_vector(kind, T, u, N, ste
         scalars = [evaluate(float(t)) for t in dates]
         assert all(type(s) is float for s in scalars), name
         assert np.asarray(scalars).tobytes() == evaluate(dates).tobytes(), name
+    if isinstance(spec, FeeSpec):
+        # the layers' pairs (steps, 0 -> t_n, t_n -> mid, t_n -> T), s == t, and
+        # pairs of drawn dates, which span the breakpoints between them
+        mids = 0.5 * (tn[:-1] + tn[1:])
+        lo, hi = np.minimum(dates, dates[::-1]), np.maximum(dates, dates[::-1])
+        a = np.concatenate([tn[:-1], np.zeros(N + 1), tn[:-1], tn, dates, lo])
+        b = np.concatenate([tn[1:], tn, mids, np.full(N + 1, T), dates, hi])
+        scalars = [spec.integral(float(p), float(q)) for p, q in zip(a, b)]
+        assert all(type(s) is float for s in scalars)
+        assert np.asarray(scalars).tobytes() == spec.integral(a, b).tobytes()
+        assert spec.integral(0.0, tn).tobytes() == spec.integral(np.zeros(N + 1), tn).tobytes()
 
 
 class TestReward:

@@ -280,6 +280,12 @@ class TestSmoothFit:
         assert np.isnan(rep.jump[0])
         assert any("empty" in s for s in rep.skipped)
 
+    def test_maturity_has_its_own_marker(self, c1_pde):
+        # the regions live on [0, T): maturity has no section, empty or not
+        rep = vs.smooth_fit_diagnostic(c1_pde["surface"], c1_pde["boundary"], times=[2.0, 15.0])
+        assert np.isfinite(rep.jump[0]) and np.isnan(rep.jump[1])
+        assert rep.skipped == ("t=15.0: maturity, no section",)
+
     def test_off_date_time_rejected(self, c1_pde):
         # dates lie 1/24 apart on the production grid
         with pytest.raises(ConfigError, match=r"t=0\.017 is not a date of the time grid"):
