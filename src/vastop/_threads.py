@@ -4,8 +4,9 @@ one-thread pin of BLAS.
 ``ordered_map`` is the package's only thread pool: the Monte Carlo estimator
 passes map their chunks on it, and the decomposition its time slices. It has
 one worker per CPU the process may run on (``taskset`` limits them).
-``ForkedCalls`` runs each call in a child process forked from the caller:
-``vastop run`` writes each CSV there while its later tasks compute.
+``ForkedCalls`` runs each call in a child process forked from the caller, a
+``multiprocessing`` fork ``Process``: ``vastop run`` writes each CSV there
+while its later tasks compute.
 BLAS runs on one thread (``pin_blas``), as OpenBLAS rounds differently for
 each thread count.
 """
@@ -14,8 +15,6 @@ import ctypes
 import glob
 import os
 import pickle
-import signal
-import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 
@@ -46,7 +45,8 @@ def ordered_map(fn, nitems: int) -> list:
 
 class ForkedCalls:
     """Run each submitted call, fn(*args, **kwargs), in a child process forked
-    at its submit; inline on a platform without os.fork.
+    at its submit, a ``multiprocessing`` fork ``Process``; inline on a platform
+    without os.fork.
 
     A child finds fn and its arguments in the memory it shares with the
     caller, so nothing is pickled on the way in. The fork copies only the
@@ -61,38 +61,40 @@ class ForkedCalls:
     """
 
     def __init__(self):
-        self._children = []  # (pid, read end of its error pipe), oldest first
+        self._children = []  # (Process, read end of its error pipe), oldest first
 
     def submit(self, fn, *args, **kwargs) -> None:
         if not hasattr(os, "fork"):
             fn(*args, **kwargs)
             return
-        error_r, error_w = os.pipe()
-        for stream in (sys.stdout, sys.stderr):  # so that no child writes their buffers again
-            stream.flush()
+        import multiprocessing  # here, so that importing vastop does not load it
+
+        context = multiprocessing.get_context("fork")
+        error_r, error_w = context.Pipe(duplex=False)
+        child = context.Process(target=_child, args=(error_w, fn, args, kwargs))
         try:
-            pid = os.fork()
-        except OSError:  # out of processes or memory
-            os.close(error_r)
-            os.close(error_w)
+            child.start()
+        except BaseException:  # out of processes or memory
+            error_r.close()
             raise
-        if pid == 0:
-            _child(error_w, fn, args, kwargs)  # does not return
-        os.close(error_w)
-        self._children.append((pid, error_r))
+        finally:
+            error_w.close()  # the child's end: read returns once the child ends
+        self._children.append((child, error_r))
 
     def join(self) -> None:
         """Wait for every child, oldest first, then raise the first failed call's error."""
-        failed = None  # (report, exit status) of the first call that failed
+        failed = None  # (report, exit code) of the first call that failed
         while self._children:
-            pid, fd = self._children[0]
-            with open(fd, "rb", closefd=False) as pipe:  # until the child ends
-                report = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            self._children.pop(0)
-            os.close(fd)
-            if failed is None and (report or status):
-                failed = report, status
+            child, pipe = self._children[0]
+            try:
+                report = pipe.recv_bytes()
+            except EOFError:  # the child ended without a report
+                report = b""
+            child.join()
+            self._children.pop(0)  # reaped: an interrupt before here still kills it
+            pipe.close()
+            if failed is None and (report or child.exitcode):
+                failed = report, child.exitcode
         if failed and failed[0]:
             exc, text = pickle.loads(failed[0])
             raise exc from _ChildTraceback(f'\n"""\n{text}"""')
@@ -102,10 +104,11 @@ class ForkedCalls:
     def _kill(self) -> None:
         """Kill and reap the children not yet reaped."""
         while self._children:
-            pid, fd = self._children.pop(0)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
+            child, pipe = self._children[0]
+            child.kill()
+            child.join()
+            self._children.pop(0)
+            pipe.close()
 
     def __enter__(self):
         return self
@@ -123,23 +126,12 @@ class _ChildTraceback(Exception):
     error as the caller raises it."""
 
 
-def _child(error_fd, fn, args, kwargs):
-    """The life of a forked child: run fn, and report its error on error_fd.
-    Exits without returning."""
-    status = 1
+def _child(error_pipe, fn, args, kwargs):
+    """Run fn in a forked child, and send its error's report on error_pipe."""
     try:
-        try:
-            fn(*args, **kwargs)
-        except BaseException as exc:  # the child's boundary: reported, then it exits
-            with open(error_fd, "wb") as pipe:
-                pipe.write(_report(exc))
-        status = 0
-    finally:
-        try:
-            for stream in (sys.stdout, sys.stderr):
-                stream.flush()
-        finally:
-            os._exit(status)
+        fn(*args, **kwargs)
+    except BaseException as exc:  # the child's boundary: reported, then it exits
+        error_pipe.send_bytes(_report(exc))
 
 
 def _report(exc: BaseException) -> bytes:

@@ -22,9 +22,10 @@ Re-running with an identical config and seed reproduces byte-identical CSVs.
 BLAS runs on one thread (`_threads.pin_blas`); one worker per CPU the process
 may run on (`taskset` limits them) builds and reduces Monte Carlo chunks and
 evaluates decomposition time slices, bit-identically for any worker count.
-A run writes each CSV in a child process forked at its emit
-(`_threads.ForkedCalls`) while its later tasks compute; the child reads the
-artifact from the memory it shares with the run, so nothing is copied to it.
+A run writes each CSV in a child process forked at its emit, a
+`multiprocessing` fork `Process` (`_threads.ForkedCalls`), while its later
+tasks compute; the child reads the artifact from the memory it shares with the
+run, so nothing is copied to it.
 The writes run side by side, and a failed write stops none of the others. The
 run waits for its writes before it writes summary.json and on every error, so
 no process outlives it, and then reports the first failed write. summary.json
@@ -347,7 +348,7 @@ def _decompose(run: _Run) -> None:
 def _mc_verify(run: _Run) -> None:
     name, opts = run.checked, run.mc
     batch = mc.simulate_paths(run.scn, opts["seed"], opts["npaths"], run.grid["N"])
-    est = mc.mc_verify_estimates(batch, run.scn, run.boundaries[name], run.masks[name])
+    est = mc.mc_verify_estimates(batch, run.scn, run.masks[name])
     run.emit("estimates.csv", csvio.write_estimates_csv, est)
     run.results["mc"] = {q: {"estimate": e.estimate, "std_error": e.std_error}
                          for q, e in est.items()}

@@ -4,10 +4,11 @@ The account diffusion is approximated by a continuous-time Markov chain on a
 log-uniform state grid: tridiagonal generator rows match the local drift
 (r - c(t_n)) x and variance sigma^2 x^2 exactly (drift upwinded where needed
 to keep rates nonnegative), and the one-step transition matrix is the matrix
-exponential of the generator over a step. ``_expm`` computes it as
-``scipy.linalg.expm`` does (Al-Mohy & Higham 2009: scipy's Pade step, then
-repeated squaring), except that before each squaring it sets to 0 every entry
-below sqrt(tiny), about 1.5e-154. A product of two kept entries is then a normal
+exponential of the generator over a step. ``_expm`` computes it for every
+generator as the generic branch of ``scipy.linalg.expm`` does (Al-Mohy &
+Higham 2009: scipy's Pade step, then repeated squaring), a triangular one
+included, except that before each squaring it sets to 0 every entry below
+sqrt(tiny), about 1.5e-154. A product of two kept entries is then a normal
 number, so no squaring stalls on subnormal arithmetic. On the production grids
 and on random documents, every entry this moves lies below 1e-136, far under
 any value a sweep can resolve, and both sweeps keep scipy's bits. Backward induction
@@ -22,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import bandwidth, expm
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .model import ConfigError, Scenario
@@ -54,9 +54,10 @@ class ChainGrid:
     matrix had on leaving ``_expm``. Transition matrices are shared between
     steps with identical coefficients (piecewise fees produce only a handful of
     distinct matrices), and between chains built with one ``matrices`` memo
-    (see ``build_chain``). Each is ``_expm`` of the step's generator: scipy's
-    Pade step, then squarings with the entries below sqrt(tiny) set to 0 before
-    each (see the module docstring). They are read-only, and hold no negative
+    (see ``build_chain``). Each is ``_expm`` of the step's generator, a
+    triangular one (zero variance) included: scipy's Pade step, then squarings
+    with the entries below sqrt(tiny) set to 0 before each (see the module
+    docstring). They are read-only, and hold no negative
     and no subnormal entry: ``build_chain`` sets every probability below the
     smallest normal double (2.2e-308) to 0.
     Those far-tail entries change no value a sweep computes (a dropped term
@@ -126,11 +127,9 @@ _SQRT_TINY = math.sqrt(_TINY)  # 1.5e-154: a product of two larger entries is no
 def _expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential of a generator step, as the generic branch of
     ``scipy.linalg.expm`` (scipy 1.17) computes it, with entries below sqrt(tiny)
-    set to 0 before each squaring (see the module docstring). A diagonal or
-    triangular A takes scipy's own branches."""
-    lower, upper = bandwidth(A)
-    if lower == 0 or upper == 0:
-        return expm(A)
+    set to 0 before each squaring (see the module docstring). Every A takes this
+    path: a triangular one too, whose rows scipy's triangular branch rounds
+    beyond the row-sum check."""
     Am = np.empty((5,) + A.shape)  # scipy's workspace: A and its powers, then U and V
     Am[0] = A
     m, s = pick_pade_structure(Am)
@@ -161,15 +160,9 @@ def _invalid_matrix(head: str, scn: Scenario, xnodes, var, stiffness: float, dt:
     fault when enough steps cure it, else the keys whose rates dominate are
     named. The diffusion rates scale as sigma^2 / dy^2: market.sigma and the
     log spacing dy of the state nodes, which grid.M and grid.xmax_mult set.
-    A sigma so small that the variance (sigma x)^2 underflows to 0 at every
-    node leaves a triangular generator, whose exponential scipy's triangular
-    branch rounds beyond the budget on any grid: market.sigma is named then.
+    A generator whose variance underflows to 0 at every node (a triangular one)
+    takes the same Pade path as any other, so the same causes are named.
     """
-    if not var.any():
-        return GridResolutionError(
-            f"{head}: market.sigma = {scn.market.sigma:g} is so small that the variance"
-            " (sigma x)^2 underflows to 0 at every state node, which no grid cures"
-        )
     if stiffness <= _STEP_BUDGET:
         return GridResolutionError(f"{head}; try grid.M >= {2 * M}")
     steps = math.ceil(N * stiffness / _STEP_BUDGET)
@@ -260,6 +253,13 @@ def _step(grid: ChainGrid, n: int, values: np.ndarray, rho: float) -> np.ndarray
 
 def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontinuous") -> ValueSurface:
     """Value the Bermudan surrender right by backward induction on the chain.
+
+    At a finite N this prices the contract that may be surrendered on the N
+    exercise dates only, each step an exact exponential of the generator; the
+    PDE (``pde.solve_variational_inequality``) approximates surrender at any
+    time. The Bermudan boundary lies below the continuous one by a gap that
+    halves with dt: on c2 at N=360, M=401 by a median 2.06% over the dates
+    where both are nonempty, 194.53 against the PDE's 198.62 at t = 0.
 
     reward_kind "discontinuous" uses the surrender payout g(t) x as exercise
     value; "continuous" uses g(t) x v h(t, x) with h computed by a

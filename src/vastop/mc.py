@@ -14,7 +14,8 @@ them. BLOCK_ROWS and CHUNK_PATHS are even, so a pair never straddles a block
 or a chunk, only the batch's last path can be unpaired, and a batch of n paths
 is the first n paths of any larger batch with the same seed.
 
-An estimator pass (``mc_verify_estimates`` serves all estimators at once)
+An estimator pass (``mc_verify_estimates(batch, scn, mask)`` serves all
+estimators at once, on the region mask and the boundary it derives from it)
 maps its chunks on the package's one thread pool, ``_threads.ordered_map``
 (one worker per CPU the process may run on). The worker that builds a
 chunk runs every estimator's kernel on each block and reduces the chunk to
@@ -252,7 +253,9 @@ class McPremiumEstimates:
     seed: int
 
 
-def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
+def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask, boundary: Boundary):
+    """The kernel of both premiums on mask, whose boundary (``extract_boundary``)
+    gives each slice's threshold."""
     tn = batch.tnodes
     if mask.tnodes.size != tn.size or not np.allclose(mask.tnodes, tn, rtol=0.0, atol=1e-9):
         raise ConfigError("mask is not defined on the batch's exercise dates")
@@ -267,7 +270,6 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     wL = 0.5 * dt * (table.node_fee[:, 0] * g[:-1] - gt[:-1]) * disc[:-1]
     wR = 0.5 * dt * (table.node_fee[:, 2] * g[1:] - gt[1:]) * disc[1:]
     # the slice threshold, NaN where the slice is not threshold-shaped
-    boundary = extract_boundary(mask)
     K = boundary.values.copy()
     K[[n for n, _ in boundary.violations]] = np.nan
     # per end: the slice each step reads, its threshold and the steps where it is NaN
@@ -297,17 +299,6 @@ def _premium_kernel(batch: PathBatch, scn: Scenario, mask: RegionMask):
     return kernel
 
 
-def _premiums(ee: McEstimate, ff: McEstimate) -> McPremiumEstimates:
-    return McPremiumEstimates(
-        e_estimate=ee.estimate,
-        e_std_error=ee.std_error,
-        f_estimate=ff.estimate,
-        f_std_error=ff.std_error,
-        npaths=ee.npaths,
-        seed=ee.seed,
-    )
-
-
 def mc_maturity_benefit(batch: PathBatch, scn: Scenario) -> McEstimate:
     """Sample mean and standard error of e^{-rT} max(G, F_T)."""
     return _one_pass(batch, [_maturity_kernel(scn)])[0]
@@ -329,17 +320,21 @@ def mc_premium_integrals(batch: PathBatch, scn: Scenario, mask: RegionMask) -> M
     trapezoid; the fee and the slice at each end are those of the step table's
     left and right nodes (``surfaces.step_table``), as in decompose.
     """
-    return _premiums(*_one_pass(batch, [_premium_kernel(batch, scn, mask)]))
+    ee, ff = _one_pass(batch, [_premium_kernel(batch, scn, mask, extract_boundary(mask))])
+    return McPremiumEstimates(e_estimate=ee.estimate, e_std_error=ee.std_error,
+                              f_estimate=ff.estimate, f_std_error=ff.std_error,
+                              npaths=ee.npaths, seed=ee.seed)
 
 
-def mc_verify_estimates(
-    batch: PathBatch, scn: Scenario, boundary: Boundary, mask: RegionMask
-) -> dict[str, McEstimate]:
-    """Maturity benefit, boundary-strategy value and the surrender and
-    continuation premiums, from one pass over the paths, keyed by the quantity
+def mc_verify_estimates(batch: PathBatch, scn: Scenario, mask: RegionMask) -> dict[str, McEstimate]:
+    """Maturity benefit, value of the strategy that surrenders on mask's
+    boundary (``extract_boundary``) and the surrender and continuation
+    premiums on mask, from one pass over the paths, keyed by the quantity
     names of ``estimates.csv`` in its row order. Each estimate is bit-identical
     to the one its single-estimator function returns."""
+    boundary = extract_boundary(mask)
+    premiums = _premium_kernel(batch, scn, mask, boundary)  # refuses a mask off the batch's dates
     estimates = _one_pass(batch, [_maturity_kernel(scn), _boundary_kernel(batch, scn, boundary),
-                                  _premium_kernel(batch, scn, mask)])
+                                  premiums])
     return dict(zip(("maturity_benefit", "boundary_strategy_value", "surrender_premium",
                      "continuation_premium"), estimates))

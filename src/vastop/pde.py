@@ -110,6 +110,11 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
     and extrapolated linearly in x otherwise. The fee, the solver fee of
     ``surfaces.step_table``, depends on time only, so the coefficients a, bq and cq
     of v_{i-1}, v_i and v_{i+1} are scalars per level.
+
+    The obstacle holds at every level, so at a finite N this approximates the
+    contract that may be surrendered at any time, not the Bermudan one the
+    lattice prices on the N dates (see ``lattice.bermudan_value``): on c2 at
+    M=801 its t = 0 boundary reads 197.59 for every N from 90 to 1440.
     """
     x = grid.xnodes
     tn = grid.tnodes

@@ -27,8 +27,8 @@ WIDE_MULT = 30.0
 
 def assert_no_children() -> None:
     """Assert that the process has no child, running or ended and not yet
-    waited for, as the OS sees it: os.fork children (the CSV writes of `vastop
-    run`) included, which multiprocessing does not track."""
+    waited for, as the OS sees it, whether or not multiprocessing (which forks
+    the CSV writes of `vastop run`) still tracks it."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -241,17 +241,29 @@ class TestConfigValidation:
         assert "internal error" not in err and not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("r", [-0.5, 0.5])
-    def test_underflowing_sigma_names_the_key(self, tmp_path, capsys, r):
-        # (sigma x)^2 underflows to 0 at every node, so the generator is triangular
-        # and scipy's triangular branch misses the row sums on any grid
+    def test_underflowing_sigma_is_priced(self, tmp_path, r):
+        # (sigma x)^2 underflows to 0 at every node, so the generator is triangular;
+        # its exponential takes the Pade path of every other generator
         scn = vs.low_charge_scenario()
         scn = dataclasses.replace(scn, market=vs.MarketParams(r=r, sigma=1e-200))
         doc = _base_config(scenario=vs.scenario_to_dict(scn), tasks=["price-lattice"],
                            grid={"N": 12, "M": 41})
+        assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                             parse_constant=_no_constants)
+        assert math.isfinite(summary["results"]["lattice_value_at_inception"])
+
+    def test_stiff_underflowing_sigma_names_the_key(self, tmp_path, capsys):
+        # a triangular generator too stiff for any time step is told so, as any other
+        scn = vs.low_charge_scenario()
+        scn = dataclasses.replace(scn, market=vs.MarketParams(r=0.5, sigma=1e-200))
+        doc = _base_config(scenario=vs.scenario_to_dict(scn), tasks=["price-lattice"],
+                           grid={"N": 1, "M": 21, "xmax_mult": 1.0000001})
         assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config error: invalid transition matrix" in err
-        assert "market.sigma = 1e-200 is so small" in err and "try" not in err
+        assert err.startswith("config error: invalid transition matrix: market.r with the fee"
+                              " makes the generator too stiff for any time step")
+        assert "market.sigma" not in err and "try" not in err
 
     def test_too_long_time_step_advises_more_steps(self, tmp_path, capsys):
         # sigma = 10 is a valid scenario: one 15-year step is too stiff for it, and a

@@ -235,6 +235,48 @@ def test_pool_checker_flags_every_import_form():
                                  "concurrent.futures"]
 
 
+PROCESS_CALLS = {"fork", "waitpid", "kill", "_exit"}
+
+
+def process_code(source: str) -> list[str]:
+    """Imports of multiprocessing, or of a name from it, and the process calls of
+    os (fork, waitpid, kill, _exit), named on os or an alias of it or imported
+    from it, that a module makes."""
+    tree = ast.parse(source)
+    os_names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names if a.name == "os"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "multiprocessing"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "multiprocessing":
+            found += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names if a.name in PROCESS_CALLS]
+        elif (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+              and isinstance(node.value, ast.Name) and node.value.id in os_names):
+            found.append(f"os.{node.attr}")
+    return found
+
+
+def test_processes_live_in_one_module():
+    # the forked calls exist once: every other module submits to _threads.ForkedCalls
+    users = {p.name for p in PACKAGE.glob("*.py") if process_code(p.read_text(encoding="utf-8"))}
+    assert users == {"_threads.py"}
+
+
+def test_process_checker_flags_every_form():
+    src = "import multiprocessing\nimport multiprocessing.connection as mc\n" \
+          "from multiprocessing import get_context as g\nfrom multiprocessing.popen_fork import Popen\n" \
+          "import os, os as o\nfrom os import fork, _exit as e, getpid\n" \
+          "pid = os.fork()\nos.waitpid(pid, 0)\no.kill(pid, 9)\nf = os._exit\nx = os.path.kill\n"
+    assert sorted(process_code(src)) == sorted([
+        "multiprocessing", "multiprocessing.connection", "multiprocessing.get_context",
+        "multiprocessing.popen_fork.Popen", "os.fork", "os._exit", "os.fork", "os.waitpid",
+        "os.kill", "os._exit"])
+    assert process_code("import os\nn = os.getpid()\nk = kill(n)\n") == []
+
+
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 

@@ -136,7 +136,7 @@ def c1_small():
     boundary = vs.extract_boundary(mask, disc)
     report = vs.decomposition_residuals(disc, scn, boundary)
     batch = vs.simulate_paths(scn, seed=5, npaths=2000, nsteps=30)
-    est = vs.mc_verify_estimates(batch, scn, boundary, mask)
+    est = vs.mc_verify_estimates(batch, scn, mask)
     return {
         "scn": scn, "disc": disc, "cont": cont, "pde": pde, "mask": mask,
         "mask_cont": vs.extract_regions(cont, scn, mode="exercise"),

@@ -187,17 +187,24 @@ class TestBuildChain:
         _assert_scipy_bits(grid, reference, scn)
 
     @pytest.mark.parametrize("r", [-0.5, 0.5])
-    def test_triangular_generator_takes_scipys_branch(self, r):
+    def test_triangular_generator_takes_the_pade_path(self, r):
         # sigma = 1e-200 squares to a zero variance, so the upwinded drift moves one
-        # way only and the generator is triangular. scipy exponentiates that case
-        # with its own formula, whose rows miss 1 by about 2% here: the chain
-        # refuses the grid, with scipy's matrix as with _expm's
+        # way only and the generator is triangular. Its exponential takes the Pade
+        # path of every other generator, whose rows sum to 1 (scipy's triangular
+        # branch misses them by about 2% here), and the chain prices the
+        # deterministic account: surrender at the best date, or hold to maturity
         scn = dataclasses.replace(vs.low_charge_scenario(), market=vs.MarketParams(r=r, sigma=1e-200))
-        assert _chain_and_scipy_reference(scn, 12, 41, 8.0) == (None, None)
-        x = vs.surfaces.log_space_nodes(100.0, 8.0, 41)
-        A = lattice._generator(x, (r - 0.02) * x, (1e-200 * x) ** 2) * 1.25  # dt = 15 / 12
-        assert (np.any(np.diag(A, -1)), np.any(np.diag(A, 1))) == (r < 0.02, r > 0.02)
-        assert lattice._expm(A).tobytes() == expm(A).tobytes()
+        grid = vs.build_chain(scn, 12, 41, 8.0)
+        x, tn, c = grid.xnodes, grid.tnodes, grid.step_keys[0]
+        A = lattice._generator(x, (r - c) * x, (1e-200 * x) ** 2) * grid.dt
+        assert (np.any(np.diag(A, -1)), np.any(np.diag(A, 1))) == (r < c, r > c)
+        assert all(check["row_sum_error"] <= 1e-12 for check in grid.checks.values())
+        F0, G, T = scn.contract.F0, scn.contract.G, scn.contract.T
+        account = F0 * np.exp((r - c) * tn)  # the constant fee c of low_charge_scenario
+        h0 = math.exp(-r * T) * max(G, account[-1])
+        surrender = np.exp(-r * tn[:-1]) * scn.charge(tn[:-1]) * account[:-1]
+        v0 = vs.bermudan_value(grid, scn).values[0, center_index(x, F0)]
+        assert v0 == pytest.approx(max(h0, float(surrender.max())), rel=1e-12, abs=0.0)
 
     @given(doc=_documents())
     @settings(max_examples=100, deadline=None)

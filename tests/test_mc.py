@@ -178,6 +178,12 @@ class TestPremiumIntegrals:
         assert abs(prem.f_estimate - f_q) <= 3.0 * prem.f_std_error + 0.01 * abs(f_q)
 
 
+    def test_a_mask_off_the_batch_dates_is_refused(self, c1_scn):
+        # the one-pass driver names the mask, the input the caller gave it
+        batch = vs.simulate_paths(c1_scn, seed=1, npaths=4, nsteps=12)
+        with pytest.raises(ConfigError, match="mask is not defined on the batch's exercise dates"):
+            vs.mc_verify_estimates(batch, c1_scn, _mask(c1_scn, 24, True))
+
     def test_band_and_holed_slices_match_a_per_path_reference(self, c1_scn):
         N = 12
         rows = _shaped_rows(N)
@@ -265,16 +271,20 @@ class TestChunkPool:
     def test_standard_errors_are_taken_over_pair_means(self, c1_scn, npaths):
         nsteps = 12
         batch = vs.simulate_paths(c1_scn, seed=17, npaths=npaths, nsteps=nsteps)
-        boundary = _boundary(15.0, nsteps, np.linspace(150.0, 120.0, nsteps))
-        est = vs.mc_verify_estimates(batch, c1_scn, boundary, _mask(c1_scn, nsteps, False))
+        # slice n surrenders from node first[n] up, so the strategy's threshold is
+        # x[first[n]], from 151.6 down to 123.1
+        first = np.linspace(24, 22, nsteps).round().astype(int)
+        mask = _mask(c1_scn, nsteps, np.arange(41) >= first[:, None])
+        threshold = mask.xnodes[first]
+        est = vs.mc_verify_estimates(batch, c1_scn, mask)
         F, tn = batch.materialize(), batch.tnodes
         r, G = c1_scn.market.r, c1_scn.contract.G
         mb = math.exp(-r * 15.0) * np.maximum(G, F[:, -1])
-        hits = F[:, :-1] >= boundary.values
-        first = hits.argmax(axis=1)
+        hits = F[:, :-1] >= threshold
+        n = hits.argmax(axis=1)
         rows = np.arange(npaths)
-        sv = np.where(hits.any(axis=1),
-                      np.exp(-r * tn[first]) * c1_scn.charge(tn[first]) * F[rows, first], mb)
+        sv = np.where(hits.any(axis=1), np.exp(-r * tn[n]) * c1_scn.charge(tn[n]) * F[rows, n], mb)
+        assert 0 < hits.any(axis=1).mean() < 1
         for got, path in ((est["maturity_benefit"], mb), (est["boundary_strategy_value"], sv)):
             pairs = _pair_means(path)
             assert pairs.size == npaths // 2
@@ -300,13 +310,18 @@ class TestChunkPool:
 
     def test_one_pass_driver_equals_the_three_estimators(self, c2_scn, c2_lattice):
         batch = vs.simulate_paths(c2_scn, seed=9, npaths=2 * CHUNK_PATHS + 5, nsteps=360)
-        mb, sv, prem = _estimates(batch, c2_scn, c2_lattice)
-        est = vs.mc_verify_estimates(batch, c2_scn, c2_lattice["boundary"], c2_lattice["mask"])
+        mask = c2_lattice["mask"]
+        mb = vs.mc_maturity_benefit(batch, c2_scn)
+        sv = vs.mc_boundary_strategy_value(batch, c2_scn, vs.extract_boundary(mask))
+        prem = vs.mc_premium_integrals(batch, c2_scn, mask)
+        est = vs.mc_verify_estimates(batch, c2_scn, mask)
         assert list(est) == ["maturity_benefit", "boundary_strategy_value", "surrender_premium",
                              "continuation_premium"]
-        one_pass = (est["maturity_benefit"], est["boundary_strategy_value"],
-                    mc._premiums(est["surrender_premium"], est["continuation_premium"]))
-        assert repr(one_pass) == repr((mb, sv, prem))
+        assert repr((est["maturity_benefit"], est["boundary_strategy_value"])) == repr((mb, sv))
+        e, f = est["surrender_premium"], est["continuation_premium"]
+        assert (repr((e.estimate, e.std_error, f.estimate, f.std_error)), e.npaths, e.seed) == (
+            repr((prem.e_estimate, prem.e_std_error, prem.f_estimate, prem.f_std_error)),
+            prem.npaths, prem.seed)
 
     def test_early_break_stops_and_joins_the_workers(self, c1_scn, monkeypatch, cpus):
         cpus(2)
@@ -353,9 +368,9 @@ class TestChunkPool:
         assert npaths % CHUNK_PATHS % BLOCK_ROWS != 0
         batch = vs.simulate_paths(c1_scn, seed=54, npaths=npaths, nsteps=nsteps)
         mask = _mask(c1_scn, nsteps, _shaped_rows(nsteps))
-        boundary = _boundary(15.0, nsteps, np.linspace(150.0, 120.0, nsteps))
+        boundary = vs.extract_boundary(mask)
         kernels = [mc._maturity_kernel(c1_scn), mc._boundary_kernel(batch, c1_scn, boundary),
-                   mc._premium_kernel(batch, c1_scn, mask)]
+                   mc._premium_kernel(batch, c1_scn, mask, boundary)]
         # each whole chunk's samples reduced to their sum and pair-mean statistics
         per_chunk = [[mc._chunk_stats(x) for kernel in kernels for x in kernel(F)]
                      for _, F in batch.iter_chunks()]
@@ -364,7 +379,7 @@ class TestChunkPool:
                          "surrender_premium": ee, "continuation_premium": ff})
         for threads in (1, 2):
             cpus(threads)
-            assert repr(vs.mc_verify_estimates(batch, c1_scn, boundary, mask)) == expected
+            assert repr(vs.mc_verify_estimates(batch, c1_scn, mask)) == expected
 
     def test_estimator_error_propagates_and_joins_the_workers(self, c1_scn, monkeypatch, cpus):
         cpus(2)
@@ -388,7 +403,7 @@ class TestChunkPool:
         batch = vs.simulate_paths(c1_scn, seed=16, npaths=1 << 16, nsteps=360)
         tracemalloc.start()
         try:
-            vs.mc_verify_estimates(batch, c1_scn, c1_lattice["boundary"], c1_lattice["mask"])
+            vs.mc_verify_estimates(batch, c1_scn, c1_lattice["mask"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
