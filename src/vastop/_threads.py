@@ -75,6 +75,9 @@ class ForkedCalls:
         try:
             child.start()
         except BaseException:  # out of processes or memory
+            # the error pipe is closed here; multiprocessing leaks the two
+            # sentinel pipes it opened before the fork, four descriptors, and
+            # the run fails anyway
             error_r.close()
             raise
         finally:

@@ -258,8 +258,7 @@ def bermudan_value(grid: ChainGrid, scn: Scenario, reward_kind: str = "discontin
     exercise dates only, each step an exact exponential of the generator; the
     PDE (``pde.solve_variational_inequality``) approximates surrender at any
     time. The Bermudan boundary lies below the continuous one by a gap that
-    halves with dt: on c2 at N=360, M=401 by a median 2.06% over the dates
-    where both are nonempty, 194.53 against the PDE's 198.62 at t = 0.
+    shrinks as N grows; the README's numerical notes give the measured gap.
 
     reward_kind "discontinuous" uses the surrender payout g(t) x as exercise
     value; "continuous" uses g(t) x v h(t, x) with h computed by a

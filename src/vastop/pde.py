@@ -113,8 +113,8 @@ def solve_variational_inequality(scn: Scenario, grid: PdeGrid) -> ValueSurface:
 
     The obstacle holds at every level, so at a finite N this approximates the
     contract that may be surrendered at any time, not the Bermudan one the
-    lattice prices on the N dates (see ``lattice.bermudan_value``): on c2 at
-    M=801 its t = 0 boundary reads 197.59 for every N from 90 to 1440.
+    lattice prices on the N dates (see ``lattice.bermudan_value``); the
+    README's numerical notes give the measured gap between the two.
     """
     x = grid.xnodes
     tn = grid.tnodes

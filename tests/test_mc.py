@@ -34,17 +34,18 @@ def _mask(scn, N, fill):
 
 def _shaped_rows(N: int) -> np.ndarray:
     """Mask rows on 41 nodes whose slices cycle through band, holed, threshold,
-    empty and full shapes."""
+    empty and full shapes. The band, holed and threshold slices surrender from
+    node 24 or 25 up (151.6 or 168.2), above F0 = 100 on node 20."""
     rows = np.zeros((N, 41), dtype=bool)
     for n in range(N):
         shape = n % 5
         if shape == 0:
-            rows[n, 18:25] = True
+            rows[n, 24:31] = True
         elif shape == 1:
-            rows[n, 20:] = True
+            rows[n, 24:] = True
             rows[n, 28:30] = False
         elif shape == 2:
-            rows[n, 22:] = True
+            rows[n, 25:] = True
         elif shape == 4:
             rows[n] = True
     return rows
@@ -367,13 +368,19 @@ class TestChunkPool:
         # the band and holed slices take the nearest-node branch of the premium kernel
         assert npaths % CHUNK_PATHS % BLOCK_ROWS != 0
         batch = vs.simulate_paths(c1_scn, seed=54, npaths=npaths, nsteps=nsteps)
-        mask = _mask(c1_scn, nsteps, _shaped_rows(nsteps))
+        rows = _shaped_rows(nsteps)
+        rows[4::5] = False  # no full slice, so a path below every threshold reaches maturity
+        mask = _mask(c1_scn, nsteps, rows)
         boundary = vs.extract_boundary(mask)
         kernels = [mc._maturity_kernel(c1_scn), mc._boundary_kernel(batch, c1_scn, boundary),
                    mc._premium_kernel(batch, c1_scn, mask, boundary)]
         # each whole chunk's samples reduced to their sum and pair-mean statistics
-        per_chunk = [[mc._chunk_stats(x) for kernel in kernels for x in kernel(F)]
-                     for _, F in batch.iter_chunks()]
+        per_chunk, surrendered = [], []
+        for _, F in batch.iter_chunks():
+            per_chunk.append([mc._chunk_stats(x) for kernel in kernels for x in kernel(F)])
+            surrendered.append((F[:, :-1] >= boundary.values).any(axis=1))
+        # the strategy's samples mix surrender at varied dates with the maturity benefit
+        assert 0 < np.concatenate(surrendered).mean() < 1
         mb, sv, ee, ff = (mc._finalize(stats, npaths, 54) for stats in zip(*per_chunk))
         expected = repr({"maturity_benefit": mb, "boundary_strategy_value": sv,
                          "surrender_premium": ee, "continuation_premium": ff})
